@@ -109,6 +109,11 @@ def total_variation(level: np.ndarray, boundary: str = FREE_FLOW) -> float:
 # bound constants
 
 
+def exp_or_inf(x: float) -> float:
+    """e^x, or inf where it would overflow double precision (x >= 709)."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
 def _log_two_exp_minus_one(x: float) -> float:
     """log(2 e^x - 1), stable for all x >= 0."""
     if x < 0:
@@ -136,8 +141,7 @@ def tv_bound(t: float, tau: float, rate: float, tv0: float) -> float:
     """Total-variation ceiling at time t; inf when the factor overflows."""
     if tv0 == 0.0:
         return 0.0
-    log_b = log_tv_amplification(t, tau, rate) + math.log(tv0)
-    return math.exp(log_b) if log_b < 709.0 else math.inf
+    return exp_or_inf(log_tv_amplification(t, tau, rate) + math.log(tv0))
 
 
 @dataclass(frozen=True)
@@ -162,15 +166,11 @@ class BoundConstants:
 
     @property
     def tv_amplification(self) -> float:
-        x = self.log_tv_amplification_at_horizon
-        return math.exp(x) if x < 709.0 else math.inf
+        return exp_or_inf(self.log_tv_amplification_at_horizon)
 
     @property
     def l1_time_rate(self) -> float:
-        x = self.log_l1_time_rate
-        if x == -math.inf:
-            return 0.0
-        return math.exp(x) if x < 709.0 else math.inf
+        return exp_or_inf(self.log_l1_time_rate)
 
     def tv_bound_at(self, t: float) -> float:
         return tv_bound(t, self.tau, self.tv_rate, self.tv0)
@@ -251,10 +251,7 @@ class StabilityConstants:
 
     @property
     def delay_weight(self) -> float:
-        x = self.log_delay_weight
-        if x == -math.inf:
-            return 0.0
-        return math.exp(x) if x < 709.0 else math.inf
+        return exp_or_inf(self.log_delay_weight)
 
 
 def stability_constants(
@@ -301,8 +298,7 @@ def stability_bound(consts: StabilityConstants, t: float, datum_distance: float)
     if not terms:
         return 0.0
     log_sum = terms[0] if len(terms) == 1 else float(np.logaddexp(terms[0], terms[1]))
-    log_b = consts.rate * t + log_sum
-    return math.exp(log_b) if log_b < 709.0 else math.inf
+    return exp_or_inf(consts.rate * t + log_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +308,19 @@ def stability_bound(consts: StabilityConstants, t: float, datum_distance: float)
 def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.ndarray:
     """17 equispaced entropy constants in [0, R], plus the level's extrema.
 
-    The residual is piecewise linear in kappa between sorted level values,
-    so adding the data extrema pins the sample to the active range.
+    The entropy check is a sample in kappa, not a proof over all kappa: for
+    a nonlinear F the residual is not piecewise linear between level values
+    (F(kappa) keeps a nonzero coefficient where the data straddle kappa).
+    The extrema pin the sample to the level's active range.
     """
     base = np.linspace(0.0, rho_ceiling, 17)
-    if level is not None:
-        base = np.concatenate([base, [float(np.min(level)), float(np.max(level))]])
-    return np.unique(base)
+    if level is None:
+        return np.unique(base)
+    return _with_extrema(base, float(np.min(level)), float(np.max(level)))
+
+
+def _with_extrema(base: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return np.unique(np.concatenate([base, [lo, hi]]))
 
 
 def entropy_residual(
@@ -352,42 +354,60 @@ def entropy_residual(
     lam sgn(rho'_j - k) F(k) (V_{j+1} - V_j); F(rho) = rho f(rho).  The
     inequality is proved for Lax-Friedrichs; the Hilliges-Weidlich residual
     is reported for observation only.
+
+    f is evaluated once on the cells and once on the kappas, never on a
+    kappa-by-cell array.  Since F(max(u,k)) - F(min(u,k)) = sgn(u-k)(F(u) -
+    F(k)) and max(w,k) - min(w,k) = |w-k|, the Lax-Friedrichs flux is
+
+        Fk(u, w) = (P(u) V_j + P(w) V_{j+1}) / 2 - alpha (|w-k| - |u-k|) / 2,
+        P(u) = sgn(u-k) (F(u) - F(k)),
+
+    |rho'_j - k| and the correction fuse into sgn(e) (e + lam F(k) gap_j),
+    e = rho'_j - k, for both schemes.  Hilliges-Weidlich takes f(max(w,k)) =
+    min(f(w), f(k)) and f(min(w,k)) = max(f(w), f(k)), as f is non-increasing.
     """
     rho = np.asarray(rho, dtype=float)
     rho_next = np.asarray(rho_next, dtype=float)
     kap = np.asarray(kappas, dtype=float)[:, None]
     r = extend3(rho, boundary)
     v = extend3(v_lag, boundary)
-    u, w = r[:-1], r[1:]
-    v_left, v_right = v[:-1], v[1:]
-    u_hi, w_hi = np.maximum(u, kap), np.maximum(w, kap)
-    u_lo, w_lo = np.minimum(u, kap), np.minimum(w, kap)
+    f_r = sat(r)
+    f_kap = sat(kap)
+    flux_kap = kap * f_kap
     if scheme == LAX_FRIEDRICHS:
         if alpha is None:
             raise ValueError("the Lax-Friedrichs entropy flux needs alpha")
-
-        def g_edge(a, b):
-            return 0.5 * (a * sat(a) * v_left + b * sat(b) * v_right) - 0.5 * alpha * (
-                b - a
-            )
-
-        speed_gap = 0.5 * (v[2:] - v[:-2])
+        d = r - kap
+        dist = np.abs(d)
+        p = np.subtract(r * f_r, flux_kap)
+        p *= np.sign(d, out=d)
+        p *= (0.5 * lam) * v
+        # lam (Fk_{j+1/2} - Fk_{j-1/2}) - |rho_j - k|, from the cell-wise
+        # P and |r - k| of cells j - 1, j and j + 1
+        residual = np.add(dist[:, 2:], dist[:, :-2])
+        residual *= -0.5 * lam * alpha
+        residual += p[:, 2:]
+        residual -= p[:, :-2]
+        mid = dist[:, 1:-1]
+        mid *= lam * alpha - 1.0
+        residual += mid
+        gap = (0.5 * lam) * (v[2:] - v[:-2])
     elif scheme == HILLIGES_WEIDLICH:
-
-        def g_edge(a, b):
-            return a * sat(b) * v_right
-
-        speed_gap = v[2:] - v[1:-1]
+        u, f_w = r[:-1], f_r[1:]
+        flux_k = np.maximum(u, kap)
+        flux_k *= np.minimum(f_w, f_kap)
+        flux_k -= np.minimum(u, kap) * np.maximum(f_w, f_kap)
+        flux_k *= lam * v[1:]
+        residual = np.subtract(flux_k[:, 1:], flux_k[:, :-1])
+        residual -= np.abs(rho - kap)
+        gap = lam * (v[2:] - v[1:-1])
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    flux_k = g_edge(u_hi, w_hi) - g_edge(u_lo, w_lo)
-    f_kap = kap * sat(kap)
-    residual = (
-        np.abs(rho_next - kap)
-        - np.abs(rho - kap)
-        + lam * (flux_k[:, 1:] - flux_k[:, :-1])
-        + lam * np.sign(rho_next - kap) * f_kap * speed_gap
-    )
+    e = rho_next - kap
+    sign_e = np.sign(e)
+    e += flux_kap * gap
+    e *= sign_e
+    residual += e
     return float(np.max(residual))
 
 
@@ -522,6 +542,10 @@ class DiagnosticsCollector:
         self._prev_level: np.ndarray | None = None
         self._prev_speeds: np.ndarray | None = None
         self._prev_tv = 0.0
+        # default_kappas(R, previous level), built from the previous call's
+        # extrema instead of new reductions over the level
+        self._kappa_base = default_kappas(vel.rho_max)
+        self._prev_lo = self._prev_hi = math.nan
 
     def _check_speeds(self, v_lag: np.ndarray, rho_sup_lagged: float, n: int) -> None:
         if v_lag.size < 2:
@@ -588,7 +612,7 @@ class DiagnosticsCollector:
             if want:
                 kappas = self.kappas
                 if kappas is None:
-                    kappas = default_kappas(self.vel.rho_max, self._prev_level)
+                    kappas = _with_extrema(self._kappa_base, self._prev_lo, self._prev_hi)
                 residual = entropy_residual(
                     self._prev_level,
                     level,
@@ -627,3 +651,4 @@ class DiagnosticsCollector:
         self._prev_level = level
         self._prev_speeds = v_lag
         self._prev_tv = tv
+        self._prev_lo, self._prev_hi = lo, hi

@@ -210,17 +210,6 @@ class BoundSet:
         return self.v_dprime is not None
 
 
-def eval_velocity(vel: Velocity, rho):
-    """Evaluate v(rho); outside [0, R] the defining formula is used as is
-    (only the cropped law clamps, by its own definition)."""
-    return vel(rho)
-
-
-def eval_saturation(sat: Saturation, rho):
-    """Evaluate f(rho) with the outside-[0, R] extension applied."""
-    return sat(rho)
-
-
 def derivative_bounds(vel: Velocity, sat: Saturation, kernel: Kernel) -> BoundSet:
     """Collect the analytic derivative sup-norms of one model choice."""
     if sat.kind != SAT_NONE and sat.rho_max != vel.rho_max:

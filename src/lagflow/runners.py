@@ -29,6 +29,7 @@ from .diagnostics import (
     InvariantViolation,
     StabilityConstants,
     bound_constants,
+    exp_or_inf,
     l1_distance,
     l1_norm,
     stability_bound,
@@ -301,9 +302,7 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
             math.log(s.t_final * col.sup_tv) if s.t_final * col.sup_tv > 0 else -math.inf,
             c.log_l1_time_rate + (math.log(s.t_final) if s.t_final > 0 else -math.inf),
         )
-        space_time_bound = (
-            float(np.exp(space_time_bound_log)) if space_time_bound_log < 709 else math.inf
-        )
+        space_time_bound = exp_or_inf(float(space_time_bound_log))
         items += [
             ("tv_rate_current", c.tv_rate_current),
             ("tv_rate_lagged", c.tv_rate_lagged),

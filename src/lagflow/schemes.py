@@ -99,18 +99,6 @@ def hw_step(
     return out
 
 
-def hw_interface_fluxes(
-    rho: np.ndarray,
-    v_lag: np.ndarray,
-    sat: Saturation,
-    boundary: str,
-) -> np.ndarray:
-    """The J + 1 interface fluxes rho_j f(rho_{j+1}) V_{j+1} of one HW step."""
-    r = extend3(rho, boundary)
-    v = extend3(v_lag, boundary)
-    return r[:-1] * sat(r[1:]) * v[1:]
-
-
 def step_count(t_final: float, dt: float) -> int:
     """Largest N with N dt <= t_final, tolerating float rounding in t/dt."""
     if t_final < 0:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lagflow import diagnostics
 from lagflow.delay_state import FREE_FLOW, PERIODIC
 from lagflow.diagnostics import (
     CheckPolicy,
@@ -26,7 +27,7 @@ from lagflow.diagnostics import (
 )
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity, derivative_bounds
-from lagflow.schemes import lf_step
+from lagflow.schemes import extend3, hw_step, lf_step, run
 
 
 def _bounds(length=0.1):
@@ -192,6 +193,105 @@ def test_entropy_residual_flags_manufactured_violation():
     v = np.full(5, 0.5)
     res = entropy_residual(rho, fake_next, v, 0.25, sat, FREE_FLOW, default_kappas(1.0, rho), "lf", 2.0)
     assert res > 0.1
+
+
+def _max_min_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, scheme, alpha):
+    """Reference residual: the scheme's flux G composed with max/min, and f
+    evaluated on every kappa-by-cell array (see entropy_residual)."""
+    kap = np.asarray(kappas, dtype=float)[:, None]
+    r = extend3(rho, boundary)
+    v = extend3(v_lag, boundary)
+    u, w = r[:-1], r[1:]
+    v_left, v_right = v[:-1], v[1:]
+    if scheme == "lf":
+
+        def g_edge(a, b):
+            return 0.5 * (a * sat(a) * v_left + b * sat(b) * v_right) - 0.5 * alpha * (b - a)
+
+        speed_gap = 0.5 * (v[2:] - v[:-2])
+    else:
+
+        def g_edge(a, b):
+            return a * sat(b) * v_right
+
+        speed_gap = v[2:] - v[1:-1]
+    flux_k = g_edge(np.maximum(u, kap), np.maximum(w, kap)) - g_edge(
+        np.minimum(u, kap), np.minimum(w, kap)
+    )
+    residual = (
+        np.abs(rho_next - kap)
+        - np.abs(rho - kap)
+        + lam * (flux_k[:, 1:] - flux_k[:, :-1])
+        + lam * np.sign(rho_next - kap) * kap * sat(kap) * speed_gap
+    )
+    return float(np.max(residual))
+
+
+@pytest.mark.parametrize("kind", ["none", "linear", "exponential"])
+def test_entropy_residual_matches_max_min_composition(kind):
+    """The closed-form residual equals the max/min composition to 1e-15 on
+    random LF and HW steps, per kappa, with kappas tied to cell values and
+    to updated values (sgn(0) terms)."""
+    rng = np.random.default_rng(7)
+    sat = Saturation(kind, eps=0.05 if kind == "exponential" else None)
+    alpha = 1.0 + sat.d1_sup  # V (1 + R |f'|) with V = R = 1
+    worst = 0.0
+    for trial in range(60):
+        scheme = "lf" if trial % 2 else "hw"
+        boundary = FREE_FLOW if trial % 4 < 2 else PERIODIC
+        n = int(rng.integers(3, 40))
+        rho = rng.uniform(0.0, 1.0, n)
+        v_lag = rng.uniform(0.0, 1.0, n)
+        if scheme == "lf":
+            lam = rng.uniform(0.1, 1.0) / alpha
+            rho_next = lf_step(rho, v_lag, lam, alpha, sat, boundary)
+        else:
+            lam = rng.uniform(0.1, 1.0) / (1.0 + sat.d1_sup)
+            rho_next = hw_step(rho, v_lag, lam, sat, boundary)
+        kappas = np.concatenate(
+            [default_kappas(1.0, rho), rng.choice(rho, 3), rng.choice(rho_next, 3)]
+        )
+        args = (rho, rho_next, v_lag, lam, sat, boundary)
+        for k in [kappas] + [[x] for x in kappas]:
+            new = entropy_residual(*args, k, scheme, alpha)
+            ref = _max_min_entropy_residual(*args, k, scheme, alpha)
+            worst = max(worst, abs(new - ref))
+    assert worst <= 1e-15
+
+
+def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
+    """The collector's per-step kappas are bit-identical to
+    default_kappas(R, previous level)."""
+    seen = []
+
+    def spy(rho, rho_next, v_lag, lam, sat, boundary, kappas, **kw):
+        seen.append((rho, np.array(kappas)))
+        return entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, **kw)
+
+    monkeypatch.setattr(diagnostics, "entropy_residual", spy)
+    vel = Velocity("normalized_greenshields")
+    sat = Saturation("linear", rho_max=1.0)
+    kernel = Kernel("constant", length=0.1)
+    grid = build_grid(0.0, 1.0, 0.05, 0.01, 0.02, 0.1, alpha=2.0)
+    weights = discretize_kernel(kernel, grid)
+    col = DiagnosticsCollector(
+        grid=grid,
+        weights=weights,
+        vel=vel,
+        sat=sat,
+        scheme="lf",
+        boundary=FREE_FLOW,
+        constants=None,
+        policy=CheckPolicy(entropy_assert=True),
+        stride=2,
+        n_final=6,
+    )
+    rho0 = np.random.default_rng(5).uniform(0.05, 0.9, grid.n_cells)
+    run(grid, weights, vel, sat, "lf", rho0, 6 * grid.dt, observer=col)
+    assert len(seen) == 6
+    assert len({float(np.max(prev)) for prev, _ in seen}) == 6
+    for prev, kappas in seen:
+        assert np.array_equal(kappas, default_kappas(1.0, prev))
 
 
 def test_lipschitz_check_accepts_rate_respecting_snapshots():

@@ -11,15 +11,13 @@ from lagflow.model_functions import (
     Saturation,
     Velocity,
     derivative_bounds,
-    eval_saturation,
-    eval_velocity,
 )
 
 
 def test_greenshields_endpoints():
     vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
-    assert eval_velocity(vel, 0.0) == 0.9
-    assert eval_velocity(vel, 1.7) == pytest.approx(0.0, abs=1e-15)
+    assert vel(0.0) == 0.9
+    assert vel(1.7) == pytest.approx(0.0, abs=1e-15)
     assert vel.d1_sup == pytest.approx(0.9 / 1.7)
     assert vel.d2_sup == 0.0
     assert vel.smooth
@@ -64,12 +62,12 @@ def test_linear_saturation_matches_velocity_shape():
 
 def test_exponential_saturation_vanishes_at_capacity():
     sat = Saturation("exponential", rho_max=1.0, eps=0.02)
-    assert eval_saturation(sat, 1.0) == 0.0
-    assert eval_saturation(sat, 0.0) == pytest.approx(1.0 - np.exp(-50.0))
+    assert sat(1.0) == 0.0
+    assert sat(0.0) == pytest.approx(1.0 - np.exp(-50.0))
     # steepest at rho = R: |f'(R)| = 1/eps
     assert sat.d1_sup == pytest.approx(50.0)
-    assert eval_saturation(sat, 1.5) == 0.0
-    assert eval_saturation(sat, -1.0) == 1.0
+    assert sat(1.5) == 0.0
+    assert sat(-1.0) == 1.0
 
 
 def test_exponential_saturation_requires_eps():

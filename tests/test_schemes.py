@@ -10,7 +10,6 @@ from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.schemes import (
     StepError,
     extend3,
-    hw_interface_fluxes,
     hw_step,
     lf_step,
     run,
@@ -53,15 +52,24 @@ def test_hw_step_hand_computed():
     assert float(np.sum(out)) == pytest.approx(0.5)
 
 
-def test_hw_interface_fluxes_are_nonnegative_for_nonnegative_data():
+def test_hw_step_interface_fluxes_are_nonnegative_for_nonnegative_data():
+    """The J + 1 interface fluxes recovered from one free-flow HW update
+    are rho_j f(rho_{j+1}) V_{j+1} >= 0; the inflow flux is the first
+    cell's own rho f(rho) V under the replicated ghost."""
     rng = np.random.default_rng(3)
     sat = Saturation("linear", rho_max=1.0)
+    lam = 0.5
     for _ in range(20):
         rho = rng.uniform(0.0, 1.0, 12)
         v = rng.uniform(0.0, 1.0, 12)
-        fluxes = hw_interface_fluxes(rho, v, sat, FREE_FLOW)
+        out = hw_step(rho, v, lam, sat, FREE_FLOW)
+        inflow = rho[0] * sat(rho[0]) * v[0]
+        fluxes = inflow + np.concatenate([[0.0], np.cumsum((rho - out) / lam)])
+        r = extend3(rho, FREE_FLOW)
+        expected = r[:-1] * sat(r[1:]) * extend3(v, FREE_FLOW)[1:]
         assert fluxes.shape == (13,)
-        assert np.all(fluxes >= 0.0)
+        assert np.allclose(fluxes, expected, rtol=0.0, atol=1e-14)
+        assert np.all(expected >= 0.0)
 
 
 def test_lf_step_detects_nonfinite():
