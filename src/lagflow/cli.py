@@ -20,6 +20,7 @@ violated; 1 configuration or runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -122,23 +123,22 @@ def _default_out(scenario: Scenario, command: str) -> str:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    scenario = _load(args.config)
-    if args.stride is not None:
-        import dataclasses
-
-        scenario = dataclasses.replace(scenario, stride=args.stride)
+    overrides = {"stride": args.stride, "safety": args.safety}
+    scenario = dataclasses.replace(
+        _load(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
     out = args.out if args.out is not None else _default_out(scenario, args.command)
     if args.command == "run":
-        run_scenario(scenario, out, safety=args.safety)
+        run_scenario(scenario, out)
         print(f"run complete: {out}")
     elif args.command == "compare-schemes":
-        report = compare_schemes(scenario, args.ref_dx, out, safety=args.safety)
+        report = compare_schemes(scenario, args.ref_dx, out)
         print(
             f"l1 to reference: lf={report['l1_lf_vs_ref']!r} "
             f"hw={report['l1_hw_vs_ref']!r} hw_closer={report['hw_closer']}"
         )
     elif args.command == "tau-sweep":
-        report = tau_sweep(scenario, _parse_taus(args.taus), out, safety=args.safety)
+        report = tau_sweep(scenario, _parse_taus(args.taus), out)
         for tau in report["taus"]:
             print(
                 f"tau={tau!r}: l1_to_zero_delay="
@@ -146,7 +146,7 @@ def _dispatch(args: argparse.Namespace) -> None:
                 f"tv_final={report['tv_at_final_time'][tau]!r}"
             )
     elif args.command == "grid-refine":
-        report = grid_refine(scenario, args.levels, out, safety=args.safety)
+        report = grid_refine(scenario, args.levels, out)
         for dx, diff in zip(
             report["widths"], report["successive_l1_differences"]
         ):
@@ -155,13 +155,11 @@ def _dispatch(args: argparse.Namespace) -> None:
         perturbation = (
             _parse_perturbation(args.perturb) if args.perturb is not None else None
         )
-        report = stability_experiment(
-            scenario, args.tau2, perturbation, out, safety=args.safety
-        )
+        report = stability_experiment(scenario, args.tau2, perturbation, out)
         for t, measured, bound in report["rows"]:
             print(f"t={t!r}: measured={measured!r} bound={bound!r}")
     elif args.command == "saturation-study":
-        report = saturation_study(scenario, out, safety=args.safety)
+        report = saturation_study(scenario, out)
         for name, row in report["variants"].items():
             print(
                 f"{name}: max_density={row['max_density']!r} "

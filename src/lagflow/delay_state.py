@@ -38,7 +38,6 @@ class DelayedState:
     """
 
     levels: deque
-    n: int
     boundary: str
 
     @property
@@ -52,14 +51,14 @@ class DelayedState:
 
 
 def init_history(rho0: np.ndarray, h: int, boundary: str = FREE_FLOW) -> DelayedState:
-    """Buffer holding h + 1 copies of the initial datum, time index 0."""
+    """Buffer holding h + 1 copies of the initial datum."""
     if h < 0:
         raise ValueError("delay step count must be non-negative")
     if boundary not in BOUNDARY_KINDS:
         raise ValueError(f"unknown boundary kind {boundary!r}")
     rho0 = np.asarray(rho0, dtype=float)
     levels = deque((rho0.copy() for _ in range(h + 1)), maxlen=h + 1)
-    return DelayedState(levels=levels, n=0, boundary=boundary)
+    return DelayedState(levels=levels, boundary=boundary)
 
 
 def push_level(state: DelayedState, rho_next: np.ndarray) -> DelayedState:
@@ -68,7 +67,6 @@ def push_level(state: DelayedState, rho_next: np.ndarray) -> DelayedState:
     if rho_next.shape != state.current.shape:
         raise ValueError("pushed level has wrong length")
     state.levels.append(rho_next)
-    state.n += 1
     return state
 
 
@@ -112,5 +110,4 @@ def speed_increment_bound(vel: Velocity, weights: KernelWeights, rho_sup: float)
     by at most dx * (w[0] rho_sup + sum_k |w[k+1] - w[k]| rho_sup), and the
     non-increasing weights telescope to w[0] <= sup(omega) twice over.
     """
-    omega_sup = float(np.max(weights.w))
-    return 2.0 * vel.d1_sup * omega_sup * rho_sup * weights.dx
+    return 2.0 * vel.d1_sup * weights.sup * rho_sup * weights.dx

@@ -28,7 +28,9 @@ tau2) satisfy
 
 with K1 = sup(omega) sup|v'| (1 + R sup|f'|) sup_t ||rho(t)||_BV
         + R (sup|v'| ||omega'||_1 + sup|v''| ||sigma0||_1 ||omega'||_inf J0),
-K2 = K1 K T and K3 = 1 + K1 min{tau1, tau2}.
+K2 = K1 K T and K3 = 1 + K1 min{tau1, tau2}.  J0, the integral of omega,
+is 1 for every kernel (omega is a probability density on [0, L]), so the
+code leaves the factor out.
 
 The amplification C and everything built on it grow like e^{M T} and
 overflow double precision for sharp saturation (sup|f'| = 50 pushes M into
@@ -47,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .delay_state import FREE_FLOW
+from .delay_state import FREE_FLOW, speed_increment_bound
 from .discretization import Grid, KernelWeights
 from .model_functions import BoundSet, Saturation, Velocity
 from .schemes import HILLIGES_WEIDLICH, LAX_FRIEDRICHS, extend3
@@ -192,9 +194,7 @@ def bound_constants(
         )
     r = bounds.rho_max
     g = 2.0 * bounds.v_prime * bounds.omega_sup * r * (1.0 + r * bounds.f_prime)
-    h = r * bounds.omega_sup * (
-        6.0 * bounds.v_dprime * bounds.omega_j0 * r + 2.0 * bounds.v_prime
-    )
+    h = r * bounds.omega_sup * (6.0 * bounds.v_dprime * r + 2.0 * bounds.v_prime)
     m = max(g, h)
     log_c = log_tv_amplification(horizon, tau, m)
     if scheme == LAX_FRIEDRICHS:
@@ -271,7 +271,7 @@ def stability_constants(
     r = bounds.rho_max
     k1 = bounds.omega_sup * bounds.v_prime * (1.0 + r * bounds.f_prime) * sup_bv + r * (
         bounds.v_prime * bounds.omega_d1_l1
-        + bounds.v_dprime * sigma0_l1 * bounds.omega_d1_sup * bounds.omega_j0
+        + bounds.v_dprime * sigma0_l1 * bounds.omega_d1_sup
     )
     if k1 > 0.0 and horizon > 0.0:
         log_k2 = math.log(k1) + log_l1_time_rate + math.log(horizon)
@@ -512,7 +512,6 @@ class DiagnosticsCollector:
         policy: CheckPolicy,
         stride: int,
         n_final: int,
-        kappas: np.ndarray | None = None,
     ) -> None:
         if stride < 1:
             raise ValueError("stride must be at least 1")
@@ -526,7 +525,6 @@ class DiagnosticsCollector:
         self.policy = policy
         self.stride = stride
         self.n_final = n_final
-        self.kappas = kappas
         self.records: list[DiagnosticsRecord] = []
         self.sup_tv = 0.0
         self.sup_bv = 0.0
@@ -537,7 +535,6 @@ class DiagnosticsCollector:
         self.space_time_tv_space = 0.0
         self.space_time_tv_time = 0.0
         self._mass0: float | None = None
-        self._w_max = float(np.max(weights.w))
         self._lag_sup: deque = deque(maxlen=grid.delay_steps + 1)
         self._prev_level: np.ndarray | None = None
         self._prev_speeds: np.ndarray | None = None
@@ -551,7 +548,7 @@ class DiagnosticsCollector:
         if v_lag.size < 2:
             return
         reach = max(self.vel.rho_max, rho_sup_lagged)
-        ceiling = 2.0 * self.vel.d1_sup * self._w_max * reach * self.grid.dx
+        ceiling = speed_increment_bound(self.vel, self.weights, reach)
         gap = float(np.max(np.abs(np.diff(v_lag))))
         if gap > ceiling + SPEED_TOL:
             raise InvariantViolation(
@@ -610,9 +607,6 @@ class DiagnosticsCollector:
             self.space_time_tv_space += self.grid.dt * self._prev_tv
             want = self.policy.entropy_assert or (self.policy.entropy_watch and is_row)
             if want:
-                kappas = self.kappas
-                if kappas is None:
-                    kappas = _with_extrema(self._kappa_base, self._prev_lo, self._prev_hi)
                 residual = entropy_residual(
                     self._prev_level,
                     level,
@@ -620,7 +614,7 @@ class DiagnosticsCollector:
                     self.grid.lam,
                     self.sat,
                     self.boundary,
-                    kappas,
+                    _with_extrema(self._kappa_base, self._prev_lo, self._prev_hi),
                     scheme=self.scheme,
                     alpha=self.grid.alpha,
                 )

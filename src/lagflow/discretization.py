@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .model_functions import (
     Kernel,
 )
 
-#: Relative tolerance for "L is an integer multiple of dx".
+#: Relative tolerance for "a length is a whole number of cells".
 _REL_TOL_CELLS = 1e-9
 #: Relative tolerance for "dt already divides tau exactly".
 _REL_TOL_DELAY = 1e-12
@@ -48,9 +49,7 @@ class Grid:
     def __post_init__(self) -> None:
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
-        if self.n_cells < 1:
-            raise ValueError("need at least one cell")
-        if abs(self.n_cells * self.dx - (self.x_max - self.x_min)) > _REL_TOL_CELLS * self.dx:
+        if whole_cells(self.x_max - self.x_min, self.dx, "domain length") != self.n_cells:
             raise ValueError("n_cells * dx must equal the domain length")
         if self.delay_steps < 0:
             raise ValueError("delay_steps must be non-negative")
@@ -97,15 +96,22 @@ class KernelWeights:
     def n(self) -> int:
         return int(self.w.size)
 
+    @cached_property
+    def sup(self) -> float:
+        """Largest weight, the discrete sup(omega)."""
+        return float(np.max(self.w))
 
-def kernel_cell_count(length: float, dx: float) -> int:
-    """Number of cells N with N dx = L, rejecting non-integer ratios."""
+
+def whole_cells(length: float, dx: float, what: str) -> int:
+    """Number of cells n >= 1 with n dx = length, rejecting other ratios.
+
+    This is the one whole-cells rule: the domain, the kernel support and a
+    coarse cell split into reference cells all use it.
+    """
     ratio = length / dx
     n = round(ratio)
     if n < 1 or abs(n - ratio) > _REL_TOL_CELLS * max(1.0, ratio):
-        raise ValueError(
-            f"kernel support {length} is not an integer multiple of dx {dx}"
-        )
+        raise ValueError(f"{what} {length} is not a whole positive number of cells {dx} wide")
     return int(n)
 
 
@@ -183,22 +189,15 @@ def build_grid(
     dt must already satisfy the scheme's CFL condition; fitting the delay
     can only shrink it.
     """
-    if x_max <= x_min:
-        raise ValueError("x_max must exceed x_min")
-    ratio = (x_max - x_min) / dx
-    j = round(ratio)
-    if j < 1 or abs(j - ratio) > _REL_TOL_CELLS * max(1.0, ratio):
-        raise ValueError(f"domain length is not an integer multiple of dx {dx}")
-    n = kernel_cell_count(kernel_length, dx)
     h, dt_fit = fit_delay_steps(tau, dt)
     return Grid(
         x_min=x_min,
         x_max=x_max,
         dx=dx,
         dt=dt_fit,
-        n_cells=int(j),
+        n_cells=whole_cells(x_max - x_min, dx, "domain length"),
         delay_steps=h,
-        kernel_cells=n,
+        kernel_cells=whole_cells(kernel_length, dx, "kernel support"),
         alpha=alpha,
     )
 

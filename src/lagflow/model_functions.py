@@ -159,11 +159,6 @@ class Kernel:
         return 2.0 / self.length
 
     @property
-    def j0(self) -> float:
-        """Total interaction strength, the integral of omega over [0, L]."""
-        return 1.0
-
-    @property
     def d1_l1(self) -> float:
         """L1 mass of the derivative of the zero-extended kernel.
 
@@ -201,7 +196,6 @@ class BoundSet:
     v_dprime: float | None
     f_prime: float
     omega_sup: float
-    omega_j0: float
     omega_d1_l1: float
     omega_d1_sup: float
 
@@ -221,7 +215,6 @@ def derivative_bounds(vel: Velocity, sat: Saturation, kernel: Kernel) -> BoundSe
         v_dprime=vel.d2_sup,
         f_prime=sat.d1_sup,
         omega_sup=kernel.sup,
-        omega_j0=kernel.j0,
         omega_d1_l1=kernel.d1_l1,
         omega_d1_sup=kernel.d1_sup,
     )

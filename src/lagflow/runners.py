@@ -44,6 +44,7 @@ from .discretization import (
     cfl_dt_lf,
     discretize_kernel,
     project_initial_datum,
+    whole_cells,
 )
 from .model_functions import (
     SAT_NONE,
@@ -150,22 +151,15 @@ def default_policy(
     )
 
 
-def resolve_scenario(
-    scenario: Scenario,
-    *,
-    safety: float | None = None,
-    stride: int | None = None,
-    thorough: bool = True,
-) -> ResolvedRun:
+def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRun:
     """Project the datum, fix dt by the scheme's CFL rule, fit the delay."""
     vel = scenario.velocity
     sat = scenario.saturation
     bounds = derivative_bounds(vel, sat, scenario.kernel)
-    use_safety = scenario.safety if safety is None else safety
     if scenario.scheme == LAX_FRIEDRICHS:
-        alpha, dt = cfl_dt_lf(bounds, scenario.dx, use_safety)
+        alpha, dt = cfl_dt_lf(bounds, scenario.dx, scenario.safety)
     else:
-        alpha, dt = None, cfl_dt_hw(bounds, scenario.dx, use_safety)
+        alpha, dt = None, cfl_dt_hw(bounds, scenario.dx, scenario.safety)
     grid = build_grid(
         scenario.x_min,
         scenario.x_max,
@@ -187,9 +181,7 @@ def resolve_scenario(
     except ConstantsUnavailable:
         constants = None
     n_steps = step_count(scenario.t_final, grid.dt)
-    use_stride = stride if stride is not None else scenario.stride
-    if use_stride is None:
-        use_stride = max(1, n_steps // 100)
+    stride = scenario.stride if scenario.stride is not None else max(1, n_steps // 100)
     policy = default_policy(vel, sat, scenario.scheme, scenario.boundary, thorough)
     return ResolvedRun(
         scenario=scenario,
@@ -206,7 +198,7 @@ def resolve_scenario(
         constants=constants,
         policy=policy,
         n_steps=n_steps,
-        stride=use_stride,
+        stride=stride,
     )
 
 
@@ -349,15 +341,9 @@ def _write_diagnostics(path: Path, records) -> None:
     )
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_dir: str | Path | None = None,
-    *,
-    stride: int | None = None,
-    safety: float | None = None,
-) -> dict:
+def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> dict:
     """Simulate one scenario and write snapshots, diagnostics, manifest."""
-    resolved = resolve_scenario(scenario, safety=safety, stride=stride)
+    resolved = resolve_scenario(scenario)
     sim = simulate(resolved, scenario.snapshots)
     out = Path(out_dir if out_dir is not None else scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -372,6 +358,16 @@ def run_scenario(
     }
 
 
+def _variant(scenario: Scenario, snapshot_times=(), *, thorough: bool = True, **changes):
+    """Resolve and simulate the scenario with the field ``changes`` applied.
+
+    dataclasses.replace builds a new Scenario, so each variant is validated
+    before it is resolved.  Returns (resolved, result).
+    """
+    resolved = resolve_scenario(dataclasses.replace(scenario, **changes), thorough=thorough)
+    return resolved, simulate(resolved, snapshot_times)
+
+
 def restrict_to_coarse(fine: np.ndarray, factor: int) -> np.ndarray:
     """Average consecutive groups of `factor` fine cells (conservative)."""
     if fine.size % factor:
@@ -379,37 +375,25 @@ def restrict_to_coarse(fine: np.ndarray, factor: int) -> np.ndarray:
     return fine.reshape(-1, factor).mean(axis=1)
 
 
-def compare_schemes(
-    scenario: Scenario,
-    ref_dx: float,
-    out_dir: str | Path | None = None,
-    *,
-    safety: float | None = None,
-) -> dict:
+def compare_schemes(scenario: Scenario, ref_dx: float, out_dir: str | Path | None = None) -> dict:
     """L1 distances of both schemes to a fine-grid reference.
 
     Runs the scenario with each scheme at its own CFL time step, then a
     reference with the Lax-Friedrichs scheme at cell width ref_dx (which
     must divide dx), restricted to the coarse grid by exact cell averaging.
     """
-    factor_exact = scenario.dx / ref_dx
-    factor = round(factor_exact)
-    if factor < 1 or abs(factor - factor_exact) > 1e-9 * max(1.0, factor_exact):
-        raise ScenarioError("ref_dx must divide the scenario dx a whole number of times")
-    finals = {}
-    for scheme in ("lf", "hw"):
-        resolved = resolve_scenario(
-            dataclasses.replace(scenario, scheme=scheme), safety=safety
-        )
-        finals[scheme] = (resolved, simulate(resolved).final_level)
-    ref_scenario = dataclasses.replace(scenario, scheme="lf", dx=ref_dx)
-    ref_resolved = resolve_scenario(ref_scenario, safety=safety, thorough=False)
-    ref_final = simulate(ref_resolved).final_level
-    ref_coarse = restrict_to_coarse(ref_final, factor)
+    try:
+        factor = whole_cells(scenario.dx, ref_dx, "dx")
+    except ValueError as exc:
+        raise ScenarioError(f"ref_dx: {exc}") from exc
+    reference = dataclasses.replace(scenario, scheme="lf", dx=ref_dx)
+    finals = {scheme: _variant(scenario, scheme=scheme) for scheme in ("lf", "hw")}
+    ref_resolved, ref_sim = _variant(reference, thorough=False)
+    ref_coarse = restrict_to_coarse(ref_sim.final_level, factor)
     grid = finals["hw"][0].grid
     dist = {
-        scheme: l1_distance(final, ref_coarse, grid.dx)
-        for scheme, (_res, final) in finals.items()
+        scheme: l1_distance(sim.final_level, ref_coarse, grid.dx)
+        for scheme, (_res, sim) in finals.items()
     }
     report = {
         "dx": grid.dx,
@@ -422,32 +406,21 @@ def compare_schemes(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_snapshot(out / "final_lf.csv", grid, finals["lf"][1])
-        _write_snapshot(out / "final_hw.csv", grid, finals["hw"][1])
+        _write_snapshot(out / "final_lf.csv", grid, finals["lf"][1].final_level)
+        _write_snapshot(out / "final_hw.csv", grid, finals["hw"][1].final_level)
         _write_snapshot(out / "final_ref.csv", grid, ref_coarse)
         _write_kv(out / "report.txt", sorted(report.items()))
     return report
 
 
-def tau_sweep(
-    scenario: Scenario,
-    taus,
-    out_dir: str | Path | None = None,
-    *,
-    safety: float | None = None,
-) -> dict:
+def tau_sweep(scenario: Scenario, taus, out_dir: str | Path | None = None) -> dict:
     """Distances to the zero-delay solution and TV series for each delay."""
     taus = [float(t) for t in taus]
-    if any(t < 0 for t in taus):
-        raise ScenarioError("delays must be non-negative")
     if 0.0 not in taus:
         taus = taus + [0.0]
-    runs = {}
-    for tau in taus:
-        resolved = resolve_scenario(
-            dataclasses.replace(scenario, tau=tau), safety=safety
-        )
-        runs[tau] = (resolved, simulate(resolved))
+    # every delay is validated before the first march
+    variants = {tau: dataclasses.replace(scenario, tau=tau) for tau in taus}
+    runs = {tau: _variant(variant) for tau, variant in variants.items()}
     base = runs[0.0]
     distances = {
         tau: l1_distance(sim.final_level, base[1].final_level, res.grid.dx)
@@ -478,13 +451,7 @@ def tau_sweep(
     return report
 
 
-def grid_refine(
-    scenario: Scenario,
-    levels: int,
-    out_dir: str | Path | None = None,
-    *,
-    safety: float | None = None,
-) -> dict:
+def grid_refine(scenario: Scenario, levels: int, out_dir: str | Path | None = None) -> dict:
     """Successive L1 differences under halving of dx."""
     if levels < 2:
         raise ScenarioError("grid refinement needs at least 2 levels")
@@ -493,10 +460,7 @@ def grid_refine(
     maxima = []
     amplitudes = []
     for dx in widths:
-        resolved = resolve_scenario(
-            dataclasses.replace(scenario, dx=dx), safety=safety
-        )
-        sim = simulate(resolved)
+        resolved, sim = _variant(scenario, dx=dx)
         finals.append((dx, resolved, sim.final_level))
         maxima.append(sim.collector.sup_density)
         amplitudes.append(float(sim.final_level.max() - sim.final_level.min()))
@@ -532,8 +496,6 @@ def stability_experiment(
     tau2: float,
     perturbation: tuple[str, dict] | None = None,
     out_dir: str | Path | None = None,
-    *,
-    safety: float | None = None,
 ) -> dict:
     """Two-run L1 distance against the stability estimate.
 
@@ -544,25 +506,14 @@ def stability_experiment(
     built from the first run's measured sup BV norm.  With a non-smooth
     velocity the bound is unavailable and only distances are reported.
     """
-    if tau2 < 0:
-        raise ScenarioError("tau2 must be non-negative")
-    snap_times = tuple(scenario.snapshots)
-    first = resolve_scenario(scenario, safety=safety)
-    second_scenario = dataclasses.replace(scenario, tau=tau2)
+    changes: dict = {"tau": tau2}
     if perturbation is not None:
         kind, params = perturbation
-        second_scenario = dataclasses.replace(
-            second_scenario, datum_kind=kind, datum_params=dict(params)
-        )
-        lo, hi = second_scenario.make_datum().value_range()
-        if lo < 0 or hi > scenario.velocity.rho_max:
-            raise ScenarioError(
-                f"perturbed datum spans [{lo}, {hi}], outside "
-                f"[0, {scenario.velocity.rho_max}]"
-            )
-    second = resolve_scenario(second_scenario, safety=safety)
-    sim1 = simulate(first, snap_times)
-    sim2 = simulate(second, snap_times)
+        changes.update(datum_kind=kind, datum_params=dict(params))
+    # built, and so validated, before either run marches
+    second_scenario = dataclasses.replace(scenario, **changes)
+    first, sim1 = _variant(scenario, scenario.snapshots)
+    second, sim2 = _variant(second_scenario, scenario.snapshots)
     datum_distance = l1_distance(first.rho0, second.rho0, first.grid.dx)
     consts: StabilityConstants | None = None
     if first.constants is not None:
@@ -614,12 +565,7 @@ def stability_experiment(
     return report
 
 
-def saturation_study(
-    scenario: Scenario,
-    out_dir: str | Path | None = None,
-    *,
-    safety: float | None = None,
-) -> dict:
+def saturation_study(scenario: Scenario, out_dir: str | Path | None = None) -> dict:
     """Maximum densities without saturation and with the two built-in ones.
 
     The study fixes the normalized velocity v = 1 - rho and a constant
@@ -638,11 +584,7 @@ def saturation_study(
     results = {}
     finals = {}
     for name, sat in variants.items():
-        variant = dataclasses.replace(
-            scenario, velocity=velocity, saturation=sat, kernel=kernel
-        )
-        resolved = resolve_scenario(variant, safety=safety)
-        sim = simulate(resolved)
+        resolved, sim = _variant(scenario, velocity=velocity, saturation=sat, kernel=kernel)
         results[name] = {
             "max_density": sim.collector.sup_density,
             "exceeds_ceiling": sim.collector.sup_density > velocity.rho_max + 1e-12,

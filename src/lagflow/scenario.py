@@ -32,9 +32,13 @@ A scenario file fully describes one simulation::
     snapshots = 0.25, 0.5         ; times in [0, t_final]; default: t_final
     stride = 100                  ; diagnostics row spacing; default: automatic
 
-Unknown sections or keys are rejected by name, as are missing required
-keys, a kernel length that is not a whole number of cells, and datum
-values outside [0, rho_max].
+Every Scenario is validated when it is built, whether parsed from a file
+or made with dataclasses.replace from another one: the domain and the
+kernel support must be whole numbers of cells, tau >= 0, the scheme
+known, safety in (0, 1], datum values inside [0, rho_max], snapshots
+inside [0, t_final] and stride >= 1.  The parser checks only syntax:
+sections, keys, numbers and which keys each kind takes.  Unknown
+sections or keys are rejected by name, as are missing required keys.
 """
 
 from __future__ import annotations
@@ -45,19 +49,9 @@ from pathlib import Path
 
 from . import initial_data
 from .delay_state import BOUNDARY_KINDS, FREE_FLOW
-from .model_functions import (
-    GREENSHIELDS,
-    KERNEL_KINDS,
-    SAT_EXPONENTIAL,
-    SATURATION_KINDS,
-    VELOCITY_KINDS,
-    Kernel,
-    Saturation,
-    Velocity,
-)
+from .discretization import whole_cells
+from .model_functions import GREENSHIELDS, SAT_EXPONENTIAL, Kernel, Saturation, Velocity
 from .schemes import SCHEME_KINDS
-
-_REL_TOL_CELLS = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -74,6 +68,12 @@ _DATUM_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     initial_data.OSC_COS: ((), ("mean",)),
     initial_data.CONSTANT: (("value",), ()),
 }
+
+#: [model] keys that exactly one kind of one family takes, and requires.
+_MODEL_KIND_KEYS = (
+    ("velocity", GREENSHIELDS, ("v_max", "rho_max")),
+    ("saturation", SAT_EXPONENTIAL, ("eps",)),
+)
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,45 @@ class Scenario:
     snapshots: tuple = ()
     out_dir: str = "out"
     stride: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.x_max > self.x_min:
+            raise ScenarioError("[domain] x_max must exceed x_min")
+        if not self.dx > 0:
+            raise ScenarioError("[domain] dx must be positive")
+        if not self.t_final >= 0:
+            raise ScenarioError("[domain] t_final must be non-negative")
+        if self.boundary not in BOUNDARY_KINDS:
+            raise ScenarioError(f"[domain] boundary: unknown kind {self.boundary!r}")
+        for section, what, length in (
+            ("domain", "domain length", self.x_max - self.x_min),
+            ("model", "kernel_length", self.kernel.length),
+        ):
+            try:
+                whole_cells(length, self.dx, what)
+            except ValueError as exc:
+                raise ScenarioError(f"[{section}] {exc}") from exc
+        if not self.tau >= 0:
+            raise ScenarioError("[model] tau must be non-negative")
+        if self.scheme not in SCHEME_KINDS:
+            raise ScenarioError(f"[scheme] kind: unknown scheme {self.scheme!r}")
+        if not 0.0 < self.safety <= 1.0:
+            raise ScenarioError("[scheme] safety must lie in (0, 1]")
+        try:
+            lo, hi = self.make_datum().value_range()
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"[datum] {exc}") from exc
+        if lo < 0.0 or hi > self.velocity.rho_max:
+            raise ScenarioError(
+                f"[datum] values span [{lo}, {hi}], outside [0, {self.velocity.rho_max}]"
+            )
+        for t in self.snapshots:
+            if not 0 <= t <= self.t_final:
+                raise ScenarioError(
+                    f"[output] snapshots: time {t} outside [0, {self.t_final}]"
+                )
+        if self.stride is not None and self.stride < 1:
+            raise ScenarioError("[output] stride must be at least 1")
 
     def make_datum(self):
         return initial_data.make_datum(self.datum_kind, **self.datum_params)
@@ -135,156 +174,72 @@ def _take(
     return body
 
 
+def _floats(section: str, body: dict[str, str], skip: tuple[str, ...]) -> dict[str, float]:
+    return {key: _parse_float(section, key, raw) for key, raw in body.items() if key not in skip}
+
+
 def scenario_from_sections(sections: dict) -> Scenario:
-    """Validate a {section: {key: value-string}} mapping into a Scenario."""
+    """Parse a {section: {key: value-string}} mapping into a Scenario."""
     known = {"domain", "model", "scheme", "datum", "output"}
     for name in sections:
         if name not in known:
             raise ScenarioError(f"unknown section [{name}]")
 
     dom = _take(sections, "domain", ("x_min", "x_max", "dx", "t_final"), ("boundary",))
-    x_min = _parse_float("domain", "x_min", dom["x_min"])
-    x_max = _parse_float("domain", "x_max", dom["x_max"])
-    dx = _parse_float("domain", "dx", dom["dx"])
-    t_final = _parse_float("domain", "t_final", dom["t_final"])
-    boundary = dom.get("boundary", FREE_FLOW)
-    if x_max <= x_min:
-        raise ScenarioError("[domain] x_max must exceed x_min")
-    if dx <= 0:
-        raise ScenarioError("[domain] dx must be positive")
-    if t_final < 0:
-        raise ScenarioError("[domain] t_final must be non-negative")
-    if boundary not in BOUNDARY_KINDS:
-        raise ScenarioError(f"[domain] boundary: unknown kind {boundary!r}")
-    span = x_max - x_min
-    cells = span / dx
-    if abs(round(cells) - cells) > _REL_TOL_CELLS * max(1.0, cells):
-        raise ScenarioError("[domain] dx must divide the domain length")
+    domain = _floats("domain", dom, ("boundary",))
 
-    mod = _take(
-        sections,
-        "model",
-        ("velocity", "saturation", "kernel", "kernel_length", "tau"),
-        ("v_max", "rho_max", "eps"),
-    )
-    vel_kind = mod["velocity"]
-    if vel_kind not in VELOCITY_KINDS:
-        raise ScenarioError(f"[model] velocity: unknown kind {vel_kind!r}")
-    if vel_kind == GREENSHIELDS:
-        if "v_max" not in mod or "rho_max" not in mod:
-            raise ScenarioError("[model] greenshields needs v_max and rho_max")
+    kinds = ("velocity", "saturation", "kernel")
+    mod = _take(sections, "model", kinds + ("kernel_length", "tau"), ("v_max", "rho_max", "eps"))
+    for family, kind, keys in _MODEL_KIND_KEYS:
+        for key in keys:
+            if mod[family] == kind and key not in mod:
+                raise ScenarioError(f"[model] {family} = {kind} needs {key}")
+            if mod[family] != kind and key in mod:
+                raise ScenarioError(f"[model] {key} applies only to {family} = {kind}")
+    model = _floats("model", mod, kinds)
+    try:
         velocity = Velocity(
-            vel_kind,
-            v_max=_parse_float("model", "v_max", mod["v_max"]),
-            rho_max=_parse_float("model", "rho_max", mod["rho_max"]),
+            mod["velocity"], **{k: model[k] for k in ("v_max", "rho_max") if k in model}
         )
-    else:
-        if "v_max" in mod or "rho_max" in mod:
-            raise ScenarioError(f"[model] {vel_kind} fixes v_max = rho_max = 1")
-        velocity = Velocity(vel_kind)
-
-    sat_kind = mod["saturation"]
-    if sat_kind not in SATURATION_KINDS:
-        raise ScenarioError(f"[model] saturation: unknown kind {sat_kind!r}")
-    if sat_kind == SAT_EXPONENTIAL:
-        if "eps" not in mod:
-            raise ScenarioError("[model] exponential saturation needs eps")
         saturation = Saturation(
-            sat_kind,
-            rho_max=velocity.rho_max,
-            eps=_parse_float("model", "eps", mod["eps"]),
+            mod["saturation"], rho_max=velocity.rho_max, eps=model.get("eps")
         )
-    else:
-        if "eps" in mod:
-            raise ScenarioError("[model] eps only applies to exponential saturation")
-        saturation = Saturation(sat_kind, rho_max=velocity.rho_max)
-
-    kern_kind = mod["kernel"]
-    if kern_kind not in KERNEL_KINDS:
-        raise ScenarioError(f"[model] kernel: unknown kind {kern_kind!r}")
-    length = _parse_float("model", "kernel_length", mod["kernel_length"])
-    if length <= 0:
-        raise ScenarioError("[model] kernel_length must be positive")
-    ratio = length / dx
-    if abs(round(ratio) - ratio) > _REL_TOL_CELLS * max(1.0, ratio) or round(ratio) < 1:
-        raise ScenarioError(
-            "[model] kernel_length must be a whole positive number of cells"
-        )
-    kernel = Kernel(kern_kind, length=length)
-
-    tau = _parse_float("model", "tau", mod["tau"])
-    if tau < 0:
-        raise ScenarioError("[model] tau must be non-negative")
+        kernel = Kernel(mod["kernel"], length=model["kernel_length"])
+    except ValueError as exc:
+        raise ScenarioError(f"[model] {exc}") from exc
 
     sch = _take(sections, "scheme", ("kind",), ("safety",))
-    scheme = sch["kind"]
-    if scheme not in SCHEME_KINDS:
-        raise ScenarioError(f"[scheme] kind: unknown scheme {scheme!r}")
-    safety = _parse_float("scheme", "safety", sch.get("safety", "1.0"))
-    if not 0.0 < safety <= 1.0:
-        raise ScenarioError("[scheme] safety must lie in (0, 1]")
 
-    dat = sections.get("datum")
-    if dat is None:
-        raise ScenarioError("missing section [datum]")
-    if "kind" not in dat:
-        raise ScenarioError("[datum] missing key 'kind'")
-    datum_kind = dat["kind"]
+    # the kind first, since it decides which other keys the section takes
+    datum_kind = _take(sections, "datum", ("kind",), tuple(sections.get("datum", ())))["kind"]
     if datum_kind not in _DATUM_KEYS:
         raise ScenarioError(f"[datum] kind: unknown datum {datum_kind!r}")
     required, optional = _DATUM_KEYS[datum_kind]
-    for key in dat:
-        if key != "kind" and key not in required and key not in optional:
-            raise ScenarioError(f"[datum] unknown key {key!r} for {datum_kind}")
-    for key in required:
-        if key not in dat:
-            raise ScenarioError(f"[datum] missing key {key!r} for {datum_kind}")
-    datum_params = {
-        key: _parse_float("datum", key, dat[key]) for key in dat if key != "kind"
-    }
-    try:
-        datum = initial_data.make_datum(datum_kind, **datum_params)
-    except ValueError as exc:
-        raise ScenarioError(f"[datum] {exc}") from exc
-    lo, hi = datum.value_range()
-    if lo < 0.0 or hi > velocity.rho_max:
-        raise ScenarioError(
-            f"[datum] values span [{lo}, {hi}], outside [0, {velocity.rho_max}]"
-        )
+    dat = _take(sections, "datum", ("kind",) + required, optional)
 
     out = _take(sections, "output", (), ("directory", "snapshots", "stride"))
-    out_dir = out.get("directory", "out")
     if "snapshots" in out:
         snapshots = tuple(
             _parse_float("output", "snapshots", piece)
             for piece in out["snapshots"].replace(",", " ").split()
         )
     else:
-        snapshots = (t_final,)
-    for t in snapshots:
-        if t < 0 or t > t_final:
-            raise ScenarioError(f"[output] snapshots: time {t} outside [0, {t_final}]")
-    stride = _parse_int("output", "stride", out["stride"]) if "stride" in out else None
-    if stride is not None and stride < 1:
-        raise ScenarioError("[output] stride must be at least 1")
+        snapshots = (domain["t_final"],)
 
     return Scenario(
-        x_min=x_min,
-        x_max=x_max,
-        dx=dx,
-        t_final=t_final,
-        boundary=boundary,
+        **domain,
+        boundary=dom.get("boundary", FREE_FLOW),
         velocity=velocity,
         saturation=saturation,
         kernel=kernel,
-        tau=tau,
-        scheme=scheme,
-        safety=safety,
+        tau=model["tau"],
+        scheme=sch["kind"],
+        safety=_parse_float("scheme", "safety", sch.get("safety", "1.0")),
         datum_kind=datum_kind,
-        datum_params=datum_params,
+        datum_params=_floats("datum", dat, ("kind",)),
         snapshots=snapshots,
-        out_dir=out_dir,
-        stride=stride,
+        out_dir=out.get("directory", "out"),
+        stride=_parse_int("output", "stride", out["stride"]) if "stride" in out else None,
     )
 
 

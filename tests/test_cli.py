@@ -42,6 +42,14 @@ def test_run_accepts_preset_names(tmp_path):
     assert (tmp_path / "p" / "snapshot_t0.5.csv").is_file()
 
 
+def test_safety_flag_is_recorded_in_manifest(tmp_path):
+    out = tmp_path / "half"
+    assert main(["run", "riemann_shock", "--out", str(out), "--safety", "0.5"]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "safety = 0.5" in manifest
+    assert "dt = 0.00125" in manifest
+
+
 def test_two_runs_are_byte_identical(tiny_cfg, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(tiny_cfg), "--out", str(a)]) == 0

@@ -24,7 +24,6 @@ def _weights(dx=0.25, length=0.5, kind="constant"):
 def test_history_starts_constant_in_time():
     rho0 = np.array([0.1, 0.2, 0.3])
     state = init_history(rho0, h=2)
-    assert state.n == 0
     assert np.array_equal(state.lagged, rho0)
     assert np.array_equal(state.current, rho0)
     assert len(state.levels) == 3
@@ -36,7 +35,6 @@ def test_ring_rotates_after_h_plus_one_pushes():
     for k in range(1, 5):
         state = push_level(state, np.full(2, float(k)))
     # levels now hold steps 2, 3, 4
-    assert state.n == 4
     assert state.lagged[0] == 2.0
     assert state.current[0] == 4.0
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from lagflow import diagnostics
-from lagflow.delay_state import FREE_FLOW, PERIODIC
+from lagflow.delay_state import FREE_FLOW, PERIODIC, speed_increment_bound
 from lagflow.diagnostics import (
+    SPEED_TOL,
     CheckPolicy,
     ConstantsUnavailable,
     DiagnosticsCollector,
@@ -382,3 +383,18 @@ def test_collector_detects_speed_field_inconsistency():
     v[50] = 0.9
     with pytest.raises(InvariantViolation):
         col(0, level, v)
+
+
+def test_collector_speed_ceiling_is_speed_increment_bound():
+    """The collector's speed ceiling is speed_increment_bound at reach
+    max(R, lagged sup), to the last bit: a gap at ceiling + SPEED_TOL passes
+    and the next float up fails."""
+    col = _collector(CheckPolicy(), dx=0.01)
+    level = np.full(100, 0.5)
+    limit = speed_increment_bound(col.vel, col.weights, 1.0) + SPEED_TOL
+    v = np.zeros(100)
+    v[50:] = limit
+    col(0, level, v)
+    v[50:] = np.nextafter(limit, math.inf)
+    with pytest.raises(InvariantViolation, match="speed increment"):
+        col(1, level, v)

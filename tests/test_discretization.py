@@ -13,8 +13,8 @@ from lagflow.discretization import (
     cfl_dt_lf,
     discretize_kernel,
     fit_delay_steps,
-    kernel_cell_count,
     project_initial_datum,
+    whole_cells,
 )
 from lagflow.initial_data import Box, Constant, OscSin, Riemann, make_datum
 from lagflow.model_functions import Kernel, Saturation, Velocity, derivative_bounds
@@ -27,14 +27,14 @@ def _bounds(vel="normalized_greenshields", sat="linear", length=0.1, eps=None, *
 
 
 def test_kernel_cell_count_accepts_whole_multiples():
-    assert kernel_cell_count(0.1, 0.005) == 20
-    assert kernel_cell_count(0.015, 0.005) == 3
+    assert whole_cells(0.1, 0.005, "kernel support") == 20
+    assert whole_cells(0.015, 0.005, "kernel support") == 3
 
 
 def test_kernel_cell_count_rejects_fractional_multiples():
     # 0.015 / 0.004 = 3.75 cells
-    with pytest.raises(ValueError):
-        kernel_cell_count(0.015, 0.004)
+    with pytest.raises(ValueError, match="kernel support 0.015"):
+        whole_cells(0.015, 0.004, "kernel support")
 
 
 def test_constant_kernel_weights_are_uniform():

@@ -94,7 +94,6 @@ def test_kernel_integral_is_one(kind, length):
     x = np.linspace(0.0, length, 20001)
     integral = np.trapezoid(ker(x), x)
     assert integral == pytest.approx(1.0, rel=1e-6)
-    assert ker.j0 == 1.0
 
 
 def test_kernel_derivative_norms():
@@ -117,7 +116,6 @@ def test_derivative_bounds_collects_exact_values():
     assert b.v_dprime == 0.0
     assert b.f_prime == pytest.approx(1.0 / 1.7)
     assert b.omega_sup == pytest.approx(1.0 / 0.015)
-    assert b.omega_j0 == 1.0
     assert b.smooth
 
 

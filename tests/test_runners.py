@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from lagflow import runners
 from lagflow.model_functions import Kernel, Saturation, Velocity
+from lagflow.presets import preset_scenario
 from lagflow.runners import (
     compare_schemes,
     default_policy,
@@ -179,11 +181,36 @@ def test_stability_perturbed_datum_obeys_bound(tmp_path):
     assert (tmp_path / "report.txt").is_file()
 
 
-def test_stability_rejects_perturbation_outside_capacity():
+def test_stability_rejects_perturbation_outside_capacity(no_march):
     with pytest.raises(ScenarioError):
         stability_experiment(
             _tiny(), tau2=0.02, perturbation=("box", {"height": 1.4, "a": 0.3, "b": 0.6})
         )
+
+
+@pytest.fixture
+def no_march(monkeypatch):
+    """Fail any test that reaches the time loop."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run marched before validation failed")
+
+    monkeypatch.setattr(runners, "advance", refuse)
+
+
+def test_saturation_study_rejects_datum_above_unit_capacity_before_marching(no_march):
+    # box_refine's box of height 1.5 exceeds the study's capacity R = 1
+    with pytest.raises(ScenarioError, match="datum"):
+        saturation_study(preset_scenario("box_refine"))
+
+
+def test_studies_validate_every_variant_before_marching(no_march):
+    with pytest.raises(ScenarioError, match="tau"):
+        tau_sweep(_tiny(), [0.02, -0.01])
+    with pytest.raises(ScenarioError, match="tau"):
+        stability_experiment(_tiny(), tau2=-0.01)
+    with pytest.raises(ScenarioError, match="datum"):
+        stability_experiment(_tiny(), tau2=0.02, perturbation=("box", {"height": 0.5}))
 
 
 def test_saturation_study_reports_three_variants(tmp_path):

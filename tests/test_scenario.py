@@ -1,8 +1,11 @@
 """Scenario parsing, validation diagnostics, preset registry round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import PRESET_NAMES, preset_scenario, preset_sections, write_preset_configs
 from lagflow.scenario import (
     Scenario,
@@ -50,6 +53,38 @@ def test_minimal_scenario_gets_documented_defaults():
 def test_negative_delay_rejected_by_key_name():
     with pytest.raises(ScenarioError, match="tau"):
         scenario_from_sections(_sections(model={"tau": "-0.01"}))
+
+
+def test_replaced_scenario_is_validated():
+    """dataclasses.replace copies are checked like parsed scenarios."""
+    valid = scenario_from_sections(MINIMAL)
+    with pytest.raises(ScenarioError, match="tau"):
+        dataclasses.replace(valid, tau=-1.0)
+    with pytest.raises(ScenarioError, match="safety"):
+        dataclasses.replace(valid, safety=1.5)
+    with pytest.raises(ScenarioError, match="datum"):
+        dataclasses.replace(valid, datum_params={"value": 1.5})
+    with pytest.raises(ScenarioError, match="snapshots"):
+        dataclasses.replace(valid, t_final=0.25)
+
+
+def test_direct_scenario_with_fractional_kernel_cells_rejected():
+    with pytest.raises(ScenarioError, match="kernel_length"):
+        Scenario(
+            x_min=0.0,
+            x_max=1.0,
+            dx=0.004,
+            t_final=0.5,
+            boundary="free_flow",
+            velocity=Velocity("normalized_greenshields"),
+            saturation=Saturation("linear"),
+            kernel=Kernel("constant", length=0.015),
+            tau=0.05,
+            scheme="hw",
+            safety=1.0,
+            datum_kind="constant",
+            datum_params={"value": 0.5},
+        )
 
 
 def test_fractional_kernel_cells_rejected():
@@ -132,17 +167,3 @@ def test_preset_sections_are_copies():
 def test_unknown_preset_lists_available_names():
     with pytest.raises(KeyError, match="riemann_shock"):
         preset_sections("warp_drive")
-
-
-def test_shipped_preset_configs_match_registry():
-    """The files in configs/ are the rendered registry, kept in sync."""
-    from pathlib import Path
-
-    import lagflow
-
-    configs = Path(lagflow.__file__).resolve().parents[2] / "configs"
-    assert configs.is_dir(), "configs/ directory missing from the repository"
-    for name in PRESET_NAMES:
-        path = configs / f"{name}.cfg"
-        assert path.is_file(), f"configs/{name}.cfg missing"
-        assert load_scenario(path) == preset_scenario(name)
