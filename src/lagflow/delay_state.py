@@ -1,9 +1,13 @@
-"""Rolling density history and lagged convolution speeds.
+"""Lagged density level, the queue of levels still to be read, and speeds.
 
-The delayed flux at step n reads the density level from step n - h, where
-tau = h dt.  A ring buffer of h + 1 levels (n - h .. n) supplies exactly
-that level; the buffer starts with h + 1 copies of the initial datum,
-which realizes the constant extension of the datum to times in [-tau, 0].
+The delayed flux reads the speed field of level max(n - h, 0), where
+tau = h dt: the datum is extended as constant in time on [-tau, 0].  So
+every step up to h reads the speeds of the initial datum, and with N_T
+steps no level after N_T - h is ever read.  The history therefore holds
+the current lagged level plus a FIFO of the pushed levels that a later
+step will read; ``schemes.run`` pushes level n only when n <= N_T - h and
+advances the lagged level only when n > h.  Between steps it holds at
+most min(h, max(N_T - h, 0)) + 1 levels (``history_bytes``).
 
 The convolution speed of cell j is
 
@@ -31,43 +35,47 @@ BOUNDARY_KINDS = (FREE_FLOW, PERIODIC)
 
 @dataclass
 class DelayedState:
-    """Ring buffer of the h + 1 most recent density levels.
+    """Lagged density level plus the pushed levels a later step will read.
 
-    levels[0] is the lagged level n - h consumed by the schemes,
-    levels[-1] the current level n.
+    lagged is the level max(n - h, 0) whose speeds the next step reads;
+    queue holds the pushed levels, oldest first, that become lagged in
+    turn as ``advance`` is called.
     """
 
-    levels: deque
+    lagged: np.ndarray
+    queue: deque
     boundary: str
 
-    @property
-    def lagged(self) -> np.ndarray:
-        """Density level from h steps ago."""
-        return self.levels[0]
-
-    @property
-    def current(self) -> np.ndarray:
-        return self.levels[-1]
+    def advance(self) -> None:
+        """Make the oldest queued level the lagged one."""
+        self.lagged = self.queue.popleft()
 
 
 def init_history(rho0: np.ndarray, h: int, boundary: str = FREE_FLOW) -> DelayedState:
-    """Buffer holding h + 1 copies of the initial datum."""
+    """History whose lagged level is the initial datum and whose queue is empty."""
     if h < 0:
         raise ValueError("delay step count must be non-negative")
     if boundary not in BOUNDARY_KINDS:
         raise ValueError(f"unknown boundary kind {boundary!r}")
-    rho0 = np.asarray(rho0, dtype=float)
-    levels = deque((rho0.copy() for _ in range(h + 1)), maxlen=h + 1)
-    return DelayedState(levels=levels, boundary=boundary)
+    return DelayedState(lagged=np.array(rho0, dtype=float), queue=deque(), boundary=boundary)
 
 
 def push_level(state: DelayedState, rho_next: np.ndarray) -> DelayedState:
-    """Append the level for step n + 1, evicting the oldest one."""
+    """Queue a level that a later step will read as its lagged level."""
     rho_next = np.asarray(rho_next, dtype=float)
-    if rho_next.shape != state.current.shape:
+    if rho_next.shape != state.lagged.shape:
         raise ValueError("pushed level has wrong length")
-    state.levels.append(rho_next)
+    state.queue.append(rho_next)
     return state
+
+
+def history_bytes(n_cells: int, h: int, n_steps: int) -> int:
+    """Bytes of the levels a delay history holds between steps of a run.
+
+    The lagged level plus at most min(h, max(N_T - h, 0)) queued levels,
+    J float64 values each.
+    """
+    return (min(h, max(n_steps - h, 0)) + 1) * n_cells * 8
 
 
 def _extended_window(level: np.ndarray, n_ghost: int, boundary: str) -> np.ndarray:
@@ -99,8 +107,14 @@ def lagged_speeds(
     weights: KernelWeights,
     vel: Velocity,
 ) -> np.ndarray:
-    """Speed field evaluated on the lagged level n - h."""
-    return convolved_speeds(state.lagged, weights, vel, state.boundary)
+    """Speed field of the lagged level, read-only.
+
+    schemes.run reuses one speed field for up to h + 1 steps, so a caller
+    that wrote into it would corrupt the steps after it.
+    """
+    speeds = convolved_speeds(state.lagged, weights, vel, state.boundary)
+    speeds.flags.writeable = False
+    return speeds
 
 
 def speed_increment_bound(vel: Velocity, weights: KernelWeights, rho_sup: float) -> float:

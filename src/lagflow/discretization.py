@@ -219,19 +219,39 @@ def project_initial_datum(datum, grid: Grid) -> np.ndarray:
     nodes, weights = np.polynomial.legendre.leggauss(10)
     edges = grid.edges()
     breaks = [b for b in datum.breakpoints() if edges[0] < b < edges[-1]]
-    averages = np.empty(grid.n_cells)
     max_panel = 2.5e-3
-    for j in range(grid.n_cells):
+
+    def integrals(lo: np.ndarray, hi: np.ndarray, panels: int) -> np.ndarray:
+        """Quadrature of the datum over each [lo[i], hi[i]] in equal panels."""
+        bounds = np.linspace(lo, hi, panels + 1, axis=-1)
+        half = 0.5 * (bounds[:, 1:] - bounds[:, :-1])
+        mid = 0.5 * (bounds[:, 1:] + bounds[:, :-1])
+        x = mid[:, :, None] + half[:, :, None] * nodes
+        terms = half[:, :, None] * weights * datum(x)
+        # one contiguous row per interval keeps np.sum's pairwise order
+        return np.sum(terms.reshape(len(lo), -1), axis=1)
+
+    def panel_count(width) -> np.ndarray:
+        return np.maximum(1, np.ceil(width / max_panel)).astype(int)
+
+    left, right = edges[:-1], edges[1:]
+    has_break = np.zeros(grid.n_cells, dtype=bool)
+    for c in breaks:
+        has_break |= (left < c) & (c < right)
+    totals = np.empty(grid.n_cells)
+    # Cells without an interior breakpoint, one batch per panel count.
+    panels = panel_count(right - left)
+    for count in np.unique(panels[~has_break]):
+        cells = np.flatnonzero(~has_break & (panels == count))
+        totals[cells] = integrals(left[cells], right[cells], int(count))
+    # Cells split at breakpoints, piece by piece.
+    for j in np.flatnonzero(has_break):
         a, b = edges[j], edges[j + 1]
         cuts = [a] + [c for c in breaks if a < c < b] + [b]
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            panels = max(1, math.ceil((hi - lo) / max_panel))
-            bounds_1d = np.linspace(lo, hi, panels + 1)
-            half = 0.5 * (bounds_1d[1:] - bounds_1d[:-1])
-            mid = 0.5 * (bounds_1d[1:] + bounds_1d[:-1])
-            x = mid[:, None] + half[:, None] * nodes[None, :]
-            total += float(np.sum(half[:, None] * weights[None, :] * datum(x)))
-        averages[j] = total / grid.dx
+            total += float(integrals(np.array([lo]), np.array([hi]), int(panel_count(hi - lo)))[0])
+        totals[j] = total
+    averages = totals / grid.dx
     lo, hi = datum.value_range()
     return np.clip(averages, lo, hi)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .delay_state import PERIODIC
+from .delay_state import PERIODIC, history_bytes
 from .diagnostics import (
     BoundConstants,
     CheckPolicy,
@@ -278,6 +278,7 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
         ("lam", grid.lam),
         ("alpha", grid.alpha),
         ("n_steps", resolved.n_steps),
+        ("history_bytes", history_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
         ("final_time", sim.final_time),
         ("stride", resolved.stride),
         ("datum", s.datum_kind),

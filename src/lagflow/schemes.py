@@ -28,7 +28,6 @@ import numpy as np
 
 from .delay_state import (
     FREE_FLOW,
-    DelayedState,
     init_history,
     lagged_speeds,
     push_level,
@@ -124,7 +123,11 @@ def run(
     is the density at step n and v_lag the lagged speed field V^{n-h}
     that the NEXT step will consume.  A stateful observer that remembers
     the previous call therefore holds exactly the (level, speeds) pair
-    that produced the current level.
+    that produced the current level.  Consecutive calls may share one
+    read-only v_lag array: every step up to h reads the datum's speeds.
+
+    Levels after N_T - h are not kept, since no step reads them, and the
+    speeds are recomputed only when the lagged level moves (n > h).
     """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -133,7 +136,8 @@ def run(
     rho = np.asarray(rho0, dtype=float).copy()
     if rho.size != grid.n_cells:
         raise ValueError("initial level length does not match the grid")
-    state = init_history(rho, grid.delay_steps, boundary)
+    h = grid.delay_steps
+    state = init_history(rho, h, boundary)
     n_steps = step_count(t_final, grid.dt)
     lam = grid.lam
     v_lag = lagged_speeds(state, weights, vel)
@@ -147,8 +151,11 @@ def run(
                 rho = hw_step(rho, v_lag, lam, sat, boundary)
         except StepError as exc:
             raise StepError(f"step {n}: {exc}") from exc
-        push_level(state, rho)
-        v_lag = lagged_speeds(state, weights, vel)
+        if n <= n_steps - h:
+            push_level(state, rho)
+        if n > h:
+            state.advance()
+            v_lag = lagged_speeds(state, weights, vel)
         if observer is not None:
             observer(n, rho, v_lag)
     return rho

@@ -1,4 +1,4 @@
-"""Delay ring buffer and lagged convolution speeds."""
+"""Delay history and lagged convolution speeds."""
 
 import numpy as np
 import pytest
@@ -22,28 +22,41 @@ def _weights(dx=0.25, length=0.5, kind="constant"):
 
 
 def test_history_starts_constant_in_time():
+    """Until the lagged level advances, every step reads the datum."""
     rho0 = np.array([0.1, 0.2, 0.3])
     state = init_history(rho0, h=2)
     assert np.array_equal(state.lagged, rho0)
-    assert np.array_equal(state.current, rho0)
-    assert len(state.levels) == 3
+    assert state.lagged is not rho0
+    assert len(state.queue) == 0
+    for k in range(1, 3):
+        state = push_level(state, np.full(3, float(k)))
+    assert np.array_equal(state.lagged, rho0)
+    assert [level[0] for level in state.queue] == [1.0, 2.0]
 
 
 def test_ring_rotates_after_h_plus_one_pushes():
-    """After filling the window the lagged level is h steps behind."""
-    state = init_history(np.zeros(2), h=2)
-    for k in range(1, 5):
-        state = push_level(state, np.full(2, float(k)))
-    # levels now hold steps 2, 3, 4
-    assert state.lagged[0] == 2.0
-    assert state.current[0] == 4.0
+    """Once n > h the lagged level is the one pushed h steps earlier."""
+    h = 2
+    state = init_history(np.zeros(2), h=h)
+    for n in range(1, 6):
+        level = np.full(2, float(n))
+        state = push_level(state, level)
+        if n > h:
+            state.advance()
+            assert state.lagged[0] == float(n - h)
+        else:
+            assert state.lagged[0] == 0.0
+        assert len(state.queue) == min(n, h)
+    assert [level[0] for level in state.queue] == [4.0, 5.0]
 
 
 def test_zero_delay_window_has_single_level():
     state = init_history(np.array([1.0]), h=0)
-    state = push_level(state, np.array([5.0]))
-    assert state.lagged[0] == 5.0
-    assert state.current[0] == 5.0
+    level = np.array([5.0])
+    state = push_level(state, level)
+    state.advance()
+    assert state.lagged is level
+    assert len(state.queue) == 0
 
 
 def test_push_rejects_wrong_shape():
@@ -87,6 +100,14 @@ def test_lagged_speeds_use_oldest_level():
     state = push_level(state, np.full(4, 0.9))
     v = lagged_speeds(state, w, vel)
     assert np.allclose(v, 0.5)
+
+
+def test_lagged_speeds_are_read_only():
+    """schemes.run hands one speed field to several steps and observers."""
+    vel = Velocity("normalized_greenshields")
+    v = lagged_speeds(init_history(np.full(4, 0.5), h=1), _weights(), vel)
+    with pytest.raises(ValueError):
+        v[0] = 0.0
 
 
 def test_speed_increment_bound_formula():

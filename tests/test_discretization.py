@@ -18,6 +18,8 @@ from lagflow.discretization import (
 )
 from lagflow.initial_data import Box, Constant, OscSin, Riemann, make_datum
 from lagflow.model_functions import Kernel, Saturation, Velocity, derivative_bounds
+from lagflow.presets import PRESET_NAMES, preset_scenario
+from lagflow.runners import resolve_scenario
 
 
 def _bounds(vel="normalized_greenshields", sat="linear", length=0.1, eps=None, **kw):
@@ -198,6 +200,48 @@ def test_projection_mass_property_for_staircases(values):
     rho0 = project_initial_datum(Staircase(), grid)
     exact = sum(values) * width
     assert grid.dx * float(np.sum(rho0)) == pytest.approx(exact, abs=1e-12)
+
+
+def _projection_loop(datum, grid):
+    """Cell by cell: split at breakpoints, 10-point Gauss-Legendre panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    edges = grid.edges()
+    breaks = [b for b in datum.breakpoints() if edges[0] < b < edges[-1]]
+    averages = np.empty(grid.n_cells)
+    for j in range(grid.n_cells):
+        a, b = edges[j], edges[j + 1]
+        cuts = [a] + [c for c in breaks if a < c < b] + [b]
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            panels = max(1, math.ceil((hi - lo) / 2.5e-3))
+            bounds_1d = np.linspace(lo, hi, panels + 1)
+            half = 0.5 * (bounds_1d[1:] - bounds_1d[:-1])
+            mid = 0.5 * (bounds_1d[1:] + bounds_1d[:-1])
+            x = mid[:, None] + half[:, None] * nodes[None, :]
+            total += float(np.sum(half[:, None] * weights[None, :] * datum(x)))
+        averages[j] = total / grid.dx
+    lo, hi = datum.value_range()
+    return np.clip(averages, lo, hi)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_projection_equals_per_cell_loop_on_presets(name):
+    scenario = preset_scenario(name)
+    resolved = resolve_scenario(scenario, thorough=False)
+    datum = make_datum(scenario.datum_kind, **scenario.datum_params)
+    assert np.array_equal(resolved.rho0, _projection_loop(datum, resolved.grid))
+
+
+@pytest.mark.parametrize("dx", [0.05, 0.01, 0.005, 0.0025, 0.002])
+def test_projection_equals_per_cell_loop_at_any_panel_count(dx):
+    """Cells of 1 to 20 panels, jumps inside cells and on cell edges."""
+    grid = build_grid(0.0, 1.0, dx, dx, 0.0, dx)
+    for datum in (
+        Box(height=0.7, a=0.2137, b=0.75),
+        OscSin(shift=0.4321),
+        Riemann(left=0.2, right=0.9, position=0.6173),
+    ):
+        assert np.array_equal(project_initial_datum(datum, grid), _projection_loop(datum, grid))
 
 
 def test_stopgo_grid_dimensions():

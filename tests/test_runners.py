@@ -110,6 +110,18 @@ def test_run_scenario_writes_contracted_files(tmp_path):
     assert "tv_rate" in manifest
 
 
+@pytest.mark.parametrize(
+    "tau, levels",
+    [(0.0, 1), (0.02, 3), (0.08, 3), (0.2, 1)],
+    ids=["no_delay", "h2", "h8", "h_above_NT"],
+)
+def test_manifest_reports_history_bytes(tmp_path, tau, levels):
+    """(min(h, max(N_T - h, 0)) + 1) levels of J = 50 float64 cells."""
+    run_scenario(_tiny(tau=tau), tmp_path)
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert f"history_bytes = {levels * 50 * 8}" in manifest
+
+
 def test_run_scenario_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_scenario(_tiny(), a)

@@ -1,7 +1,11 @@
 """Marching schemes: hand-checked single steps, conservation, fixed points."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+
+from lagflow import schemes
 
 from lagflow.delay_state import FREE_FLOW, PERIODIC, convolved_speeds
 from lagflow.discretization import build_grid, discretize_kernel
@@ -164,3 +168,93 @@ def test_run_constant_datum_all_snapshots_identical():
         observer=lambda n, level, v: captured.append(level.copy()),
     )
     assert all(np.array_equal(level, rho0) for level in captured)
+
+
+def _delayed_case(h, n_steps):
+    """Grid with dt = 0.005 and tau = h dt, and a random datum in [0, 1]."""
+    grid = build_grid(0.0, 1.0, 0.02, 0.005, h * 0.005, 0.1, alpha=2.0)
+    assert grid.delay_steps == h
+    weights = discretize_kernel(Kernel("linear_decreasing", length=0.1), grid)
+    rho0 = np.random.default_rng(5).uniform(0.0, 1.0, grid.n_cells)
+    return grid, weights, rho0, n_steps * grid.dt
+
+
+@pytest.mark.parametrize(
+    "h, n_steps",
+    [(0, 7), (6, 4), (6, 6), (6, 9), (6, 15)],
+    ids=["h0", "NT_below_h", "NT_equal_h", "NT_below_2h", "NT_above_2h"],
+)
+def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
+    """lagged_speeds runs max(N_T - h, 0) + 1 times, and between steps
+    the queue holds at most min(h, max(N_T - h, 0)) levels."""
+    grid, weights, rho0, t_final = _delayed_case(h, n_steps)
+    states, calls, queued = [], [], []
+    init, lagged = schemes.init_history, schemes.lagged_speeds
+
+    def recorded_init(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    def counted_lagged(*args):
+        calls.append(args)
+        return lagged(*args)
+
+    def observer(n, level, v_lag):
+        queued.append(len(states[0].queue))
+        assert not v_lag.flags.writeable
+
+    monkeypatch.setattr(schemes, "init_history", recorded_init)
+    monkeypatch.setattr(schemes, "lagged_speeds", counted_lagged)
+
+    vel = Velocity("normalized_greenshields")
+    run(grid, weights, vel, _SAT_NONE, "hw", rho0, t_final, observer=observer)
+    assert len(queued) == n_steps + 1
+    assert len(calls) == max(n_steps - h, 0) + 1
+    assert max(queued) == min(h, max(n_steps - h, 0))
+
+
+def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
+    """March with a ring of h + 1 levels that starts as h + 1 copies of the
+    datum and re-convolves its oldest level after every step."""
+    ring = deque((rho0.copy() for _ in range(grid.delay_steps + 1)), maxlen=grid.delay_steps + 1)
+    rho = rho0.copy()
+    v = convolved_speeds(ring[0], weights, vel, boundary)
+    seen = [(0, rho, v)]
+    for n in range(1, n_steps + 1):
+        if scheme == "lf":
+            rho = lf_step(rho, v, grid.lam, grid.alpha, sat, boundary)
+        else:
+            rho = hw_step(rho, v, grid.lam, sat, boundary)
+        ring.append(rho)
+        v = convolved_speeds(ring[0], weights, vel, boundary)
+        seen.append((n, rho, v))
+    return seen
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+@pytest.mark.parametrize("n_steps", [9, 15])
+def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
+    """Every observer (n, level, v_lag) and the final level equal those of
+    a march that keeps all h + 1 levels."""
+    grid, weights, rho0, t_final = _delayed_case(6, n_steps)
+    vel = Velocity("normalized_greenshields")
+    sat = Saturation("linear", rho_max=1.0)
+    seen = []
+    final = run(
+        grid,
+        weights,
+        vel,
+        sat,
+        scheme,
+        rho0,
+        t_final,
+        boundary=boundary,
+        observer=lambda n, level, v_lag: seen.append((n, level.copy(), v_lag.copy())),
+    )
+    expected = _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary)
+    assert [n for n, _, _ in seen] == [n for n, _, _ in expected]
+    for (_, level, v), (_, level_ref, v_ref) in zip(seen, expected):
+        assert np.array_equal(level, level_ref)
+        assert np.array_equal(v, v_ref)
+    assert np.array_equal(final, expected[-1][1])
