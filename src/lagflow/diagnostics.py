@@ -43,15 +43,14 @@ contain inf, and nan marks a quantity that was not computed at that row.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .delay_state import FREE_FLOW, speed_increment_bound
+from .delay_state import FREE_FLOW, PERIODIC, speed_increment_bound
 from .discretization import Grid, KernelWeights
-from .model_functions import BoundSet, Saturation, Velocity
+from .model_functions import SAT_NONE, BoundSet, Saturation, Velocity
 from .schemes import HILLIGES_WEIDLICH, LAX_FRIEDRICHS, extend3
 
 #: Absolute tolerance for the discrete entropy inequality.
@@ -469,35 +468,29 @@ class DiagnosticsRecord:
     entropy_residual_max: float
 
 
-@dataclass(frozen=True)
-class CheckPolicy:
-    """Which invariants a run asserts (all proved ones default on).
-
-    rho_ceiling is R when the maximum principle applies (saturation present
-    and datum inside [0, R]) and None otherwise; positivity similarly
-    applies under its lemma's hypotheses.  entropy_assert enables the
-    per-step Lax-Friedrichs entropy check; entropy_watch computes the
-    residual at record rows without asserting (the Hilliges-Weidlich mode).
-    conserve_mass asserts the periodic-run L1 drift.
-    """
-
-    positivity: bool = True
-    rho_ceiling: float | None = None
-    conserve_mass: bool = False
-    tv_ceiling: bool = True
-    entropy_assert: bool = False
-    entropy_watch: bool = False
-
-
 class DiagnosticsCollector:
     """Observer for schemes.run: asserts invariants, accumulates records.
 
-    At every step it checks the speed adjacent-difference bound, positivity,
-    the maximum principle, mass conservation, and the TV ceiling (as policy
-    dictates), plus the entropy residual when asserting.  Records are kept
-    at step 0, every ``stride`` steps, and the final step.  Running maxima
-    (sup TV, sup BV norm, worst entropy residual, mass drift) and the
-    space-time variation accumulators are exposed as attributes.
+    The checks follow from the run's inputs and are exposed as attributes.
+    Positivity and the density ceiling (rho_ceiling = R, else None) hold
+    only with a saturation term: without one the convolution speeds may
+    leave [0, V].  The TV ceiling (tv_ceiling) additionally needs the
+    smooth-velocity constants.  The per-step entropy assertion
+    (entropy_assert) applies to the Lax-Friedrichs scheme under the same
+    hypotheses when thorough; otherwise a smooth-velocity run computes the
+    residual at record rows without asserting it (entropy_watch), as the
+    Hilliges-Weidlich scheme and auxiliary reference runs do.  Periodic runs
+    assert mass conservation (conserve_mass).
+
+    Positivity, the maximum principle, mass conservation, the TV ceiling
+    and the asserted entropy residual are checked at every step.  The speed
+    adjacent-difference bound is checked once per speed field: schemes.run
+    hands the same read-only v_lag to consecutive steps that read the same
+    lagged level, so a call whose v_lag is the previous call's object
+    skips it.  Records are kept at step 0, every ``stride`` steps, and the
+    final step.  Running maxima (sup TV, sup BV norm, worst entropy
+    residual, mass drift) and the space-time variation accumulators are
+    exposed as attributes.
     """
 
     def __init__(
@@ -509,7 +502,7 @@ class DiagnosticsCollector:
         scheme: str,
         boundary: str,
         constants: BoundConstants | None,
-        policy: CheckPolicy,
+        thorough: bool,
         stride: int,
         n_final: int,
     ) -> None:
@@ -522,9 +515,16 @@ class DiagnosticsCollector:
         self.scheme = scheme
         self.boundary = boundary
         self.constants = constants
-        self.policy = policy
         self.stride = stride
         self.n_final = n_final
+        saturated = sat.kind != SAT_NONE
+        conforming = saturated and vel.smooth
+        self.positivity = saturated
+        self.rho_ceiling = vel.rho_max if saturated else None
+        self.conserve_mass = boundary == PERIODIC
+        self.tv_ceiling = conforming and constants is not None
+        self.entropy_assert = thorough and conforming and scheme == LAX_FRIEDRICHS
+        self.entropy_watch = vel.smooth and not self.entropy_assert
         self.records: list[DiagnosticsRecord] = []
         self.sup_tv = 0.0
         self.sup_bv = 0.0
@@ -535,7 +535,6 @@ class DiagnosticsCollector:
         self.space_time_tv_space = 0.0
         self.space_time_tv_time = 0.0
         self._mass0: float | None = None
-        self._lag_sup: deque = deque(maxlen=grid.delay_steps + 1)
         self._prev_level: np.ndarray | None = None
         self._prev_speeds: np.ndarray | None = None
         self._prev_tv = 0.0
@@ -555,22 +554,21 @@ class DiagnosticsCollector:
                 f"step {n}: speed increment {gap} exceeds bound {ceiling}"
             )
 
-    def __call__(self, n: int, level: np.ndarray, v_lag: np.ndarray) -> None:
+    def __call__(
+        self, n: int, level: np.ndarray, lagged: np.ndarray, v_lag: np.ndarray
+    ) -> None:
         t = n * self.grid.dt
-        level_sup = sup_norm(level)
-        if n == 0:
-            self._lag_sup.extend([level_sup] * (self.grid.delay_steps + 1))
-        else:
-            self._lag_sup.append(level_sup)
-        self._check_speeds(v_lag, self._lag_sup[0], n)
+        if v_lag is not self._prev_speeds:
+            self._check_speeds(v_lag, sup_norm(lagged), n)
 
         lo = float(np.min(level))
         hi = float(np.max(level))
+        level_sup = max(abs(lo), abs(hi))
         self.sup_density = max(self.sup_density, hi)
         self.min_density = min(self.min_density, lo)
-        if self.policy.positivity and lo < -LEVEL_TOL:
+        if self.positivity and lo < -LEVEL_TOL:
             raise InvariantViolation(f"step {n}: negative density {lo}")
-        ceiling = self.policy.rho_ceiling
+        ceiling = self.rho_ceiling
         if ceiling is not None and hi > ceiling + LEVEL_TOL:
             raise InvariantViolation(
                 f"step {n}: density {hi} exceeds the ceiling {ceiling}"
@@ -579,7 +577,7 @@ class DiagnosticsCollector:
         mass = self.grid.dx * float(np.sum(level))
         if self._mass0 is None:
             self._mass0 = mass
-        elif self.policy.conserve_mass:
+        elif self.conserve_mass:
             scale = max(abs(self._mass0), 1.0)
             drift = abs(mass - self._mass0) / scale
             self.mass_drift_max = max(self.mass_drift_max, drift)
@@ -591,7 +589,7 @@ class DiagnosticsCollector:
         self.sup_tv = max(self.sup_tv, tv)
         self.sup_bv = max(self.sup_bv, tv + l1)
 
-        if self.policy.tv_ceiling and self.constants is not None:
+        if self.tv_ceiling:
             bound = self.constants.tv_bound_at(t)
             if tv > bound * (1.0 + 1e-12) + 1e-12:
                 raise InvariantViolation(
@@ -605,7 +603,7 @@ class DiagnosticsCollector:
                 level, self._prev_level, self.grid.dx
             )
             self.space_time_tv_space += self.grid.dt * self._prev_tv
-            want = self.policy.entropy_assert or (self.policy.entropy_watch and is_row)
+            want = self.entropy_assert or (self.entropy_watch and is_row)
             if want:
                 residual = entropy_residual(
                     self._prev_level,
@@ -619,7 +617,7 @@ class DiagnosticsCollector:
                     alpha=self.grid.alpha,
                 )
                 self.entropy_max = max(self.entropy_max, residual)
-                if self.policy.entropy_assert and residual > ENTROPY_TOL:
+                if self.entropy_assert and residual > ENTROPY_TOL:
                     raise InvariantViolation(
                         f"step {n}: entropy residual {residual} above {ENTROPY_TOL}"
                     )

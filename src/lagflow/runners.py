@@ -1,8 +1,11 @@
 """Experiment runners: resolve scenarios, simulate, write CSV artifacts.
 
-Every runner is deterministic (identical inputs give byte-identical
-outputs) and embeds the invariant checks from diagnostics; a violated
-invariant raises InvariantViolation out of the run.
+Every runner is deterministic: identical inputs give byte-identical
+outputs on the same build of NumPy.  Across NumPy builds the numbers agree
+within 1e-12 relative, not bit for bit, because summation order may differ
+(the datum's total variation tv0 moves by one ulp).  Every runner embeds
+the invariant checks from diagnostics; a violated invariant raises
+InvariantViolation out of the run.
 
 File formats:
   snapshot_t<time>.csv   header x,rho; one row per cell center
@@ -20,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .delay_state import PERIODIC, history_bytes
+from .delay_state import history_bytes
 from .diagnostics import (
     BoundConstants,
-    CheckPolicy,
     ConstantsUnavailable,
     DiagnosticsCollector,
     InvariantViolation,
@@ -111,7 +113,7 @@ class ResolvedRun:
     tv0: float
     rho0_l1: float
     constants: BoundConstants | None
-    policy: CheckPolicy
+    thorough: bool
     n_steps: int
     stride: int
 
@@ -126,33 +128,12 @@ class SimulationResult:
     snapshots: list  # (requested_time, actual_time, level)
 
 
-def default_policy(
-    vel: Velocity, sat: Saturation, scheme: str, boundary: str, thorough: bool
-) -> CheckPolicy:
-    """Enable exactly the checks whose hypotheses the run satisfies.
-
-    Positivity and the density ceiling hold only with a saturation term
-    (without one the convolution speeds may leave [0, V]); the TV ceiling
-    additionally needs the smooth-velocity constants; the per-step entropy
-    assertion applies to the Lax-Friedrichs scheme under the same
-    hypotheses.  thorough=False downgrades the entropy check to
-    record-row observation (used for auxiliary reference runs).
-    """
-    saturated = sat.kind != SAT_NONE
-    conforming = saturated and vel.smooth
-    assert_entropy = thorough and conforming and scheme == LAX_FRIEDRICHS
-    return CheckPolicy(
-        positivity=saturated,
-        rho_ceiling=vel.rho_max if saturated else None,
-        conserve_mass=boundary == PERIODIC,
-        tv_ceiling=conforming,
-        entropy_assert=assert_entropy,
-        entropy_watch=vel.smooth and not assert_entropy,
-    )
-
-
 def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRun:
-    """Project the datum, fix dt by the scheme's CFL rule, fit the delay."""
+    """Project the datum, fix dt by the scheme's CFL rule, fit the delay.
+
+    thorough=False turns the per-step entropy assertion into record-row
+    observation (used for auxiliary reference runs).
+    """
     vel = scenario.velocity
     sat = scenario.saturation
     bounds = derivative_bounds(vel, sat, scenario.kernel)
@@ -182,7 +163,6 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
         constants = None
     n_steps = step_count(scenario.t_final, grid.dt)
     stride = scenario.stride if scenario.stride is not None else max(1, n_steps // 100)
-    policy = default_policy(vel, sat, scenario.scheme, scenario.boundary, thorough)
     return ResolvedRun(
         scenario=scenario,
         grid=grid,
@@ -196,7 +176,7 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
         tv0=tv0,
         rho0_l1=rho0_l1,
         constants=constants,
-        policy=policy,
+        thorough=thorough,
         n_steps=n_steps,
         stride=stride,
     )
@@ -213,7 +193,7 @@ def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
         scheme=resolved.scheme,
         boundary=resolved.boundary,
         constants=resolved.constants,
-        policy=resolved.policy,
+        thorough=resolved.thorough,
         stride=resolved.stride,
         n_final=resolved.n_steps,
     )
@@ -223,8 +203,8 @@ def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
         want.setdefault(n_req, []).append(float(t_req))
     captured: list = []
 
-    def observer(n: int, level: np.ndarray, v_lag: np.ndarray) -> None:
-        collector(n, level, v_lag)
+    def observer(n: int, level: np.ndarray, lagged: np.ndarray, v_lag: np.ndarray) -> None:
+        collector(n, level, lagged, v_lag)
         if n in want:
             for t_req in want[n]:
                 captured.append((t_req, n * grid.dt, level.copy()))
@@ -316,11 +296,11 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
         ("entropy_residual_max", col.entropy_max if col.entropy_max > -math.inf else math.nan),
         ("mass_drift_max", col.mass_drift_max),
         ("space_time_tv", col.space_time_tv_space + col.space_time_tv_time),
-        ("check_positivity", resolved.policy.positivity),
-        ("check_rho_ceiling", resolved.policy.rho_ceiling),
-        ("check_mass", resolved.policy.conserve_mass),
-        ("check_tv_ceiling", resolved.policy.tv_ceiling and c is not None),
-        ("check_entropy", resolved.policy.entropy_assert),
+        ("check_positivity", col.positivity),
+        ("check_rho_ceiling", col.rho_ceiling),
+        ("check_mass", col.conserve_mass),
+        ("check_tv_ceiling", col.tv_ceiling),
+        ("check_entropy", col.entropy_assert),
     ]
     for t_req, t_actual, _ in sim.snapshots:
         items.append((f"snapshot_t{_fmt(t_req)}", t_actual))

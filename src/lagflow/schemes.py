@@ -52,6 +52,14 @@ def extend3(values: np.ndarray, boundary: str) -> np.ndarray:
     return np.concatenate([values[-1:], values, values[:1]])
 
 
+def _finite(out: np.ndarray) -> np.ndarray:
+    """out, or StepError naming its first non-finite cell."""
+    if not np.all(np.isfinite(out)):
+        bad = int(np.argmin(np.isfinite(out)))
+        raise StepError(f"non-finite density in cell {bad}")
+    return out
+
+
 def lf_step(
     rho: np.ndarray,
     v_lag: np.ndarray,
@@ -68,10 +76,7 @@ def lf_step(
         out = rho + 0.5 * lam * (
             alpha * (r[2:] - 2.0 * rho + r[:-2]) - (flux[2:] - flux[:-2])
         )
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmin(np.isfinite(out)))
-        raise StepError(f"non-finite density in cell {bad}")
-    return out
+    return _finite(out)
 
 
 def hw_step(
@@ -92,10 +97,7 @@ def hw_step(
         # flux[j] = flux through the right interface of (extended) cell j
         flux = r[:-1] * sat(r[1:]) * v[1:]
         out = rho - lam * (flux[1:] - flux[:-1])
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmin(np.isfinite(out)))
-        raise StepError(f"non-finite density in cell {bad}")
-    return out
+    return _finite(out)
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -114,20 +116,22 @@ def run(
     rho0: np.ndarray,
     t_final: float,
     boundary: str = FREE_FLOW,
-    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    observer: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Advance the projected datum to N_T dt with N_T dt <= t_final.
 
-    The observer, if given, is called as observer(n, level, v_lag) once
-    before the loop (n = 0) and after each step n = 1..N_T, where level
-    is the density at step n and v_lag the lagged speed field V^{n-h}
-    that the NEXT step will consume.  A stateful observer that remembers
-    the previous call therefore holds exactly the (level, speeds) pair
-    that produced the current level.  Consecutive calls may share one
-    read-only v_lag array: every step up to h reads the datum's speeds.
+    The observer, if given, is called as observer(n, level, lagged, v_lag)
+    once before the loop (n = 0) and after each step n = 1..N_T, where
+    level is the density at step n, lagged the level max(n - h, 0) and
+    v_lag its speed field V^{n-h}, which the NEXT step will consume.  A
+    stateful observer that remembers the previous call therefore holds
+    exactly the (level, speeds) pair that produced the current level.
 
-    Levels after N_T - h are not kept, since no step reads them, and the
-    speeds are recomputed only when the lagged level moves (n > h).
+    This loop owns the delay schedule.  Levels after N_T - h are not kept,
+    since no step reads them, and the speeds are recomputed only when the
+    lagged level moves (n > h): consecutive calls share one read-only
+    v_lag array exactly while they share the lagged level, so an observer
+    may treat the same v_lag object as the same field.
     """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -142,7 +146,7 @@ def run(
     lam = grid.lam
     v_lag = lagged_speeds(state, weights, vel)
     if observer is not None:
-        observer(0, rho, v_lag)
+        observer(0, rho, state.lagged, v_lag)
     for n in range(1, n_steps + 1):
         try:
             if scheme == LAX_FRIEDRICHS:
@@ -157,5 +161,5 @@ def run(
             state.advance()
             v_lag = lagged_speeds(state, weights, vel)
         if observer is not None:
-            observer(n, rho, v_lag)
+            observer(n, rho, state.lagged, v_lag)
     return rho

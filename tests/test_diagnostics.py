@@ -9,7 +9,6 @@ from lagflow import diagnostics
 from lagflow.delay_state import FREE_FLOW, PERIODIC, speed_increment_bound
 from lagflow.diagnostics import (
     SPEED_TOL,
-    CheckPolicy,
     ConstantsUnavailable,
     DiagnosticsCollector,
     InvariantViolation,
@@ -283,7 +282,7 @@ def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
         scheme="lf",
         boundary=FREE_FLOW,
         constants=None,
-        policy=CheckPolicy(entropy_assert=True),
+        thorough=True,
         stride=2,
         n_final=6,
     )
@@ -309,7 +308,7 @@ def test_lipschitz_check_rejects_fast_drift():
         lipschitz_in_time_check([(0.0, a), (0.001, b)], l1_time_rate=1.0, dx=0.25)
 
 
-def _collector(policy, n_final=4, tau=0.02, dx=0.05):
+def _collector(n_final=4, tau=0.02, dx=0.05, boundary=FREE_FLOW):
     vel = Velocity("normalized_greenshields")
     sat = Saturation("linear", rho_max=1.0)
     grid = build_grid(0.0, 1.0, dx, 0.01, tau, 0.1)
@@ -329,46 +328,47 @@ def _collector(policy, n_final=4, tau=0.02, dx=0.05):
         vel=vel,
         sat=sat,
         scheme="hw",
-        boundary=FREE_FLOW,
+        boundary=boundary,
         constants=c,
-        policy=policy,
+        thorough=True,
         stride=2,
         n_final=n_final,
     )
 
 
 def test_collector_rows_at_stride_and_endpoints():
-    col = _collector(CheckPolicy())
+    col = _collector()
     level = np.full(20, 0.5)
     v = np.full(20, 0.5)
     for n in range(5):
-        col(n, level, v)
+        col(n, level, level, v)
     assert [r.t for r in col.records] == pytest.approx([0.0, 0.02, 0.04])
     assert col.sup_density == 0.5
     assert col.records[0].tv == 0.0
 
 
 def test_collector_detects_negative_density():
-    col = _collector(CheckPolicy(positivity=True))
+    col = _collector()
     bad = np.full(20, 0.5)
     bad[3] = -1e-6
-    with pytest.raises(InvariantViolation):
-        col(0, bad, np.full(20, 0.5))
+    with pytest.raises(InvariantViolation, match="negative density"):
+        col(0, bad, bad, np.full(20, 0.5))
 
 
 def test_collector_detects_ceiling_violation():
-    col = _collector(CheckPolicy(rho_ceiling=0.4))
-    with pytest.raises(InvariantViolation):
-        col(0, np.full(20, 0.5), np.full(20, 0.5))
+    col = _collector()
+    level = np.full(20, 1.5)
+    with pytest.raises(InvariantViolation, match="ceiling 1.0"):
+        col(0, level, level, np.full(20, 0.5))
 
 
 def test_collector_detects_mass_drift():
-    col = _collector(CheckPolicy(conserve_mass=True))
+    col = _collector(boundary=PERIODIC)
     level = np.full(20, 0.5)
     v = np.full(20, 0.5)
-    col(0, level, v)
-    with pytest.raises(InvariantViolation):
-        col(1, level * 1.01, v)
+    col(0, level, level, v)
+    with pytest.raises(InvariantViolation, match="mass drift"):
+        col(1, level * 1.01, level, v)
 
 
 def test_collector_detects_speed_field_inconsistency():
@@ -377,24 +377,25 @@ def test_collector_detects_speed_field_inconsistency():
     With a constant kernel of length 0.1 on a dx = 0.01 grid the adjacent
     speed increment is capped at 2 |v'| (1/L) R dx = 0.2.
     """
-    col = _collector(CheckPolicy(), dx=0.01)
+    col = _collector(dx=0.01)
     level = np.full(100, 0.5)
     v = np.full(100, 0.5)
     v[50] = 0.9
     with pytest.raises(InvariantViolation):
-        col(0, level, v)
+        col(0, level, level, v)
 
 
 def test_collector_speed_ceiling_is_speed_increment_bound():
     """The collector's speed ceiling is speed_increment_bound at reach
     max(R, lagged sup), to the last bit: a gap at ceiling + SPEED_TOL passes
     and the next float up fails."""
-    col = _collector(CheckPolicy(), dx=0.01)
+    col = _collector(dx=0.01)
     level = np.full(100, 0.5)
     limit = speed_increment_bound(col.vel, col.weights, 1.0) + SPEED_TOL
     v = np.zeros(100)
     v[50:] = limit
-    col(0, level, v)
-    v[50:] = np.nextafter(limit, math.inf)
+    col(0, level, level, v)
+    v_next = np.zeros(100)
+    v_next[50:] = np.nextafter(limit, math.inf)
     with pytest.raises(InvariantViolation, match="speed increment"):
-        col(1, level, v)
+        col(1, level, level, v_next)

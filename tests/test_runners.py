@@ -11,7 +11,6 @@ from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import preset_scenario
 from lagflow.runners import (
     compare_schemes,
-    default_policy,
     grid_refine,
     resolve_scenario,
     restrict_to_coarse,
@@ -53,30 +52,38 @@ def test_resolve_fits_delay_and_keeps_cfl():
     assert r.n_steps == 10
     assert r.grid.alpha is None
     assert r.constants is not None
-    assert r.policy.positivity and r.policy.tv_ceiling
+    col = simulate(r).collector
+    assert col.positivity and col.tv_ceiling
 
 
 def test_resolve_lf_carries_alpha():
     r = resolve_scenario(_tiny(scheme="lf"))
     assert r.grid.alpha == pytest.approx(2.0)
     assert r.grid.dt == pytest.approx(0.005)
-    assert r.policy.entropy_assert
+    assert simulate(r).collector.entropy_assert
 
 
-def test_default_policy_gates_on_hypotheses():
+def test_collector_checks_gate_on_hypotheses():
     vel = Velocity("normalized_greenshields")
     sat_none = Saturation("none")
     sat = Saturation("linear", rho_max=1.0)
     cropped = Velocity("cropped")
-    p = default_policy(vel, sat_none, "hw", "free_flow", thorough=True)
-    assert not p.positivity and p.rho_ceiling is None and not p.tv_ceiling
-    p = default_policy(vel, sat, "lf", "free_flow", thorough=True)
-    assert p.entropy_assert and not p.entropy_watch
-    p = default_policy(vel, sat, "lf", "free_flow", thorough=False)
-    assert not p.entropy_assert and p.entropy_watch
-    p = default_policy(cropped, sat, "lf", "periodic", thorough=True)
-    assert p.conserve_mass and not p.tv_ceiling and not p.entropy_assert
-    assert not p.entropy_watch
+
+    def checks(velocity, saturation, scheme, boundary, thorough):
+        scenario = _tiny(
+            velocity=velocity, saturation=saturation, scheme=scheme, boundary=boundary
+        )
+        return simulate(resolve_scenario(scenario, thorough=thorough)).collector
+
+    c = checks(vel, sat_none, "hw", "free_flow", thorough=True)
+    assert not c.positivity and c.rho_ceiling is None and not c.tv_ceiling
+    c = checks(vel, sat, "lf", "free_flow", thorough=True)
+    assert c.entropy_assert and not c.entropy_watch
+    c = checks(vel, sat, "lf", "free_flow", thorough=False)
+    assert not c.entropy_assert and c.entropy_watch
+    c = checks(cropped, sat, "lf", "periodic", thorough=True)
+    assert c.conserve_mass and not c.tv_ceiling and not c.entropy_assert
+    assert not c.entropy_watch
 
 
 def test_simulate_captures_snapshots_at_requested_times():
@@ -245,15 +252,13 @@ def test_constant_datum_snapshots_are_all_identical(tmp_path):
 
 def test_periodic_run_asserts_mass_conservation(tmp_path):
     s = _tiny(boundary="periodic")
-    r = resolve_scenario(s)
-    assert r.policy.conserve_mass
-    sim = simulate(r)
+    sim = simulate(resolve_scenario(s))
+    assert sim.collector.conserve_mass
     assert sim.collector.mass_drift_max <= 1e-12
 
 
 def test_unsaturated_run_disables_ceiling_checks():
     s = _tiny(saturation=Saturation("none"), tau=0.0)
-    r = resolve_scenario(s)
-    assert not r.policy.positivity
-    assert r.policy.rho_ceiling is None
-    simulate(r)  # must not raise even though no ceiling is enforced
+    col = simulate(resolve_scenario(s)).collector  # must not raise
+    assert not col.positivity
+    assert col.rho_ceiling is None

@@ -8,6 +8,7 @@ import pytest
 from lagflow import schemes
 
 from lagflow.delay_state import FREE_FLOW, PERIODIC, convolved_speeds
+from lagflow.diagnostics import DiagnosticsCollector
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.initial_data import Constant
 from lagflow.model_functions import Kernel, Saturation, Velocity
@@ -76,11 +77,15 @@ def test_hw_step_interface_fluxes_are_nonnegative_for_nonnegative_data():
         assert np.all(expected >= 0.0)
 
 
-def test_lf_step_detects_nonfinite():
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_step_detects_nonfinite(scheme):
     rho = np.array([0.0, np.inf, 0.0])
     v = np.ones(3)
-    with pytest.raises(StepError):
-        lf_step(rho, v, lam=0.25, alpha=2.0, sat=_SAT_NONE, boundary=FREE_FLOW)
+    with pytest.raises(StepError, match="non-finite density in cell"):
+        if scheme == "lf":
+            lf_step(rho, v, lam=0.25, alpha=2.0, sat=_SAT_NONE, boundary=FREE_FLOW)
+        else:
+            hw_step(rho, v, lam=0.25, sat=_SAT_NONE, boundary=FREE_FLOW)
 
 
 def test_step_count_lands_on_horizon():
@@ -118,7 +123,7 @@ def test_run_invokes_observer_every_step():
         "hw",
         np.full(10, 0.5),
         t_final=0.25,
-        observer=lambda n, level, v_lag: seen.append((n, level.shape, v_lag.shape)),
+        observer=lambda n, level, lagged, v_lag: seen.append((n, level.shape, v_lag.shape)),
     )
     assert [n for n, _, _ in seen] == list(range(6))
     assert all(shape == (10,) for _, shape, _ in seen)
@@ -165,7 +170,7 @@ def test_run_constant_datum_all_snapshots_identical():
         "lf",
         rho0,
         t_final=0.25,
-        observer=lambda n, level, v: captured.append(level.copy()),
+        observer=lambda n, level, lagged, v: captured.append(level.copy()),
     )
     assert all(np.array_equal(level, rho0) for level in captured)
 
@@ -185,11 +190,13 @@ def _delayed_case(h, n_steps):
     ids=["h0", "NT_below_h", "NT_equal_h", "NT_below_2h", "NT_above_2h"],
 )
 def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
-    """lagged_speeds runs max(N_T - h, 0) + 1 times, and between steps
-    the queue holds at most min(h, max(N_T - h, 0)) levels."""
+    """lagged_speeds runs max(N_T - h, 0) + 1 times, the collector checks
+    each speed field once, and between steps the queue holds at most
+    min(h, max(N_T - h, 0)) levels."""
     grid, weights, rho0, t_final = _delayed_case(h, n_steps)
-    states, calls, queued = [], [], []
+    states, calls, queued, checks = [], [], [], []
     init, lagged = schemes.init_history, schemes.lagged_speeds
+    check_speeds = DiagnosticsCollector._check_speeds
 
     def recorded_init(*args):
         states.append(init(*args))
@@ -199,17 +206,29 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
         calls.append(args)
         return lagged(*args)
 
-    def observer(n, level, v_lag):
+    def counted_check(self, *args):
+        checks.append(args)
+        return check_speeds(self, *args)
+
+    vel = Velocity("normalized_greenshields")
+    collector = DiagnosticsCollector(
+        grid, weights, vel, _SAT_NONE, "hw", FREE_FLOW,
+        constants=None, thorough=True, stride=1, n_final=n_steps,
+    )
+
+    def observer(n, level, lagged_level, v_lag):
         queued.append(len(states[0].queue))
         assert not v_lag.flags.writeable
+        collector(n, level, lagged_level, v_lag)
 
     monkeypatch.setattr(schemes, "init_history", recorded_init)
     monkeypatch.setattr(schemes, "lagged_speeds", counted_lagged)
+    monkeypatch.setattr(DiagnosticsCollector, "_check_speeds", counted_check)
 
-    vel = Velocity("normalized_greenshields")
     run(grid, weights, vel, _SAT_NONE, "hw", rho0, t_final, observer=observer)
     assert len(queued) == n_steps + 1
     assert len(calls) == max(n_steps - h, 0) + 1
+    assert len(checks) == len(calls)
     assert max(queued) == min(h, max(n_steps - h, 0))
 
 
@@ -219,7 +238,7 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
     ring = deque((rho0.copy() for _ in range(grid.delay_steps + 1)), maxlen=grid.delay_steps + 1)
     rho = rho0.copy()
     v = convolved_speeds(ring[0], weights, vel, boundary)
-    seen = [(0, rho, v)]
+    seen = [(0, rho, ring[0], v)]
     for n in range(1, n_steps + 1):
         if scheme == "lf":
             rho = lf_step(rho, v, grid.lam, grid.alpha, sat, boundary)
@@ -227,7 +246,7 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
             rho = hw_step(rho, v, grid.lam, sat, boundary)
         ring.append(rho)
         v = convolved_speeds(ring[0], weights, vel, boundary)
-        seen.append((n, rho, v))
+        seen.append((n, rho, ring[0], v))
     return seen
 
 
@@ -235,8 +254,8 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 @pytest.mark.parametrize("n_steps", [9, 15])
 def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
-    """Every observer (n, level, v_lag) and the final level equal those of
-    a march that keeps all h + 1 levels."""
+    """Every observer (n, level, lagged, v_lag) and the final level equal
+    those of a march that keeps all h + 1 levels."""
     grid, weights, rho0, t_final = _delayed_case(6, n_steps)
     vel = Velocity("normalized_greenshields")
     sat = Saturation("linear", rho_max=1.0)
@@ -250,11 +269,14 @@ def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
         rho0,
         t_final,
         boundary=boundary,
-        observer=lambda n, level, v_lag: seen.append((n, level.copy(), v_lag.copy())),
+        observer=lambda n, level, lagged, v_lag: seen.append(
+            (n, level.copy(), lagged.copy(), v_lag.copy())
+        ),
     )
     expected = _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary)
-    assert [n for n, _, _ in seen] == [n for n, _, _ in expected]
-    for (_, level, v), (_, level_ref, v_ref) in zip(seen, expected):
+    assert [n for n, *_ in seen] == [n for n, *_ in expected]
+    for (_, level, lagged, v), (_, level_ref, oldest, v_ref) in zip(seen, expected):
         assert np.array_equal(level, level_ref)
+        assert np.array_equal(lagged, oldest)
         assert np.array_equal(v, v_ref)
     assert np.array_equal(final, expected[-1][1])
