@@ -6,77 +6,20 @@ The conservation law is
 
 where omega is a forward-looking averaging kernel, v a decreasing speed
 map, f a saturation factor, and tau >= 0 a reaction delay.  The package
-provides the Lax-Friedrichs and Hilliges-Weidlich marching schemes, the
-delayed convolution state, a priori bound constants, a diagnostics
-engine that checks the model's provable inequalities at run time, and
-batch experiment runners with a command line front end.
+provides the Lax-Friedrichs and Hilliges-Weidlich marching schemes with
+their lagged convolution speeds and delay history (schemes), a priori
+bound constants and a diagnostics engine that checks the model's
+provable inequalities at run time (diagnostics), and batch experiment
+runners with a command line front end.
+
+The names below are the public API; everything else is imported from its
+submodule (lagflow.schemes, lagflow.diagnostics, ...).
 """
 
-from .delay_state import (
-    BOUNDARY_KINDS,
-    FREE_FLOW,
-    PERIODIC,
-    DelayedState,
-    convolved_speeds,
-    init_history,
-    lagged_speeds,
-    push_level,
-    speed_increment_bound,
-)
-from .diagnostics import (
-    BoundConstants,
-    ConstantsUnavailable,
-    DiagnosticsCollector,
-    DiagnosticsRecord,
-    InvariantViolation,
-    StabilityConstants,
-    bound_constants,
-    default_kappas,
-    entropy_residual,
-    l1_distance,
-    l1_norm,
-    lipschitz_in_time_check,
-    log_tv_amplification,
-    stability_bound,
-    stability_constants,
-    sup_norm,
-    total_variation,
-    tv_bound,
-)
-from .discretization import (
-    Grid,
-    KernelWeights,
-    build_grid,
-    cfl_dt_hw,
-    cfl_dt_lf,
-    discretize_kernel,
-    fit_delay_steps,
-    project_initial_datum,
-    whole_cells,
-)
-from .initial_data import (
-    DATUM_KINDS,
-    Box,
-    Constant,
-    OscCos,
-    OscSin,
-    Riemann,
-    make_datum,
-)
-from .model_functions import (
-    KERNEL_KINDS,
-    SATURATION_KINDS,
-    VELOCITY_KINDS,
-    BoundSet,
-    Kernel,
-    Saturation,
-    Velocity,
-    derivative_bounds,
-)
-from .presets import PRESET_NAMES, preset_scenario, preset_sections, write_preset_configs
+from .diagnostics import InvariantViolation
+from .model_functions import Kernel, Saturation, Velocity
+from .presets import PRESET_NAMES, preset_scenario, write_preset_configs
 from .runners import (
-    ResolvedRun,
-    SimulationResult,
     compare_schemes,
     grid_refine,
     resolve_scenario,
@@ -86,97 +29,33 @@ from .runners import (
     stability_experiment,
     tau_sweep,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, render_config, scenario_from_sections
-from .schemes import (
-    HILLIGES_WEIDLICH,
-    LAX_FRIEDRICHS,
-    SCHEME_KINDS,
-    StepError,
-    hw_step,
-    lf_step,
-    run,
-    step_count,
-)
+from .scenario import Scenario, ScenarioError, load_scenario
+from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, StepError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY_KINDS",
-    "Box",
-    "BoundConstants",
-    "BoundSet",
-    "Constant",
-    "ConstantsUnavailable",
-    "DATUM_KINDS",
-    "DelayedState",
-    "DiagnosticsCollector",
-    "DiagnosticsRecord",
     "FREE_FLOW",
-    "Grid",
     "HILLIGES_WEIDLICH",
     "InvariantViolation",
-    "KERNEL_KINDS",
     "Kernel",
-    "KernelWeights",
     "LAX_FRIEDRICHS",
-    "OscCos",
-    "OscSin",
     "PERIODIC",
     "PRESET_NAMES",
-    "ResolvedRun",
-    "Riemann",
-    "SATURATION_KINDS",
-    "SCHEME_KINDS",
     "Saturation",
     "Scenario",
     "ScenarioError",
-    "SimulationResult",
-    "StabilityConstants",
     "StepError",
-    "VELOCITY_KINDS",
     "Velocity",
-    "bound_constants",
-    "build_grid",
-    "cfl_dt_hw",
-    "cfl_dt_lf",
     "compare_schemes",
-    "convolved_speeds",
-    "default_kappas",
-    "derivative_bounds",
-    "discretize_kernel",
-    "entropy_residual",
-    "fit_delay_steps",
     "grid_refine",
-    "hw_step",
-    "init_history",
-    "l1_distance",
-    "l1_norm",
-    "lagged_speeds",
-    "lf_step",
-    "lipschitz_in_time_check",
     "load_scenario",
-    "log_tv_amplification",
-    "make_datum",
     "preset_scenario",
-    "preset_sections",
-    "project_initial_datum",
-    "push_level",
-    "render_config",
     "resolve_scenario",
-    "run",
     "run_scenario",
     "saturation_study",
-    "scenario_from_sections",
     "simulate",
-    "speed_increment_bound",
-    "stability_bound",
-    "stability_constants",
     "stability_experiment",
-    "step_count",
-    "sup_norm",
     "tau_sweep",
-    "total_variation",
-    "tv_bound",
-    "whole_cells",
     "write_preset_configs",
 ]

@@ -48,10 +48,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .delay_state import FREE_FLOW, PERIODIC, speed_increment_bound
 from .discretization import Grid, KernelWeights
 from .model_functions import SAT_NONE, BoundSet, Saturation, Velocity
-from .schemes import HILLIGES_WEIDLICH, LAX_FRIEDRICHS, extend3
+from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, extend3
 
 #: Absolute tolerance for the discrete entropy inequality.
 ENTROPY_TOL = 1e-10
@@ -143,6 +142,16 @@ def tv_bound(t: float, tau: float, rate: float, tv0: float) -> float:
     if tv0 == 0.0:
         return 0.0
     return exp_or_inf(log_tv_amplification(t, tau, rate) + math.log(tv0))
+
+
+def speed_increment_bound(vel: Velocity, weights: KernelWeights, rho_sup: float) -> float:
+    """Uniform bound 2 sup|v'| sup(omega) rho_sup dx on |V_{j+1} - V_j|.
+
+    Shifting the convolution window by one cell changes the weighted load
+    by at most dx * (w[0] rho_sup + sum_k |w[k+1] - w[k]| rho_sup), and the
+    non-increasing weights telescope to w[0] <= sup(omega) twice over.
+    """
+    return 2.0 * vel.d1_sup * weights.sup * rho_sup * weights.dx
 
 
 @dataclass(frozen=True)

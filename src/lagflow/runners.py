@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .delay_state import history_bytes
 from .diagnostics import (
     BoundConstants,
     ConstantsUnavailable,
@@ -57,7 +56,7 @@ from .model_functions import (
     derivative_bounds,
 )
 from .scenario import Scenario, ScenarioError
-from .schemes import LAX_FRIEDRICHS, step_count
+from .schemes import LAX_FRIEDRICHS, history_bytes, step_count
 from .schemes import run as advance
 
 __all__ = [

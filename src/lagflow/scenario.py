@@ -33,25 +33,27 @@ A scenario file fully describes one simulation::
     stride = 100                  ; diagnostics row spacing; default: automatic
 
 Every Scenario is validated when it is built, whether parsed from a file
-or made with dataclasses.replace from another one: the domain and the
-kernel support must be whole numbers of cells, tau >= 0, the scheme
-known, safety in (0, 1], datum values inside [0, rho_max], snapshots
-inside [0, t_final] and stride >= 1.  The parser checks only syntax:
-sections, keys, numbers and which keys each kind takes.  Unknown
-sections or keys are rejected by name, as are missing required keys.
+or made with dataclasses.replace from another one: the domain, dx,
+t_final, the kernel length, tau, safety and the snapshot times must be
+finite, the domain and the kernel support whole numbers of cells, tau >=
+0, the scheme known, safety in (0, 1], datum values inside [0, rho_max],
+snapshots distinct and inside [0, t_final] and stride >= 1.  The parser
+checks only syntax: sections, keys, numbers and which keys each kind
+takes.  Unknown sections or keys are rejected by name, as are missing
+required keys.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import initial_data
-from .delay_state import BOUNDARY_KINDS, FREE_FLOW
 from .discretization import whole_cells
 from .model_functions import GREENSHIELDS, SAT_EXPONENTIAL, Kernel, Saturation, Velocity
-from .schemes import SCHEME_KINDS
+from .schemes import BOUNDARY_KINDS, FREE_FLOW, SCHEME_KINDS
 
 
 class ScenarioError(ValueError):
@@ -98,6 +100,18 @@ class Scenario:
     stride: int | None = None
 
     def __post_init__(self) -> None:
+        for section, key, value in (
+            ("domain", "x_min", self.x_min),
+            ("domain", "x_max", self.x_max),
+            ("domain", "dx", self.dx),
+            ("domain", "t_final", self.t_final),
+            ("model", "kernel_length", self.kernel.length),
+            ("model", "tau", self.tau),
+            ("scheme", "safety", self.safety),
+            *(("output", "snapshots", t) for t in self.snapshots),
+        ):
+            if not math.isfinite(value):
+                raise ScenarioError(f"[{section}] {key}: {value} is not finite")
         if not self.x_max > self.x_min:
             raise ScenarioError("[domain] x_max must exceed x_min")
         if not self.dx > 0:
@@ -128,11 +142,13 @@ class Scenario:
             raise ScenarioError(
                 f"[datum] values span [{lo}, {hi}], outside [0, {self.velocity.rho_max}]"
             )
-        for t in self.snapshots:
+        for i, t in enumerate(self.snapshots):
             if not 0 <= t <= self.t_final:
                 raise ScenarioError(
                     f"[output] snapshots: time {t} outside [0, {self.t_final}]"
                 )
+            if t in self.snapshots[:i]:
+                raise ScenarioError(f"[output] snapshots: duplicate time {t}")
         if self.stride is not None and self.stride < 1:
             raise ScenarioError("[output] stride must be at least 1")
 

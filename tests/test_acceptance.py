@@ -8,13 +8,14 @@ in about two minutes.
 """
 
 import dataclasses
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lagflow.delay_state import FREE_FLOW, PERIODIC, convolved_speeds
 from lagflow.diagnostics import (
     default_kappas,
     entropy_residual,
@@ -31,7 +32,7 @@ from lagflow.runners import (
     stability_experiment,
     tau_sweep,
 )
-from lagflow.schemes import hw_step, lf_step, run
+from lagflow.schemes import FREE_FLOW, PERIODIC, convolved_speeds, hw_step, lf_step, run
 
 SCHEMES = ("lf", "hw")
 
@@ -102,6 +103,35 @@ def test_criterion_02_positivity_and_maximum_principle():
             assert sim.collector.min_density >= -1e-12, (name, scheme)
             assert sim.collector.sup_density <= capacity + 1e-12, (name, scheme)
     print(f"criterion 2 PASS: {len(PRESET_NAMES)} presets x {SCHEMES} inside [0, R]")
+
+
+GOLDEN_PRESETS = Path(__file__).with_name("golden_presets.json")
+
+
+def test_preset_summaries_match_golden_table():
+    """sup TV, sup density, final L1 and TV and the worst entropy residual
+    of every preset x scheme run agree with tests/golden_presets.json to
+    1e-12 relative (entropy residuals, which sit at rounding level, to
+    1e-15 absolute).  The runs are criterion 2's cached ones."""
+    golden = json.loads(GOLDEN_PRESETS.read_text())
+    assert sorted(golden) == sorted(f"{n}/{s}" for n in PRESET_NAMES for s in SCHEMES)
+    for key, want in golden.items():
+        name, scheme = key.split("/")
+        col = _run(name, scheme)[1].collector
+        got = {
+            "sup_tv": col.sup_tv,
+            "sup_density": col.sup_density,
+            "final_l1": col.records[-1].l1,
+            "final_tv": col.records[-1].tv,
+            "entropy_residual_max": col.entropy_max,
+        }
+        assert sorted(got) == sorted(want), key
+        for field, value in want.items():
+            floor = 1e-15 if field == "entropy_residual_max" else 0.0
+            assert math.isclose(got[field], value, rel_tol=1e-12, abs_tol=floor), (
+                key, field, got[field], value,
+            )
+    print(f"golden table PASS: {len(golden)} preset x scheme summaries match")
 
 
 def test_criterion_03_periodic_mass_conservation():

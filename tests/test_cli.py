@@ -71,6 +71,17 @@ def test_invalid_config_is_a_configuration_error(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+def test_non_finite_numbers_are_configuration_errors(tiny_cfg, tmp_path, capsys):
+    """inf in a config or a flag is an error line, not an OverflowError."""
+    bad = dict(TINY, domain=dict(TINY["domain"], t_final="inf"))
+    path = tmp_path / "inf.cfg"
+    path.write_text(render_config(bad), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: [domain] t_final: inf is not finite")
+    assert main(["stability", str(tiny_cfg), "--tau2", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: [model] tau: inf is not finite")
+
+
 def test_compare_schemes_subcommand(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare-schemes", str(tiny_cfg), "--ref-dx", "0.01", "--out", str(out)])

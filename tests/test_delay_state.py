@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from lagflow.delay_state import (
+from lagflow.diagnostics import speed_increment_bound
+from lagflow.discretization import build_grid, discretize_kernel
+from lagflow.model_functions import Kernel, Velocity
+from lagflow.schemes import (
     FREE_FLOW,
     PERIODIC,
     convolved_speeds,
     init_history,
     lagged_speeds,
     push_level,
-    speed_increment_bound,
 )
-from lagflow.discretization import build_grid, discretize_kernel
-from lagflow.model_functions import Kernel, Velocity
 
 
 def _weights(dx=0.25, length=0.5, kind="constant"):
@@ -22,47 +22,47 @@ def _weights(dx=0.25, length=0.5, kind="constant"):
 
 
 def test_history_starts_constant_in_time():
-    """Until the lagged level advances, every step reads the datum."""
+    """Until the head is popped, every step reads the datum."""
     rho0 = np.array([0.1, 0.2, 0.3])
-    state = init_history(rho0, h=2)
-    assert np.array_equal(state.lagged, rho0)
-    assert state.lagged is not rho0
-    assert len(state.queue) == 0
+    history = init_history(rho0, h=2)
+    assert np.array_equal(history[0], rho0)
+    assert history[0] is not rho0
+    assert len(history) - 1 == 0
     for k in range(1, 3):
-        state = push_level(state, np.full(3, float(k)))
-    assert np.array_equal(state.lagged, rho0)
-    assert [level[0] for level in state.queue] == [1.0, 2.0]
+        push_level(history, np.full(3, float(k)))
+    assert np.array_equal(history[0], rho0)
+    assert [level[0] for level in list(history)[1:]] == [1.0, 2.0]
 
 
 def test_ring_rotates_after_h_plus_one_pushes():
     """Once n > h the lagged level is the one pushed h steps earlier."""
     h = 2
-    state = init_history(np.zeros(2), h=h)
+    history = init_history(np.zeros(2), h=h)
     for n in range(1, 6):
         level = np.full(2, float(n))
-        state = push_level(state, level)
+        push_level(history, level)
         if n > h:
-            state.advance()
-            assert state.lagged[0] == float(n - h)
+            history.popleft()
+            assert history[0][0] == float(n - h)
         else:
-            assert state.lagged[0] == 0.0
-        assert len(state.queue) == min(n, h)
-    assert [level[0] for level in state.queue] == [4.0, 5.0]
+            assert history[0][0] == 0.0
+        assert len(history) - 1 == min(n, h)
+    assert [level[0] for level in list(history)[1:]] == [4.0, 5.0]
 
 
 def test_zero_delay_window_has_single_level():
-    state = init_history(np.array([1.0]), h=0)
+    history = init_history(np.array([1.0]), h=0)
     level = np.array([5.0])
-    state = push_level(state, level)
-    state.advance()
-    assert state.lagged is level
-    assert len(state.queue) == 0
+    push_level(history, level)
+    history.popleft()
+    assert history[0] is level
+    assert len(history) - 1 == 0
 
 
 def test_push_rejects_wrong_shape():
-    state = init_history(np.zeros(3), h=1)
+    history = init_history(np.zeros(3), h=1)
     with pytest.raises(ValueError):
-        push_level(state, np.zeros(4))
+        push_level(history, np.zeros(4))
 
 
 def test_convolved_speeds_constant_level():
@@ -96,16 +96,16 @@ def test_convolved_speeds_periodic_wraps():
 def test_lagged_speeds_use_oldest_level():
     vel = Velocity("normalized_greenshields")
     w = _weights()
-    state = init_history(np.full(4, 0.5), h=1)
-    state = push_level(state, np.full(4, 0.9))
-    v = lagged_speeds(state, w, vel)
+    history = init_history(np.full(4, 0.5), h=1)
+    push_level(history, np.full(4, 0.9))
+    v = lagged_speeds(history, w, vel, FREE_FLOW)
     assert np.allclose(v, 0.5)
 
 
 def test_lagged_speeds_are_read_only():
-    """schemes.run hands one speed field to several steps and observers."""
+    """run hands one speed field to several steps and observers."""
     vel = Velocity("normalized_greenshields")
-    v = lagged_speeds(init_history(np.full(4, 0.5), h=1), _weights(), vel)
+    v = lagged_speeds(init_history(np.full(4, 0.5), h=1), _weights(), vel, FREE_FLOW)
     with pytest.raises(ValueError):
         v[0] = 0.0
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lagflow import diagnostics
-from lagflow.delay_state import FREE_FLOW, PERIODIC, speed_increment_bound
 from lagflow.diagnostics import (
     SPEED_TOL,
     ConstantsUnavailable,
@@ -19,6 +18,7 @@ from lagflow.diagnostics import (
     l1_norm,
     lipschitz_in_time_check,
     log_tv_amplification,
+    speed_increment_bound,
     stability_bound,
     stability_constants,
     sup_norm,
@@ -27,7 +27,7 @@ from lagflow.diagnostics import (
 )
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity, derivative_bounds
-from lagflow.schemes import extend3, hw_step, lf_step, run
+from lagflow.schemes import FREE_FLOW, PERIODIC, extend3, hw_step, lf_step, run
 
 
 def _bounds(length=0.1):

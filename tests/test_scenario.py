@@ -115,6 +115,33 @@ def test_snapshots_must_lie_in_horizon():
         scenario_from_sections(bad)
 
 
+def test_duplicate_snapshot_times_rejected():
+    bad = _sections(output={"snapshots": "0.05, 0.05, 0.1"})
+    with pytest.raises(ScenarioError, match=r"^\[output\] snapshots: duplicate time 0\.05$"):
+        scenario_from_sections(bad)
+    # distinct times that land on the same step stay allowed
+    close = scenario_from_sections(_sections(output={"snapshots": "0.1, 0.1000000001"}))
+    assert close.snapshots == (0.1, 0.1000000001)
+
+
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("domain", "x_min", "-inf"),
+        ("domain", "x_max", "inf"),
+        ("domain", "dx", "nan"),
+        ("domain", "t_final", "inf"),
+        ("model", "kernel_length", "inf"),
+        ("model", "tau", "inf"),
+        ("scheme", "safety", "nan"),
+        ("output", "snapshots", "0.25, inf"),
+    ],
+)
+def test_non_finite_numbers_rejected_by_key_name(section, key, raw):
+    with pytest.raises(ScenarioError, match=rf"^\[{section}\] {key}: -?(inf|nan) is not finite$"):
+        scenario_from_sections(_sections(**{section: {key: raw}}))
+
+
 def test_greenshields_requires_both_parameters():
     bad = _sections(model={"velocity": "greenshields", "v_max": "0.9"})
     with pytest.raises(ScenarioError, match="rho_max"):

@@ -7,13 +7,15 @@ import pytest
 
 from lagflow import schemes
 
-from lagflow.delay_state import FREE_FLOW, PERIODIC, convolved_speeds
 from lagflow.diagnostics import DiagnosticsCollector
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.initial_data import Constant
 from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.schemes import (
+    FREE_FLOW,
+    PERIODIC,
     StepError,
+    convolved_speeds,
     extend3,
     hw_step,
     lf_step,
@@ -191,8 +193,8 @@ def _delayed_case(h, n_steps):
 )
 def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
     """lagged_speeds runs max(N_T - h, 0) + 1 times, the collector checks
-    each speed field once, and between steps the queue holds at most
-    min(h, max(N_T - h, 0)) levels."""
+    each speed field once, and between steps the history holds at most
+    min(h, max(N_T - h, 0)) levels behind its head."""
     grid, weights, rho0, t_final = _delayed_case(h, n_steps)
     states, calls, queued, checks = [], [], [], []
     init, lagged = schemes.init_history, schemes.lagged_speeds
@@ -217,7 +219,7 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
     )
 
     def observer(n, level, lagged_level, v_lag):
-        queued.append(len(states[0].queue))
+        queued.append(len(states[0]) - 1)
         assert not v_lag.flags.writeable
         collector(n, level, lagged_level, v_lag)
 
