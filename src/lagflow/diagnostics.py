@@ -2,8 +2,9 @@
 
 Measurements: L1/sup norms, total variation, L1 distances, discrete entropy
 residuals.  Bounds: the TV growth estimate, the L1-in-time Lipschitz rate,
-and the L1 stability estimate, all assembled from the model's derivative
-bounds.  With
+and the L1 stability estimate, all read from the Velocity, Saturation and
+Kernel objects' sup-norm properties.  They need sup|v''|: for a velocity
+that is not C^2, bound_constants returns None and they are unavailable.  With
 
     G = 2 sup|v'| sup(omega) R (1 + R sup|f'|)
     H = R sup(omega) (6 sup|v''| J0 R + 2 sup|v'|)
@@ -49,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .discretization import Grid, KernelWeights
-from .model_functions import SAT_NONE, BoundSet, Saturation, Velocity
+from .model_functions import SAT_NONE, Kernel, Saturation, Velocity, flux_speed
 from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, extend3
 
 #: Absolute tolerance for the discrete entropy inequality.
@@ -60,14 +61,12 @@ LEVEL_TOL = 1e-12
 MASS_TOL = 1e-12
 #: Absolute slack for the speed adjacent-difference bound.
 SPEED_TOL = 1e-12
+#: Relative and absolute slack for a measured quantity against its bound.
+BOUND_TOL = 1e-12
 
 
 class InvariantViolation(RuntimeError):
     """A quantity left the region a proved estimate confines it to."""
-
-
-class ConstantsUnavailable(ValueError):
-    """Bound constants need sup|v''|, absent for non-smooth velocities."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +111,11 @@ def total_variation(level: np.ndarray, boundary: str = FREE_FLOW) -> float:
 def exp_or_inf(x: float) -> float:
     """e^x, or inf where it would overflow double precision (x >= 709)."""
     return math.exp(x) if x < 709.0 else math.inf
+
+
+def log_term(x: float) -> float:
+    """log x, or -inf for x <= 0: a term that drops out of np.logaddexp."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def _log_two_exp_minus_one(x: float) -> float:
@@ -169,10 +173,8 @@ class BoundConstants:
     tv_rate: float
     log_tv_amplification_at_horizon: float
     log_l1_time_rate: float
-    horizon: float
     tau: float
     tv0: float
-    rho0_l1: float
 
     @property
     def tv_amplification(self) -> float:
@@ -187,55 +189,45 @@ class BoundConstants:
 
 
 def bound_constants(
-    bounds: BoundSet,
+    vel: Velocity,
+    sat: Saturation,
+    kernel: Kernel,
     alpha: float | None,
     horizon: float,
     tau: float,
     tv0: float,
     rho0_l1: float,
     scheme: str,
-) -> BoundConstants:
-    """Assemble the growth rates and log-space factors for one run."""
-    if not bounds.smooth:
-        raise ConstantsUnavailable(
-            "bound constants need sup|v''|; the chosen velocity is not smooth"
-        )
-    r = bounds.rho_max
-    g = 2.0 * bounds.v_prime * bounds.omega_sup * r * (1.0 + r * bounds.f_prime)
-    h = r * bounds.omega_sup * (6.0 * bounds.v_dprime * r + 2.0 * bounds.v_prime)
+) -> BoundConstants | None:
+    """The growth rates and log-space factors of one run; None if v is not C^2."""
+    if not vel.smooth:
+        return None
+    r = vel.rho_max
+    g = 2.0 * vel.d1_sup * kernel.sup * r * (1.0 + r * sat.d1_sup)
+    h = r * kernel.sup * (6.0 * vel.d2_sup * r + 2.0 * vel.d1_sup)
     m = max(g, h)
     log_c = log_tv_amplification(horizon, tau, m)
     if scheme == LAX_FRIEDRICHS:
         if alpha is None:
             raise ValueError("the Lax-Friedrichs rate needs alpha")
-        bracket = alpha + (1.0 + r * bounds.f_prime) * bounds.v_max
+        bracket = alpha + flux_speed(vel, sat)
     elif scheme == HILLIGES_WEIDLICH:
-        bracket = bounds.v_max * (1.0 + r * bounds.f_prime)
+        bracket = flux_speed(vel, sat)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    # K = bracket * C * tv0 + 2 R sup(omega) sup|v'| ||rho0||_1, as a log-sum.
-    terms = []
-    if bracket * tv0 > 0.0:
-        terms.append(math.log(bracket * tv0) + log_c)
-    tail = 2.0 * r * bounds.omega_sup * bounds.v_prime * rho0_l1
-    if tail > 0.0:
-        terms.append(math.log(tail))
-    if not terms:
-        log_k = -math.inf
-    elif len(terms) == 1:
-        log_k = terms[0]
-    else:
-        log_k = float(np.logaddexp(terms[0], terms[1]))
+    # K = bracket * C * tv0 + 2 R sup(omega) sup|v'| ||rho0||_1
+    log_k = np.logaddexp(
+        log_term(bracket * tv0) + log_c,
+        log_term(2.0 * r * kernel.sup * vel.d1_sup * rho0_l1),
+    )
     return BoundConstants(
         tv_rate_current=g,
         tv_rate_lagged=h,
         tv_rate=m,
         log_tv_amplification_at_horizon=log_c,
-        log_l1_time_rate=log_k,
-        horizon=horizon,
+        log_l1_time_rate=float(log_k),
         tau=tau,
         tv0=tv0,
-        rho0_l1=rho0_l1,
     )
 
 
@@ -263,7 +255,9 @@ class StabilityConstants:
 
 
 def stability_constants(
-    bounds: BoundSet,
+    vel: Velocity,
+    sat: Saturation,
+    kernel: Kernel,
     sup_bv: float,
     sigma0_l1: float,
     tau1: float,
@@ -271,25 +265,15 @@ def stability_constants(
     log_l1_time_rate: float,
     horizon: float,
 ) -> StabilityConstants:
-    """K1, K2, K3 from the derivative bounds and one run's measured sup BV."""
-    if not bounds.smooth:
-        raise ConstantsUnavailable(
-            "stability constants need sup|v''|; the chosen velocity is not smooth"
-        )
-    r = bounds.rho_max
-    k1 = bounds.omega_sup * bounds.v_prime * (1.0 + r * bounds.f_prime) * sup_bv + r * (
-        bounds.v_prime * bounds.omega_d1_l1
-        + bounds.v_dprime * sigma0_l1 * bounds.omega_d1_sup
+    """K1, K2, K3 from a C^2 velocity's bounds and one run's measured sup BV."""
+    r = vel.rho_max
+    k1 = kernel.sup * vel.d1_sup * (1.0 + r * sat.d1_sup) * sup_bv + r * (
+        vel.d1_sup * kernel.d1_l1 + vel.d2_sup * sigma0_l1 * kernel.d1_sup
     )
-    if k1 > 0.0 and horizon > 0.0:
-        log_k2 = math.log(k1) + log_l1_time_rate + math.log(horizon)
-    else:
-        log_k2 = -math.inf
-    k3 = 1.0 + k1 * min(tau1, tau2)
     return StabilityConstants(
         rate=k1,
-        log_delay_weight=log_k2,
-        datum_weight=k3,
+        log_delay_weight=log_term(k1) + log_l1_time_rate + log_term(horizon),
+        datum_weight=1.0 + k1 * min(tau1, tau2),
         tau1=tau1,
         tau2=tau2,
     )
@@ -297,16 +281,11 @@ def stability_constants(
 
 def stability_bound(consts: StabilityConstants, t: float, datum_distance: float) -> float:
     """e^{K1 t} (K3 d0 + K2 |tau1 - tau2|); inf when it overflows."""
-    dtau = abs(consts.tau1 - consts.tau2)
-    terms = []
-    if datum_distance > 0.0:
-        terms.append(math.log(consts.datum_weight * datum_distance))
-    if dtau > 0.0 and consts.log_delay_weight > -math.inf:
-        terms.append(consts.log_delay_weight + math.log(dtau))
-    if not terms:
-        return 0.0
-    log_sum = terms[0] if len(terms) == 1 else float(np.logaddexp(terms[0], terms[1]))
-    return exp_or_inf(consts.rate * t + log_sum)
+    log_sum = np.logaddexp(
+        log_term(consts.datum_weight * datum_distance),
+        consts.log_delay_weight + log_term(abs(consts.tau1 - consts.tau2)),
+    )
+    return exp_or_inf(consts.rate * t + float(log_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +579,7 @@ class DiagnosticsCollector:
 
         if self.tv_ceiling:
             bound = self.constants.tv_bound_at(t)
-            if tv > bound * (1.0 + 1e-12) + 1e-12:
+            if tv > bound * (1.0 + BOUND_TOL) + BOUND_TOL:
                 raise InvariantViolation(
                     f"step {n}: total variation {tv} exceeds the ceiling {bound}"
                 )

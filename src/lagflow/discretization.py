@@ -14,11 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model_functions import (
-    KERNEL_CONSTANT,
-    BoundSet,
-    Kernel,
-)
+from .model_functions import KERNEL_CONSTANT, Kernel, Saturation, Velocity, flux_speed
 
 #: Relative tolerance for "a length is a whole number of cells".
 _REL_TOL_CELLS = 1e-9
@@ -132,7 +128,9 @@ def discretize_kernel(kernel: Kernel, grid: Grid) -> KernelWeights:
     return KernelWeights(w=w, dx=dx)
 
 
-def cfl_dt_lf(bounds: BoundSet, dx: float, safety: float = 1.0) -> tuple[float, float]:
+def cfl_dt_lf(
+    vel: Velocity, sat: Saturation, dx: float, safety: float = 1.0
+) -> tuple[float, float]:
     """Viscosity and time step for the Lax-Friedrichs scheme.
 
     alpha = V (1 + R sup|f'|) is the minimal admissible viscosity, and
@@ -141,17 +139,16 @@ def cfl_dt_lf(bounds: BoundSet, dx: float, safety: float = 1.0) -> tuple[float, 
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    speed = bounds.v_max * (1.0 + bounds.rho_max * bounds.f_prime)
-    alpha = speed
+    alpha = speed = flux_speed(vel, sat)
     return alpha, safety * dx / (alpha + speed)
 
 
-def cfl_dt_hw(bounds: BoundSet, dx: float, safety: float = 1.0) -> float:
+def cfl_dt_hw(vel: Velocity, sat: Saturation, dx: float, safety: float = 1.0) -> float:
     """Time step for the Hilliges-Weidlich scheme:
     dt = safety * dx / (V (1 + R sup|f'|))."""
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    return safety * dx / (bounds.v_max * (1.0 + bounds.rho_max * bounds.f_prime))
+    return safety * dx / flux_speed(vel, sat)
 
 
 def fit_delay_steps(tau: float, dt: float) -> tuple[int, float]:

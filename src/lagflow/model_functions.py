@@ -7,9 +7,10 @@ from three ingredient families:
   saturation f    non-increasing free-space factor in [0, 1], f(R) = 0
   kernel omega    non-increasing look-ahead weight on [0, L] with integral 1
 
-Each family stores its parameters together with the analytic sup-norms of its
-derivatives; every CFL condition and every theoretical constant consumes these
-exact values, never finite-difference estimates.
+Each family exposes the analytic sup-norms of its derivatives as properties,
+None where a bound does not exist; every CFL condition and every theoretical
+constant reads them from the model objects, never finite-difference
+estimates.
 """
 
 from __future__ import annotations
@@ -182,39 +183,9 @@ class Kernel:
         return np.where(on, (2.0 / self.length) * (1.0 - x / self.length), 0.0)
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    """Analytic sup-norms of the model ingredients plus the capacity box.
+def flux_speed(vel: Velocity, sat: Saturation) -> float:
+    """V (1 + R sup|f'|), the bound on the wave speed |(rho f(rho))'| v on [0, R].
 
-    v_dprime is None when the velocity is not C^2; every constant that needs
-    it is then reported as unavailable.
+    Both CFL rules and both time-Lipschitz brackets use it.
     """
-
-    v_max: float
-    rho_max: float
-    v_prime: float
-    v_dprime: float | None
-    f_prime: float
-    omega_sup: float
-    omega_d1_l1: float
-    omega_d1_sup: float
-
-    @property
-    def smooth(self) -> bool:
-        return self.v_dprime is not None
-
-
-def derivative_bounds(vel: Velocity, sat: Saturation, kernel: Kernel) -> BoundSet:
-    """Collect the analytic derivative sup-norms of one model choice."""
-    if sat.kind != SAT_NONE and sat.rho_max != vel.rho_max:
-        raise ValueError("saturation and velocity must share rho_max")
-    return BoundSet(
-        v_max=vel.v_max,
-        rho_max=vel.rho_max,
-        v_prime=vel.d1_sup,
-        v_dprime=vel.d2_sup,
-        f_prime=sat.d1_sup,
-        omega_sup=kernel.sup,
-        omega_d1_l1=kernel.d1_l1,
-        omega_d1_sup=kernel.d1_sup,
-    )
+    return vel.v_max * (1.0 + vel.rho_max * sat.d1_sup)

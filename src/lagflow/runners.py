@@ -5,7 +5,8 @@ outputs on the same build of NumPy.  Across NumPy builds the numbers agree
 within 1e-12 relative, not bit for bit, because summation order may differ
 (the datum's total variation tv0 moves by one ulp).  Every runner embeds
 the invariant checks from diagnostics; a violated invariant raises
-InvariantViolation out of the run.
+InvariantViolation out of the run.  Each study resolves, and so validates
+and budgets, every run before the first march.
 
 File formats:
   snapshot_t<time>.csv   header x,rho; one row per cell center
@@ -24,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
+    BOUND_TOL,
+    LEVEL_TOL,
     BoundConstants,
-    ConstantsUnavailable,
     DiagnosticsCollector,
     InvariantViolation,
     StabilityConstants,
@@ -33,6 +35,7 @@ from .diagnostics import (
     exp_or_inf,
     l1_distance,
     l1_norm,
+    log_term,
     stability_bound,
     stability_constants,
     total_variation,
@@ -47,14 +50,7 @@ from .discretization import (
     project_initial_datum,
     whole_cells,
 )
-from .model_functions import (
-    SAT_NONE,
-    BoundSet,
-    Kernel,
-    Saturation,
-    Velocity,
-    derivative_bounds,
-)
+from .model_functions import SAT_NONE, Kernel, Saturation, Velocity
 from .scenario import Scenario, ScenarioError
 from .schemes import LAX_FRIEDRICHS, history_bytes, step_count
 from .schemes import run as advance
@@ -71,6 +67,9 @@ __all__ = [
     "stability_experiment",
     "saturation_study",
 ]
+
+#: Largest delay history (schemes.history_bytes) a run may hold: 4 GiB.
+HISTORY_BUDGET_BYTES = 4 << 30
 
 
 def _fmt(value) -> str:
@@ -105,7 +104,6 @@ class ResolvedRun:
     weights: KernelWeights
     velocity: Velocity
     saturation: Saturation
-    bounds: BoundSet
     scheme: str
     boundary: str
     rho0: np.ndarray
@@ -128,18 +126,19 @@ class SimulationResult:
 
 
 def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRun:
-    """Project the datum, fix dt by the scheme's CFL rule, fit the delay.
+    """Fix dt by the scheme's CFL rule, fit the delay, project the datum.
 
-    thorough=False turns the per-step entropy assertion into record-row
-    observation (used for auxiliary reference runs).
+    A run whose delay history would exceed HISTORY_BUDGET_BYTES is refused
+    with a ScenarioError before anything is allocated.  thorough=False
+    turns the per-step entropy assertion into record-row observation (used
+    for auxiliary reference runs).
     """
     vel = scenario.velocity
     sat = scenario.saturation
-    bounds = derivative_bounds(vel, sat, scenario.kernel)
     if scenario.scheme == LAX_FRIEDRICHS:
-        alpha, dt = cfl_dt_lf(bounds, scenario.dx, scenario.safety)
+        alpha, dt = cfl_dt_lf(vel, sat, scenario.dx, scenario.safety)
     else:
-        alpha, dt = None, cfl_dt_hw(bounds, scenario.dx, scenario.safety)
+        alpha, dt = None, cfl_dt_hw(vel, sat, scenario.dx, scenario.safety)
     grid = build_grid(
         scenario.x_min,
         scenario.x_max,
@@ -149,18 +148,19 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
         scenario.kernel.length,
         alpha,
     )
+    n_steps = step_count(scenario.t_final, grid.dt)
+    need = history_bytes(grid.n_cells, grid.delay_steps, n_steps)
+    if need > HISTORY_BUDGET_BYTES:
+        raise ScenarioError(
+            f"the delay history needs {need} bytes, over the {HISTORY_BUDGET_BYTES}-byte budget"
+        )
     weights = discretize_kernel(scenario.kernel, grid)
-    datum = scenario.make_datum()
-    rho0 = project_initial_datum(datum, grid)
+    rho0 = project_initial_datum(scenario.make_datum(), grid)
     tv0 = total_variation(rho0, scenario.boundary)
     rho0_l1 = l1_norm(rho0, grid.dx)
-    try:
-        constants = bound_constants(
-            bounds, alpha, scenario.t_final, grid.tau, tv0, rho0_l1, scenario.scheme
-        )
-    except ConstantsUnavailable:
-        constants = None
-    n_steps = step_count(scenario.t_final, grid.dt)
+    constants = bound_constants(
+        vel, sat, scenario.kernel, alpha, scenario.t_final, grid.tau, tv0, rho0_l1, scenario.scheme
+    )
     stride = scenario.stride if scenario.stride is not None else max(1, n_steps // 100)
     return ResolvedRun(
         scenario=scenario,
@@ -168,7 +168,6 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
         weights=weights,
         velocity=vel,
         saturation=sat,
-        bounds=bounds,
         scheme=scenario.scheme,
         boundary=scenario.boundary,
         rho0=rho0,
@@ -271,8 +270,7 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
     c = resolved.constants
     if c is not None:
         space_time_bound_log = np.logaddexp(
-            math.log(s.t_final * col.sup_tv) if s.t_final * col.sup_tv > 0 else -math.inf,
-            c.log_l1_time_rate + (math.log(s.t_final) if s.t_final > 0 else -math.inf),
+            log_term(s.t_final * col.sup_tv), c.log_l1_time_rate + log_term(s.t_final)
         )
         space_time_bound = exp_or_inf(float(space_time_bound_log))
         items += [
@@ -338,16 +336,6 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> dict:
     }
 
 
-def _variant(scenario: Scenario, snapshot_times=(), *, thorough: bool = True, **changes):
-    """Resolve and simulate the scenario with the field ``changes`` applied.
-
-    dataclasses.replace builds a new Scenario, so each variant is validated
-    before it is resolved.  Returns (resolved, result).
-    """
-    resolved = resolve_scenario(dataclasses.replace(scenario, **changes), thorough=thorough)
-    return resolved, simulate(resolved, snapshot_times)
-
-
 def restrict_to_coarse(fine: np.ndarray, factor: int) -> np.ndarray:
     """Average consecutive groups of `factor` fine cells (conservative)."""
     if fine.size % factor:
@@ -366,9 +354,12 @@ def compare_schemes(scenario: Scenario, ref_dx: float, out_dir: str | Path | Non
         factor = whole_cells(scenario.dx, ref_dx, "dx")
     except ValueError as exc:
         raise ScenarioError(f"ref_dx: {exc}") from exc
-    reference = dataclasses.replace(scenario, scheme="lf", dx=ref_dx)
-    finals = {scheme: _variant(scenario, scheme=scheme) for scheme in ("lf", "hw")}
-    ref_resolved, ref_sim = _variant(reference, thorough=False)
+    resolved = [resolve_scenario(dataclasses.replace(scenario, scheme=k)) for k in ("lf", "hw")]
+    ref_resolved = resolve_scenario(
+        dataclasses.replace(scenario, scheme="lf", dx=ref_dx), thorough=False
+    )
+    finals = {res.scheme: (res, simulate(res)) for res in resolved}
+    ref_sim = simulate(ref_resolved)
     ref_coarse = restrict_to_coarse(ref_sim.final_level, factor)
     grid = finals["hw"][0].grid
     dist = {
@@ -398,9 +389,8 @@ def tau_sweep(scenario: Scenario, taus, out_dir: str | Path | None = None) -> di
     taus = [float(t) for t in taus]
     if 0.0 not in taus:
         taus = taus + [0.0]
-    # every delay is validated before the first march
-    variants = {tau: dataclasses.replace(scenario, tau=tau) for tau in taus}
-    runs = {tau: _variant(variant) for tau, variant in variants.items()}
+    resolved = {tau: resolve_scenario(dataclasses.replace(scenario, tau=tau)) for tau in taus}
+    runs = {tau: (res, simulate(res)) for tau, res in resolved.items()}
     base = runs[0.0]
     distances = {
         tau: l1_distance(sim.final_level, base[1].final_level, res.grid.dx)
@@ -436,12 +426,13 @@ def grid_refine(scenario: Scenario, levels: int, out_dir: str | Path | None = No
     if levels < 2:
         raise ScenarioError("grid refinement needs at least 2 levels")
     widths = [scenario.dx / 2**k for k in range(levels)]
+    resolved = [resolve_scenario(dataclasses.replace(scenario, dx=dx)) for dx in widths]
     finals = []
     maxima = []
     amplitudes = []
-    for dx in widths:
-        resolved, sim = _variant(scenario, dx=dx)
-        finals.append((dx, resolved, sim.final_level))
+    for dx, res in zip(widths, resolved):
+        sim = simulate(res)
+        finals.append((dx, res, sim.final_level))
         maxima.append(sim.collector.sup_density)
         amplitudes.append(float(sim.final_level.max() - sim.final_level.min()))
     diffs = []
@@ -490,15 +481,17 @@ def stability_experiment(
     if perturbation is not None:
         kind, params = perturbation
         changes.update(datum_kind=kind, datum_params=dict(params))
-    # built, and so validated, before either run marches
-    second_scenario = dataclasses.replace(scenario, **changes)
-    first, sim1 = _variant(scenario, scenario.snapshots)
-    second, sim2 = _variant(second_scenario, scenario.snapshots)
+    first = resolve_scenario(scenario)
+    second = resolve_scenario(dataclasses.replace(scenario, **changes))
+    sim1 = simulate(first, scenario.snapshots)
+    sim2 = simulate(second, scenario.snapshots)
     datum_distance = l1_distance(first.rho0, second.rho0, first.grid.dx)
     consts: StabilityConstants | None = None
     if first.constants is not None:
         consts = stability_constants(
-            first.bounds,
+            first.velocity,
+            first.saturation,
+            scenario.kernel,
             sim1.collector.sup_bv,
             second.rho0_l1,
             first.grid.tau,
@@ -511,7 +504,7 @@ def stability_experiment(
         measured = l1_distance(lev1, lev2, first.grid.dx)
         if consts is not None:
             bound = stability_bound(consts, t_act1, datum_distance)
-            if measured > bound * (1.0 + 1e-12) + 1e-12:
+            if measured > bound * (1.0 + BOUND_TOL) + BOUND_TOL:
                 raise InvariantViolation(
                     f"stability bound broken at t={t_act1}: {measured} > {bound}"
                 )
@@ -561,15 +554,21 @@ def saturation_study(scenario: Scenario, out_dir: str | Path | None = None) -> d
         "linear": Saturation("linear", rho_max=velocity.rho_max),
         "exponential": Saturation("exponential", rho_max=velocity.rho_max, eps=0.02),
     }
+    resolved = {
+        name: resolve_scenario(
+            dataclasses.replace(scenario, velocity=velocity, saturation=sat, kernel=kernel)
+        )
+        for name, sat in variants.items()
+    }
     results = {}
     finals = {}
-    for name, sat in variants.items():
-        resolved, sim = _variant(scenario, velocity=velocity, saturation=sat, kernel=kernel)
+    for name, res in resolved.items():
+        sim = simulate(res)
         results[name] = {
             "max_density": sim.collector.sup_density,
-            "exceeds_ceiling": sim.collector.sup_density > velocity.rho_max + 1e-12,
+            "exceeds_ceiling": sim.collector.sup_density > velocity.rho_max + LEVEL_TOL,
         }
-        finals[name] = (resolved.grid, sim.final_level)
+        finals[name] = (res.grid, sim.final_level)
     report = {
         "rho_ceiling": velocity.rho_max,
         "variants": results,

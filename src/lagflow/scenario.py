@@ -34,13 +34,14 @@ A scenario file fully describes one simulation::
 
 Every Scenario is validated when it is built, whether parsed from a file
 or made with dataclasses.replace from another one: the domain, dx,
-t_final, the kernel length, tau, safety and the snapshot times must be
-finite, the domain and the kernel support whole numbers of cells, tau >=
-0, the scheme known, safety in (0, 1], datum values inside [0, rho_max],
-snapshots distinct and inside [0, t_final] and stride >= 1.  The parser
-checks only syntax: sections, keys, numbers and which keys each kind
-takes.  Unknown sections or keys are rejected by name, as are missing
-required keys.
+t_final, v_max, rho_max, eps (when set), the kernel length, tau, safety
+and the snapshot times must be finite, a saturation other than none must
+share the velocity's rho_max, the domain and the kernel support whole
+numbers of cells, tau >= 0, the scheme known, safety in (0, 1], datum
+values inside [0, rho_max], snapshots distinct and inside [0, t_final]
+and stride >= 1.  The parser checks only syntax: sections, keys, numbers
+and which keys each kind takes.  Unknown sections or keys are rejected by
+name, as are missing required keys.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from pathlib import Path
 
 from . import initial_data
 from .discretization import whole_cells
-from .model_functions import GREENSHIELDS, SAT_EXPONENTIAL, Kernel, Saturation, Velocity
+from .model_functions import GREENSHIELDS, SAT_EXPONENTIAL, SAT_NONE, Kernel, Saturation, Velocity
 from .schemes import BOUNDARY_KINDS, FREE_FLOW, SCHEME_KINDS
 
 
@@ -105,6 +106,9 @@ class Scenario:
             ("domain", "x_max", self.x_max),
             ("domain", "dx", self.dx),
             ("domain", "t_final", self.t_final),
+            ("model", "v_max", self.velocity.v_max),
+            ("model", "rho_max", self.velocity.rho_max),
+            *(("model", "eps", eps) for eps in (self.saturation.eps,) if eps is not None),
             ("model", "kernel_length", self.kernel.length),
             ("model", "tau", self.tau),
             ("scheme", "safety", self.safety),
@@ -112,6 +116,8 @@ class Scenario:
         ):
             if not math.isfinite(value):
                 raise ScenarioError(f"[{section}] {key}: {value} is not finite")
+        if self.saturation.kind != SAT_NONE and self.saturation.rho_max != self.velocity.rho_max:
+            raise ScenarioError("[model] saturation and velocity must share rho_max")
         if not self.x_max > self.x_min:
             raise ScenarioError("[domain] x_max must exceed x_min")
         if not self.dx > 0:

@@ -8,7 +8,6 @@ import pytest
 from lagflow import diagnostics
 from lagflow.diagnostics import (
     SPEED_TOL,
-    ConstantsUnavailable,
     DiagnosticsCollector,
     InvariantViolation,
     bound_constants,
@@ -26,14 +25,17 @@ from lagflow.diagnostics import (
     tv_bound,
 )
 from lagflow.discretization import build_grid, discretize_kernel
-from lagflow.model_functions import Kernel, Saturation, Velocity, derivative_bounds
+from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.schemes import FREE_FLOW, PERIODIC, extend3, hw_step, lf_step, run
 
 
-def _bounds(length=0.1):
-    vel = Velocity("normalized_greenshields")
-    sat = Saturation("linear", rho_max=1.0)
-    return derivative_bounds(vel, sat, Kernel("constant", length=length))
+def _model():
+    """Normalized velocity, linear saturation, constant kernel of length 0.1."""
+    return (
+        Velocity("normalized_greenshields"),
+        Saturation("linear", rho_max=1.0),
+        Kernel("constant", length=0.1),
+    )
 
 
 def test_l1_and_sup_norms():
@@ -98,7 +100,7 @@ def test_bound_constants_frozen_rates():
     """Normalized velocity, linear saturation, constant kernel L = 0.1:
     G = 4/L = 40 and H = 2/L = 20."""
     c = bound_constants(
-        _bounds(), alpha=None, horizon=0.5, tau=0.1, tv0=1.0, rho0_l1=0.5, scheme="hw"
+        *_model(), alpha=None, horizon=0.5, tau=0.1, tv0=1.0, rho0_l1=0.5, scheme="hw"
     )
     assert c.tv_rate_current == pytest.approx(40.0)
     assert c.tv_rate_lagged == pytest.approx(20.0)
@@ -106,33 +108,30 @@ def test_bound_constants_frozen_rates():
 
 
 def test_bound_constants_need_smooth_velocity():
-    vel = Velocity("cropped")
-    sat = Saturation("linear", rho_max=1.0)
-    b = derivative_bounds(vel, sat, Kernel("constant", length=0.1))
-    with pytest.raises(ConstantsUnavailable):
-        bound_constants(b, None, 0.5, 0.1, 1.0, 0.5, "hw")
+    """Without sup|v''| the constants are unavailable: None, not an error."""
+    _vel, sat, kernel = _model()
+    cropped = Velocity("cropped")
+    assert bound_constants(cropped, sat, kernel, None, 0.5, 0.1, 1.0, 0.5, "hw") is None
 
 
 def test_bound_constants_lf_needs_alpha():
     with pytest.raises(ValueError):
-        bound_constants(_bounds(), None, 0.5, 0.1, 1.0, 0.5, "lf")
+        bound_constants(*_model(), None, 0.5, 0.1, 1.0, 0.5, "lf")
 
 
 def test_time_rate_brackets_differ_by_scheme():
     """LF pays alpha + V(1 + R|f'|); HW pays V(1 + R|f'|)."""
-    b = _bounds()
-    lf = bound_constants(b, 2.0, 0.01, 0.0, 1.0, 0.0, "lf")
-    hw = bound_constants(b, None, 0.01, 0.0, 1.0, 0.0, "hw")
+    lf = bound_constants(*_model(), 2.0, 0.01, 0.0, 1.0, 0.0, "lf")
+    hw = bound_constants(*_model(), None, 0.01, 0.0, 1.0, 0.0, "hw")
     # with rho0_l1 = 0 the constant is bracket * amplification * tv0
     ratio = lf.l1_time_rate / hw.l1_time_rate
     assert ratio == pytest.approx((2.0 + 2.0) / 2.0)
 
 
 def test_stability_bound_reduces_to_datum_term_for_equal_delays():
-    b = _bounds()
-    base = bound_constants(b, None, 0.5, 0.1, 1.0, 0.5, "hw")
+    base = bound_constants(*_model(), None, 0.5, 0.1, 1.0, 0.5, "hw")
     consts = stability_constants(
-        b,
+        *_model(),
         sup_bv=2.0,
         sigma0_l1=0.5,
         tau1=0.1,
@@ -148,9 +147,8 @@ def test_stability_bound_reduces_to_datum_term_for_equal_delays():
 
 
 def test_stability_bound_overflow_is_infinity():
-    b = _bounds()
-    base = bound_constants(b, None, 0.5, 0.1, 1.0, 0.5, "hw")
-    consts = stability_constants(b, 1e6, 0.5, 0.1, 0.05, base.log_l1_time_rate, 0.5)
+    base = bound_constants(*_model(), None, 0.5, 0.1, 1.0, 0.5, "hw")
+    consts = stability_constants(*_model(), 1e6, 0.5, 0.1, 0.05, base.log_l1_time_rate, 0.5)
     assert stability_bound(consts, 0.5, 0.1) == math.inf
 
 
@@ -309,12 +307,13 @@ def test_lipschitz_check_rejects_fast_drift():
 
 
 def _collector(n_final=4, tau=0.02, dx=0.05, boundary=FREE_FLOW):
-    vel = Velocity("normalized_greenshields")
-    sat = Saturation("linear", rho_max=1.0)
+    vel, sat, kernel = _model()
     grid = build_grid(0.0, 1.0, dx, 0.01, tau, 0.1)
-    weights = discretize_kernel(Kernel("constant", length=0.1), grid)
+    weights = discretize_kernel(kernel, grid)
     c = bound_constants(
-        derivative_bounds(vel, sat, Kernel("constant", length=0.1)),
+        vel,
+        sat,
+        kernel,
         None,
         n_final * grid.dt,
         grid.tau,

@@ -17,15 +17,14 @@ from lagflow.discretization import (
     whole_cells,
 )
 from lagflow.initial_data import Box, Constant, OscSin, Riemann, make_datum
-from lagflow.model_functions import Kernel, Saturation, Velocity, derivative_bounds
+from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import PRESET_NAMES, preset_scenario
 from lagflow.runners import resolve_scenario
 
 
-def _bounds(vel="normalized_greenshields", sat="linear", length=0.1, eps=None, **kw):
-    v = Velocity(vel, **kw)
-    s = Saturation(sat, rho_max=v.rho_max, eps=eps) if sat != "none" else Saturation("none")
-    return derivative_bounds(v, s, Kernel("constant", length=length))
+def _model(sat="linear"):
+    """Normalized velocity (V = R = 1) with the given saturation."""
+    return Velocity("normalized_greenshields"), Saturation(sat)
 
 
 def test_kernel_cell_count_accepts_whole_multiples():
@@ -69,22 +68,19 @@ def test_kernel_weights_sum_to_unit_mass(kind, n_cells, dx):
 
 def test_cfl_lf_matches_hand_formula():
     # normalized v (V=1, R=1), linear f (|f'| = 1): alpha = V(1 + R|f'|) = 2
-    b = _bounds()
-    alpha, dt = cfl_dt_lf(b, 0.01)
+    alpha, dt = cfl_dt_lf(*_model(), 0.01)
     assert alpha == pytest.approx(2.0)
     # dt = dx / (alpha + V(1 + R|f'|)) = 0.01 / 4
     assert dt == pytest.approx(0.0025)
 
 
 def test_cfl_hw_matches_hand_formula():
-    b = _bounds()
-    assert cfl_dt_hw(b, 0.01) == pytest.approx(0.005)
-    assert cfl_dt_hw(b, 0.01, safety=0.5) == pytest.approx(0.0025)
+    assert cfl_dt_hw(*_model(), 0.01) == pytest.approx(0.005)
+    assert cfl_dt_hw(*_model(), 0.01, safety=0.5) == pytest.approx(0.0025)
 
 
 def test_cfl_without_saturation_is_velocity_only():
-    b = _bounds(sat="none")
-    assert cfl_dt_hw(b, 0.01) == pytest.approx(0.01)
+    assert cfl_dt_hw(*_model(sat="none"), 0.01) == pytest.approx(0.01)
 
 
 def test_fit_delay_steps_zero_delay():

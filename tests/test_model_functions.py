@@ -10,7 +10,7 @@ from lagflow.model_functions import (
     Kernel,
     Saturation,
     Velocity,
-    derivative_bounds,
+    flux_speed,
 )
 
 
@@ -105,36 +105,19 @@ def test_kernel_derivative_norms():
     assert flat.d1_l1 == pytest.approx(4.0)
 
 
-def test_derivative_bounds_collects_exact_values():
+def test_flux_speed_is_v_max_times_one_plus_r_f_prime():
+    """V (1 + R sup|f'|) from the model objects' own bounds."""
     vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
-    sat = Saturation("linear", rho_max=1.7)
-    ker = Kernel("constant", length=0.015)
-    b = derivative_bounds(vel, sat, ker)
-    assert b.v_max == 0.9
-    assert b.rho_max == 1.7
-    assert b.v_prime == pytest.approx(0.9 / 1.7)
-    assert b.v_dprime == 0.0
-    assert b.f_prime == pytest.approx(1.0 / 1.7)
-    assert b.omega_sup == pytest.approx(1.0 / 0.015)
-    assert b.smooth
-
-
-def test_derivative_bounds_rejects_mismatched_capacity():
-    vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
-    sat = Saturation("linear", rho_max=1.0)
-    with pytest.raises(ValueError):
-        derivative_bounds(vel, sat, Kernel("constant", length=0.1))
-
-
-def test_derivative_bounds_none_saturation_ignores_capacity():
-    vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
-    b = derivative_bounds(vel, Saturation(SAT_NONE), Kernel("constant", length=0.1))
-    assert b.f_prime == 0.0
+    assert flux_speed(vel, Saturation("linear", rho_max=1.7)) == pytest.approx(1.8)
+    sharp = Saturation("exponential", rho_max=1.7, eps=0.02)
+    assert flux_speed(vel, sharp) == pytest.approx(0.9 * (1.0 + 1.7 * 50.0))
+    assert flux_speed(vel, Saturation(SAT_NONE)) == 0.9
 
 
 def test_cropped_bounds_report_not_smooth():
-    b = derivative_bounds(
-        Velocity("cropped"), Saturation("linear", rho_max=1.0), Kernel("constant", length=0.1)
-    )
-    assert not b.smooth
-    assert b.v_dprime is None
+    """The cropped velocity keeps its first-order bound, so the CFL speed
+    exists, but has no sup|v''|."""
+    vel = Velocity("cropped")
+    assert flux_speed(vel, Saturation("linear", rho_max=1.0)) == 2.0
+    assert not vel.smooth
+    assert vel.d2_sup is None

@@ -1,14 +1,16 @@
 """Experiment runners: resolution, artifacts, determinism, study reports."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lagflow import runners
 from lagflow.model_functions import Kernel, Saturation, Velocity
-from lagflow.presets import preset_scenario
+from lagflow.presets import PRESET_NAMES, preset_scenario
 from lagflow.runners import (
     compare_schemes,
     grid_refine,
@@ -215,6 +217,51 @@ def no_march(monkeypatch):
         raise AssertionError("a run marched before validation failed")
 
     monkeypatch.setattr(runners, "advance", refuse)
+
+
+GOLDEN_CONSTANTS = Path(__file__).with_name("golden_constants.json")
+
+
+def test_resolved_constants_match_golden_table(no_march):
+    """Every preset x scheme resolves, without marching, to the viscosity,
+    time step, delay steps and bound constants in tests/golden_constants.json:
+    floats to 1e-12 relative, delay_steps exactly.  A cropped velocity has no
+    constants."""
+    golden = json.loads(GOLDEN_CONSTANTS.read_text())
+    assert sorted(golden) == sorted(f"{n}/{s}" for n in PRESET_NAMES for s in ("lf", "hw"))
+    for key, want in golden.items():
+        name, scheme = key.split("/")
+        r = resolve_scenario(dataclasses.replace(preset_scenario(name), scheme=scheme))
+        assert r.grid.delay_steps == want["delay_steps"], key
+        got = {"alpha": r.grid.alpha, "dt": r.grid.dt}
+        got.update(
+            (field, getattr(r.constants, field))
+            for field in (
+                "tv_rate_current",
+                "tv_rate_lagged",
+                "log_tv_amplification_at_horizon",
+                "log_l1_time_rate",
+            )
+        )
+        assert sorted(got) == sorted(set(want) - {"delay_steps"}), key
+        for field, value in got.items():
+            if want[field] is None:
+                assert value is None, (key, field)
+            else:
+                assert math.isclose(value, want[field], rel_tol=1e-12), (key, field, value)
+    cropped = dataclasses.replace(preset_scenario("osc_sat"), velocity=Velocity("cropped"))
+    assert resolve_scenario(cropped).constants is None
+
+
+def test_history_over_budget_refused_before_marching(no_march):
+    """A delay history above 4 GiB is refused when the run is resolved, and
+    grid_refine resolves every level before the first one marches: here the
+    first two levels fit (0.5 and 2 GB) and the third (8 GB) does not."""
+    budget = r"needs \d+ bytes, over the 4294967296-byte budget$"
+    with pytest.raises(ScenarioError, match=budget):
+        resolve_scenario(_tiny(dx=1e-5, tau=0.05))
+    with pytest.raises(ScenarioError, match=budget):
+        grid_refine(_tiny(dx=4e-5, tau=0.05), levels=3)
 
 
 def test_saturation_study_rejects_datum_above_unit_capacity_before_marching(no_march):

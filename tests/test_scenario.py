@@ -29,6 +29,14 @@ MINIMAL = {
 }
 
 
+#: [model] settings a key needs before the parser accepts it.
+_APPLIES_UNDER = {
+    "v_max": {"velocity": "greenshields", "v_max": "0.9", "rho_max": "1.7"},
+    "rho_max": {"velocity": "greenshields", "v_max": "0.9", "rho_max": "1.7"},
+    "eps": {"saturation": "exponential", "eps": "0.02"},
+}
+
+
 def _sections(**overrides):
     merged = {name: dict(body) for name, body in MINIMAL.items()}
     for name, body in overrides.items():
@@ -131,6 +139,12 @@ def test_duplicate_snapshot_times_rejected():
         ("domain", "x_max", "inf"),
         ("domain", "dx", "nan"),
         ("domain", "t_final", "inf"),
+        ("model", "v_max", "nan"),
+        ("model", "v_max", "inf"),
+        ("model", "rho_max", "nan"),
+        ("model", "rho_max", "inf"),
+        ("model", "eps", "nan"),
+        ("model", "eps", "inf"),
         ("model", "kernel_length", "inf"),
         ("model", "tau", "inf"),
         ("scheme", "safety", "nan"),
@@ -138,8 +152,27 @@ def test_duplicate_snapshot_times_rejected():
     ],
 )
 def test_non_finite_numbers_rejected_by_key_name(section, key, raw):
+    body = {**_APPLIES_UNDER.get(key, {}), key: raw}
     with pytest.raises(ScenarioError, match=rf"^\[{section}\] {key}: -?(inf|nan) is not finite$"):
-        scenario_from_sections(_sections(**{section: {key: raw}}))
+        scenario_from_sections(_sections(**{section: body}))
+
+
+def test_mismatched_capacity_rejected():
+    """The saturation and the velocity share R, also in a directly built
+    Scenario."""
+    base = scenario_from_sections(MINIMAL)
+    wide = Velocity("greenshields", v_max=0.9, rho_max=1.7)
+    with pytest.raises(
+        ScenarioError, match=r"^\[model\] saturation and velocity must share rho_max$"
+    ):
+        dataclasses.replace(base, velocity=wide)
+
+
+def test_none_saturation_ignores_capacity():
+    base = scenario_from_sections(MINIMAL)
+    wide = Velocity("greenshields", v_max=0.9, rho_max=1.7)
+    s = dataclasses.replace(base, velocity=wide, saturation=Saturation("none"))
+    assert s.saturation.rho_max != s.velocity.rho_max
 
 
 def test_greenshields_requires_both_parameters():
