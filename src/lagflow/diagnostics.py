@@ -435,6 +435,20 @@ def lipschitz_in_time_check(
 # ---------------------------------------------------------------------------
 # per-run collector
 
+#: Bytes of each of the collector's block buffers (levels, speed fields,
+#: lagged levels, scratch); see block_rows.
+BLOCK_BYTES = 1 << 17
+
+
+def block_rows(n_cells: int) -> int:
+    """Steps the collector checks per block: J-cell float64 rows in BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * n_cells))
+
+
+def block_bytes(n_cells: int) -> int:
+    """Bytes of one collector's buffers: four (B, J) blocks and the carry row."""
+    return (4 * block_rows(n_cells) + 1) * n_cells * 8
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -470,15 +484,27 @@ class DiagnosticsCollector:
     Hilliges-Weidlich scheme and auxiliary reference runs do.  Periodic runs
     assert mass conservation (conserve_mass).
 
-    Positivity, the maximum principle, mass conservation, the TV ceiling
-    and the asserted entropy residual are checked at every step.  The speed
-    adjacent-difference bound is checked once per speed field: schemes.run
-    hands the same read-only v_lag to consecutive steps that read the same
-    lagged level, so a call whose v_lag is the previous call's object
-    skips it.  Records are kept at step 0, every ``stride`` steps, and the
-    final step.  Running maxima (sup TV, sup BV norm, worst entropy
-    residual, mass drift) and the space-time variation accumulators are
-    exposed as attributes.
+    Every step is checked: positivity, the maximum principle, mass
+    conservation, the TV ceiling and the asserted entropy residual at each
+    one, and the speed adjacent-difference bound once per speed field
+    (schemes.run hands the same read-only v_lag to consecutive steps that
+    read the same lagged level, so a call whose v_lag is the previous
+    call's object brings no new field).  The checks run a block of steps
+    at a time: a call copies its level, and a new field with its lagged
+    level, into preallocated buffers of block_rows(J) rows, and flush()
+    reduces the whole block with one NumPy call per statistic, then walks
+    its rows in step order.  A violation therefore surfaces up to a block
+    later than its step, but reports its own step with the message a
+    per-step check would give, and an earlier step's violation wins.
+    flush() runs when the block is full and at step n_final; a caller that
+    stops before n_final (runners.simulate on a StepError) calls it
+    itself.  Calls come with n = 0, 1, 2, ... in order, as schemes.run
+    makes them.
+
+    Records are kept at step 0, every ``stride`` steps, and the final step.
+    Running maxima (sup TV, sup BV norm, worst entropy residual, mass
+    drift) and the space-time variation accumulators are exposed as
+    attributes and cover the flushed steps.
     """
 
     def __init__(
@@ -523,112 +549,176 @@ class DiagnosticsCollector:
         self.space_time_tv_space = 0.0
         self.space_time_tv_time = 0.0
         self._mass0: float | None = None
-        self._prev_level: np.ndarray | None = None
+        # levels of the block in rows 1..count; row 0 carries the last
+        # level of the previous block
+        rows, cells = block_rows(grid.n_cells), grid.n_cells
+        self._levels = np.empty((rows + 1, cells))
+        self._speeds = np.empty((rows, cells))
+        self._lagged = np.empty((rows, cells))
+        self._scratch = np.empty((rows, cells))
+        self._count = 0
+        self._last_n = -1
+        # block row at which each buffered speed field first appears
+        self._field_rows: list[int] = []
         self._prev_speeds: np.ndarray | None = None
+        # speed field, TV and extrema of the carry row's step
+        self._carry_speeds: np.ndarray | None = None
         self._prev_tv = 0.0
-        # default_kappas(R, previous level), built from the previous call's
+        self._prev_lo = self._prev_hi = math.nan
+        # default_kappas(R, previous level), built from the previous step's
         # extrema instead of new reductions over the level
         self._kappa_base = default_kappas(vel.rho_max)
-        self._prev_lo = self._prev_hi = math.nan
-
-    def _check_speeds(self, v_lag: np.ndarray, rho_sup_lagged: float, n: int) -> None:
-        if v_lag.size < 2:
-            return
-        reach = max(self.vel.rho_max, rho_sup_lagged)
-        ceiling = speed_increment_bound(self.vel, self.weights, reach)
-        gap = float(np.max(np.abs(np.diff(v_lag))))
-        if gap > ceiling + SPEED_TOL:
-            raise InvariantViolation(
-                f"step {n}: speed increment {gap} exceeds bound {ceiling}"
-            )
 
     def __call__(
         self, n: int, level: np.ndarray, lagged: np.ndarray, v_lag: np.ndarray
     ) -> None:
-        t = n * self.grid.dt
+        i = self._count
+        self._levels[i + 1] = level
         if v_lag is not self._prev_speeds:
-            self._check_speeds(v_lag, sup_norm(lagged), n)
+            field = len(self._field_rows)
+            self._speeds[field] = v_lag
+            self._lagged[field] = lagged
+            self._field_rows.append(i)
+            self._prev_speeds = v_lag
+        self._count = i + 1
+        self._last_n = n
+        if i + 1 == len(self._speeds) or n == self.n_final:
+            self.flush()
 
-        lo = float(np.min(level))
-        hi = float(np.max(level))
-        level_sup = max(abs(lo), abs(hi))
-        self.sup_density = max(self.sup_density, hi)
-        self.min_density = min(self.min_density, lo)
-        if self.positivity and lo < -LEVEL_TOL:
-            raise InvariantViolation(f"step {n}: negative density {lo}")
-        ceiling = self.rho_ceiling
-        if ceiling is not None and hi > ceiling + LEVEL_TOL:
-            raise InvariantViolation(
-                f"step {n}: density {hi} exceeds the ceiling {ceiling}"
-            )
+    def _check_speeds(self, count: int) -> tuple[list[float], list[float]]:
+        """Increment gap max|V_{j+1} - V_j| and its bound for each of the
+        block's first count speed fields.
 
-        mass = self.grid.dx * float(np.sum(level))
-        if self._mass0 is None:
-            self._mass0 = mass
-        elif self.conserve_mass:
-            scale = max(abs(self._mass0), 1.0)
-            drift = abs(mass - self._mass0) / scale
-            self.mass_drift_max = max(self.mass_drift_max, drift)
-            if drift > MASS_TOL:
-                raise InvariantViolation(f"step {n}: relative mass drift {drift}")
+        The bound is speed_increment_bound at reach max(R, sup|lagged|).
+        A field of fewer than two cells has no increment: no entries.
+        """
+        cells = self._speeds.shape[1]
+        if cells < 2:
+            return [], []
+        scratch = self._scratch[:count]
+        diff = scratch[:, : cells - 1]
+        speeds = self._speeds[:count]
+        np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
+        gaps = np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
+        sups = np.maximum.reduce(np.abs(self._lagged[:count], out=scratch), axis=1).tolist()
+        r = self.vel.rho_max
+        bounds = [speed_increment_bound(self.vel, self.weights, max(r, s)) for s in sups]
+        return gaps, bounds
 
-        tv = total_variation(level, self.boundary)
-        l1 = l1_norm(level, self.grid.dx)
-        self.sup_tv = max(self.sup_tv, tv)
-        self.sup_bv = max(self.sup_bv, tv + l1)
+    def flush(self) -> None:
+        """Check the buffered steps in step order; raise the first violation."""
+        m = self._count
+        if m == 0:
+            return
+        self._count = 0
+        field_rows, self._field_rows = self._field_rows, []
+        levels = self._levels
+        rows = levels[1 : m + 1]
+        scratch = self._scratch[:m]
+        grid = self.grid
+        # one reduction per statistic; each row's sum equals the 1-D sum of
+        # its level bit for bit (the same pairwise order along the row)
+        lows = np.minimum.reduce(rows, axis=1).tolist()
+        highs = np.maximum.reduce(rows, axis=1).tolist()
+        masses = (np.add.reduce(rows, axis=1) * grid.dx).tolist()
+        diff = scratch[:, : rows.shape[1] - 1]
+        np.subtract(rows[:, 1:], rows[:, :-1], out=diff)
+        tvs = np.add.reduce(np.abs(diff, out=diff), axis=1)
+        if self.boundary != FREE_FLOW:
+            tvs += np.abs(rows[:, 0] - rows[:, -1])
+        tvs = tvs.tolist()
+        l1s = (np.add.reduce(np.abs(rows, out=scratch), axis=1) * grid.dx).tolist()
+        np.subtract(rows, levels[:m], out=scratch)
+        dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
+        gaps, speed_bounds = self._check_speeds(len(field_rows))
 
-        if self.tv_ceiling:
-            bound = self.constants.tv_bound_at(t)
-            if tv > bound * (1.0 + BOUND_TOL) + BOUND_TOL:
+        speeds = self._carry_speeds
+        field = 0
+        field_row = field_rows[0] if field_rows else -1
+        for r in range(m):
+            n = self._last_n - m + 1 + r
+            t = n * grid.dt
+            new_field = r == field_row
+            if new_field and gaps and gaps[field] > speed_bounds[field] + SPEED_TOL:
+                raise InvariantViolation(
+                    f"step {n}: speed increment {gaps[field]} exceeds bound {speed_bounds[field]}"
+                )
+
+            lo, hi = lows[r], highs[r]
+            self.sup_density = max(self.sup_density, hi)
+            self.min_density = min(self.min_density, lo)
+            if self.positivity and lo < -LEVEL_TOL:
+                raise InvariantViolation(f"step {n}: negative density {lo}")
+            ceiling = self.rho_ceiling
+            if ceiling is not None and hi > ceiling + LEVEL_TOL:
+                raise InvariantViolation(
+                    f"step {n}: density {hi} exceeds the ceiling {ceiling}"
+                )
+
+            mass = masses[r]
+            if self._mass0 is None:
+                self._mass0 = mass
+            elif self.conserve_mass:
+                scale = max(abs(self._mass0), 1.0)
+                drift = abs(mass - self._mass0) / scale
+                self.mass_drift_max = max(self.mass_drift_max, drift)
+                if drift > MASS_TOL:
+                    raise InvariantViolation(f"step {n}: relative mass drift {drift}")
+
+            tv, l1 = tvs[r], l1s[r]
+            self.sup_tv = max(self.sup_tv, tv)
+            self.sup_bv = max(self.sup_bv, tv + l1)
+            is_row = n == 0 or n == self.n_final or n % self.stride == 0
+            bound = math.nan
+            if self.constants is not None and (self.tv_ceiling or is_row):
+                bound = self.constants.tv_bound_at(t)
+            if self.tv_ceiling and tv > bound * (1.0 + BOUND_TOL) + BOUND_TOL:
                 raise InvariantViolation(
                     f"step {n}: total variation {tv} exceeds the ceiling {bound}"
                 )
 
-        is_row = n == 0 or n == self.n_final or n % self.stride == 0
-        residual = math.nan
-        if n > 0:
-            self.space_time_tv_time += l1_distance(
-                level, self._prev_level, self.grid.dx
-            )
-            self.space_time_tv_space += self.grid.dt * self._prev_tv
-            want = self.entropy_assert or (self.entropy_watch and is_row)
-            if want:
-                residual = entropy_residual(
-                    self._prev_level,
-                    level,
-                    self._prev_speeds,
-                    self.grid.lam,
-                    self.sat,
-                    self.boundary,
-                    _with_extrema(self._kappa_base, self._prev_lo, self._prev_hi),
-                    scheme=self.scheme,
-                    alpha=self.grid.alpha,
-                )
-                self.entropy_max = max(self.entropy_max, residual)
-                if self.entropy_assert and residual > ENTROPY_TOL:
-                    raise InvariantViolation(
-                        f"step {n}: entropy residual {residual} above {ENTROPY_TOL}"
+            residual = math.nan
+            if n > 0:
+                self.space_time_tv_time += dists[r]
+                self.space_time_tv_space += grid.dt * self._prev_tv
+                if self.entropy_assert or (self.entropy_watch and is_row):
+                    residual = entropy_residual(
+                        levels[r],
+                        levels[r + 1],
+                        speeds,
+                        grid.lam,
+                        self.sat,
+                        self.boundary,
+                        _with_extrema(self._kappa_base, self._prev_lo, self._prev_hi),
+                        scheme=self.scheme,
+                        alpha=grid.alpha,
                     )
+                    self.entropy_max = max(self.entropy_max, residual)
+                    if self.entropy_assert and residual > ENTROPY_TOL:
+                        raise InvariantViolation(
+                            f"step {n}: entropy residual {residual} above {ENTROPY_TOL}"
+                        )
 
-        if is_row:
-            if self.constants is not None:
-                tv_ceiling_val = self.constants.tv_bound_at(t)
-            else:
-                tv_ceiling_val = math.nan
-            self.records.append(
-                DiagnosticsRecord(
-                    t=t,
-                    l1=l1,
-                    linf=level_sup,
-                    minimum=lo,
-                    maximum=hi,
-                    tv=tv,
-                    tv_ceiling=tv_ceiling_val,
-                    entropy_residual_max=residual,
+            if is_row:
+                self.records.append(
+                    DiagnosticsRecord(
+                        t=t,
+                        l1=l1,
+                        linf=max(abs(lo), abs(hi)),
+                        minimum=lo,
+                        maximum=hi,
+                        tv=tv,
+                        tv_ceiling=bound,
+                        entropy_residual_max=residual,
+                    )
                 )
-            )
 
-        self._prev_level = level
-        self._prev_speeds = v_lag
-        self._prev_tv = tv
-        self._prev_lo, self._prev_hi = lo, hi
+            if new_field:
+                speeds = self._speeds[field]
+                field += 1
+                field_row = field_rows[field] if field < len(field_rows) else -1
+            self._prev_tv = tv
+            self._prev_lo, self._prev_hi = lo, hi
+
+        self._carry_speeds = self._prev_speeds
+        levels[0] = levels[m]

@@ -31,6 +31,7 @@ from .diagnostics import (
     DiagnosticsCollector,
     InvariantViolation,
     StabilityConstants,
+    block_bytes,
     bound_constants,
     exp_or_inf,
     l1_distance,
@@ -52,7 +53,7 @@ from .discretization import (
 )
 from .model_functions import SAT_NONE, Kernel, Saturation, Velocity
 from .scenario import Scenario, ScenarioError
-from .schemes import LAX_FRIEDRICHS, history_bytes, step_count
+from .schemes import LAX_FRIEDRICHS, StepError, history_bytes, step_count
 from .schemes import run as advance
 
 __all__ = [
@@ -68,7 +69,8 @@ __all__ = [
     "saturation_study",
 ]
 
-#: Largest delay history (schemes.history_bytes) a run may hold: 4 GiB.
+#: Largest delay history (schemes.history_bytes) plus check block
+#: (diagnostics.block_bytes) a run may hold: 4 GiB.
 HISTORY_BUDGET_BYTES = 4 << 30
 
 
@@ -128,10 +130,10 @@ class SimulationResult:
 def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRun:
     """Fix dt by the scheme's CFL rule, fit the delay, project the datum.
 
-    A run whose delay history would exceed HISTORY_BUDGET_BYTES is refused
-    with a ScenarioError before anything is allocated.  thorough=False
-    turns the per-step entropy assertion into record-row observation (used
-    for auxiliary reference runs).
+    A run whose delay history and check block would exceed
+    HISTORY_BUDGET_BYTES is refused with a ScenarioError before anything
+    is allocated.  thorough=False turns the per-step entropy assertion
+    into record-row observation (used for auxiliary reference runs).
     """
     vel = scenario.velocity
     sat = scenario.saturation
@@ -149,10 +151,11 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
         alpha,
     )
     n_steps = step_count(scenario.t_final, grid.dt)
-    need = history_bytes(grid.n_cells, grid.delay_steps, n_steps)
+    need = history_bytes(grid.n_cells, grid.delay_steps, n_steps) + block_bytes(grid.n_cells)
     if need > HISTORY_BUDGET_BYTES:
         raise ScenarioError(
-            f"the delay history needs {need} bytes, over the {HISTORY_BUDGET_BYTES}-byte budget"
+            f"the delay history with the check block needs {need} bytes, "
+            f"over the {HISTORY_BUDGET_BYTES}-byte budget"
         )
     weights = discretize_kernel(scenario.kernel, grid)
     rho0 = project_initial_datum(scenario.make_datum(), grid)
@@ -181,7 +184,11 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
 
 
 def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
-    """Run the time loop with the diagnostics collector attached."""
+    """Run the time loop with the diagnostics collector attached.
+
+    On a StepError the collector first checks the steps it still holds, so
+    an invariant violation at an earlier step is raised instead.
+    """
     grid = resolved.grid
     collector = DiagnosticsCollector(
         grid=grid,
@@ -207,17 +214,21 @@ def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
             for t_req in want[n]:
                 captured.append((t_req, n * grid.dt, level.copy()))
 
-    final = advance(
-        grid,
-        resolved.weights,
-        resolved.velocity,
-        resolved.saturation,
-        resolved.scheme,
-        resolved.rho0,
-        resolved.scenario.t_final,
-        resolved.boundary,
-        observer,
-    )
+    try:
+        final = advance(
+            grid,
+            resolved.weights,
+            resolved.velocity,
+            resolved.saturation,
+            resolved.scheme,
+            resolved.rho0,
+            resolved.scenario.t_final,
+            resolved.boundary,
+            observer,
+        )
+    except StepError:
+        collector.flush()
+        raise
     captured.sort(key=lambda item: item[0])
     return SimulationResult(
         final_level=final,
@@ -257,6 +268,7 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
         ("alpha", grid.alpha),
         ("n_steps", resolved.n_steps),
         ("history_bytes", history_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
+        ("block_bytes", block_bytes(grid.n_cells)),
         ("final_time", sim.final_time),
         ("stride", resolved.stride),
         ("datum", s.datum_kind),

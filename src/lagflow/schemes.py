@@ -28,6 +28,7 @@ the first/last cell, periodic wraps.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable
 
@@ -125,10 +126,16 @@ def history_bytes(n_cells: int, h: int, n_steps: int) -> int:
 
 
 def _finite(out: np.ndarray) -> np.ndarray:
-    """out, or StepError naming its first non-finite cell."""
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmin(np.isfinite(out)))
-        raise StepError(f"non-finite density in cell {bad}")
+    """out, or StepError naming its first non-finite cell.
+
+    NaN and inf carry through a sum, so the cells are scanned only when
+    the sum of out is not finite; a finite level whose sum overflows is
+    scanned and passes.
+    """
+    if not math.isfinite(np.sum(out)):
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise StepError(f"non-finite density in cell {int(np.argmin(finite))}")
     return out
 
 
@@ -148,7 +155,7 @@ def lf_step(
         out = rho + 0.5 * lam * (
             alpha * (r[2:] - 2.0 * rho + r[:-2]) - (flux[2:] - flux[:-2])
         )
-    return _finite(out)
+        return _finite(out)
 
 
 def hw_step(
@@ -169,7 +176,7 @@ def hw_step(
         # flux[j] = flux through the right interface of (extended) cell j
         flux = r[:-1] * sat(r[1:]) * v[1:]
         out = rho - lam * (flux[1:] - flux[:-1])
-    return _finite(out)
+        return _finite(out)
 
 
 def step_count(t_final: float, dt: float) -> int:

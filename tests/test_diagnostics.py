@@ -24,7 +24,7 @@ from lagflow.diagnostics import (
     total_variation,
     tv_bound,
 )
-from lagflow.discretization import build_grid, discretize_kernel
+from lagflow.discretization import build_grid, cfl_dt_hw, cfl_dt_lf, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.schemes import FREE_FLOW, PERIODIC, extend3, hw_step, lf_step, run
 
@@ -350,15 +350,17 @@ def test_collector_detects_negative_density():
     col = _collector()
     bad = np.full(20, 0.5)
     bad[3] = -1e-6
+    col(0, bad, bad, np.full(20, 0.5))
     with pytest.raises(InvariantViolation, match="negative density"):
-        col(0, bad, bad, np.full(20, 0.5))
+        col.flush()
 
 
 def test_collector_detects_ceiling_violation():
     col = _collector()
     level = np.full(20, 1.5)
+    col(0, level, level, np.full(20, 0.5))
     with pytest.raises(InvariantViolation, match="ceiling 1.0"):
-        col(0, level, level, np.full(20, 0.5))
+        col.flush()
 
 
 def test_collector_detects_mass_drift():
@@ -366,8 +368,9 @@ def test_collector_detects_mass_drift():
     level = np.full(20, 0.5)
     v = np.full(20, 0.5)
     col(0, level, level, v)
+    col(1, level * 1.01, level, v)
     with pytest.raises(InvariantViolation, match="mass drift"):
-        col(1, level * 1.01, level, v)
+        col.flush()
 
 
 def test_collector_detects_speed_field_inconsistency():
@@ -380,8 +383,9 @@ def test_collector_detects_speed_field_inconsistency():
     level = np.full(100, 0.5)
     v = np.full(100, 0.5)
     v[50] = 0.9
+    col(0, level, level, v)
     with pytest.raises(InvariantViolation):
-        col(0, level, level, v)
+        col.flush()
 
 
 def test_collector_speed_ceiling_is_speed_increment_bound():
@@ -394,7 +398,266 @@ def test_collector_speed_ceiling_is_speed_increment_bound():
     v = np.zeros(100)
     v[50:] = limit
     col(0, level, level, v)
+    col.flush()
     v_next = np.zeros(100)
     v_next[50:] = np.nextafter(limit, math.inf)
+    col(1, level, level, v_next)
     with pytest.raises(InvariantViolation, match="speed increment"):
-        col(1, level, level, v_next)
+        col.flush()
+
+
+# ---------------------------------------------------------------------------
+# block checking against the per-step reference
+
+
+class _PerStepCollector(DiagnosticsCollector):
+    """Reference: every check runs inside the call, in the order and with
+    the messages of the block collector's row walk, from 1-D reductions of
+    the level itself."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._prev_level = None
+
+    def flush(self):
+        pass
+
+    def __call__(self, n, level, lagged, v_lag):
+        t = n * self.grid.dt
+        if v_lag is not self._prev_speeds and v_lag.size >= 2:
+            reach = max(self.vel.rho_max, sup_norm(lagged))
+            ceiling = speed_increment_bound(self.vel, self.weights, reach)
+            gap = float(np.max(np.abs(np.diff(v_lag))))
+            if gap > ceiling + SPEED_TOL:
+                raise InvariantViolation(f"step {n}: speed increment {gap} exceeds bound {ceiling}")
+        lo = float(np.min(level))
+        hi = float(np.max(level))
+        self.sup_density = max(self.sup_density, hi)
+        self.min_density = min(self.min_density, lo)
+        if self.positivity and lo < -diagnostics.LEVEL_TOL:
+            raise InvariantViolation(f"step {n}: negative density {lo}")
+        ceiling = self.rho_ceiling
+        if ceiling is not None and hi > ceiling + diagnostics.LEVEL_TOL:
+            raise InvariantViolation(f"step {n}: density {hi} exceeds the ceiling {ceiling}")
+        mass = self.grid.dx * float(np.sum(level))
+        if self._mass0 is None:
+            self._mass0 = mass
+        elif self.conserve_mass:
+            drift = abs(mass - self._mass0) / max(abs(self._mass0), 1.0)
+            self.mass_drift_max = max(self.mass_drift_max, drift)
+            if drift > diagnostics.MASS_TOL:
+                raise InvariantViolation(f"step {n}: relative mass drift {drift}")
+        tv = total_variation(level, self.boundary)
+        l1 = l1_norm(level, self.grid.dx)
+        self.sup_tv = max(self.sup_tv, tv)
+        self.sup_bv = max(self.sup_bv, tv + l1)
+        if self.tv_ceiling:
+            bound = self.constants.tv_bound_at(t)
+            if tv > bound * (1.0 + diagnostics.BOUND_TOL) + diagnostics.BOUND_TOL:
+                raise InvariantViolation(f"step {n}: total variation {tv} exceeds the ceiling {bound}")
+        is_row = n == 0 or n == self.n_final or n % self.stride == 0
+        residual = math.nan
+        if n > 0:
+            self.space_time_tv_time += l1_distance(level, self._prev_level, self.grid.dx)
+            self.space_time_tv_space += self.grid.dt * self._prev_tv
+            if self.entropy_assert or (self.entropy_watch and is_row):
+                residual = entropy_residual(
+                    self._prev_level,
+                    level,
+                    self._prev_speeds,
+                    self.grid.lam,
+                    self.sat,
+                    self.boundary,
+                    default_kappas(self.vel.rho_max, self._prev_level),
+                    scheme=self.scheme,
+                    alpha=self.grid.alpha,
+                )
+                self.entropy_max = max(self.entropy_max, residual)
+                if self.entropy_assert and residual > diagnostics.ENTROPY_TOL:
+                    raise InvariantViolation(
+                        f"step {n}: entropy residual {residual} above {diagnostics.ENTROPY_TOL}"
+                    )
+        if is_row:
+            bound = math.nan if self.constants is None else self.constants.tv_bound_at(t)
+            self.records.append(
+                diagnostics.DiagnosticsRecord(t, l1, max(abs(lo), abs(hi)), lo, hi, tv, bound, residual)
+            )
+        self._prev_level = level
+        self._prev_speeds = v_lag
+        self._prev_tv = tv
+
+
+#: Block rows of the oracle runs: the steps 0..13 of n_final = 13 fill two
+#: blocks and part of a third.
+_ORACLE_ROWS = 5
+_ORACLE_STATE = (
+    "sup_tv",
+    "sup_bv",
+    "sup_density",
+    "min_density",
+    "entropy_max",
+    "mass_drift_max",
+    "space_time_tv_space",
+    "space_time_tv_time",
+)
+
+
+def _oracle_march(scheme, boundary, h, n_final, seed):
+    """Grid, weights, model, constants and the observer calls of a random
+    run: a datum in [0.2, 0.7] on 50 cells, a kernel of length 0.5 (so
+    the TV ceiling stays below an oscillating level's TV) and tau = h dt."""
+    vel = Velocity("normalized_greenshields")
+    sat = Saturation("linear", rho_max=1.0)
+    kernel = Kernel("constant", length=0.5)
+    dx = 0.02
+    if scheme == "lf":
+        alpha, dt = cfl_dt_lf(vel, sat, dx)
+    else:
+        alpha, dt = None, cfl_dt_hw(vel, sat, dx)
+    grid = build_grid(0.0, 1.0, dx, dt, h * dt, kernel.length, alpha)
+    assert grid.delay_steps == h
+    weights = discretize_kernel(kernel, grid)
+    rho0 = np.random.default_rng(seed).uniform(0.2, 0.7, grid.n_cells)
+    calls = []
+    run(
+        grid, weights, vel, sat, scheme, rho0, n_final * grid.dt, boundary,
+        observer=lambda *call: calls.append(call),
+    )
+    assert len(calls) == n_final + 1
+    constants = bound_constants(
+        vel, sat, kernel, alpha, n_final * grid.dt, grid.tau,
+        total_variation(rho0, boundary), l1_norm(rho0, dx), scheme,
+    )
+    return (grid, weights, vel, sat, constants), calls
+
+
+def _drive(cls, case, calls, scheme, boundary, n_final, thorough=True, stride=3):
+    """Feed the calls to a new collector; its error or None, and itself."""
+    grid, weights, vel, sat, constants = case
+    col = cls(grid, weights, vel, sat, scheme, boundary, constants, thorough, stride, n_final)
+    try:
+        for call in calls:
+            col(*call)
+    except InvariantViolation as exc:
+        return exc, col
+    return None, col
+
+
+def _state(col):
+    return [repr(tuple(vars(r).values())) for r in col.records] + [
+        repr(getattr(col, name)) for name in _ORACLE_STATE
+    ]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of _ORACLE_ROWS rows on the 50-cell oracle grid."""
+    monkeypatch.setattr(diagnostics, "BLOCK_BYTES", _ORACLE_ROWS * 8 * 50)
+    assert diagnostics.block_rows(50) == _ORACLE_ROWS
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+@pytest.mark.parametrize("n_final", [3, 13])
+@pytest.mark.parametrize("h", [2, 6, 12])
+def test_block_collector_matches_per_step_collector(small_blocks, scheme, boundary, n_final, h):
+    """Records, running maxima and space-time accumulators equal the
+    per-step reference's bit for bit, with n_final below the block size
+    and not a multiple of it, thorough and watching; with h = 12 the
+    second block brings no new speed field."""
+    for seed in range(3):
+        case, calls = _oracle_march(scheme, boundary, h, n_final, seed)
+        for thorough in (True, False):
+            args = (case, calls, scheme, boundary, n_final, thorough)
+            err, col = _drive(DiagnosticsCollector, *args)
+            err_ref, ref = _drive(_PerStepCollector, *args)
+            assert err is None and err_ref is None
+            assert len(col.records) == len(range(0, n_final, 3)) + 1
+            assert _state(col) == _state(ref)
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_block_collector_matches_per_step_collector_at_full_blocks(scheme, boundary):
+    """The same over 700 steps at the module's own block size (327 rows
+    of 50 cells): two full blocks and part of a third."""
+    assert diagnostics.block_rows(50) == 327
+    case, calls = _oracle_march(scheme, boundary, 40, 700, 11)
+    err, col = _drive(DiagnosticsCollector, case, calls, scheme, boundary, 700, stride=7)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, scheme, boundary, 700, stride=7)
+    assert err is None and err_ref is None
+    assert _state(col) == _state(ref)
+
+
+def _spike_speeds(call):
+    n, level, lagged, v = call
+    bad = v.copy()
+    bad[25] += 0.9
+    return n, level, lagged, bad
+
+
+def _with_level(change):
+    def inject(call):
+        n, level, lagged, v = call
+        bad = level.copy()
+        change(bad)
+        return n, bad, lagged, v
+
+    return inject
+
+
+def _set(index, value):
+    def change(level):
+        level[index] = value
+
+    return change
+
+
+def _oscillate(level):
+    level[::2] = 0.0
+    level[1::2] = 0.95
+
+
+def _raise_by(delta, index=slice(None)):
+    def change(level):
+        level[index] += delta
+
+    return change
+
+
+#: kind: (scheme, boundary, injection, expected message fragment)
+_VIOLATIONS = {
+    "speed": ("hw", FREE_FLOW, _spike_speeds, "speed increment"),
+    "negative": ("lf", FREE_FLOW, _with_level(_set(3, -1e-6)), "negative density"),
+    "ceiling": ("hw", FREE_FLOW, _with_level(_set(7, 1.5)), "exceeds the ceiling 1.0"),
+    "mass": ("lf", PERIODIC, _with_level(_raise_by(1e-3)), "relative mass drift"),
+    "tv": ("hw", FREE_FLOW, _with_level(_oscillate), "total variation"),
+    "entropy": ("lf", FREE_FLOW, _with_level(_raise_by(0.05, 25)), "entropy residual"),
+}
+
+
+@pytest.mark.parametrize("h", [2, 6])
+@pytest.mark.parametrize("step", [5, 7, 9], ids=["first_row", "middle_row", "last_row"])
+@pytest.mark.parametrize("kind", sorted(_VIOLATIONS))
+def test_block_collector_raises_per_step_violation(small_blocks, kind, step, h):
+    """A violation injected at the first, a middle or the last row of the
+    second block raises the reference's exception, message and step; with
+    h = 6 the block's rows and speed fields are not aligned."""
+    scheme, boundary, inject, fragment = _VIOLATIONS[kind]
+    case, calls = _oracle_march(scheme, boundary, h, 13, 1)
+    calls[step] = inject(calls[step])
+    err, _ = _drive(DiagnosticsCollector, case, calls, scheme, boundary, 13)
+    err_ref, _ = _drive(_PerStepCollector, case, calls, scheme, boundary, 13)
+    assert err_ref is not None and str(err_ref).startswith(f"step {step}: ")
+    assert fragment in str(err_ref)
+    assert type(err) is type(err_ref)
+    assert str(err) == str(err_ref)
+
+
+def test_block_sizes_follow_block_bytes():
+    """B = max(1, BLOCK_BYTES // 8 J); the buffers are four (B, J) blocks
+    and a carry row."""
+    assert diagnostics.block_rows(344) == 47
+    assert diagnostics.block_rows(4000) == 4
+    assert diagnostics.block_rows(10**6) == 1
+    assert diagnostics.block_bytes(344) == (4 * 47 + 1) * 344 * 8

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagflow import runners
+from lagflow import diagnostics, runners, schemes
+from lagflow.diagnostics import InvariantViolation
 from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import PRESET_NAMES, preset_scenario
 from lagflow.runners import (
@@ -23,6 +24,7 @@ from lagflow.runners import (
     tau_sweep,
 )
 from lagflow.scenario import Scenario, ScenarioError
+from lagflow.schemes import StepError
 
 
 def _tiny(**overrides) -> Scenario:
@@ -129,6 +131,45 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
     run_scenario(_tiny(tau=tau), tmp_path)
     manifest = (tmp_path / "manifest.txt").read_text().splitlines()
     assert f"history_bytes = {levels * 50 * 8}" in manifest
+
+
+def test_manifest_reports_block_bytes(tmp_path):
+    """Four (B, J) blocks plus a carry row, B = BLOCK_BYTES // 8 J = 327 at
+    J = 50, and the budget counts them with the history."""
+    run_scenario(_tiny(), tmp_path)
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert f"block_bytes = {(4 * 327 + 1) * 50 * 8}" in manifest
+    assert diagnostics.block_bytes(50) == (4 * 327 + 1) * 50 * 8
+
+
+def test_step_error_reports_earlier_violation_of_its_block(monkeypatch):
+    """A negative density at step 2 and a non-finite level at step 4 fall
+    in one check block: simulate checks the block before the StepError
+    leaves it and raises the violation of step 2.  Without the negative
+    cell the StepError itself comes out."""
+    resolved = resolve_scenario(_tiny())
+    assert diagnostics.block_rows(resolved.grid.n_cells) > 4
+    real_step = schemes.hw_step
+
+    def faulty_step(negative):
+        steps = iter(range(1, resolved.n_steps + 1))
+
+        def step(*args):
+            n, out = next(steps), real_step(*args).copy()
+            if n == 2 and negative:
+                out[5] = -1e-3
+            if n == 4:
+                out[7] = math.nan
+            return schemes._finite(out)
+
+        return step
+
+    monkeypatch.setattr(schemes, "hw_step", faulty_step(True))
+    with pytest.raises(InvariantViolation, match=r"^step 2: negative density -0\.001$"):
+        simulate(resolved)
+    monkeypatch.setattr(schemes, "hw_step", faulty_step(False))
+    with pytest.raises(StepError, match=r"^step 4: non-finite density in cell 7$"):
+        simulate(resolved)
 
 
 def test_run_scenario_is_deterministic(tmp_path):
