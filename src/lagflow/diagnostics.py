@@ -301,13 +301,9 @@ def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.nd
     The extrema pin the sample to the level's active range.
     """
     base = np.linspace(0.0, rho_ceiling, 17)
-    if level is None:
-        return np.unique(base)
-    return _with_extrema(base, float(np.min(level)), float(np.max(level)))
-
-
-def _with_extrema(base: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.unique(np.concatenate([base, [lo, hi]]))
+    if level is not None:
+        base = np.concatenate([base, [np.min(level), np.max(level)]])
+    return np.unique(base)
 
 
 def entropy_residual(
@@ -435,8 +431,8 @@ def lipschitz_in_time_check(
 # ---------------------------------------------------------------------------
 # per-run collector
 
-#: Bytes of each of the collector's block buffers (levels, speed fields,
-#: lagged levels, scratch); see block_rows.
+#: Bytes of each of the collector's three block buffers (levels, speed
+#: fields, scratch); see block_rows and block_bytes.
 BLOCK_BYTES = 1 << 17
 
 
@@ -445,9 +441,10 @@ def block_rows(n_cells: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_cells))
 
 
-def block_bytes(n_cells: int) -> int:
-    """Bytes of one collector's buffers: four (B, J) blocks and the carry row."""
-    return (4 * block_rows(n_cells) + 1) * n_cells * 8
+def block_bytes(n_cells: int, h: int, n_steps: int) -> int:
+    """Bytes of one collector's buffers: three (B, J) blocks, the carry row
+    and the ring of min(h, N_T) + 1 reaches, all float64."""
+    return ((3 * block_rows(n_cells) + 1) * n_cells + min(h, n_steps) + 1) * 8
 
 
 @dataclass(frozen=True)
@@ -490,16 +487,18 @@ class DiagnosticsCollector:
     (schemes.run hands the same read-only v_lag to consecutive steps that
     read the same lagged level, so a call whose v_lag is the previous
     call's object brings no new field).  The checks run a block of steps
-    at a time: a call copies its level, and a new field with its lagged
-    level, into preallocated buffers of block_rows(J) rows, and flush()
-    reduces the whole block with one NumPy call per statistic, then walks
-    its rows in step order.  A violation therefore surfaces up to a block
-    later than its step, but reports its own step with the message a
-    per-step check would give, and an earlier step's violation wins.
-    flush() runs when the block is full and at step n_final; a caller that
-    stops before n_final (runners.simulate on a StepError) calls it
-    itself.  Calls come with n = 0, 1, 2, ... in order, as schemes.run
-    makes them.
+    at a time: a call copies its level, and a new field, into preallocated
+    buffers of block_rows(J) rows, and flush() reduces the whole block
+    with one NumPy call per statistic, then walks its rows in step order.
+    The bound of a field first seen at step n needs sup|rho| of level
+    max(n - h, 0): the walk writes each step's max(|min|, |max|) into a
+    ring of min(h, n_final) + 1 entries before the row's speed check.  A
+    violation therefore surfaces up to a block later than its step, but
+    reports its own step with the message a per-step check would give,
+    and an earlier step's violation wins.  flush() runs when the block is
+    full and at step n_final; a caller that stops before n_final
+    (runners.simulate on a StepError) calls it itself.  Calls come with
+    n = 0, 1, 2, ... in order, as schemes.run makes them.
 
     Records are kept at step 0, every ``stride`` steps, and the final step.
     Running maxima (sup TV, sup BV norm, worst entropy residual, mass
@@ -554,30 +553,26 @@ class DiagnosticsCollector:
         rows, cells = block_rows(grid.n_cells), grid.n_cells
         self._levels = np.empty((rows + 1, cells))
         self._speeds = np.empty((rows, cells))
-        self._lagged = np.empty((rows, cells))
         self._scratch = np.empty((rows, cells))
+        # sup|rho^n| of step n at n mod len; see the class docstring
+        self._reach = np.empty(min(grid.delay_steps, n_final) + 1)
         self._count = 0
         self._last_n = -1
         # block row at which each buffered speed field first appears
         self._field_rows: list[int] = []
         self._prev_speeds: np.ndarray | None = None
-        # speed field, TV and extrema of the carry row's step
+        # speed field and TV of the carry row's step
         self._carry_speeds: np.ndarray | None = None
         self._prev_tv = 0.0
-        self._prev_lo = self._prev_hi = math.nan
-        # default_kappas(R, previous level), built from the previous step's
-        # extrema instead of new reductions over the level
-        self._kappa_base = default_kappas(vel.rho_max)
+        # default_kappas(R, previous level) up to order and repeats: the
+        # walk writes each row's extrema into the last two slots
+        self._kappas = np.concatenate([default_kappas(vel.rho_max), [0.0, 0.0]])
 
-    def __call__(
-        self, n: int, level: np.ndarray, lagged: np.ndarray, v_lag: np.ndarray
-    ) -> None:
+    def __call__(self, n: int, level: np.ndarray, v_lag: np.ndarray) -> None:
         i = self._count
         self._levels[i + 1] = level
         if v_lag is not self._prev_speeds:
-            field = len(self._field_rows)
-            self._speeds[field] = v_lag
-            self._lagged[field] = lagged
+            self._speeds[len(self._field_rows)] = v_lag
             self._field_rows.append(i)
             self._prev_speeds = v_lag
         self._count = i + 1
@@ -585,25 +580,16 @@ class DiagnosticsCollector:
         if i + 1 == len(self._speeds) or n == self.n_final:
             self.flush()
 
-    def _check_speeds(self, count: int) -> tuple[list[float], list[float]]:
-        """Increment gap max|V_{j+1} - V_j| and its bound for each of the
-        block's first count speed fields.
-
-        The bound is speed_increment_bound at reach max(R, sup|lagged|).
-        A field of fewer than two cells has no increment: no entries.
-        """
+    def _check_speeds(self, count: int) -> list[float]:
+        """Increment gap max|V_{j+1} - V_j| of each of the block's first
+        count speed fields; none for a field of fewer than two cells."""
         cells = self._speeds.shape[1]
         if cells < 2:
-            return [], []
-        scratch = self._scratch[:count]
-        diff = scratch[:, : cells - 1]
+            return []
+        diff = self._scratch[:count, : cells - 1]
         speeds = self._speeds[:count]
         np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
-        gaps = np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
-        sups = np.maximum.reduce(np.abs(self._lagged[:count], out=scratch), axis=1).tolist()
-        r = self.vel.rho_max
-        bounds = [speed_increment_bound(self.vel, self.weights, max(r, s)) for s in sups]
-        return gaps, bounds
+        return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
     def flush(self) -> None:
         """Check the buffered steps in step order; raise the first violation."""
@@ -630,21 +616,28 @@ class DiagnosticsCollector:
         l1s = (np.add.reduce(np.abs(rows, out=scratch), axis=1) * grid.dx).tolist()
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
-        gaps, speed_bounds = self._check_speeds(len(field_rows))
+        gaps = self._check_speeds(len(field_rows))
 
         speeds = self._carry_speeds
         field = 0
         field_row = field_rows[0] if field_rows else -1
+        reach, ring, h = self._reach, len(self._reach), grid.delay_steps
+        kappas = self._kappas
         for r in range(m):
             n = self._last_n - m + 1 + r
             t = n * grid.dt
-            new_field = r == field_row
-            if new_field and gaps and gaps[field] > speed_bounds[field] + SPEED_TOL:
-                raise InvariantViolation(
-                    f"step {n}: speed increment {gaps[field]} exceeds bound {speed_bounds[field]}"
-                )
-
             lo, hi = lows[r], highs[r]
+            linf = max(abs(lo), abs(hi))
+            reach[n % ring] = linf
+            new_field = r == field_row
+            if new_field and gaps:
+                lagged_sup = max(self.vel.rho_max, float(reach[max(n - h, 0) % ring]))
+                speed_bound = speed_increment_bound(self.vel, self.weights, lagged_sup)
+                if gaps[field] > speed_bound + SPEED_TOL:
+                    raise InvariantViolation(
+                        f"step {n}: speed increment {gaps[field]} exceeds bound {speed_bound}"
+                    )
+
             self.sup_density = max(self.sup_density, hi)
             self.min_density = min(self.min_density, lo)
             if self.positivity and lo < -LEVEL_TOL:
@@ -689,7 +682,7 @@ class DiagnosticsCollector:
                         grid.lam,
                         self.sat,
                         self.boundary,
-                        _with_extrema(self._kappa_base, self._prev_lo, self._prev_hi),
+                        kappas,
                         scheme=self.scheme,
                         alpha=grid.alpha,
                     )
@@ -704,7 +697,7 @@ class DiagnosticsCollector:
                     DiagnosticsRecord(
                         t=t,
                         l1=l1,
-                        linf=max(abs(lo), abs(hi)),
+                        linf=linf,
                         minimum=lo,
                         maximum=hi,
                         tv=tv,
@@ -718,7 +711,8 @@ class DiagnosticsCollector:
                 field += 1
                 field_row = field_rows[field] if field < len(field_rows) else -1
             self._prev_tv = tv
-            self._prev_lo, self._prev_hi = lo, hi
+            kappas[-2] = lo
+            kappas[-1] = hi
 
         self._carry_speeds = self._prev_speeds
         levels[0] = levels[m]

@@ -131,7 +131,8 @@ class Saturation:
         if self.kind == SAT_LINEAR:
             return np.clip(1.0 - rho / self.rho_max, 0.0, 1.0)
         inside = 1.0 - np.exp((np.minimum(rho, self.rho_max) - self.rho_max) / self.eps)
-        return np.where(rho < 0.0, 1.0, np.where(rho > self.rho_max, 0.0, inside))
+        # above R, min(rho, R) gives 1 - e^0 = 0 exactly
+        return np.where(rho < 0.0, 1.0, inside)
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,8 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
         alpha,
     )
     n_steps = step_count(scenario.t_final, grid.dt)
-    need = history_bytes(grid.n_cells, grid.delay_steps, n_steps) + block_bytes(grid.n_cells)
+    sizes = (grid.n_cells, grid.delay_steps, n_steps)
+    need = history_bytes(*sizes) + block_bytes(*sizes)
     if need > HISTORY_BUDGET_BYTES:
         raise ScenarioError(
             f"the delay history with the check block needs {need} bytes, "
@@ -208,8 +209,8 @@ def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
         want.setdefault(n_req, []).append(float(t_req))
     captured: list = []
 
-    def observer(n: int, level: np.ndarray, lagged: np.ndarray, v_lag: np.ndarray) -> None:
-        collector(n, level, lagged, v_lag)
+    def observer(n: int, level: np.ndarray, v_lag: np.ndarray) -> None:
+        collector(n, level, v_lag)
         if n in want:
             for t_req in want[n]:
                 captured.append((t_req, n * grid.dt, level.copy()))
@@ -268,7 +269,7 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
         ("alpha", grid.alpha),
         ("n_steps", resolved.n_steps),
         ("history_bytes", history_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
-        ("block_bytes", block_bytes(grid.n_cells)),
+        ("block_bytes", block_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
         ("final_time", sim.final_time),
         ("stride", resolved.stride),
         ("datum", s.datum_kind),

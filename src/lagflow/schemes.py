@@ -195,16 +195,16 @@ def run(
     rho0: np.ndarray,
     t_final: float,
     boundary: str = FREE_FLOW,
-    observer: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Advance the projected datum to N_T dt with N_T dt <= t_final.
 
-    The observer, if given, is called as observer(n, level, lagged, v_lag)
-    once before the loop (n = 0) and after each step n = 1..N_T, where
-    level is the density at step n, lagged the level max(n - h, 0) and
-    v_lag its speed field V^{n-h}, which the NEXT step will consume.  A
-    stateful observer that remembers the previous call therefore holds
-    exactly the (level, speeds) pair that produced the current level.
+    The observer, if given, is called as observer(n, level, v_lag) once
+    before the loop (n = 0) and after each step n = 1..N_T, where level is
+    the density at step n and v_lag the speed field V^{n-h} of the level
+    of call max(n - h, 0), which the NEXT step will consume.  A stateful
+    observer that remembers the previous call therefore holds exactly the
+    (level, speeds) pair that produced the current level.
 
     This loop owns the delay schedule.  Every step up to h reads the
     datum's speeds; the history deque holds the lagged level at its head
@@ -229,7 +229,7 @@ def run(
     lam = grid.lam
     v_lag = lagged_speeds(history, weights, vel, boundary)
     if observer is not None:
-        observer(0, rho, history[0], v_lag)
+        observer(0, rho, v_lag)
     for n in range(1, n_steps + 1):
         try:
             if scheme == LAX_FRIEDRICHS:
@@ -244,5 +244,5 @@ def run(
             history.popleft()
             v_lag = lagged_speeds(history, weights, vel, boundary)
         if observer is not None:
-            observer(n, rho, history[0], v_lag)
+            observer(n, rho, v_lag)
     return rho

@@ -258,8 +258,9 @@ def test_entropy_residual_matches_max_min_composition(kind):
 
 
 def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
-    """The collector's per-step kappas are bit-identical to
-    default_kappas(R, previous level)."""
+    """The collector's per-step kappas, once sorted and deduplicated, are
+    bit-identical to default_kappas(R, previous level); the residual's
+    maximum ignores their order and repeats."""
     seen = []
 
     def spy(rho, rho_next, v_lag, lam, sat, boundary, kappas, **kw):
@@ -289,7 +290,7 @@ def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
     assert len(seen) == 6
     assert len({float(np.max(prev)) for prev, _ in seen}) == 6
     for prev, kappas in seen:
-        assert np.array_equal(kappas, default_kappas(1.0, prev))
+        assert np.array_equal(np.unique(kappas), default_kappas(1.0, prev))
 
 
 def test_lipschitz_check_accepts_rate_respecting_snapshots():
@@ -340,7 +341,7 @@ def test_collector_rows_at_stride_and_endpoints():
     level = np.full(20, 0.5)
     v = np.full(20, 0.5)
     for n in range(5):
-        col(n, level, level, v)
+        col(n, level, v)
     assert [r.t for r in col.records] == pytest.approx([0.0, 0.02, 0.04])
     assert col.sup_density == 0.5
     assert col.records[0].tv == 0.0
@@ -350,7 +351,7 @@ def test_collector_detects_negative_density():
     col = _collector()
     bad = np.full(20, 0.5)
     bad[3] = -1e-6
-    col(0, bad, bad, np.full(20, 0.5))
+    col(0, bad, np.full(20, 0.5))
     with pytest.raises(InvariantViolation, match="negative density"):
         col.flush()
 
@@ -358,7 +359,7 @@ def test_collector_detects_negative_density():
 def test_collector_detects_ceiling_violation():
     col = _collector()
     level = np.full(20, 1.5)
-    col(0, level, level, np.full(20, 0.5))
+    col(0, level, np.full(20, 0.5))
     with pytest.raises(InvariantViolation, match="ceiling 1.0"):
         col.flush()
 
@@ -367,8 +368,8 @@ def test_collector_detects_mass_drift():
     col = _collector(boundary=PERIODIC)
     level = np.full(20, 0.5)
     v = np.full(20, 0.5)
-    col(0, level, level, v)
-    col(1, level * 1.01, level, v)
+    col(0, level, v)
+    col(1, level * 1.01, v)
     with pytest.raises(InvariantViolation, match="mass drift"):
         col.flush()
 
@@ -383,25 +384,25 @@ def test_collector_detects_speed_field_inconsistency():
     level = np.full(100, 0.5)
     v = np.full(100, 0.5)
     v[50] = 0.9
-    col(0, level, level, v)
+    col(0, level, v)
     with pytest.raises(InvariantViolation):
         col.flush()
 
 
 def test_collector_speed_ceiling_is_speed_increment_bound():
     """The collector's speed ceiling is speed_increment_bound at reach
-    max(R, lagged sup), to the last bit: a gap at ceiling + SPEED_TOL passes
-    and the next float up fails."""
+    max(R, sup of the lagged level), to the last bit: a gap at ceiling +
+    SPEED_TOL passes and the next float up fails."""
     col = _collector(dx=0.01)
     level = np.full(100, 0.5)
     limit = speed_increment_bound(col.vel, col.weights, 1.0) + SPEED_TOL
     v = np.zeros(100)
     v[50:] = limit
-    col(0, level, level, v)
+    col(0, level, v)
     col.flush()
     v_next = np.zeros(100)
     v_next[50:] = np.nextafter(limit, math.inf)
-    col(1, level, level, v_next)
+    col(1, level, v_next)
     with pytest.raises(InvariantViolation, match="speed increment"):
         col.flush()
 
@@ -413,18 +414,22 @@ def test_collector_speed_ceiling_is_speed_increment_bound():
 class _PerStepCollector(DiagnosticsCollector):
     """Reference: every check runs inside the call, in the order and with
     the messages of the block collector's row walk, from 1-D reductions of
-    the level itself."""
+    the level itself.  A new speed field's lagged level is the level of
+    call max(n - h, 0), kept from the calls."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._prev_level = None
+        self._levels_seen = []
 
     def flush(self):
         pass
 
-    def __call__(self, n, level, lagged, v_lag):
+    def __call__(self, n, level, v_lag):
         t = n * self.grid.dt
+        self._levels_seen.append(level)
         if v_lag is not self._prev_speeds and v_lag.size >= 2:
+            lagged = self._levels_seen[max(n - self.grid.delay_steps, 0)]
             reach = max(self.vel.rho_max, sup_norm(lagged))
             ceiling = speed_increment_bound(self.vel, self.weights, reach)
             gap = float(np.max(np.abs(np.diff(v_lag))))
@@ -502,12 +507,13 @@ _ORACLE_STATE = (
 )
 
 
-def _oracle_march(scheme, boundary, h, n_final, seed):
+def _oracle_march(scheme, boundary, h, n_final, seed, sat=None, high=0.7):
     """Grid, weights, model, constants and the observer calls of a random
-    run: a datum in [0.2, 0.7] on 50 cells, a kernel of length 0.5 (so
-    the TV ceiling stays below an oscillating level's TV) and tau = h dt."""
+    run: a datum in [0.2, high] on 50 cells, a kernel of length 0.5 (so
+    the TV ceiling stays below an oscillating level's TV) and tau = h dt,
+    under linear saturation unless sat is given."""
     vel = Velocity("normalized_greenshields")
-    sat = Saturation("linear", rho_max=1.0)
+    sat = sat or Saturation("linear", rho_max=1.0)
     kernel = Kernel("constant", length=0.5)
     dx = 0.02
     if scheme == "lf":
@@ -517,7 +523,7 @@ def _oracle_march(scheme, boundary, h, n_final, seed):
     grid = build_grid(0.0, 1.0, dx, dt, h * dt, kernel.length, alpha)
     assert grid.delay_steps == h
     weights = discretize_kernel(kernel, grid)
-    rho0 = np.random.default_rng(seed).uniform(0.2, 0.7, grid.n_cells)
+    rho0 = np.random.default_rng(seed).uniform(0.2, high, grid.n_cells)
     calls = []
     run(
         grid, weights, vel, sat, scheme, rho0, n_final * grid.dt, boundary,
@@ -590,18 +596,18 @@ def test_block_collector_matches_per_step_collector_at_full_blocks(scheme, bound
 
 
 def _spike_speeds(call):
-    n, level, lagged, v = call
+    n, level, v = call
     bad = v.copy()
     bad[25] += 0.9
-    return n, level, lagged, bad
+    return n, level, bad
 
 
 def _with_level(change):
     def inject(call):
-        n, level, lagged, v = call
+        n, level, v = call
         bad = level.copy()
         change(bad)
-        return n, bad, lagged, v
+        return n, bad, v
 
     return inject
 
@@ -654,10 +660,49 @@ def test_block_collector_raises_per_step_violation(small_blocks, kind, step, h):
     assert str(err) == str(err_ref)
 
 
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+@pytest.mark.parametrize("h", [0, 2, 6, 20], ids=["h0", "h2", "h6", "h_above_N"])
+def test_block_collector_reads_lagged_reach_above_capacity(small_blocks, scheme, h):
+    """Without saturation the density exceeds R = 1, so each field's bound
+    uses sup|rho| of its lagged level, which the block collector reads from
+    its reach ring: the records match the reference's, and a speed spike
+    at step 9 reports the reference's bound bit for bit."""
+    sat = Saturation("none")
+    case, calls = _oracle_march(scheme, FREE_FLOW, h, 13, 2, sat=sat, high=1.8)
+    assert max(float(np.max(level)) for _, level, _ in calls) > 1.0
+    err, col = _drive(DiagnosticsCollector, case, calls, scheme, FREE_FLOW, 13)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, scheme, FREE_FLOW, 13)
+    assert err is None and err_ref is None
+    assert _state(col) == _state(ref)
+    calls[9] = _spike_speeds(calls[9])
+    err, _ = _drive(DiagnosticsCollector, case, calls, scheme, FREE_FLOW, 13)
+    err_ref, _ = _drive(_PerStepCollector, case, calls, scheme, FREE_FLOW, 13)
+    assert str(err_ref).startswith("step 9: speed increment")
+    assert str(err) == str(err_ref)
+
+
 def test_block_sizes_follow_block_bytes():
-    """B = max(1, BLOCK_BYTES // 8 J); the buffers are four (B, J) blocks
-    and a carry row."""
+    """B = max(1, BLOCK_BYTES // 8 J); the buffers are three (B, J) blocks,
+    a carry row and a ring of min(h, N_T) + 1 reaches."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
-    assert diagnostics.block_bytes(344) == (4 * 47 + 1) * 344 * 8
+    assert diagnostics.block_bytes(344, 2193, 10965) == ((3 * 47 + 1) * 344 + 2194) * 8
+
+
+@pytest.mark.parametrize("cells", [1, 50, 344, 4000])
+@pytest.mark.parametrize(
+    "h, n_final", [(0, 5), (3, 8), (8, 8), (20, 8)], ids=["h0", "h_below_N", "h_equal_N", "h_above_N"]
+)
+def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
+    """block_bytes, which the manifest reports and the history budget
+    counts, is what a fresh collector allocates: its three blocks, the
+    carry row and the reach ring."""
+    vel, sat, _ = _model()
+    dx = 1.0 / cells
+    grid = build_grid(0.0, 1.0, dx, 0.01, h * 0.01, dx)
+    assert (grid.n_cells, grid.delay_steps) == (cells, h)
+    weights = discretize_kernel(Kernel("constant", length=dx), grid)
+    col = DiagnosticsCollector(grid, weights, vel, sat, "hw", FREE_FLOW, None, True, 1, n_final)
+    buffers = (col._levels, col._speeds, col._scratch, col._reach)
+    assert sum(b.nbytes for b in buffers) == diagnostics.block_bytes(cells, h, n_final)

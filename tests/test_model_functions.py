@@ -70,6 +70,22 @@ def test_exponential_saturation_vanishes_at_capacity():
     assert sat(-1.0) == 1.0
 
 
+@pytest.mark.parametrize("eps", [0.02, 0.5, 3.0])
+def test_exponential_saturation_matches_three_branch_law(eps):
+    """f = 1 below 0, 1 - e^{(rho - R)/eps} on [0, R] and 0 above R, bit for
+    bit, on random densities in [-1, 3R] and at NaN, +-inf, +-0, R and
+    its neighbouring floats."""
+    r = 1.7
+    sat = Saturation("exponential", rho_max=r, eps=eps)
+    rng = np.random.default_rng(0)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, r]
+    special += [np.nextafter(r, np.inf), np.nextafter(r, -np.inf)]
+    rho = np.concatenate([rng.uniform(-1.0, 3.0 * r, 2000), special])
+    inside = 1.0 - np.exp((np.minimum(rho, r) - r) / eps)
+    expected = np.where(rho < 0.0, 1.0, np.where(rho > r, 0.0, inside))
+    assert sat(rho).tobytes() == expected.tobytes()
+
+
 def test_exponential_saturation_requires_eps():
     with pytest.raises(ValueError):
         Saturation("exponential", rho_max=1.0)

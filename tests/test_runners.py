@@ -134,12 +134,14 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 
 
 def test_manifest_reports_block_bytes(tmp_path):
-    """Four (B, J) blocks plus a carry row, B = BLOCK_BYTES // 8 J = 327 at
-    J = 50, and the budget counts them with the history."""
+    """Three (B, J) blocks plus a carry row, B = BLOCK_BYTES // 8 J = 327 at
+    J = 50, and a ring of min(h, N_T) + 1 = 3 reaches (h = 2, N_T = 10);
+    the budget counts them with the history."""
     run_scenario(_tiny(), tmp_path)
     manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-    assert f"block_bytes = {(4 * 327 + 1) * 50 * 8}" in manifest
-    assert diagnostics.block_bytes(50) == (4 * 327 + 1) * 50 * 8
+    expected = ((3 * 327 + 1) * 50 + 3) * 8
+    assert f"block_bytes = {expected}" in manifest
+    assert diagnostics.block_bytes(50, 2, 10) == expected
 
 
 def test_step_error_reports_earlier_violation_of_its_block(monkeypatch):

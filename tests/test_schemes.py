@@ -1,4 +1,5 @@
-"""Marching schemes: hand-checked single steps, conservation, fixed points."""
+"""Marching schemes: hand-checked single steps, conservation, fixed points,
+the delay history and lagged convolution speeds."""
 
 import warnings
 from collections import deque
@@ -8,7 +9,7 @@ import pytest
 
 from lagflow import schemes
 
-from lagflow.diagnostics import DiagnosticsCollector
+from lagflow.diagnostics import DiagnosticsCollector, speed_increment_bound
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.initial_data import Constant
 from lagflow.model_functions import Kernel, Saturation, Velocity
@@ -19,7 +20,10 @@ from lagflow.schemes import (
     convolved_speeds,
     extend3,
     hw_step,
+    init_history,
+    lagged_speeds,
     lf_step,
+    push_level,
     run,
     step_count,
 )
@@ -137,7 +141,7 @@ def test_run_invokes_observer_every_step():
         "hw",
         np.full(10, 0.5),
         t_final=0.25,
-        observer=lambda n, level, lagged, v_lag: seen.append((n, level.shape, v_lag.shape)),
+        observer=lambda n, level, v_lag: seen.append((n, level.shape, v_lag.shape)),
     )
     assert [n for n, _, _ in seen] == list(range(6))
     assert all(shape == (10,) for _, shape, _ in seen)
@@ -184,7 +188,7 @@ def test_run_constant_datum_all_snapshots_identical():
         "lf",
         rho0,
         t_final=0.25,
-        observer=lambda n, level, lagged, v: captured.append(level.copy()),
+        observer=lambda n, level, v: captured.append(level.copy()),
     )
     assert all(np.array_equal(level, rho0) for level in captured)
 
@@ -231,10 +235,10 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
         constants=None, thorough=True, stride=1, n_final=n_steps,
     )
 
-    def observer(n, level, lagged_level, v_lag):
+    def observer(n, level, v_lag):
         queued.append(len(states[0]) - 1)
         assert not v_lag.flags.writeable
-        collector(n, level, lagged_level, v_lag)
+        collector(n, level, v_lag)
 
     monkeypatch.setattr(schemes, "init_history", recorded_init)
     monkeypatch.setattr(schemes, "lagged_speeds", counted_lagged)
@@ -253,7 +257,7 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
     ring = deque((rho0.copy() for _ in range(grid.delay_steps + 1)), maxlen=grid.delay_steps + 1)
     rho = rho0.copy()
     v = convolved_speeds(ring[0], weights, vel, boundary)
-    seen = [(0, rho, ring[0], v)]
+    seen = [(0, rho, v)]
     for n in range(1, n_steps + 1):
         if scheme == "lf":
             rho = lf_step(rho, v, grid.lam, grid.alpha, sat, boundary)
@@ -261,7 +265,7 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
             rho = hw_step(rho, v, grid.lam, sat, boundary)
         ring.append(rho)
         v = convolved_speeds(ring[0], weights, vel, boundary)
-        seen.append((n, rho, ring[0], v))
+        seen.append((n, rho, v))
     return seen
 
 
@@ -269,8 +273,10 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 @pytest.mark.parametrize("n_steps", [9, 15])
 def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
-    """Every observer (n, level, lagged, v_lag) and the final level equal
-    those of a march that keeps all h + 1 levels."""
+    """Every observer (n, level, v_lag) and the final level equal those of
+    a march that keeps all h + 1 levels, and every call's v_lag is the
+    speed field of the level the observer saw at call max(n - h, 0): the
+    collector's reach ring relies on it."""
     grid, weights, rho0, t_final = _delayed_case(6, n_steps)
     vel = Velocity("normalized_greenshields")
     sat = Saturation("linear", rho_max=1.0)
@@ -284,14 +290,132 @@ def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
         rho0,
         t_final,
         boundary=boundary,
-        observer=lambda n, level, lagged, v_lag: seen.append(
-            (n, level.copy(), lagged.copy(), v_lag.copy())
-        ),
+        observer=lambda n, level, v_lag: seen.append((n, level.copy(), v_lag.copy())),
     )
     expected = _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary)
     assert [n for n, *_ in seen] == [n for n, *_ in expected]
-    for (_, level, lagged, v), (_, level_ref, oldest, v_ref) in zip(seen, expected):
+    for (n, level, v), (_, level_ref, v_ref) in zip(seen, expected):
         assert np.array_equal(level, level_ref)
-        assert np.array_equal(lagged, oldest)
         assert np.array_equal(v, v_ref)
+        lagged = seen[max(n - grid.delay_steps, 0)][1]
+        assert np.array_equal(v, convolved_speeds(lagged, weights, vel, boundary))
     assert np.array_equal(final, expected[-1][1])
+
+
+# ---------------------------------------------------------------------------
+# delay history and lagged convolution speeds
+
+
+def _weights(dx=0.25, length=0.5, kind="constant"):
+    grid = build_grid(0.0, 1.0, dx, dx, 0.0, length)
+    return discretize_kernel(Kernel(kind, length=length), grid)
+
+
+def test_history_starts_constant_in_time():
+    """Until the head is popped, every step reads the datum."""
+    rho0 = np.array([0.1, 0.2, 0.3])
+    history = init_history(rho0, h=2)
+    assert np.array_equal(history[0], rho0)
+    assert history[0] is not rho0
+    assert len(history) - 1 == 0
+    for k in range(1, 3):
+        push_level(history, np.full(3, float(k)))
+    assert np.array_equal(history[0], rho0)
+    assert [level[0] for level in list(history)[1:]] == [1.0, 2.0]
+
+
+def test_ring_rotates_after_h_plus_one_pushes():
+    """Once n > h the lagged level is the one pushed h steps earlier."""
+    h = 2
+    history = init_history(np.zeros(2), h=h)
+    for n in range(1, 6):
+        level = np.full(2, float(n))
+        push_level(history, level)
+        if n > h:
+            history.popleft()
+            assert history[0][0] == float(n - h)
+        else:
+            assert history[0][0] == 0.0
+        assert len(history) - 1 == min(n, h)
+    assert [level[0] for level in list(history)[1:]] == [4.0, 5.0]
+
+
+def test_zero_delay_window_has_single_level():
+    history = init_history(np.array([1.0]), h=0)
+    level = np.array([5.0])
+    push_level(history, level)
+    history.popleft()
+    assert history[0] is level
+    assert len(history) - 1 == 0
+
+
+def test_push_rejects_wrong_shape():
+    history = init_history(np.zeros(3), h=1)
+    with pytest.raises(ValueError):
+        push_level(history, np.zeros(4))
+
+
+def test_convolved_speeds_constant_level():
+    """A flat level sees speed v(rho) everywhere, any kernel."""
+    vel = Velocity("normalized_greenshields")
+    w = _weights()
+    level = np.full(4, 0.25)
+    v = convolved_speeds(level, w, vel, FREE_FLOW)
+    assert np.allclose(v, 0.75, rtol=1e-14)
+
+
+def test_convolved_speeds_forward_looking():
+    """Cell j averages cells j, j+1 with a two-cell constant kernel."""
+    vel = Velocity("normalized_greenshields")
+    w = _weights()  # dx = 0.25, L = 0.5 -> weights [2, 2]
+    level = np.array([0.0, 0.4, 0.8, 0.8])
+    v = convolved_speeds(level, w, vel, FREE_FLOW)
+    # convolution values: 0.25*2*(0+0.4)=0.2, 0.6, 0.8, then 0.8 by
+    # constant extension beyond the right edge
+    assert np.allclose(v, 1.0 - np.array([0.2, 0.6, 0.8, 0.8]))
+
+
+def test_convolved_speeds_periodic_wraps():
+    vel = Velocity("normalized_greenshields")
+    w = _weights()
+    level = np.array([0.0, 0.4, 0.8, 0.8])
+    v = convolved_speeds(level, w, vel, PERIODIC)
+    assert v[-1] == pytest.approx(1.0 - 0.25 * 2.0 * (0.8 + 0.0))
+
+
+def test_lagged_speeds_use_oldest_level():
+    vel = Velocity("normalized_greenshields")
+    w = _weights()
+    history = init_history(np.full(4, 0.5), h=1)
+    push_level(history, np.full(4, 0.9))
+    v = lagged_speeds(history, w, vel, FREE_FLOW)
+    assert np.allclose(v, 0.5)
+
+
+def test_lagged_speeds_are_read_only():
+    """run hands one speed field to several steps and observers."""
+    vel = Velocity("normalized_greenshields")
+    v = lagged_speeds(init_history(np.full(4, 0.5), h=1), _weights(), vel, FREE_FLOW)
+    with pytest.raises(ValueError):
+        v[0] = 0.0
+
+
+def test_speed_increment_bound_formula():
+    """ceiling = 2 |v'| max(w) sup(rho) dx."""
+    vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
+    w = _weights(kind="linear_decreasing")
+    bound = speed_increment_bound(vel, w, rho_sup=1.7)
+    expected = 2.0 * (0.9 / 1.7) * float(np.max(w.w)) * 1.7 * w.dx
+    assert bound == pytest.approx(expected)
+
+
+def test_adjacent_speed_increments_respect_bound():
+    rng = np.random.default_rng(7)
+    vel = Velocity("normalized_greenshields")
+    grid = build_grid(0.0, 1.0, 0.01, 0.01, 0.0, 0.05)
+    w = discretize_kernel(Kernel("linear_decreasing", length=0.05), grid)
+    for _ in range(25):
+        level = rng.uniform(0.0, 1.0, grid.n_cells)
+        v = convolved_speeds(level, w, vel, FREE_FLOW)
+        bound = speed_increment_bound(vel, w, rho_sup=float(level.max()))
+        assert float(np.max(np.abs(np.diff(v)))) <= bound + 1e-12
