@@ -79,11 +79,16 @@ class Velocity:
             return None
         return 0.0
 
-    def __call__(self, rho):
+    def __call__(self, rho, out=None):
+        """v(rho), written into out when it is given."""
         rho = np.asarray(rho, dtype=float)
+        out = np.empty_like(rho) if out is None else out
         if self.kind == CROPPED:
-            return 1.0 - np.minimum(rho, 1.0)
-        return self.v_max * (1.0 - rho / self.rho_max)
+            np.minimum(rho, 1.0, out=out)
+            return np.subtract(1.0, out, out=out)
+        np.divide(rho, self.rho_max, out=out)
+        np.subtract(1.0, out, out=out)
+        return np.multiply(self.v_max, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -124,15 +129,27 @@ class Saturation:
             return 1.0 / self.rho_max
         return 1.0 / self.eps
 
-    def __call__(self, rho):
+    def __call__(self, rho, out=None):
+        """f(rho), written into out when it is given."""
         rho = np.asarray(rho, dtype=float)
+        out = np.empty_like(rho) if out is None else out
         if self.kind == SAT_NONE:
-            return np.ones_like(rho)
+            out.fill(1.0)
+            return out
         if self.kind == SAT_LINEAR:
-            return np.clip(1.0 - rho / self.rho_max, 0.0, 1.0)
-        inside = 1.0 - np.exp((np.minimum(rho, self.rho_max) - self.rho_max) / self.eps)
+            np.divide(rho, self.rho_max, out=out)
+            np.subtract(1.0, out, out=out)
+            return np.clip(out, 0.0, 1.0, out=out)
+        # taken before out is written, which may be rho itself
+        below = rho < 0.0
         # above R, min(rho, R) gives 1 - e^0 = 0 exactly
-        return np.where(rho < 0.0, 1.0, inside)
+        np.minimum(rho, self.rho_max, out=out)
+        np.subtract(out, self.rho_max, out=out)
+        np.divide(out, self.eps, out=out)
+        np.exp(out, out=out)
+        np.subtract(1.0, out, out=out)
+        np.copyto(out, 1.0, where=below)
+        return out
 
 
 @dataclass(frozen=True)

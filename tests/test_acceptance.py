@@ -32,7 +32,16 @@ from lagflow.runners import (
     stability_experiment,
     tau_sweep,
 )
-from lagflow.schemes import FREE_FLOW, PERIODIC, convolved_speeds, hw_step, lf_step, run
+from lagflow.schemes import (
+    FREE_FLOW,
+    PERIODIC,
+    Workspace,
+    extend3,
+    hw_step,
+    lagged_speeds,
+    lf_step,
+    run,
+)
 
 SCHEMES = ("lf", "hw")
 
@@ -166,7 +175,8 @@ def test_criterion_04_discrete_entropy_inequality():
         rho = rng.uniform(0.0, 1.0, n)
         v_lag = rng.uniform(0.0, 1.0, n)
         boundary = FREE_FLOW if rng.integers(2) else PERIODIC
-        rho_next = lf_step(rho, v_lag, lam, alpha, sat, boundary)
+        with Workspace(n, 1, boundary) as work:
+            rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
         res = entropy_residual(
             rho, rho_next, v_lag, lam, sat, boundary,
             default_kappas(1.0, rho), "lf", alpha,
@@ -299,12 +309,13 @@ def _independent_zero_delay_loop(resolved):
     grid, weights = resolved.grid, resolved.weights
     vel, sat = resolved.velocity, resolved.saturation
     rho = resolved.rho0.copy()
-    for _ in range(resolved.n_steps):
-        speeds = convolved_speeds(rho, weights, vel, resolved.boundary)
-        if resolved.scheme == "lf":
-            rho = lf_step(rho, speeds, grid.lam, grid.alpha, sat, resolved.boundary)
-        else:
-            rho = hw_step(rho, speeds, grid.lam, sat, resolved.boundary)
+    with Workspace(grid.n_cells, weights.n, resolved.boundary) as work:
+        for _ in range(resolved.n_steps):
+            speeds = lagged_speeds(rho, weights, vel, work)
+            if resolved.scheme == "lf":
+                rho = lf_step(rho, speeds, grid.lam, grid.alpha, sat, work)
+            else:
+                rho = hw_step(rho, speeds, grid.lam, sat, work)
     return rho
 
 

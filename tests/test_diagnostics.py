@@ -26,7 +26,7 @@ from lagflow.diagnostics import (
 )
 from lagflow.discretization import build_grid, cfl_dt_hw, cfl_dt_lf, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity
-from lagflow.schemes import FREE_FLOW, PERIODIC, extend3, hw_step, lf_step, run
+from lagflow.schemes import FREE_FLOW, PERIODIC, Workspace, extend3, hw_step, lf_step, run
 
 
 def _model():
@@ -174,7 +174,8 @@ def test_entropy_residual_nonpositive_for_lf_randomized():
         rho = rng.uniform(0.0, 1.0, n)
         v_lag = rng.uniform(0.0, v_cap, n)
         boundary = FREE_FLOW if rng.integers(2) else PERIODIC
-        rho_next = lf_step(rho, v_lag, lam, alpha, sat, boundary)
+        with Workspace(n, 1, boundary) as work:
+            rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
         res = entropy_residual(
             rho, rho_next, v_lag, lam, sat, boundary, default_kappas(1.0, rho), "lf", alpha
         )
@@ -240,12 +241,13 @@ def test_entropy_residual_matches_max_min_composition(kind):
         n = int(rng.integers(3, 40))
         rho = rng.uniform(0.0, 1.0, n)
         v_lag = rng.uniform(0.0, 1.0, n)
-        if scheme == "lf":
-            lam = rng.uniform(0.1, 1.0) / alpha
-            rho_next = lf_step(rho, v_lag, lam, alpha, sat, boundary)
-        else:
-            lam = rng.uniform(0.1, 1.0) / (1.0 + sat.d1_sup)
-            rho_next = hw_step(rho, v_lag, lam, sat, boundary)
+        with Workspace(n, 1, boundary) as work:
+            if scheme == "lf":
+                lam = rng.uniform(0.1, 1.0) / alpha
+                rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+            else:
+                lam = rng.uniform(0.1, 1.0) / (1.0 + sat.d1_sup)
+                rho_next = hw_step(rho, extend3(v_lag, boundary), lam, sat, work)
         kappas = np.concatenate(
             [default_kappas(1.0, rho), rng.choice(rho, 3), rng.choice(rho_next, 3)]
         )

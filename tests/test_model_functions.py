@@ -70,20 +70,62 @@ def test_exponential_saturation_vanishes_at_capacity():
     assert sat(-1.0) == 1.0
 
 
+def _densities(r):
+    """Random densities in [-1, 3R], then NaN, +-inf, +-0, R and its
+    neighbouring floats."""
+    rng = np.random.default_rng(0)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, r]
+    special += [np.nextafter(r, np.inf), np.nextafter(r, -np.inf)]
+    return np.concatenate([rng.uniform(-1.0, 3.0 * r, 2000), special])
+
+
+def _assert_out_matches_allocating_call(law, rho):
+    """law(rho, out=buf) fills and returns buf with the allocating call's bits."""
+    buf = np.full_like(rho, -7.0)
+    assert law(rho, out=buf) is buf
+    assert buf.tobytes() == law(rho).tobytes()
+
+
 @pytest.mark.parametrize("eps", [0.02, 0.5, 3.0])
 def test_exponential_saturation_matches_three_branch_law(eps):
     """f = 1 below 0, 1 - e^{(rho - R)/eps} on [0, R] and 0 above R, bit for
     bit, on random densities in [-1, 3R] and at NaN, +-inf, +-0, R and
-    its neighbouring floats."""
+    its neighbouring floats, through the allocating call and through out=."""
     r = 1.7
     sat = Saturation("exponential", rho_max=r, eps=eps)
-    rng = np.random.default_rng(0)
-    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, r]
-    special += [np.nextafter(r, np.inf), np.nextafter(r, -np.inf)]
-    rho = np.concatenate([rng.uniform(-1.0, 3.0 * r, 2000), special])
+    rho = _densities(r)
     inside = 1.0 - np.exp((np.minimum(rho, r) - r) / eps)
     expected = np.where(rho < 0.0, 1.0, np.where(rho > r, 0.0, inside))
     assert sat(rho).tobytes() == expected.tobytes()
+    _assert_out_matches_allocating_call(sat, rho)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        Saturation(SAT_NONE),
+        Saturation("linear", rho_max=1.7),
+        Saturation("exponential", rho_max=1.0, eps=0.02),
+        Saturation("exponential", rho_max=1.0, eps=0.5),
+        Saturation("exponential", rho_max=1.0, eps=3.0),
+        Velocity("greenshields", v_max=0.9, rho_max=1.7),
+        Velocity("normalized_greenshields"),
+        Velocity("cropped"),
+    ],
+    ids=[
+        "sat_none", "sat_linear", "sat_exp_0.02", "sat_exp_0.5", "sat_exp_3",
+        "greenshields", "normalized_greenshields", "cropped",
+    ],
+)
+def test_out_argument_matches_allocating_call(law):
+    """The march writes f and v into workspace buffers: every law gives the
+    allocating call's bits there, including at NaN, +-inf, +-0, negative
+    densities, R, its neighbours and densities above R, and when out is
+    the input itself."""
+    rho = _densities(law.rho_max)
+    _assert_out_matches_allocating_call(law, rho)
+    aliased = rho.copy()
+    assert law(aliased, out=aliased).tobytes() == law(rho).tobytes()
 
 
 def test_exponential_saturation_requires_eps():

@@ -34,7 +34,12 @@ def test_quick_benchmark_run_is_correct(workload, trace):
     """`perfbench/run.py --quick` reaches everything the benchmark reads of
     the package (schemes.run's signature, ResolvedRun's fields, the
     collector's attributes): the run is correct, no operation fails, and
-    every metric BENCHMARK.json lists for the mode is present and finite."""
+    every metric BENCHMARK.json lists for the mode is present and finite.
+    A traced run times the step and the convolution through the schemes
+    globals that bench.LAYERS wraps, so a kernel that bypassed them would
+    read 0 there.  (A quick run stops before its first push_level, at
+    N_T < h; tests/test_schemes.py counts push_level's calls through the
+    same global.)"""
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--quick", "--seconds", "1", "--trace", str(trace)],
@@ -53,3 +58,6 @@ def test_quick_benchmark_run_is_correct(workload, trace):
         name = metric["name"]
         assert name in metrics, name
         assert math.isfinite(metrics[name]["value"]), (name, metrics[name])
+    if trace:
+        for name in ("schemes.step_s", "delay_state.lagged_speeds_s"):
+            assert metrics[name]["value"] > 0, (name, metrics[name])

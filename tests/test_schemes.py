@@ -1,5 +1,6 @@
 """Marching schemes: hand-checked single steps, conservation, fixed points,
-the delay history and lagged convolution speeds."""
+the delay history and lagged convolution speeds, and the workspace march
+against the concatenate-based kernel it replaced."""
 
 import warnings
 from collections import deque
@@ -17,7 +18,7 @@ from lagflow.schemes import (
     FREE_FLOW,
     PERIODIC,
     StepError,
-    convolved_speeds,
+    Workspace,
     extend3,
     hw_step,
     init_history,
@@ -29,6 +30,67 @@ from lagflow.schemes import (
 )
 
 _SAT_NONE = Saturation("none")
+
+
+# ---------------------------------------------------------------------------
+# the concatenate-based kernel the workspace march replaced, kept as its
+# oracle: fresh ghost extensions, flux and level arrays every step
+
+
+def _oracle_extend3(values, boundary):
+    if boundary == FREE_FLOW:
+        return np.concatenate([values[:1], values, values[-1:]])
+    return np.concatenate([values[-1:], values, values[:1]])
+
+
+def _oracle_speeds(level, weights, vel, boundary):
+    """v(dx * sum_k w[k] rho[j+k]) for one level, J cells."""
+    level = np.asarray(level, dtype=float)
+    n_ghost = weights.n - 1
+    if n_ghost == 0:
+        ext = level
+    elif boundary == FREE_FLOW:
+        ext = np.concatenate([level, np.full(n_ghost, level[-1])])
+    else:
+        reps = -(-n_ghost // level.size)
+        ext = np.concatenate([level, np.tile(level, reps)[:n_ghost]])
+    return vel(weights.dx * np.correlate(ext, weights.w, mode="valid"))
+
+
+def _oracle_lf_step(rho, v_lag, lam, alpha, sat, boundary):
+    r = _oracle_extend3(rho, boundary)
+    v = _oracle_extend3(v_lag, boundary)
+    with np.errstate(invalid="ignore", over="ignore"):
+        flux = r * sat(r) * v
+        return rho + 0.5 * lam * (
+            alpha * (r[2:] - 2.0 * rho + r[:-2]) - (flux[2:] - flux[:-2])
+        )
+
+
+def _oracle_hw_step(rho, v_lag, lam, sat, boundary):
+    r = _oracle_extend3(rho, boundary)
+    v = _oracle_extend3(v_lag, boundary)
+    with np.errstate(invalid="ignore", over="ignore"):
+        flux = r[:-1] * sat(r[1:]) * v[1:]
+        return rho - lam * (flux[1:] - flux[:-1])
+
+
+def _speeds(level, weights, vel, boundary):
+    """The J-cell speed field of one level, through the workspace kernel."""
+    with Workspace(len(level), weights.n, boundary) as work:
+        return lagged_speeds(level, weights, vel, work)[1:-1]
+
+
+def _lf(rho, v, lam, alpha, sat, boundary):
+    """One workspace LF step from a J-cell speed field."""
+    with Workspace(len(rho), 1, boundary) as work:
+        return lf_step(rho, extend3(v, boundary), lam, alpha, sat, work)
+
+
+def _hw(rho, v, lam, sat, boundary):
+    """One workspace HW step from a J-cell speed field."""
+    with Workspace(len(rho), 1, boundary) as work:
+        return hw_step(rho, extend3(v, boundary), lam, sat, work)
 
 
 def test_extend3_free_flow_replicates_ends():
@@ -49,7 +111,7 @@ def test_lf_step_hand_computed():
     """
     rho = np.array([0.0, 0.5, 0.0])
     v = np.array([1.0, 0.5, 1.0])
-    out = lf_step(rho, v, lam=0.25, alpha=2.0, sat=_SAT_NONE, boundary=PERIODIC)
+    out = _lf(rho, v, lam=0.25, alpha=2.0, sat=_SAT_NONE, boundary=PERIODIC)
     assert np.allclose(out, [0.09375, 0.25, 0.15625])
     assert float(np.sum(out)) == pytest.approx(0.5)
 
@@ -59,7 +121,7 @@ def test_hw_step_hand_computed():
     [0, 1/4, 1/4]."""
     rho = np.array([0.0, 0.5, 0.0])
     v = np.array([1.0, 0.5, 1.0])
-    out = hw_step(rho, v, lam=0.5, sat=_SAT_NONE, boundary=PERIODIC)
+    out = _hw(rho, v, lam=0.5, sat=_SAT_NONE, boundary=PERIODIC)
     assert np.allclose(out, [0.0, 0.25, 0.25])
     assert float(np.sum(out)) == pytest.approx(0.5)
 
@@ -74,7 +136,7 @@ def test_hw_step_interface_fluxes_are_nonnegative_for_nonnegative_data():
     for _ in range(20):
         rho = rng.uniform(0.0, 1.0, 12)
         v = rng.uniform(0.0, 1.0, 12)
-        out = hw_step(rho, v, lam, sat, FREE_FLOW)
+        out = _hw(rho, v, lam, sat, FREE_FLOW)
         inflow = rho[0] * sat(rho[0]) * v[0]
         fluxes = inflow + np.concatenate([[0.0], np.cumsum((rho - out) / lam)])
         r = extend3(rho, FREE_FLOW)
@@ -90,9 +152,9 @@ def test_step_detects_nonfinite(scheme):
     v = np.ones(3)
     with pytest.raises(StepError, match="non-finite density in cell"):
         if scheme == "lf":
-            lf_step(rho, v, lam=0.25, alpha=2.0, sat=_SAT_NONE, boundary=FREE_FLOW)
+            _lf(rho, v, lam=0.25, alpha=2.0, sat=_SAT_NONE, boundary=FREE_FLOW)
         else:
-            hw_step(rho, v, lam=0.25, sat=_SAT_NONE, boundary=FREE_FLOW)
+            _hw(rho, v, lam=0.25, sat=_SAT_NONE, boundary=FREE_FLOW)
 
 
 def test_step_passes_finite_level_whose_sum_overflows():
@@ -102,7 +164,7 @@ def test_step_passes_finite_level_whose_sum_overflows():
     rho = np.full(4, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = hw_step(rho, np.zeros(4), lam=0.25, sat=_SAT_NONE, boundary=FREE_FLOW)
+        out = _hw(rho, np.zeros(4), lam=0.25, sat=_SAT_NONE, boundary=FREE_FLOW)
     assert np.array_equal(out, rho)
 
 
@@ -166,8 +228,8 @@ def test_run_zero_delay_equals_undelayed_convolution_loop():
 
     rho = rho0.copy()
     for _ in range(40):
-        v = convolved_speeds(rho, weights, vel, FREE_FLOW)
-        rho = hw_step(rho, v, grid.lam, sat, FREE_FLOW)
+        v = _oracle_speeds(rho, weights, vel, FREE_FLOW)
+        rho = _oracle_hw_step(rho, v, grid.lam, sat, FREE_FLOW)
 
     final = run(grid, weights, vel, sat, "hw", rho0, t_final=40 * grid.dt)
     assert np.array_equal(final, rho)
@@ -208,13 +270,16 @@ def _delayed_case(h, n_steps):
     ids=["h0", "NT_below_h", "NT_equal_h", "NT_below_2h", "NT_above_2h"],
 )
 def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
-    """lagged_speeds runs max(N_T - h, 0) + 1 times, the collector checks
+    """lagged_speeds runs max(N_T - h, 0) + 1 times, push_level max(N_T -
+    h, 0) times and the step N_T times, each looked up as a schemes global
+    (perfbench's traced layers wrap them there); the collector checks
     each speed field once (its block checks count fields each), and
     between steps the history holds at most min(h, max(N_T - h, 0)) levels
     behind its head."""
     grid, weights, rho0, t_final = _delayed_case(h, n_steps)
-    states, calls, queued, checks = [], [], [], []
+    states, calls, queued, checks, pushes, steps = [], [], [], [], [], []
     init, lagged = schemes.init_history, schemes.lagged_speeds
+    push, step = schemes.push_level, schemes.hw_step
     check_speeds = DiagnosticsCollector._check_speeds
 
     def recorded_init(*args):
@@ -224,6 +289,14 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
     def counted_lagged(*args):
         calls.append(args)
         return lagged(*args)
+
+    def counted_push(*args):
+        pushes.append(args)
+        return push(*args)
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
 
     def counted_check(self, count):
         checks.append(count)
@@ -242,11 +315,15 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
 
     monkeypatch.setattr(schemes, "init_history", recorded_init)
     monkeypatch.setattr(schemes, "lagged_speeds", counted_lagged)
+    monkeypatch.setattr(schemes, "push_level", counted_push)
+    monkeypatch.setattr(schemes, "hw_step", counted_step)
     monkeypatch.setattr(DiagnosticsCollector, "_check_speeds", counted_check)
 
     run(grid, weights, vel, _SAT_NONE, "hw", rho0, t_final, observer=observer)
     assert len(queued) == n_steps + 1
     assert len(calls) == max(n_steps - h, 0) + 1
+    assert len(pushes) == max(n_steps - h, 0)
+    assert len(steps) == n_steps
     assert sum(checks) == len(calls)
     assert max(queued) == min(h, max(n_steps - h, 0))
 
@@ -256,15 +333,15 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
     datum and re-convolves its oldest level after every step."""
     ring = deque((rho0.copy() for _ in range(grid.delay_steps + 1)), maxlen=grid.delay_steps + 1)
     rho = rho0.copy()
-    v = convolved_speeds(ring[0], weights, vel, boundary)
+    v = _oracle_speeds(ring[0], weights, vel, boundary)
     seen = [(0, rho, v)]
     for n in range(1, n_steps + 1):
         if scheme == "lf":
-            rho = lf_step(rho, v, grid.lam, grid.alpha, sat, boundary)
+            rho = _oracle_lf_step(rho, v, grid.lam, grid.alpha, sat, boundary)
         else:
-            rho = hw_step(rho, v, grid.lam, sat, boundary)
+            rho = _oracle_hw_step(rho, v, grid.lam, sat, boundary)
         ring.append(rho)
-        v = convolved_speeds(ring[0], weights, vel, boundary)
+        v = _oracle_speeds(ring[0], weights, vel, boundary)
         seen.append((n, rho, v))
     return seen
 
@@ -298,8 +375,87 @@ def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
         assert np.array_equal(level, level_ref)
         assert np.array_equal(v, v_ref)
         lagged = seen[max(n - grid.delay_steps, 0)][1]
-        assert np.array_equal(v, convolved_speeds(lagged, weights, vel, boundary))
+        assert np.array_equal(v, _oracle_speeds(lagged, weights, vel, boundary))
     assert np.array_equal(final, expected[-1][1])
+
+
+_SATURATIONS = [
+    _SAT_NONE,
+    Saturation("linear", rho_max=1.0),
+    Saturation("exponential", rho_max=1.0, eps=0.05),
+]
+_VELOCITIES = [Velocity("greenshields", v_max=1.0, rho_max=1.0), Velocity("cropped")]
+
+
+@pytest.mark.parametrize("vel", _VELOCITIES, ids=["greenshields", "cropped"])
+@pytest.mark.parametrize("sat", _SATURATIONS, ids=["none", "linear", "exponential"])
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_run_matches_concatenate_kernel_bit_for_bit(scheme, boundary, sat, vel):
+    """The workspace march equals the concatenate-based kernel on every
+    observer (n, level, v_lag) and on the final level, from a datum with
+    negative cells and cells above R.  Levels and speed fields are kept
+    uncopied, so a level or speed field that aliases a reused buffer fails."""
+    grid, weights, _, t_final = _delayed_case(3, 12)
+    rho0 = np.random.default_rng(8).uniform(-0.2, 1.3, grid.n_cells)
+    seen = []
+    final = run(
+        grid, weights, vel, sat, scheme, rho0, t_final, boundary=boundary,
+        observer=lambda n, level, v_lag: seen.append((n, level, v_lag)),
+    )
+    expected = _ring_march(grid, weights, vel, sat, scheme, rho0, 12, boundary)
+    assert [n for n, *_ in seen] == [n for n, *_ in expected]
+    for (_, level, v), (_, level_ref, v_ref) in zip(seen, expected):
+        assert level.tobytes() == level_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+    assert final.tobytes() == expected[-1][1].tobytes()
+
+
+def test_periodic_window_wraps_more_than_once():
+    """With K - 1 > J the periodic convolution window wraps the level
+    several times: J = 10, K = 43, on a delayed LF march and its speeds."""
+    grid = build_grid(0.0, 1.0, 0.1, 0.01, 0.03, 4.3, alpha=2.0)
+    weights = discretize_kernel(Kernel("linear_decreasing", length=4.3), grid)
+    assert (grid.n_cells, weights.n) == (10, 43)
+    vel = Velocity("normalized_greenshields")
+    sat = Saturation("linear", rho_max=1.0)
+    rho0 = np.random.default_rng(9).uniform(0.0, 1.0, 10)
+    seen = []
+    run(
+        grid, weights, vel, sat, "lf", rho0, 8 * grid.dt, boundary=PERIODIC,
+        observer=lambda n, level, v_lag: seen.append((level, v_lag)),
+    )
+    expected = _ring_march(grid, weights, vel, sat, "lf", rho0, 8, PERIODIC)
+    for (level, v), (_, level_ref, v_ref) in zip(seen, expected):
+        assert level.tobytes() == level_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("sat", _SATURATIONS, ids=["none", "linear", "exponential"])
+def test_one_shot_kernel_matches_concatenate_kernel(sat, boundary):
+    """Single steps and speed fields on random data with negative cells and
+    cells above R, J from 1 to 30 and K from 1 to 40, one workspace
+    reused across calls: bit for bit the concatenate-based kernel."""
+    rng = np.random.default_rng(10)
+    vel = Velocity("cropped")
+    for _ in range(40):
+        n, k = int(rng.integers(1, 31)), int(rng.integers(1, 41))
+        weights = discretize_kernel(
+            Kernel("linear_decreasing", length=k * 0.1), build_grid(0.0, 1.0, 0.1, 0.1, 0.0, k * 0.1)
+        )
+        assert weights.n == k
+        lam, alpha = rng.uniform(0.1, 0.5), rng.uniform(1.0, 3.0)
+        with Workspace(n, k, boundary) as work:
+            for _ in range(3):
+                rho = rng.uniform(-0.5, 1.5, n)
+                speeds = lagged_speeds(rho, weights, vel, work)
+                v = _oracle_speeds(rho, weights, vel, boundary)
+                assert speeds.tobytes() == _oracle_extend3(v, boundary).tobytes()
+                lf = lf_step(rho, speeds, lam, alpha, sat, work)
+                hw = hw_step(rho, speeds, lam, sat, work)
+                assert lf.tobytes() == _oracle_lf_step(rho, v, lam, alpha, sat, boundary).tobytes()
+                assert hw.tobytes() == _oracle_hw_step(rho, v, lam, sat, boundary).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +516,7 @@ def test_convolved_speeds_constant_level():
     vel = Velocity("normalized_greenshields")
     w = _weights()
     level = np.full(4, 0.25)
-    v = convolved_speeds(level, w, vel, FREE_FLOW)
+    v = _speeds(level, w, vel, FREE_FLOW)
     assert np.allclose(v, 0.75, rtol=1e-14)
 
 
@@ -369,7 +525,7 @@ def test_convolved_speeds_forward_looking():
     vel = Velocity("normalized_greenshields")
     w = _weights()  # dx = 0.25, L = 0.5 -> weights [2, 2]
     level = np.array([0.0, 0.4, 0.8, 0.8])
-    v = convolved_speeds(level, w, vel, FREE_FLOW)
+    v = _speeds(level, w, vel, FREE_FLOW)
     # convolution values: 0.25*2*(0+0.4)=0.2, 0.6, 0.8, then 0.8 by
     # constant extension beyond the right edge
     assert np.allclose(v, 1.0 - np.array([0.2, 0.6, 0.8, 0.8]))
@@ -379,7 +535,7 @@ def test_convolved_speeds_periodic_wraps():
     vel = Velocity("normalized_greenshields")
     w = _weights()
     level = np.array([0.0, 0.4, 0.8, 0.8])
-    v = convolved_speeds(level, w, vel, PERIODIC)
+    v = _speeds(level, w, vel, PERIODIC)
     assert v[-1] == pytest.approx(1.0 - 0.25 * 2.0 * (0.8 + 0.0))
 
 
@@ -388,16 +544,21 @@ def test_lagged_speeds_use_oldest_level():
     w = _weights()
     history = init_history(np.full(4, 0.5), h=1)
     push_level(history, np.full(4, 0.9))
-    v = lagged_speeds(history, w, vel, FREE_FLOW)
+    with Workspace(4, w.n, FREE_FLOW) as work:
+        v = lagged_speeds(history[0], w, vel, work)
     assert np.allclose(v, 0.5)
 
 
 def test_lagged_speeds_are_read_only():
     """run hands one speed field to several steps and observers."""
     vel = Velocity("normalized_greenshields")
-    v = lagged_speeds(init_history(np.full(4, 0.5), h=1), _weights(), vel, FREE_FLOW)
+    w = _weights()
+    with Workspace(4, w.n, FREE_FLOW) as work:
+        v = lagged_speeds(np.full(4, 0.5), w, vel, work)
     with pytest.raises(ValueError):
         v[0] = 0.0
+    with pytest.raises(ValueError):
+        v[1:-1][0] = 0.0
 
 
 def test_speed_increment_bound_formula():
@@ -416,6 +577,6 @@ def test_adjacent_speed_increments_respect_bound():
     w = discretize_kernel(Kernel("linear_decreasing", length=0.05), grid)
     for _ in range(25):
         level = rng.uniform(0.0, 1.0, grid.n_cells)
-        v = convolved_speeds(level, w, vel, FREE_FLOW)
+        v = _speeds(level, w, vel, FREE_FLOW)
         bound = speed_increment_bound(vel, w, rho_sup=float(level.max()))
         assert float(np.max(np.abs(np.diff(v)))) <= bound + 1e-12
