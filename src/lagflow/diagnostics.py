@@ -51,7 +51,7 @@ import numpy as np
 
 from .discretization import Grid, KernelWeights
 from .model_functions import SAT_NONE, Kernel, Saturation, Velocity, flux_speed
-from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, extend3
+from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, extend3, fill_ghosts
 
 #: Absolute tolerance for the discrete entropy inequality.
 ENTROPY_TOL = 1e-10
@@ -292,18 +292,65 @@ def stability_bound(consts: StabilityConstants, t: float, datum_distance: float)
 # discrete entropy residual
 
 
+#: Equispaced entropy constants the check samples in [0, R].
+KAPPA_COUNT = 17
+
+
 def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.ndarray:
-    """17 equispaced entropy constants in [0, R], plus the level's extrema.
+    """KAPPA_COUNT = 17 equispaced entropy constants in [0, R], plus the
+    level's extrema.
 
     The entropy check is a sample in kappa, not a proof over all kappa: for
     a nonlinear F the residual is not piecewise linear between level values
     (F(kappa) keeps a nonzero coefficient where the data straddle kappa).
     The extrema pin the sample to the level's active range.
     """
-    base = np.linspace(0.0, rho_ceiling, 17)
+    base = np.linspace(0.0, rho_ceiling, KAPPA_COUNT)
     if level is not None:
         base = np.concatenate([base, [np.min(level), np.max(level)]])
     return np.unique(base)
+
+
+class EntropyWorkspace:
+    """Buffers the Lax-Friedrichs entropy check rewrites on every call.
+
+    Sized from K kappas and J cells.  Row k of each (K, J + 2) matrix
+    belongs to kappa k: kap holds kappa_k and kap_flux kappa_k f(kappa_k)
+    in every column, and a call rewrites only the rows whose kappa changed
+    (bit for bit) since the last call, evaluating f on those kappas only;
+    the rows therefore hold one saturation law's values, and a workspace
+    serves one law.  Three work matrices and the residual matrix follow,
+    then the J + 2 vectors r, f(r), r f(r), (lam/2) V, rho' and the speed
+    gap, indexed like the ghost-extended level.  The ghost cells of rho'
+    and the gap stay 0, so the ghost columns of every matrix hold finite
+    values (see entropy_residual).
+    """
+
+    def __init__(self, n_kappas: int, n_cells: int) -> None:
+        shape = (n_kappas, n_cells + 2)
+        self.kappas = np.full(n_kappas, np.nan)
+        self.kap, self.kap_flux = np.full((2,) + shape, np.nan)
+        self.a, self.b, self.c, self.res = np.empty((4,) + shape)
+        self.r, self.f, self.rf, self.hv = np.empty((4, n_cells + 2))
+        self.rho_next, self.gap = np.zeros((2, n_cells + 2))
+
+    @staticmethod
+    def bytes_for(n_kappas: int, n_cells: int) -> int:
+        """Bytes of the buffers of a workspace for K kappas and J cells."""
+        return (6 * n_kappas + 6) * (n_cells + 2) * 8 + n_kappas * 8
+
+    def set_kappas(self, kappas: np.ndarray, sat: Saturation) -> None:
+        """Rewrite the rows of the kappas whose bits changed."""
+        if kappas.shape != self.kappas.shape:
+            raise ValueError("the workspace holds a different number of kappas")
+        bits = zip(kappas.view(np.int64).tolist(), self.kappas.view(np.int64).tolist())
+        changed = [k for k, (now, held) in enumerate(bits) if now != held]
+        if changed:
+            new = kappas[changed]
+            self.kappas[changed] = new
+            for k, kap, kap_flux in zip(changed, new.tolist(), (new * sat(new)).tolist()):
+                self.kap[k] = kap
+                self.kap_flux[k] = kap_flux
 
 
 def entropy_residual(
@@ -316,10 +363,14 @@ def entropy_residual(
     kappas: np.ndarray,
     scheme: str = LAX_FRIEDRICHS,
     alpha: float | None = None,
+    f_rho: np.ndarray | None = None,
+    work: EntropyWorkspace | None = None,
 ) -> float:
     """Largest discrete entropy production of one step; theory says <= 0.
 
-    For each cell j and constant kappa the residual is
+    v_lag is the speed field the step read, with its ghost cells (J + 2
+    cells, as lf_step and hw_step take it); f_rho, when given, is f on the
+    J cells of rho.  For each cell j and constant kappa the residual is
 
         |rho'_j - k| - |rho_j - k|
         + lam (Fk_{j+1/2}(rho_j, rho_j+1) - Fk_{j-1/2}(rho_j-1, rho_j))
@@ -338,9 +389,10 @@ def entropy_residual(
     inequality is proved for Lax-Friedrichs; the Hilliges-Weidlich residual
     is reported for observation only.
 
-    f is evaluated once on the cells and once on the kappas, never on a
-    kappa-by-cell array.  Since F(max(u,k)) - F(min(u,k)) = sgn(u-k)(F(u) -
-    F(k)) and max(w,k) - min(w,k) = |w-k|, the Lax-Friedrichs flux is
+    f is evaluated on the cells (unless f_rho is given) and on the kappas
+    whose rows are rewritten, never on a kappa-by-cell array.  Since
+    F(max(u,k)) - F(min(u,k)) = sgn(u-k)(F(u) - F(k)) and max(w,k) -
+    min(w,k) = |w-k|, the Lax-Friedrichs flux is
 
         Fk(u, w) = (P(u) V_j + P(w) V_{j+1}) / 2 - alpha (|w-k| - |u-k|) / 2,
         P(u) = sgn(u-k) (F(u) - F(k)),
@@ -348,44 +400,75 @@ def entropy_residual(
     |rho'_j - k| and the correction fuse into sgn(e) (e + lam F(k) gap_j),
     e = rho'_j - k, for both schemes.  Hilliges-Weidlich takes f(max(w,k)) =
     min(f(w), f(k)) and f(min(w,k)) = max(f(w), f(k)), as f is non-increasing.
+
+    The Lax-Friedrichs residual is written into work, or into a workspace
+    built for this call, with out= ufuncs in the order of the broadcast
+    expressions above, so every (kappa, j) value keeps its bits.  Each
+    kappa row spans the J + 2 ghost-extended cells; the j - 1 and j + 1
+    terms read the raveled matrices shifted by one element, so the ghost
+    columns of the residual pick up finite junk from the neighbouring row
+    and are set to -inf before one np.max.  The Hilliges-Weidlich residual,
+    which runs only at record rows, is a broadcast expression.
     """
     rho = np.asarray(rho, dtype=float)
     rho_next = np.asarray(rho_next, dtype=float)
-    kap = np.asarray(kappas, dtype=float)[:, None]
-    r = extend3(rho, boundary)
-    v = extend3(v_lag, boundary)
-    f_r = sat(r)
-    f_kap = sat(kap)
-    flux_kap = kap * f_kap
+    v_lag = np.asarray(v_lag, dtype=float)
+    kap = np.ascontiguousarray(kappas, dtype=float).reshape(-1)
     if scheme == LAX_FRIEDRICHS:
         if alpha is None:
             raise ValueError("the Lax-Friedrichs entropy flux needs alpha")
-        d = r - kap
-        dist = np.abs(d)
-        p = np.subtract(r * f_r, flux_kap)
+        if work is None:
+            work = EntropyWorkspace(kap.size, rho.size)
+        work.set_kappas(kap, sat)
+        r = extend3(rho, boundary, out=work.r)
+        f_r = sat(r, out=work.f) if f_rho is None else extend3(f_rho, boundary, out=work.f)
+        np.multiply(r, f_r, out=work.rf)
+        np.multiply(0.5 * lam, v_lag, out=work.hv)
+        d, dist, p, res = work.a, work.b, work.c, work.res
+        np.subtract(r, work.kap, out=d)
+        np.abs(d, out=dist)
+        np.subtract(work.rf, work.kap_flux, out=p)
         p *= np.sign(d, out=d)
-        p *= (0.5 * lam) * v
+        p *= work.hv
         # lam (Fk_{j+1/2} - Fk_{j-1/2}) - |rho_j - k|, from the cell-wise
-        # P and |r - k| of cells j - 1, j and j + 1
-        residual = np.add(dist[:, 2:], dist[:, :-2])
-        residual *= -0.5 * lam * alpha
-        residual += p[:, 2:]
-        residual -= p[:, :-2]
-        mid = dist[:, 1:-1]
-        mid *= lam * alpha - 1.0
-        residual += mid
-        gap = (0.5 * lam) * (v[2:] - v[:-2])
-    elif scheme == HILLIGES_WEIDLICH:
-        u, f_w = r[:-1], f_r[1:]
-        flux_k = np.maximum(u, kap)
-        flux_k *= np.minimum(f_w, f_kap)
-        flux_k -= np.minimum(u, kap) * np.maximum(f_w, f_kap)
-        flux_k *= lam * v[1:]
-        residual = np.subtract(flux_k[:, 1:], flux_k[:, :-1])
-        residual -= np.abs(rho - kap)
-        gap = lam * (v[2:] - v[1:-1])
-    else:
+        # P and |r - k| of cells j - 1, j and j + 1: flat neighbours
+        flat_dist, flat_p = dist.reshape(-1), p.reshape(-1)
+        flat_res = res.reshape(-1)[1:-1]
+        np.add(flat_dist[2:], flat_dist[:-2], out=flat_res)
+        flat_res *= -0.5 * lam * alpha
+        flat_res += flat_p[2:]
+        flat_res -= flat_p[:-2]
+        dist *= lam * alpha - 1.0
+        flat_res += flat_dist[1:-1]
+        gap = work.gap[1:-1]
+        np.subtract(v_lag[2:], v_lag[:-2], out=gap)
+        np.multiply(0.5 * lam, gap, out=gap)
+        work.rho_next[1:-1] = rho_next
+        e, sign_e, kap_gap = d, dist, p
+        np.subtract(work.rho_next, work.kap, out=e)
+        np.sign(e, out=sign_e)
+        np.multiply(work.kap_flux, work.gap, out=kap_gap)
+        e += kap_gap
+        e *= sign_e
+        flat_res += e.reshape(-1)[1:-1]
+        res[:, 0] = -np.inf
+        res[:, -1] = -np.inf
+        return float(np.max(res))
+    if scheme != HILLIGES_WEIDLICH:
         raise ValueError(f"unknown scheme {scheme!r}")
+    kap = kap[:, None]
+    r = extend3(rho, boundary)
+    f_r = sat(r) if f_rho is None else extend3(f_rho, boundary)
+    f_kap = sat(kap)
+    flux_kap = kap * f_kap
+    u, f_w = r[:-1], f_r[1:]
+    flux_k = np.maximum(u, kap)
+    flux_k *= np.minimum(f_w, f_kap)
+    flux_k -= np.minimum(u, kap) * np.maximum(f_w, f_kap)
+    flux_k *= lam * v_lag[1:]
+    residual = np.subtract(flux_k[:, 1:], flux_k[:, :-1])
+    residual -= np.abs(rho - kap)
+    gap = lam * (v_lag[2:] - v_lag[1:-1])
     e = rho_next - kap
     sign_e = np.sign(e)
     e += flux_kap * gap
@@ -431,8 +514,9 @@ def lipschitz_in_time_check(
 # ---------------------------------------------------------------------------
 # per-run collector
 
-#: Bytes of each of the collector's three block buffers (levels, speed
-#: fields, scratch); see block_rows and block_bytes.
+#: Bytes of each of the collector's block buffers (levels, speed fields,
+#: scratch, and f on the levels when entropy is asserted); see block_rows
+#: and block_bytes.
 BLOCK_BYTES = 1 << 17
 
 
@@ -441,10 +525,23 @@ def block_rows(n_cells: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_cells))
 
 
-def block_bytes(n_cells: int, h: int, n_steps: int) -> int:
-    """Bytes of one collector's buffers: three (B, J) blocks, the carry row
-    and the ring of min(h, N_T) + 1 reaches, all float64."""
-    return ((3 * block_rows(n_cells) + 1) * n_cells + min(h, n_steps) + 1) * 8
+def asserts_entropy(vel: Velocity, sat: Saturation, scheme: str, thorough: bool) -> bool:
+    """Whether a run asserts the entropy inequality on every step: a
+    thorough Lax-Friedrichs run with a saturation term and a C^2 velocity."""
+    return thorough and sat.kind != SAT_NONE and vel.smooth and scheme == LAX_FRIEDRICHS
+
+
+def block_bytes(n_cells: int, h: int, n_steps: int, entropy: bool) -> int:
+    """Bytes of one collector's buffers, all float64: the (B + 1, J) level
+    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and
+    the ring of min(h, N_T) + 1 reaches; with the entropy assertion also
+    the (B, J) block of f on the levels and the EntropyWorkspace of
+    KAPPA_COUNT + 2 kappas."""
+    rows = block_rows(n_cells)
+    total = ((2 * rows + 1) * n_cells + (rows + 1) * (n_cells + 2) + min(h, n_steps) + 1) * 8
+    if entropy:
+        total += rows * n_cells * 8 + EntropyWorkspace.bytes_for(KAPPA_COUNT + 2, n_cells)
+    return total
 
 
 @dataclass(frozen=True)
@@ -488,8 +585,14 @@ class DiagnosticsCollector:
     read the same lagged level, so a call whose v_lag is the previous
     call's object brings no new field).  The checks run a block of steps
     at a time: a call copies its level, and a new field, into preallocated
-    buffers of block_rows(J) rows, and flush() reduces the whole block
-    with one NumPy call per statistic, then walks its rows in step order.
+    buffers of block_rows(J) rows, and flush() fills the ghost cells of
+    the block's fields, reduces the whole block with one NumPy call per
+    statistic, then walks its rows in step order.  A run that
+    asserts entropy also holds a block of f on the levels, evaluated once
+    per flush, and one EntropyWorkspace that every step's entropy_residual
+    call reuses: the walk changes only the two extrema slots of the kappa
+    vector, so only those two rows are rewritten.  Watch rows build their
+    buffers per call.
     The bound of a field first seen at step n needs sup|rho| of level
     max(n - h, 0): the walk writes each step's max(|min|, |max|) into a
     ring of min(h, n_final) + 1 entries before the row's speed check.  A
@@ -531,12 +634,11 @@ class DiagnosticsCollector:
         self.stride = stride
         self.n_final = n_final
         saturated = sat.kind != SAT_NONE
-        conforming = saturated and vel.smooth
         self.positivity = saturated
         self.rho_ceiling = vel.rho_max if saturated else None
         self.conserve_mass = boundary == PERIODIC
-        self.tv_ceiling = conforming and constants is not None
-        self.entropy_assert = thorough and conforming and scheme == LAX_FRIEDRICHS
+        self.tv_ceiling = saturated and vel.smooth and constants is not None
+        self.entropy_assert = asserts_entropy(vel, sat, scheme, thorough)
         self.entropy_watch = vel.smooth and not self.entropy_assert
         self.records: list[DiagnosticsRecord] = []
         self.sup_tv = 0.0
@@ -548,11 +650,13 @@ class DiagnosticsCollector:
         self.space_time_tv_space = 0.0
         self.space_time_tv_time = 0.0
         self._mass0: float | None = None
-        # levels of the block in rows 1..count; row 0 carries the last
-        # level of the previous block
+        # levels of the block in rows 1..count and its new speed fields,
+        # with their ghost cells, in rows 1..; row 0 carries the last level
+        # and the last field of the previous block (zero before step 0, so
+        # f on the first block reads defined values)
         rows, cells = block_rows(grid.n_cells), grid.n_cells
-        self._levels = np.empty((rows + 1, cells))
-        self._speeds = np.empty((rows, cells))
+        self._levels = np.zeros((rows + 1, cells))
+        self._speeds = np.empty((rows + 1, cells + 2))
         self._scratch = np.empty((rows, cells))
         # sup|rho^n| of step n at n mod len; see the class docstring
         self._reach = np.empty(min(grid.delay_steps, n_final) + 1)
@@ -561,33 +665,38 @@ class DiagnosticsCollector:
         # block row at which each buffered speed field first appears
         self._field_rows: list[int] = []
         self._prev_speeds: np.ndarray | None = None
-        # speed field and TV of the carry row's step
-        self._carry_speeds: np.ndarray | None = None
+        # TV of the carry row's step
         self._prev_tv = 0.0
         # default_kappas(R, previous level) up to order and repeats: the
         # walk writes each row's extrema into the last two slots
         self._kappas = np.concatenate([default_kappas(vel.rho_max), [0.0, 0.0]])
+        # f on the block's levels, and the kernel's buffers, for the
+        # per-step assertion; watch rows build theirs per call
+        self._f = self._entropy_work = None
+        if self.entropy_assert:
+            self._f = np.empty((rows, cells))
+            self._entropy_work = EntropyWorkspace(len(self._kappas), cells)
 
     def __call__(self, n: int, level: np.ndarray, v_lag: np.ndarray) -> None:
         i = self._count
         self._levels[i + 1] = level
         if v_lag is not self._prev_speeds:
-            self._speeds[len(self._field_rows)] = v_lag
+            self._speeds[len(self._field_rows) + 1, 1:-1] = v_lag
             self._field_rows.append(i)
             self._prev_speeds = v_lag
         self._count = i + 1
         self._last_n = n
-        if i + 1 == len(self._speeds) or n == self.n_final:
+        if i + 1 == len(self._scratch) or n == self.n_final:
             self.flush()
 
     def _check_speeds(self, count: int) -> list[float]:
         """Increment gap max|V_{j+1} - V_j| of each of the block's first
         count speed fields; none for a field of fewer than two cells."""
-        cells = self._speeds.shape[1]
+        cells = self._scratch.shape[1]
         if cells < 2:
             return []
         diff = self._scratch[:count, : cells - 1]
-        speeds = self._speeds[:count]
+        speeds = self._speeds[1 : count + 1, 1:-1]
         np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
         return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
@@ -617,8 +726,12 @@ class DiagnosticsCollector:
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
         gaps = self._check_speeds(len(field_rows))
+        # the ghost cells of the block's new fields, as columns
+        fill_ghosts(self._speeds[1 : len(field_rows) + 1].T, self.boundary)
+        if self._f is not None:
+            f_levels = self.sat(levels[:m], out=self._f[:m])
 
-        speeds = self._carry_speeds
+        speeds = self._speeds[0]
         field = 0
         field_row = field_rows[0] if field_rows else -1
         reach, ring, h = self._reach, len(self._reach), grid.delay_steps
@@ -685,6 +798,8 @@ class DiagnosticsCollector:
                         kappas,
                         scheme=self.scheme,
                         alpha=grid.alpha,
+                        f_rho=None if self._f is None else f_levels[r],
+                        work=self._entropy_work,
                     )
                     self.entropy_max = max(self.entropy_max, residual)
                     if self.entropy_assert and residual > ENTROPY_TOL:
@@ -707,12 +822,13 @@ class DiagnosticsCollector:
                 )
 
             if new_field:
-                speeds = self._speeds[field]
                 field += 1
+                speeds = self._speeds[field]
                 field_row = field_rows[field] if field < len(field_rows) else -1
             self._prev_tv = tv
             kappas[-2] = lo
             kappas[-1] = hi
 
-        self._carry_speeds = self._prev_speeds
+        if field_rows:
+            self._speeds[0] = speeds
         levels[0] = levels[m]

@@ -31,6 +31,7 @@ from .diagnostics import (
     DiagnosticsCollector,
     InvariantViolation,
     StabilityConstants,
+    asserts_entropy,
     block_bytes,
     bound_constants,
     exp_or_inf,
@@ -152,7 +153,8 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
     )
     n_steps = step_count(scenario.t_final, grid.dt)
     sizes = (grid.n_cells, grid.delay_steps, n_steps)
-    need = history_bytes(*sizes) + block_bytes(*sizes)
+    entropy = asserts_entropy(vel, sat, scenario.scheme, thorough)
+    need = history_bytes(*sizes) + block_bytes(*sizes, entropy)
     if need > HISTORY_BUDGET_BYTES:
         raise ScenarioError(
             f"the delay history with the check block needs {need} bytes, "
@@ -269,7 +271,10 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
         ("alpha", grid.alpha),
         ("n_steps", resolved.n_steps),
         ("history_bytes", history_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
-        ("block_bytes", block_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
+        (
+            "block_bytes",
+            block_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps, col.entropy_assert),
+        ),
         ("final_time", sim.final_time),
         ("stride", resolved.stride),
         ("datum", s.datum_kind),

@@ -88,8 +88,9 @@ class Workspace:
         self._errstate.__exit__(*exc)
 
 
-def _fill_ghosts(ext: np.ndarray, boundary: str) -> np.ndarray:
-    """ext with its two ghost cells set from ext[1:-1] (replicate or wrap)."""
+def fill_ghosts(ext: np.ndarray, boundary: str) -> np.ndarray:
+    """ext with its two ghost cells set from ext[1:-1] (replicate or wrap);
+    on a 2-D ext, ext[0] and ext[-1] are its ghost rows."""
     if boundary == FREE_FLOW:
         ext[0], ext[-1] = ext[1], ext[-2]
     else:
@@ -102,7 +103,7 @@ def extend3(values: np.ndarray, boundary: str, out: np.ndarray | None = None) ->
     if out is None:
         out = np.empty(len(values) + 2)
     out[1:-1] = values
-    return _fill_ghosts(out, boundary)
+    return fill_ghosts(out, boundary)
 
 
 def init_history(rho0: np.ndarray, h: int) -> deque:
@@ -143,7 +144,7 @@ def lagged_speeds(
     np.multiply(weights.dx, loads, out=loads)
     speeds = np.empty(n + 2)
     vel(loads, out=speeds[1:-1])
-    _fill_ghosts(speeds, work.boundary)
+    fill_ghosts(speeds, work.boundary)
     speeds.flags.writeable = False
     return speeds
 

@@ -175,10 +175,11 @@ def test_criterion_04_discrete_entropy_inequality():
         rho = rng.uniform(0.0, 1.0, n)
         v_lag = rng.uniform(0.0, 1.0, n)
         boundary = FREE_FLOW if rng.integers(2) else PERIODIC
+        speeds = extend3(v_lag, boundary)
         with Workspace(n, 1, boundary) as work:
-            rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+            rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
         res = entropy_residual(
-            rho, rho_next, v_lag, lam, sat, boundary,
+            rho, rho_next, speeds, lam, sat, boundary,
             default_kappas(1.0, rho), "lf", alpha,
         )
         worst = max(worst, res)

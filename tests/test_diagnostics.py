@@ -1,6 +1,10 @@
 """Norms, a priori bound constants, entropy residual, invariant collector."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,10 +178,11 @@ def test_entropy_residual_nonpositive_for_lf_randomized():
         rho = rng.uniform(0.0, 1.0, n)
         v_lag = rng.uniform(0.0, v_cap, n)
         boundary = FREE_FLOW if rng.integers(2) else PERIODIC
+        speeds = extend3(v_lag, boundary)
         with Workspace(n, 1, boundary) as work:
-            rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+            rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
         res = entropy_residual(
-            rho, rho_next, v_lag, lam, sat, boundary, default_kappas(1.0, rho), "lf", alpha
+            rho, rho_next, speeds, lam, sat, boundary, default_kappas(1.0, rho), "lf", alpha
         )
         worst = max(worst, res)
     assert worst <= 1e-10
@@ -189,7 +194,7 @@ def test_entropy_residual_flags_manufactured_violation():
     rho = np.full(5, 0.2)
     fake_next = rho.copy()
     fake_next[2] = 0.9
-    v = np.full(5, 0.5)
+    v = np.full(7, 0.5)
     res = entropy_residual(rho, fake_next, v, 0.25, sat, FREE_FLOW, default_kappas(1.0, rho), "lf", 2.0)
     assert res > 0.1
 
@@ -252,8 +257,9 @@ def test_entropy_residual_matches_max_min_composition(kind):
             [default_kappas(1.0, rho), rng.choice(rho, 3), rng.choice(rho_next, 3)]
         )
         args = (rho, rho_next, v_lag, lam, sat, boundary)
+        speeds = extend3(v_lag, boundary)
         for k in [kappas] + [[x] for x in kappas]:
-            new = entropy_residual(*args, k, scheme, alpha)
+            new = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, k, scheme, alpha)
             ref = _max_min_entropy_residual(*args, k, scheme, alpha)
             worst = max(worst, abs(new - ref))
     assert worst <= 1e-15
@@ -471,7 +477,7 @@ class _PerStepCollector(DiagnosticsCollector):
                 residual = entropy_residual(
                     self._prev_level,
                     level,
-                    self._prev_speeds,
+                    extend3(self._prev_speeds, self.boundary),
                     self.grid.lam,
                     self.sat,
                     self.boundary,
@@ -684,12 +690,23 @@ def test_block_collector_reads_lagged_reach_above_capacity(small_blocks, scheme,
 
 
 def test_block_sizes_follow_block_bytes():
-    """B = max(1, BLOCK_BYTES // 8 J); the buffers are three (B, J) blocks,
-    a carry row and a ring of min(h, N_T) + 1 reaches."""
+    """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
+    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and a
+    ring of min(h, N_T) + 1 reaches; an entropy-asserting run adds the
+    (B, J) block of f and a workspace of six (19, J + 2) matrices, six
+    J + 2 vectors and the 19 kappas."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
-    assert diagnostics.block_bytes(344, 2193, 10965) == ((3 * 47 + 1) * 344 + 2194) * 8
+    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194) * 8
+    assert diagnostics.block_bytes(344, 2193, 10965, False) == watched
+    workspace = (6 * 19 + 6) * 346 * 8 + 19 * 8
+    asserted = watched + 47 * 344 * 8 + workspace
+    assert diagnostics.block_bytes(344, 2193, 10965, True) == asserted
+
+
+def _array_bytes(obj):
+    return sum(a.nbytes for a in vars(obj).values() if isinstance(a, np.ndarray))
 
 
 @pytest.mark.parametrize("cells", [1, 50, 344, 4000])
@@ -698,13 +715,227 @@ def test_block_sizes_follow_block_bytes():
 )
 def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     """block_bytes, which the manifest reports and the history budget
-    counts, is what a fresh collector allocates: its three blocks, the
-    carry row and the reach ring."""
+    counts, is what a fresh collector allocates: its blocks and reach ring
+    and, on an LF run that asserts entropy, the f block and the entropy
+    workspace; an HW run builds neither."""
     vel, sat, _ = _model()
     dx = 1.0 / cells
-    grid = build_grid(0.0, 1.0, dx, 0.01, h * 0.01, dx)
-    assert (grid.n_cells, grid.delay_steps) == (cells, h)
-    weights = discretize_kernel(Kernel("constant", length=dx), grid)
-    col = DiagnosticsCollector(grid, weights, vel, sat, "hw", FREE_FLOW, None, True, 1, n_final)
-    buffers = (col._levels, col._speeds, col._scratch, col._reach)
-    assert sum(b.nbytes for b in buffers) == diagnostics.block_bytes(cells, h, n_final)
+    for scheme, alpha in (("lf", 2.0), ("hw", None)):
+        grid = build_grid(0.0, 1.0, dx, 0.01, h * 0.01, dx, alpha)
+        assert (grid.n_cells, grid.delay_steps) == (cells, h)
+        weights = discretize_kernel(Kernel("constant", length=dx), grid)
+        col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, True, 1, n_final)
+        assert col.entropy_assert == (scheme == "lf")
+        held = sum(b.nbytes for b in (col._levels, col._speeds, col._scratch, col._reach))
+        if col.entropy_assert:
+            held += col._f.nbytes + _array_bytes(col._entropy_work)
+        else:
+            assert col._f is None and col._entropy_work is None
+        assert held == diagnostics.block_bytes(cells, h, n_final, col.entropy_assert)
+
+
+# ---------------------------------------------------------------------------
+# the workspace entropy kernel against the broadcast kernel
+
+
+def _broadcast_entropy_residual(
+    rho, rho_next, v_lag, lam, sat, boundary, kappas, scheme="lf", alpha=None
+):
+    """Reference: the broadcast kernel that allocated its (K, J) arrays on
+    every call; v_lag is the J cells of the speed field."""
+    rho = np.asarray(rho, dtype=float)
+    rho_next = np.asarray(rho_next, dtype=float)
+    kap = np.asarray(kappas, dtype=float)[:, None]
+    r = extend3(rho, boundary)
+    v = extend3(v_lag, boundary)
+    f_r = sat(r)
+    f_kap = sat(kap)
+    flux_kap = kap * f_kap
+    if scheme == "lf":
+        d = r - kap
+        dist = np.abs(d)
+        p = np.subtract(r * f_r, flux_kap)
+        p *= np.sign(d, out=d)
+        p *= (0.5 * lam) * v
+        residual = np.add(dist[:, 2:], dist[:, :-2])
+        residual *= -0.5 * lam * alpha
+        residual += p[:, 2:]
+        residual -= p[:, :-2]
+        mid = dist[:, 1:-1]
+        mid *= lam * alpha - 1.0
+        residual += mid
+        gap = (0.5 * lam) * (v[2:] - v[:-2])
+    else:
+        u, f_w = r[:-1], f_r[1:]
+        flux_k = np.maximum(u, kap)
+        flux_k *= np.minimum(f_w, f_kap)
+        flux_k -= np.minimum(u, kap) * np.maximum(f_w, f_kap)
+        flux_k *= lam * v[1:]
+        residual = np.subtract(flux_k[:, 1:], flux_k[:, :-1])
+        residual -= np.abs(rho - kap)
+        gap = lam * (v[2:] - v[1:-1])
+    e = rho_next - kap
+    sign_e = np.sign(e)
+    e += flux_kap * gap
+    e *= sign_e
+    residual += e
+    return float(np.max(residual))
+
+
+_LAWS = {
+    "none": Saturation("none"),
+    "linear": Saturation("linear", rho_max=1.0),
+    "exponential": Saturation("exponential", rho_max=1.0, eps=0.05),
+}
+
+
+def _random_steps(rng, scheme, boundary, sat, count):
+    """count random steps (rho, rho', J-cell speeds, lam, alpha) at J in
+    {1, 2, 3, 40}, with alpha (LF) or lam (HW) from 5 % to 100 % of its
+    CFL value, so that some LF steps are not monotone."""
+    speed = 1.0 + sat.d1_sup  # V (1 + R |f'|) with V = R = 1
+    for trial in range(count):
+        n = (1, 2, 3, 40)[trial % 4]
+        share = rng.uniform(0.05, 1.0)
+        rho = rng.uniform(0.0, 1.0, n)
+        v_lag = rng.uniform(0.0, 1.0, n)
+        with Workspace(n, 1, boundary) as work:
+            if scheme == "lf":
+                alpha = share * speed
+                lam = 1.0 / (alpha + speed)
+                rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+            else:
+                alpha, lam = None, share / speed
+                rho_next = hw_step(rho, extend3(v_lag, boundary), lam, sat, work)
+        yield rho, rho_next, v_lag, lam, alpha
+
+
+def _tied_kappas(rng, rho, rho_next):
+    """default_kappas plus kappas equal to cell and updated values (the
+    sgn(0) terms), 0 and R among them."""
+    return np.concatenate(
+        [default_kappas(1.0, rho), rng.choice(rho, 2), rng.choice(rho_next, 2), [0.0, 1.0]]
+    )
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_entropy_residual_bits_equal_broadcast_kernel(scheme, boundary, law):
+    """The residual equals the broadcast kernel's to the last bit, with a
+    per-call workspace and with f on the level handed in."""
+    rng = np.random.default_rng(11)
+    sat = _LAWS[law]
+    for rho, rho_next, v_lag, lam, alpha in _random_steps(rng, scheme, boundary, sat, 40):
+        kappas = _tied_kappas(rng, rho, rho_next)
+        ref = _broadcast_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, scheme, alpha)
+        args = (rho, rho_next, extend3(v_lag, boundary), lam, sat, boundary, kappas, scheme, alpha)
+        assert entropy_residual(*args).hex() == ref.hex()
+        assert entropy_residual(*args, f_rho=sat(rho)).hex() == ref.hex()
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+def test_reused_entropy_workspace_keeps_the_bits(boundary, law):
+    """One workspace per J serves a run of LF steps while the kappas change
+    as the collector's do (the last two slots), all at once, or not at
+    all, and every residual keeps the broadcast kernel's bits."""
+    rng = np.random.default_rng(12)
+    sat = _LAWS[law]
+    kappas = np.concatenate([default_kappas(1.0), [0.0, 0.0]])
+    spaces = {n: diagnostics.EntropyWorkspace(len(kappas), n) for n in (1, 2, 3, 40)}
+    for trial, (rho, rho_next, v_lag, lam, alpha) in enumerate(
+        _random_steps(rng, "lf", boundary, sat, 120)
+    ):
+        change = trial // 4 % 3
+        if change == 0:
+            kappas[-2:] = rng.choice(rho, 1)[0], rng.choice(rho_next, 1)[0]
+        elif change == 1:
+            kappas[:] = rng.uniform(0.0, 1.0, len(kappas))
+            kappas[rng.integers(len(kappas))] = rho[0]
+        ref = _broadcast_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, "lf", alpha)
+        new = entropy_residual(
+            rho, rho_next, extend3(v_lag, boundary), lam, sat, boundary, kappas, "lf", alpha,
+            f_rho=sat(rho), work=spaces[len(rho)],
+        )
+        assert new.hex() == ref.hex()
+
+
+def test_entropy_workspace_refuses_another_kappa_count():
+    work = diagnostics.EntropyWorkspace(3, 5)
+    with pytest.raises(ValueError, match="kappas"):
+        entropy_residual(
+            np.zeros(5), np.zeros(5), np.zeros(7), 0.1, _LAWS["linear"], FREE_FLOW,
+            [0.0, 1.0], "lf", 1.0, work=work,
+        )
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+def test_saturation_on_a_block_equals_each_extended_row(boundary, law):
+    """f on a (m, J) block of levels equals f on each ghost-extended row
+    bit for bit, so the collector's block of f can stand in for the
+    kernel's own evaluation."""
+    rng = np.random.default_rng(13)
+    sat = _LAWS[law]
+    for n in (1, 2, 3, 7, 344, 1000, 4000):
+        block = rng.uniform(-0.1, 1.1, (5, n))
+        block[0, : min(n, 3)] = (0.0, 1.0, -0.0)[: min(n, 3)]
+        whole = sat(block)
+        for row, f_row in zip(block, whole):
+            f_ext = sat(extend3(row, boundary))
+            assert f_ext[1:-1].tobytes() == f_row.tobytes()
+
+
+def test_warmed_entropy_call_allocates_no_kappa_by_cell_array():
+    """At K = 19, J = 1000 a call on a warmed workspace peaks below one
+    K x J float64 array (152 000 bytes), with its two extrema kappas new."""
+    rng = np.random.default_rng(14)
+    sat = _LAWS["exponential"]
+    n = 1000
+    rho, rho_next = rng.uniform(0.0, 1.0, (2, n))
+    speeds = extend3(rng.uniform(0.0, 1.0, n), FREE_FLOW)
+    f_rho = sat(rho)
+    kappas = np.concatenate([default_kappas(1.0), [0.0, 0.0]])
+    work = diagnostics.EntropyWorkspace(len(kappas), n)
+    args = (rho, rho_next, speeds, 0.25, sat, FREE_FLOW, kappas, "lf", 2.0)
+    entropy_residual(*args, f_rho=f_rho, work=work)
+    kappas[-2:] = rho.min(), rho.max()
+    tracemalloc.start()
+    try:
+        entropy_residual(*args, f_rho=f_rho, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(kappas) * n * 8
+
+
+_FAULT_RUN = """
+import dataclasses, resource
+from lagflow import preset_scenario, resolve_scenario, simulate
+scenario = dataclasses.replace(
+    preset_scenario("box_delay"), scheme="lf", t_final=0.025, snapshots=()
+)
+resolved = resolve_scenario(scenario)
+assert resolved.n_steps == 510
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = simulate(resolved)
+assert result.collector.entropy_assert
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_lf_run_under_default_malloc_faults_no_pages_per_step():
+    """A fresh interpreter with glibc's default malloc settings runs 510
+    box_delay LF steps with fewer than 20 000 minor page faults: no
+    per-step array is large enough to be mapped and unmapped."""
+    pytest.importorskip("resource")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OMP_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULT_RUN], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 20_000

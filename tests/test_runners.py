@@ -134,14 +134,20 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 
 
 def test_manifest_reports_block_bytes(tmp_path):
-    """Three (B, J) blocks plus a carry row, B = BLOCK_BYTES // 8 J = 327 at
-    J = 50, and a ring of min(h, N_T) + 1 = 3 reaches (h = 2, N_T = 10);
-    the budget counts them with the history."""
-    run_scenario(_tiny(), tmp_path)
-    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-    expected = ((3 * 327 + 1) * 50 + 3) * 8
-    assert f"block_bytes = {expected}" in manifest
-    assert diagnostics.block_bytes(50, 2, 10) == expected
+    """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
+    (B + 1, J + 2) speed fields, the (B, J) scratch and a ring of
+    min(h, N_T) + 1 reaches; the LF run, which asserts entropy, adds the
+    (B, J) block of f and the entropy workspace.  The budget counts them
+    with the history."""
+    for scheme, h, n_steps, entropy in (("hw", 2, 10, False), ("lf", 4, 20, True)):
+        run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
+        manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
+        expected = ((2 * 327 + 1) * 50 + 328 * 52 + h + 1) * 8
+        if entropy:
+            expected += 327 * 50 * 8 + (6 * 19 + 6) * 52 * 8 + 19 * 8
+        assert f"n_steps = {n_steps}" in manifest
+        assert f"block_bytes = {expected}" in manifest
+        assert diagnostics.block_bytes(50, h, n_steps, entropy) == expected
 
 
 def test_step_error_reports_earlier_violation_of_its_block(monkeypatch):
