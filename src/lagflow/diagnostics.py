@@ -51,7 +51,7 @@ import numpy as np
 
 from .discretization import Grid, KernelWeights
 from .model_functions import SAT_NONE, Kernel, Saturation, Velocity, flux_speed
-from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, extend3, fill_ghosts
+from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, extend3
 
 #: Absolute tolerance for the discrete entropy inequality.
 ENTROPY_TOL = 1e-10
@@ -581,13 +581,13 @@ class DiagnosticsCollector:
     Every step is checked: positivity, the maximum principle, mass
     conservation, the TV ceiling and the asserted entropy residual at each
     one, and the speed adjacent-difference bound once per speed field
-    (schemes.run hands the same read-only v_lag to consecutive steps that
-    read the same lagged level, so a call whose v_lag is the previous
-    call's object brings no new field).  The checks run a block of steps
-    at a time: a call copies its level, and a new field, into preallocated
-    buffers of block_rows(J) rows, and flush() fills the ghost cells of
-    the block's fields, reduces the whole block with one NumPy call per
-    statistic, then walks its rows in step order.  A run that
+    (schemes.run hands the same read-only speed field, with its ghost
+    cells, to consecutive steps that read the same lagged level, so a call
+    whose speeds are the previous call's object brings no new field).  The
+    checks run a block of steps at a time: a call copies its level, and a
+    new field whole, into preallocated buffers of block_rows(J) rows, and
+    flush() reduces the whole block with one NumPy call per statistic,
+    then walks its rows in step order.  A run that
     asserts entropy also holds a block of f on the levels, evaluated once
     per flush, and one EntropyWorkspace that every step's entropy_residual
     call reuses: the walk changes only the two extrema slots of the kappa
@@ -677,13 +677,13 @@ class DiagnosticsCollector:
             self._f = np.empty((rows, cells))
             self._entropy_work = EntropyWorkspace(len(self._kappas), cells)
 
-    def __call__(self, n: int, level: np.ndarray, v_lag: np.ndarray) -> None:
+    def __call__(self, n: int, level: np.ndarray, speeds: np.ndarray) -> None:
         i = self._count
         self._levels[i + 1] = level
-        if v_lag is not self._prev_speeds:
-            self._speeds[len(self._field_rows) + 1, 1:-1] = v_lag
+        if speeds is not self._prev_speeds:
+            self._speeds[len(self._field_rows) + 1] = speeds
             self._field_rows.append(i)
-            self._prev_speeds = v_lag
+            self._prev_speeds = speeds
         self._count = i + 1
         self._last_n = n
         if i + 1 == len(self._scratch) or n == self.n_final:
@@ -726,8 +726,6 @@ class DiagnosticsCollector:
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
         gaps = self._check_speeds(len(field_rows))
-        # the ghost cells of the block's new fields, as columns
-        fill_ghosts(self._speeds[1 : len(field_rows) + 1].T, self.boundary)
         if self._f is not None:
             f_levels = self.sat(levels[:m], out=self._f[:m])
 

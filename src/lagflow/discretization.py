@@ -228,27 +228,17 @@ def project_initial_datum(datum, grid: Grid) -> np.ndarray:
         # one contiguous row per interval keeps np.sum's pairwise order
         return np.sum(terms.reshape(len(lo), -1), axis=1)
 
-    def panel_count(width) -> np.ndarray:
-        return np.maximum(1, np.ceil(width / max_panel)).astype(int)
-
-    left, right = edges[:-1], edges[1:]
-    has_break = np.zeros(grid.n_cells, dtype=bool)
-    for c in breaks:
-        has_break |= (left < c) & (c < right)
-    totals = np.empty(grid.n_cells)
-    # Cells without an interior breakpoint, one batch per panel count.
-    panels = panel_count(right - left)
-    for count in np.unique(panels[~has_break]):
-        cells = np.flatnonzero(~has_break & (panels == count))
-        totals[cells] = integrals(left[cells], right[cells], int(count))
-    # Cells split at breakpoints, piece by piece.
-    for j in np.flatnonzero(has_break):
-        a, b = edges[j], edges[j + 1]
-        cuts = [a] + [c for c in breaks if a < c < b] + [b]
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total += float(integrals(np.array([lo]), np.array([hi]), int(panel_count(hi - lo)))[0])
-        totals[j] = total
+    # the cells cut at the interior breakpoints: one batch per panel count,
+    # then each cell sums its pieces in order
+    cuts = np.union1d(edges, breaks)
+    left, right = cuts[:-1], cuts[1:]
+    panels = np.maximum(1, np.ceil((right - left) / max_panel)).astype(int)
+    pieces = np.empty(len(left))
+    for count in np.unique(panels):
+        sel = np.flatnonzero(panels == count)
+        pieces[sel] = integrals(left[sel], right[sel], int(count))
+    totals = np.zeros(grid.n_cells)
+    np.add.at(totals, np.searchsorted(edges, left, side="right") - 1, pieces)
     averages = totals / grid.dx
     lo, hi = datum.value_range()
     return np.clip(averages, lo, hi)

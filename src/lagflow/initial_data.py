@@ -9,26 +9,9 @@ the datum against the density ceiling R before a run).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-
-RIEMANN_UP = "riemann_up"
-RIEMANN_DOWN = "riemann_down"
-RIEMANN_SMALL = "riemann_small"
-BOX = "box"
-OSC_SIN = "osc_sin"
-OSC_COS = "osc_cos"
-CONSTANT = "constant"
-
-DATUM_KINDS = (
-    RIEMANN_UP,
-    RIEMANN_DOWN,
-    RIEMANN_SMALL,
-    BOX,
-    OSC_SIN,
-    OSC_COS,
-    CONSTANT,
-)
 
 #: Support of the oscillatory sine profile; one full period of sin(8 pi x).
 _SIN_SUPPORT = (11.0 / 40.0, 21.0 / 40.0)
@@ -99,7 +82,7 @@ class OscSin:
     shift c; the profile is continuous exactly when c = 2/5.
     """
 
-    shift: float = 0.5
+    shift: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -126,7 +109,7 @@ class OscCos:
     lies in [0, 1/2] and the profile is continuous at the support edges.
     """
 
-    mean: float = 0.25
+    mean: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -159,32 +142,41 @@ class Constant:
         return self.value, self.value
 
 
-def make_datum(kind: str, **params):
-    """Construct a profile by kind name.
+#: kind -> (profile, required keys, defaults of the optional keys)
+DATUM_KINDS = {
+    "riemann_up": (
+        partial(Riemann, interface_takes_right=True),
+        (),
+        {"left": 0.3, "right": 1.5, "position": 0.5},
+    ),
+    "riemann_down": (
+        partial(Riemann, interface_takes_right=False),
+        (),
+        {"left": 1.5, "right": 0.3, "position": 0.5},
+    ),
+    "riemann_small": (
+        partial(Riemann, interface_takes_right=False),
+        (),
+        {"left": 0.25, "right": 0.5, "position": 0.2},
+    ),
+    "box": (Box, ("height", "a", "b"), {}),
+    "osc_sin": (OscSin, (), {"shift": 0.5}),
+    "osc_cos": (OscCos, (), {"mean": 0.25}),
+    "constant": (Constant, ("value",), {}),
+}
 
-    riemann_up      left=0.3, right=1.5, position=0.5 (jump point on the right)
-    riemann_down    left=1.5, right=0.3, position=0.5 (jump point on the left)
-    riemann_small   left=0.25, right=0.5, position=0.2 (jump point on the left)
-    box             height, a, b
-    osc_sin         shift (default 0.5)
-    osc_cos         mean (default 0.25)
-    constant        value
+
+def make_datum(kind: str, **params):
+    """Construct a profile by kind name from its entry in DATUM_KINDS.
+
+    The Riemann kinds bind which side owns the jump point: riemann_up the
+    right, riemann_down and riemann_small the left.  A missing required
+    key, or a key the kind does not take, raises TypeError.
     """
-    if kind == RIEMANN_UP:
-        merged = {"left": 0.3, "right": 1.5, "position": 0.5, **params}
-        return Riemann(interface_takes_right=True, **merged)
-    if kind == RIEMANN_DOWN:
-        merged = {"left": 1.5, "right": 0.3, "position": 0.5, **params}
-        return Riemann(interface_takes_right=False, **merged)
-    if kind == RIEMANN_SMALL:
-        merged = {"left": 0.25, "right": 0.5, "position": 0.2, **params}
-        return Riemann(interface_takes_right=False, **merged)
-    if kind == BOX:
-        return Box(**params)
-    if kind == OSC_SIN:
-        return OscSin(**params)
-    if kind == OSC_COS:
-        return OscCos(**params)
-    if kind == CONSTANT:
-        return Constant(**params)
-    raise ValueError(f"unknown initial-datum kind {kind!r}")
+    if kind not in DATUM_KINDS:
+        raise ValueError(f"unknown initial-datum kind {kind!r}")
+    profile, required, defaults = DATUM_KINDS[kind]
+    for key in params:
+        if key not in required and key not in defaults:
+            raise TypeError(f"{kind} datum got an unexpected keyword argument {key!r}")
+    return profile(**{**defaults, **params})

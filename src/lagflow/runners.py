@@ -211,8 +211,8 @@ def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
         want.setdefault(n_req, []).append(float(t_req))
     captured: list = []
 
-    def observer(n: int, level: np.ndarray, v_lag: np.ndarray) -> None:
-        collector(n, level, v_lag)
+    def observer(n: int, level: np.ndarray, speeds: np.ndarray) -> None:
+        collector(n, level, speeds)
         if n in want:
             for t_req in want[n]:
                 captured.append((t_req, n * grid.dt, level.copy()))

@@ -24,7 +24,7 @@ A scenario file fully describes one simulation::
     safety = 1.0                  ; optional, in (0, 1]
 
     [datum]
-    kind = riemann_up             ; see initial_data.make_datum
+    kind = riemann_up             ; see initial_data.DATUM_KINDS
     ; kind-specific keys: left/right/position, height/a/b, shift, mean, value
 
     [output]                      ; optional section
@@ -60,17 +60,6 @@ from .schemes import BOUNDARY_KINDS, FREE_FLOW, SCHEME_KINDS
 class ScenarioError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
-
-_DATUM_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    # kind -> (required keys, optional keys)
-    initial_data.RIEMANN_UP: ((), ("left", "right", "position")),
-    initial_data.RIEMANN_DOWN: ((), ("left", "right", "position")),
-    initial_data.RIEMANN_SMALL: ((), ("left", "right", "position")),
-    initial_data.BOX: (("height", "a", "b"), ()),
-    initial_data.OSC_SIN: ((), ("shift",)),
-    initial_data.OSC_COS: ((), ("mean",)),
-    initial_data.CONSTANT: (("value",), ()),
-}
 
 #: [model] keys that exactly one kind of one family takes, and requires.
 _MODEL_KIND_KEYS = (
@@ -234,10 +223,10 @@ def scenario_from_sections(sections: dict) -> Scenario:
 
     # the kind first, since it decides which other keys the section takes
     datum_kind = _take(sections, "datum", ("kind",), tuple(sections.get("datum", ())))["kind"]
-    if datum_kind not in _DATUM_KEYS:
+    if datum_kind not in initial_data.DATUM_KINDS:
         raise ScenarioError(f"[datum] kind: unknown datum {datum_kind!r}")
-    required, optional = _DATUM_KEYS[datum_kind]
-    dat = _take(sections, "datum", ("kind",) + required, optional)
+    _, required, defaults = initial_data.DATUM_KINDS[datum_kind]
+    dat = _take(sections, "datum", ("kind",) + required, tuple(defaults))
 
     out = _take(sections, "output", (), ("directory", "snapshots", "stride"))
     if "snapshots" in out:

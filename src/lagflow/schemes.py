@@ -88,9 +88,8 @@ class Workspace:
         self._errstate.__exit__(*exc)
 
 
-def fill_ghosts(ext: np.ndarray, boundary: str) -> np.ndarray:
-    """ext with its two ghost cells set from ext[1:-1] (replicate or wrap);
-    on a 2-D ext, ext[0] and ext[-1] are its ghost rows."""
+def _fill_ghosts(ext: np.ndarray, boundary: str) -> np.ndarray:
+    """ext with its two ghost cells set from ext[1:-1] (replicate or wrap)."""
     if boundary == FREE_FLOW:
         ext[0], ext[-1] = ext[1], ext[-2]
     else:
@@ -103,7 +102,7 @@ def extend3(values: np.ndarray, boundary: str, out: np.ndarray | None = None) ->
     if out is None:
         out = np.empty(len(values) + 2)
     out[1:-1] = values
-    return fill_ghosts(out, boundary)
+    return _fill_ghosts(out, boundary)
 
 
 def init_history(rho0: np.ndarray, h: int) -> deque:
@@ -144,7 +143,7 @@ def lagged_speeds(
     np.multiply(weights.dx, loads, out=loads)
     speeds = np.empty(n + 2)
     vel(loads, out=speeds[1:-1])
-    fill_ghosts(speeds, work.boundary)
+    _fill_ghosts(speeds, work.boundary)
     speeds.flags.writeable = False
     return speeds
 
@@ -242,9 +241,9 @@ def run(
 ) -> np.ndarray:
     """Advance the projected datum to N_T dt with N_T dt <= t_final.
 
-    The observer, if given, is called as observer(n, level, v_lag) once
+    The observer, if given, is called as observer(n, level, speeds) once
     before the loop (n = 0) and after each step n = 1..N_T, where level is
-    the density at step n and v_lag the speed field V^{n-h} of the level
+    the density at step n and speeds the speed field V^{n-h} of the level
     of call max(n - h, 0), which the NEXT step will consume.  A stateful
     observer that remembers the previous call therefore holds exactly the
     (level, speeds) pair that produced the current level.
@@ -256,10 +255,11 @@ def run(
     is popped only when n > h, so between steps the history holds at most
     min(h, max(N_T - h, 0)) + 1 levels (history_bytes).  The speeds are
     recomputed only when the head moves: consecutive calls share one
-    read-only v_lag array (the J cells of the speed field the steps read
-    with its ghost cells) exactly while they share the lagged level, so an
-    observer may treat the same v_lag object as the same field.  The
-    observer runs inside the workspace's floating-point error state.
+    read-only speeds array (the J + 2 cells that lagged_speeds built, ghost
+    cells included, which the steps read) exactly while they share the
+    lagged level, so an observer may treat the same speeds object as the
+    same field.  The observer runs inside the workspace's floating-point
+    error state.
     """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -274,9 +274,8 @@ def run(
     lam = grid.lam
     with Workspace(rho.size, weights.n, boundary) as work:
         speeds = lagged_speeds(history[0], weights, vel, work)
-        v_lag = speeds[1:-1]
         if observer is not None:
-            observer(0, rho, v_lag)
+            observer(0, rho, speeds)
         for n in range(1, n_steps + 1):
             try:
                 if scheme == LAX_FRIEDRICHS:
@@ -290,7 +289,6 @@ def run(
             if n > h:
                 history.popleft()
                 speeds = lagged_speeds(history[0], weights, vel, work)
-                v_lag = speeds[1:-1]
             if observer is not None:
-                observer(n, rho, v_lag)
+                observer(n, rho, speeds)
     return rho

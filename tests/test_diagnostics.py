@@ -347,7 +347,7 @@ def _collector(n_final=4, tau=0.02, dx=0.05, boundary=FREE_FLOW):
 def test_collector_rows_at_stride_and_endpoints():
     col = _collector()
     level = np.full(20, 0.5)
-    v = np.full(20, 0.5)
+    v = np.full(22, 0.5)
     for n in range(5):
         col(n, level, v)
     assert [r.t for r in col.records] == pytest.approx([0.0, 0.02, 0.04])
@@ -359,7 +359,7 @@ def test_collector_detects_negative_density():
     col = _collector()
     bad = np.full(20, 0.5)
     bad[3] = -1e-6
-    col(0, bad, np.full(20, 0.5))
+    col(0, bad, np.full(22, 0.5))
     with pytest.raises(InvariantViolation, match="negative density"):
         col.flush()
 
@@ -367,7 +367,7 @@ def test_collector_detects_negative_density():
 def test_collector_detects_ceiling_violation():
     col = _collector()
     level = np.full(20, 1.5)
-    col(0, level, np.full(20, 0.5))
+    col(0, level, np.full(22, 0.5))
     with pytest.raises(InvariantViolation, match="ceiling 1.0"):
         col.flush()
 
@@ -375,7 +375,7 @@ def test_collector_detects_ceiling_violation():
 def test_collector_detects_mass_drift():
     col = _collector(boundary=PERIODIC)
     level = np.full(20, 0.5)
-    v = np.full(20, 0.5)
+    v = np.full(22, 0.5)
     col(0, level, v)
     col(1, level * 1.01, v)
     with pytest.raises(InvariantViolation, match="mass drift"):
@@ -392,7 +392,7 @@ def test_collector_detects_speed_field_inconsistency():
     level = np.full(100, 0.5)
     v = np.full(100, 0.5)
     v[50] = 0.9
-    col(0, level, v)
+    col(0, level, extend3(v, FREE_FLOW))
     with pytest.raises(InvariantViolation):
         col.flush()
 
@@ -406,11 +406,11 @@ def test_collector_speed_ceiling_is_speed_increment_bound():
     limit = speed_increment_bound(col.vel, col.weights, 1.0) + SPEED_TOL
     v = np.zeros(100)
     v[50:] = limit
-    col(0, level, v)
+    col(0, level, extend3(v, FREE_FLOW))
     col.flush()
     v_next = np.zeros(100)
     v_next[50:] = np.nextafter(limit, math.inf)
-    col(1, level, v_next)
+    col(1, level, extend3(v_next, FREE_FLOW))
     with pytest.raises(InvariantViolation, match="speed increment"):
         col.flush()
 
@@ -433,14 +433,15 @@ class _PerStepCollector(DiagnosticsCollector):
     def flush(self):
         pass
 
-    def __call__(self, n, level, v_lag):
+    def __call__(self, n, level, speeds):
         t = n * self.grid.dt
         self._levels_seen.append(level)
-        if v_lag is not self._prev_speeds and v_lag.size >= 2:
+        interior = speeds[1:-1]
+        if speeds is not self._prev_speeds and interior.size >= 2:
             lagged = self._levels_seen[max(n - self.grid.delay_steps, 0)]
             reach = max(self.vel.rho_max, sup_norm(lagged))
             ceiling = speed_increment_bound(self.vel, self.weights, reach)
-            gap = float(np.max(np.abs(np.diff(v_lag))))
+            gap = float(np.max(np.abs(np.diff(interior))))
             if gap > ceiling + SPEED_TOL:
                 raise InvariantViolation(f"step {n}: speed increment {gap} exceeds bound {ceiling}")
         lo = float(np.min(level))
@@ -477,7 +478,7 @@ class _PerStepCollector(DiagnosticsCollector):
                 residual = entropy_residual(
                     self._prev_level,
                     level,
-                    extend3(self._prev_speeds, self.boundary),
+                    self._prev_speeds,
                     self.grid.lam,
                     self.sat,
                     self.boundary,
@@ -496,7 +497,7 @@ class _PerStepCollector(DiagnosticsCollector):
                 diagnostics.DiagnosticsRecord(t, l1, max(abs(lo), abs(hi)), lo, hi, tv, bound, residual)
             )
         self._prev_level = level
-        self._prev_speeds = v_lag
+        self._prev_speeds = speeds
         self._prev_tv = tv
 
 

@@ -1,10 +1,12 @@
 """Scenario parsing, validation diagnostics, preset registry round-trips."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from lagflow.initial_data import DATUM_KINDS
 from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import PRESET_NAMES, preset_scenario, preset_sections, write_preset_configs
 from lagflow.scenario import (
@@ -227,3 +229,70 @@ def test_preset_sections_are_copies():
 def test_unknown_preset_lists_available_names():
     with pytest.raises(KeyError, match="riemann_shock"):
         preset_sections("warp_drive")
+
+
+#: SHA-256 of each preset's rendered scenario file, in preset order.
+_PRESET_CONFIG_SHA256 = {
+    "riemann_shock": "55d5f0e04ea500cbfd4a8914a94995e85b3000f2e345841d1afbabb6d714589f",
+    "riemann_rarefaction": "0d003f37eb5b42f9d94d76ed6d359f569493f9c7c88cf7bc52628662b10c8143",
+    "box_refine": "2739cbe8de14804549c78406bcd98a836347935ebeb1dbfb5fdc4193e85789aa",
+    "osc_sat": "64a356e66c2d7d2da64f105d23ce9111d543178c5f6c37e4d8140adb620e2bbd",
+    "osc_cos_quarter": "c7b4346da72bf8c07f40b191809a65ae3f04727a5dff581e40b83b0ab1a0c447",
+    "osc_cos_half": "aada8f339a9c4a52f553b52ed24bd3b2e9f14e27dcc39840a37b13ecd3e5b2ac",
+    "osc_delay": "198eef7d9729a7730efcd73513d458d588a24af4fc2c4240cde879a6e924f8eb",
+    "box_delay": "db7fa6439f08b43268a78df7b47deff5ccaa74af4c345daf2aff0d83597006a3",
+    "stopgo_riemann": "4846704fc681bfea814ed836c06daa0f12dd160be5bf7b0ae97cf41f3427b483",
+    "stopgo_osc": "1367abfba88c027b5539b5631e0c0312105999ea858ccda80d45e86545453d20",
+}
+
+
+def test_preset_config_text_is_pinned():
+    """Every setting of every preset, its output directory and snapshot
+    times included, renders to the pinned text."""
+    assert PRESET_NAMES == tuple(_PRESET_CONFIG_SHA256)
+    for name, digest in _PRESET_CONFIG_SHA256.items():
+        text = render_config(preset_sections(name))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+
+#: a value for each required datum key that fits the [0, 1.7] capacity box
+_REQUIRED_VALUES = {"height": "1.0", "a": "0.2", "b": "0.4", "value": "0.5"}
+
+
+def _datum_sections(datum):
+    return _sections(model=_APPLIES_UNDER["v_max"], datum=datum)
+
+
+@pytest.mark.parametrize("kind", sorted(DATUM_KINDS))
+def test_datum_keys_follow_the_kind_table(kind):
+    """The parser takes each kind's keys from DATUM_KINDS: the required
+    keys alone parse, each optional key parses and its default is the
+    table's, and an unknown or missing key fails by name."""
+    _, required, defaults = DATUM_KINDS[kind]
+    base = {"kind": kind, **{key: _REQUIRED_VALUES[key] for key in required}}
+    plain = scenario_from_sections(_datum_sections(base))
+    assert plain.datum_params == {key: float(_REQUIRED_VALUES[key]) for key in required}
+    for key, default in defaults.items():
+        given = scenario_from_sections(_datum_sections({**base, key: repr(default)}))
+        assert given.datum_params[key] == default
+        assert given.make_datum() == plain.make_datum()
+    with pytest.raises(ScenarioError, match=r"^\[datum\] unknown key 'bogus'$"):
+        scenario_from_sections(_datum_sections({**base, "bogus": "1.0"}))
+    for key in required:
+        partial = {k: v for k, v in base.items() if k != key}
+        with pytest.raises(ScenarioError, match=rf"^\[datum\] missing key '{key}'$"):
+            scenario_from_sections(_datum_sections(partial))
+
+
+@pytest.mark.parametrize("kind", sorted(DATUM_KINDS))
+def test_datum_refuses_interface_takes_right(kind):
+    """Which side owns a Riemann jump is the kind's, not a datum key."""
+    _, required, _ = DATUM_KINDS[kind]
+    base = {"kind": kind, **{key: _REQUIRED_VALUES[key] for key in required}}
+    with pytest.raises(ScenarioError, match=r"^\[datum\] unknown key 'interface_takes_right'$"):
+        scenario_from_sections(_datum_sections({**base, "interface_takes_right": "0"}))
+    valid = scenario_from_sections(_datum_sections(base))
+    with pytest.raises(ScenarioError, match="interface_takes_right"):
+        dataclasses.replace(
+            valid, datum_params={**valid.datum_params, "interface_takes_right": False}
+        )

@@ -330,11 +330,12 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
 
 def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
     """March with a ring of h + 1 levels that starts as h + 1 copies of the
-    datum and re-convolves its oldest level after every step."""
+    datum and re-convolves its oldest level after every step; each call's
+    speed field is recorded with its ghost cells."""
     ring = deque((rho0.copy() for _ in range(grid.delay_steps + 1)), maxlen=grid.delay_steps + 1)
     rho = rho0.copy()
     v = _oracle_speeds(ring[0], weights, vel, boundary)
-    seen = [(0, rho, v)]
+    seen = [(0, rho, _oracle_extend3(v, boundary))]
     for n in range(1, n_steps + 1):
         if scheme == "lf":
             rho = _oracle_lf_step(rho, v, grid.lam, grid.alpha, sat, boundary)
@@ -342,7 +343,7 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
             rho = _oracle_hw_step(rho, v, grid.lam, sat, boundary)
         ring.append(rho)
         v = _oracle_speeds(ring[0], weights, vel, boundary)
-        seen.append((n, rho, v))
+        seen.append((n, rho, _oracle_extend3(v, boundary)))
     return seen
 
 
@@ -350,8 +351,8 @@ def _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary):
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 @pytest.mark.parametrize("n_steps", [9, 15])
 def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
-    """Every observer (n, level, v_lag) and the final level equal those of
-    a march that keeps all h + 1 levels, and every call's v_lag is the
+    """Every observer (n, level, speeds) and the final level equal those of
+    a march that keeps all h + 1 levels, and every call's speeds are the
     speed field of the level the observer saw at call max(n - h, 0): the
     collector's reach ring relies on it."""
     grid, weights, rho0, t_final = _delayed_case(6, n_steps)
@@ -367,7 +368,7 @@ def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
         rho0,
         t_final,
         boundary=boundary,
-        observer=lambda n, level, v_lag: seen.append((n, level.copy(), v_lag.copy())),
+        observer=lambda n, level, speeds: seen.append((n, level.copy(), speeds.copy())),
     )
     expected = _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary)
     assert [n for n, *_ in seen] == [n for n, *_ in expected]
@@ -375,7 +376,7 @@ def test_run_matches_full_ring_march_bit_for_bit(scheme, boundary, n_steps):
         assert np.array_equal(level, level_ref)
         assert np.array_equal(v, v_ref)
         lagged = seen[max(n - grid.delay_steps, 0)][1]
-        assert np.array_equal(v, _oracle_speeds(lagged, weights, vel, boundary))
+        assert np.array_equal(v, _oracle_extend3(_oracle_speeds(lagged, weights, vel, boundary), boundary))
     assert np.array_equal(final, expected[-1][1])
 
 
@@ -393,7 +394,7 @@ _VELOCITIES = [Velocity("greenshields", v_max=1.0, rho_max=1.0), Velocity("cropp
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_run_matches_concatenate_kernel_bit_for_bit(scheme, boundary, sat, vel):
     """The workspace march equals the concatenate-based kernel on every
-    observer (n, level, v_lag) and on the final level, from a datum with
+    observer (n, level, speeds) and on the final level, from a datum with
     negative cells and cells above R.  Levels and speed fields are kept
     uncopied, so a level or speed field that aliases a reused buffer fails."""
     grid, weights, _, t_final = _delayed_case(3, 12)
@@ -401,7 +402,7 @@ def test_run_matches_concatenate_kernel_bit_for_bit(scheme, boundary, sat, vel):
     seen = []
     final = run(
         grid, weights, vel, sat, scheme, rho0, t_final, boundary=boundary,
-        observer=lambda n, level, v_lag: seen.append((n, level, v_lag)),
+        observer=lambda n, level, speeds: seen.append((n, level, speeds)),
     )
     expected = _ring_march(grid, weights, vel, sat, scheme, rho0, 12, boundary)
     assert [n for n, *_ in seen] == [n for n, *_ in expected]
@@ -409,6 +410,38 @@ def test_run_matches_concatenate_kernel_bit_for_bit(scheme, boundary, sat, vel):
         assert level.tobytes() == level_ref.tobytes()
         assert v.tobytes() == v_ref.tobytes()
     assert final.tobytes() == expected[-1][1].tobytes()
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_observer_gets_the_speed_field_the_next_step_reads(monkeypatch, scheme, boundary):
+    """The observer's speeds at call n are the very object step n + 1
+    reads: J + 2 read-only cells whose ghost cells follow the boundary."""
+    grid, weights, rho0, t_final = _delayed_case(3, 10)
+    read = []
+
+    def spy(step):
+        def spied(rho, v_lag, *args):
+            read.append(v_lag)
+            return step(rho, v_lag, *args)
+
+        return spied
+
+    monkeypatch.setattr(schemes, "lf_step", spy(schemes.lf_step))
+    monkeypatch.setattr(schemes, "hw_step", spy(schemes.hw_step))
+    seen = []
+    run(
+        grid, weights, Velocity("normalized_greenshields"), Saturation("linear", rho_max=1.0),
+        scheme, rho0, t_final, boundary=boundary,
+        observer=lambda n, level, speeds: seen.append(speeds),
+    )
+    assert len(seen) == len(read) + 1 == 11
+    for speeds, v_lag in zip(seen, read):
+        assert speeds is v_lag
+    for speeds in seen:
+        assert speeds.shape == (grid.n_cells + 2,)
+        assert not speeds.flags.writeable
+        assert speeds.tobytes() == extend3(speeds[1:-1], boundary).tobytes()
 
 
 def test_periodic_window_wraps_more_than_once():
@@ -423,7 +456,7 @@ def test_periodic_window_wraps_more_than_once():
     seen = []
     run(
         grid, weights, vel, sat, "lf", rho0, 8 * grid.dt, boundary=PERIODIC,
-        observer=lambda n, level, v_lag: seen.append((level, v_lag)),
+        observer=lambda n, level, speeds: seen.append((level, speeds)),
     )
     expected = _ring_march(grid, weights, vel, sat, "lf", rho0, 8, PERIODIC)
     for (level, v), (_, level_ref, v_ref) in zip(seen, expected):
