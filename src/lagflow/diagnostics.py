@@ -316,19 +316,19 @@ class EntropyWorkspace:
 
     Sized from K kappas and J cells.  Row k of each (K, J + 2) matrix
     belongs to kappa k: kap holds kappa_k and kap_flux kappa_k f(kappa_k)
-    in every column, and a call rewrites only the rows whose kappa changed
-    (bit for bit) since the last call, evaluating f on those kappas only;
-    the rows therefore hold one saturation law's values, and a workspace
-    serves one law.  Three work matrices and the residual matrix follow,
-    then the J + 2 vectors r, f(r), r f(r), (lam/2) V, rho' and the speed
-    gap, indexed like the ghost-extended level.  The ghost cells of rho'
-    and the gap stay 0, so the ghost columns of every matrix hold finite
-    values (see entropy_residual).
+    in every column; kap is the workspace's only copy of the kappas.  A
+    call rewrites only the rows whose kappa changed (bit for bit) since
+    the last call, evaluating f on those kappas only; the rows therefore
+    hold one saturation law's values, and a workspace serves one law.
+    Three work matrices and the residual matrix follow, then the J + 2
+    vectors r, f(r), r f(r), (lam/2) V, rho' and the speed gap, indexed
+    like the ghost-extended level.  The ghost cells of rho' and the gap
+    stay 0, so the ghost columns of every matrix hold finite values (see
+    entropy_residual).
     """
 
     def __init__(self, n_kappas: int, n_cells: int) -> None:
         shape = (n_kappas, n_cells + 2)
-        self.kappas = np.full(n_kappas, np.nan)
         self.kap, self.kap_flux = np.full((2,) + shape, np.nan)
         self.a, self.b, self.c, self.res = np.empty((4,) + shape)
         self.r, self.f, self.rf, self.hv = np.empty((4, n_cells + 2))
@@ -337,20 +337,18 @@ class EntropyWorkspace:
     @staticmethod
     def bytes_for(n_kappas: int, n_cells: int) -> int:
         """Bytes of the buffers of a workspace for K kappas and J cells."""
-        return (6 * n_kappas + 6) * (n_cells + 2) * 8 + n_kappas * 8
+        return (6 * n_kappas + 6) * (n_cells + 2) * 8
 
     def set_kappas(self, kappas: np.ndarray, sat: Saturation) -> None:
         """Rewrite the rows of the kappas whose bits changed."""
-        if kappas.shape != self.kappas.shape:
+        held = self.kap[:, 0]
+        if kappas.shape != held.shape:
             raise ValueError("the workspace holds a different number of kappas")
-        bits = zip(kappas.view(np.int64).tolist(), self.kappas.view(np.int64).tolist())
-        changed = [k for k, (now, held) in enumerate(bits) if now != held]
-        if changed:
+        changed = np.flatnonzero(kappas.view(np.int64) != held.view(np.int64))
+        if changed.size:
             new = kappas[changed]
-            self.kappas[changed] = new
-            for k, kap, kap_flux in zip(changed, new.tolist(), (new * sat(new)).tolist()):
-                self.kap[k] = kap
-                self.kap_flux[k] = kap_flux
+            self.kap[changed] = new[:, None]
+            self.kap_flux[changed] = (new * sat(new))[:, None]
 
 
 def entropy_residual(
@@ -482,16 +480,14 @@ def entropy_residual(
 
 
 def lipschitz_in_time_check(
-    snapshots: Sequence[tuple[float, np.ndarray]],
-    l1_time_rate: float,
-    dx: float,
-    tol: float = ENTROPY_TOL,
+    snapshots: Sequence[tuple[float, np.ndarray]], l1_time_rate: float, dx: float
 ) -> float:
     """Assert ||rho(t_b) - rho(t_a)||_1 <= K (t_b - t_a) for all pairs.
 
     Returns the worst margin distance - K dt (negative when comfortably
     inside the bound, -inf if every pair is at zero distance and K is
-    infinite); raises InvariantViolation when any pair exceeds K dt + tol.
+    infinite); raises InvariantViolation when any pair exceeds K dt with
+    the slack of the other bounds, K dt (1 + BOUND_TOL) + BOUND_TOL.
     """
     worst = -math.inf
     for i in range(len(snapshots)):
@@ -500,7 +496,7 @@ def lipschitz_in_time_check(
             dist = l1_distance(lev_b, lev_a, dx)
             gap = abs(t_b - t_a)
             ceiling = 0.0 if gap == 0.0 else l1_time_rate * gap
-            if dist > ceiling + tol:
+            if dist > ceiling * (1.0 + BOUND_TOL) + BOUND_TOL:
                 raise InvariantViolation(
                     f"L1 time-Lipschitz bound broken between t={t_a} and t={t_b}: "
                     f"distance {dist} exceeds {ceiling}"
@@ -514,9 +510,8 @@ def lipschitz_in_time_check(
 # ---------------------------------------------------------------------------
 # per-run collector
 
-#: Bytes of each of the collector's block buffers (levels, speed fields,
-#: scratch, and f on the levels when entropy is asserted); see block_rows
-#: and block_bytes.
+#: Bytes of each of the collector's block buffers (levels, speed fields
+#: and scratch); see block_rows and block_bytes.
 BLOCK_BYTES = 1 << 17
 
 
@@ -533,15 +528,14 @@ def asserts_entropy(vel: Velocity, sat: Saturation, scheme: str, thorough: bool)
 
 def block_bytes(n_cells: int, h: int, n_steps: int, entropy: bool) -> int:
     """Bytes of one collector's buffers, all float64: the (B + 1, J) level
-    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and
-    the ring of min(h, N_T) + 1 reaches; with the entropy assertion also
-    the (B, J) block of f on the levels and the EntropyWorkspace of
-    KAPPA_COUNT + 2 kappas."""
-    rows = block_rows(n_cells)
-    total = ((2 * rows + 1) * n_cells + (rows + 1) * (n_cells + 2) + min(h, n_steps) + 1) * 8
-    if entropy:
-        total += rows * n_cells * 8 + EntropyWorkspace.bytes_for(KAPPA_COUNT + 2, n_cells)
-    return total
+    block, the (B + 1, J + 2) speed block, the (B, J) scratch block, the
+    ring of min(h, N_T) + 1 reaches and the KAPPA_COUNT + 2 kappas; with
+    the entropy assertion also the EntropyWorkspace of those kappas.  f on
+    the levels goes into the scratch block."""
+    rows, kappas = block_rows(n_cells), KAPPA_COUNT + 2
+    blocks = (2 * rows + 1) * n_cells + (rows + 1) * (n_cells + 2)
+    total = (blocks + min(h, n_steps) + 1 + kappas) * 8
+    return total + (EntropyWorkspace.bytes_for(kappas, n_cells) if entropy else 0)
 
 
 @dataclass(frozen=True)
@@ -588,11 +582,11 @@ class DiagnosticsCollector:
     new field whole, into preallocated buffers of block_rows(J) rows, and
     flush() reduces the whole block with one NumPy call per statistic,
     then walks its rows in step order.  A run that
-    asserts entropy also holds a block of f on the levels, evaluated once
-    per flush, and one EntropyWorkspace that every step's entropy_residual
-    call reuses: the walk changes only the two extrema slots of the kappa
-    vector, so only those two rows are rewritten.  Watch rows build their
-    buffers per call.
+    asserts entropy evaluates f on the block's levels once per flush, into
+    the scratch block, and holds one EntropyWorkspace that every step's
+    entropy_residual call reuses: the walk changes only the two extrema
+    slots of the kappa vector, so only those two rows are rewritten.
+    Watch rows build their buffers per call.
     The bound of a field first seen at step n needs sup|rho| of level
     max(n - h, 0): the walk writes each step's max(|min|, |max|) into a
     ring of min(h, n_final) + 1 entries before the row's speed check.  A
@@ -670,11 +664,10 @@ class DiagnosticsCollector:
         # default_kappas(R, previous level) up to order and repeats: the
         # walk writes each row's extrema into the last two slots
         self._kappas = np.concatenate([default_kappas(vel.rho_max), [0.0, 0.0]])
-        # f on the block's levels, and the kernel's buffers, for the
-        # per-step assertion; watch rows build theirs per call
-        self._f = self._entropy_work = None
+        # the kernel's buffers for the per-step assertion; watch rows
+        # build theirs per call
+        self._entropy_work = None
         if self.entropy_assert:
-            self._f = np.empty((rows, cells))
             self._entropy_work = EntropyWorkspace(len(self._kappas), cells)
 
     def __call__(self, n: int, level: np.ndarray, speeds: np.ndarray) -> None:
@@ -726,8 +719,9 @@ class DiagnosticsCollector:
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
         gaps = self._check_speeds(len(field_rows))
-        if self._f is not None:
-            f_levels = self.sat(levels[:m], out=self._f[:m])
+        # f on the levels each step starts from goes into the scratch
+        # block, which the distances and the speed gaps above are done with
+        f_levels = self.sat(levels[:m], out=scratch) if self.entropy_assert else None
 
         speeds = self._speeds[0]
         field = 0
@@ -796,7 +790,7 @@ class DiagnosticsCollector:
                         kappas,
                         scheme=self.scheme,
                         alpha=grid.alpha,
-                        f_rho=None if self._f is None else f_levels[r],
+                        f_rho=None if f_levels is None else f_levels[r],
                         work=self._entropy_work,
                     )
                     self.entropy_max = max(self.entropy_max, residual)

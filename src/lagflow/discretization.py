@@ -20,6 +20,9 @@ from .model_functions import KERNEL_CONSTANT, Kernel, Saturation, Velocity, flux
 _REL_TOL_CELLS = 1e-9
 #: Relative tolerance for "dt already divides tau exactly".
 _REL_TOL_DELAY = 1e-12
+#: project_initial_datum's 10-point Gauss-Legendre rule and widest panel.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_MAX_PANEL = 2.5e-3
 
 
 @dataclass(frozen=True)
@@ -213,18 +216,16 @@ def project_initial_datum(datum, grid: Grid) -> np.ndarray:
     last-ulp quadrature noise (a constant profile projects bit-exactly)
     and guarantees the projection respects the capacity box.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(10)
     edges = grid.edges()
     breaks = [b for b in datum.breakpoints() if edges[0] < b < edges[-1]]
-    max_panel = 2.5e-3
 
     def integrals(lo: np.ndarray, hi: np.ndarray, panels: int) -> np.ndarray:
         """Quadrature of the datum over each [lo[i], hi[i]] in equal panels."""
         bounds = np.linspace(lo, hi, panels + 1, axis=-1)
         half = 0.5 * (bounds[:, 1:] - bounds[:, :-1])
         mid = 0.5 * (bounds[:, 1:] + bounds[:, :-1])
-        x = mid[:, :, None] + half[:, :, None] * nodes
-        terms = half[:, :, None] * weights * datum(x)
+        x = mid[:, :, None] + half[:, :, None] * _GAUSS_NODES
+        terms = half[:, :, None] * _GAUSS_WEIGHTS * datum(x)
         # one contiguous row per interval keeps np.sum's pairwise order
         return np.sum(terms.reshape(len(lo), -1), axis=1)
 
@@ -232,7 +233,7 @@ def project_initial_datum(datum, grid: Grid) -> np.ndarray:
     # then each cell sums its pieces in order
     cuts = np.union1d(edges, breaks)
     left, right = cuts[:-1], cuts[1:]
-    panels = np.maximum(1, np.ceil((right - left) / max_panel)).astype(int)
+    panels = np.maximum(1, np.ceil((right - left) / _MAX_PANEL)).astype(int)
     pieces = np.empty(len(left))
     for count in np.unique(panels):
         sel = np.flatnonzero(panels == count)

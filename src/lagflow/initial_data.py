@@ -9,7 +9,6 @@ the datum against the density ceiling R before a run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,23 +21,16 @@ _COS_SHIFT = 2.0 / 5.0
 
 @dataclass(frozen=True)
 class Riemann:
-    """Two-state profile with a single jump.
-
-    ``interface_takes_right`` selects which side owns the point
-    x = position: True evaluates the right state there, False the left
-    state.  Cell averages are unaffected either way.
-    """
+    """Two-state profile: left for x < position, right from position on.
+    No preset or study grid's projection evaluates x = position itself."""
 
     left: float
     right: float
     position: float
-    interface_takes_right: bool = True
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.interface_takes_right:
-            return np.where(x < self.position, self.left, self.right)
-        return np.where(x <= self.position, self.left, self.right)
+        return np.where(x < self.position, self.left, self.right)
 
     def breakpoints(self) -> list[float]:
         return [self.position]
@@ -144,21 +136,9 @@ class Constant:
 
 #: kind -> (profile, required keys, defaults of the optional keys)
 DATUM_KINDS = {
-    "riemann_up": (
-        partial(Riemann, interface_takes_right=True),
-        (),
-        {"left": 0.3, "right": 1.5, "position": 0.5},
-    ),
-    "riemann_down": (
-        partial(Riemann, interface_takes_right=False),
-        (),
-        {"left": 1.5, "right": 0.3, "position": 0.5},
-    ),
-    "riemann_small": (
-        partial(Riemann, interface_takes_right=False),
-        (),
-        {"left": 0.25, "right": 0.5, "position": 0.2},
-    ),
+    "riemann_up": (Riemann, (), {"left": 0.3, "right": 1.5, "position": 0.5}),
+    "riemann_down": (Riemann, (), {"left": 1.5, "right": 0.3, "position": 0.5}),
+    "riemann_small": (Riemann, (), {"left": 0.25, "right": 0.5, "position": 0.2}),
     "box": (Box, ("height", "a", "b"), {}),
     "osc_sin": (OscSin, (), {"shift": 0.5}),
     "osc_cos": (OscCos, (), {"mean": 0.25}),
@@ -169,9 +149,8 @@ DATUM_KINDS = {
 def make_datum(kind: str, **params):
     """Construct a profile by kind name from its entry in DATUM_KINDS.
 
-    The Riemann kinds bind which side owns the jump point: riemann_up the
-    right, riemann_down and riemann_small the left.  A missing required
-    key, or a key the kind does not take, raises TypeError.
+    A missing required key, or a key the kind does not take, raises
+    TypeError.
     """
     if kind not in DATUM_KINDS:
         raise ValueError(f"unknown initial-datum kind {kind!r}")

@@ -3,8 +3,7 @@ tolerance, one test (and one pass/fail line) per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v``.  Full preset simulations
 are cached per (preset, scheme, boundary, delay, thoroughness) so each
-configuration is marched exactly once per session; the whole suite runs
-in about two minutes.
+configuration is marched exactly once per session.
 """
 
 import dataclasses

@@ -308,6 +308,18 @@ def test_lipschitz_check_accepts_rate_respecting_snapshots():
     assert worst <= 0.0
 
 
+def test_lipschitz_check_allows_only_the_bound_slack():
+    """The slack is K dt (1 + BOUND_TOL) + BOUND_TOL, as for the other
+    bounds: a distance 5e-11 above K dt is refused."""
+    a = np.zeros(4)
+    ceiling = 0.1
+    at = np.full(4, ceiling)
+    assert lipschitz_in_time_check([(0.0, a), (1.0, at)], l1_time_rate=ceiling, dx=0.25) == 0.0
+    over = np.full(4, ceiling + 5e-11)
+    with pytest.raises(InvariantViolation, match="time-Lipschitz"):
+        lipschitz_in_time_check([(0.0, a), (1.0, over)], l1_time_rate=ceiling, dx=0.25)
+
+
 def test_lipschitz_check_rejects_fast_drift():
     a = np.zeros(4)
     b = np.full(4, 10.0)
@@ -692,17 +704,16 @@ def test_block_collector_reads_lagged_reach_above_capacity(small_blocks, scheme,
 
 def test_block_sizes_follow_block_bytes():
     """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
-    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and a
-    ring of min(h, N_T) + 1 reaches; an entropy-asserting run adds the
-    (B, J) block of f and a workspace of six (19, J + 2) matrices, six
-    J + 2 vectors and the 19 kappas."""
+    block, the (B + 1, J + 2) speed block, the (B, J) scratch block, a
+    ring of min(h, N_T) + 1 reaches and the 19 kappas; an
+    entropy-asserting run adds a workspace of six (19, J + 2) matrices and
+    six J + 2 vectors, and writes f on the levels into the scratch block."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
-    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194) * 8
+    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194 + 19) * 8
     assert diagnostics.block_bytes(344, 2193, 10965, False) == watched
-    workspace = (6 * 19 + 6) * 346 * 8 + 19 * 8
-    asserted = watched + 47 * 344 * 8 + workspace
+    asserted = watched + (6 * 19 + 6) * 346 * 8
     assert diagnostics.block_bytes(344, 2193, 10965, True) == asserted
 
 
@@ -716,9 +727,9 @@ def _array_bytes(obj):
 )
 def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     """block_bytes, which the manifest reports and the history budget
-    counts, is what a fresh collector allocates: its blocks and reach ring
-    and, on an LF run that asserts entropy, the f block and the entropy
-    workspace; an HW run builds neither."""
+    counts, is every array a fresh collector holds (its blocks, reach ring
+    and kappas) and, on an LF run that asserts entropy, every array of its
+    entropy workspace; an HW run builds no workspace."""
     vel, sat, _ = _model()
     dx = 1.0 / cells
     for scheme, alpha in (("lf", 2.0), ("hw", None)):
@@ -727,11 +738,11 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
         weights = discretize_kernel(Kernel("constant", length=dx), grid)
         col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, True, 1, n_final)
         assert col.entropy_assert == (scheme == "lf")
-        held = sum(b.nbytes for b in (col._levels, col._speeds, col._scratch, col._reach))
+        held = _array_bytes(col)
         if col.entropy_assert:
-            held += col._f.nbytes + _array_bytes(col._entropy_work)
+            held += _array_bytes(col._entropy_work)
         else:
-            assert col._f is None and col._entropy_work is None
+            assert col._entropy_work is None
         assert held == diagnostics.block_bytes(cells, h, n_final, col.entropy_assert)
 
 

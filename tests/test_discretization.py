@@ -16,7 +16,7 @@ from lagflow.discretization import (
     project_initial_datum,
     whole_cells,
 )
-from lagflow.initial_data import Box, Constant, OscSin, Riemann, make_datum
+from lagflow.initial_data import DATUM_KINDS, Box, Constant, OscSin, Riemann, make_datum
 from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import PRESET_NAMES, preset_scenario
 from lagflow.runners import resolve_scenario
@@ -148,7 +148,7 @@ def test_projection_riemann_jump_on_cell_edge_is_sharp():
 def test_projection_splits_cell_at_interior_jump():
     """A jump strictly inside a cell projects to the exact area fraction."""
     grid = build_grid(0.0, 1.0, 0.25, 0.1, 0.0, 0.25)
-    datum = Riemann(left=1.0, right=0.0, position=0.3, interface_takes_right=True)
+    datum = Riemann(left=1.0, right=0.0, position=0.3)
     rho0 = project_initial_datum(datum, grid)
     # cell [0.25, 0.5] holds value 1 on [0.25, 0.3]: average 0.05/0.25 = 0.2
     assert rho0[0] == pytest.approx(1.0)
@@ -238,6 +238,49 @@ def test_projection_equals_per_cell_loop_at_any_panel_count(dx):
         Riemann(left=0.2, right=0.9, position=0.6173),
     ):
         assert np.array_equal(project_initial_datum(datum, grid), _projection_loop(datum, grid))
+
+
+def test_projection_never_evaluates_a_breakpoint():
+    """The projection cuts each cell at every interior breakpoint, and the
+    Gauss nodes (|xi| <= 0.974) lie strictly inside each piece, so no datum
+    is evaluated on a jump or kink: which side owns a jump point moves no
+    cell average.  Checked for every datum kind (each preset's datum and
+    each kind at its defaults) on the preset grids, the study grids (the
+    compare_schemes reference dx = 2.5e-4 and grid_refine's two halvings)
+    and dx = 0.25 on [0, 1].  It can fail on other grids: with dx = 0.1
+    minus one ulp on [0, 1], the edge 5 dx is one ulp below riemann_up's
+    jump at 0.5, and the nodes of that sliver piece round onto the jump."""
+    datums = {preset_scenario(name).make_datum() for name in PRESET_NAMES}
+    datums |= {make_datum(kind) for kind, (_, required, _) in DATUM_KINDS.items() if not required}
+    datums.add(make_datum("constant", value=0.5))
+    assert {type(d) for d in datums} == {profile for profile, _, _ in DATUM_KINDS.values()}
+    grids = {(0.0, 1.0, 0.25)}
+    for name in PRESET_NAMES:
+        s = preset_scenario(name)
+        grids |= {(s.x_min, s.x_max, dx) for dx in (s.dx, s.dx / 2, s.dx / 4, 2.5e-4)}
+    evaluated, on_breaks = 0, 0
+
+    class Spy:
+        def __init__(self, datum):
+            self.datum = datum
+            self.breakpoints, self.value_range = datum.breakpoints, datum.value_range
+
+        def __call__(self, x):
+            nonlocal evaluated, on_breaks
+            evaluated += x.size
+            on_breaks += int(np.isin(x, self.datum.breakpoints()).sum())
+            return self.datum(x)
+
+    for x_min, x_max, dx in sorted(grids):
+        grid = build_grid(x_min, x_max, dx, dx, 0.0, dx)
+        for datum in datums:
+            project_initial_datum(Spy(datum), grid)
+    assert evaluated > 10**6
+    assert on_breaks == 0
+
+    grid = build_grid(0.0, 1.0, np.nextafter(0.1, 0.0), 0.1, 0.0, 0.1)
+    project_initial_datum(Spy(make_datum("riemann_up")), grid)
+    assert on_breaks > 0
 
 
 def test_stopgo_grid_dimensions():

@@ -28,14 +28,14 @@ def test_riemann_up_defaults():
 
 def test_riemann_down_defaults():
     datum = make_datum("riemann_down")
-    assert datum(np.array([0.5])).tolist() == [1.5]
-    assert datum(np.array([0.500001])).tolist() == [0.3]
+    assert datum(np.array([0.499999])).tolist() == [1.5]
+    assert datum(np.array([0.5, 0.500001])).tolist() == [0.3, 0.3]
 
 
 def test_riemann_small_steps_at_one_fifth():
     datum = make_datum("riemann_small")
-    assert datum(np.array([0.2])).tolist() == [0.25]
-    assert datum(np.array([0.21])).tolist() == [0.5]
+    assert datum(np.array([0.19])).tolist() == [0.25]
+    assert datum(np.array([0.2, 0.21])).tolist() == [0.5, 0.5]
     assert datum.value_range() == (0.25, 0.5)
 
 
