@@ -311,44 +311,219 @@ def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.nd
     return np.unique(base)
 
 
-class EntropyWorkspace:
-    """Buffers the Lax-Friedrichs entropy check rewrites on every call.
+#: (kappa, cell) pairs the Lax-Friedrichs entropy kernel evaluates at a time.
+PAIR_CHUNK = 1024
 
-    Sized from K kappas and J cells.  Row k of each (K, J + 2) matrix
-    belongs to kappa k: kap holds kappa_k and kap_flux kappa_k f(kappa_k)
-    in every column; kap is the workspace's only copy of the kappas.  A
-    call rewrites only the rows whose kappa changed (bit for bit) since
-    the last call, evaluating f on those kappas only; the rows therefore
-    hold one saturation law's values, and a workspace serves one law.
-    Three work matrices and the residual matrix follow, then the J + 2
-    vectors r, f(r), r f(r), (lam/2) V, rho' and the speed gap, indexed
-    like the ghost-extended level.  The ghost cells of rho' and the gap
-    stay 0, so the ghost columns of every matrix hold finite values (see
-    entropy_residual).
+#: Relative slack of the bucket test that preselects the cells whose
+#: [lo, hi] may hold a grid kappa (searchsorted then decides exactly); far
+#: above the few ulps by which kappa_i and i R / (n - 1) differ.
+_BUCKET_SLACK = 1e-9
+
+
+class EntropyBlock:
+    """Buffers of the Lax-Friedrichs entropy kernel for up to B steps of J cells.
+
+    (B, J + 2) rows: the ghost-extended level r, F = r f(r) and the speed
+    field each step read.  (B, J) rows: lo and hi, the least and greatest
+    of r_{j-1}, r_j, r_{j+1} and rho'_j, the defect c = rho' - LF(rho) and
+    a work row, and three boolean masks.  PAIR_CHUNK-long vectors hold the
+    queued active (kappa, cell) pairs and their per-pair work.  See
+    residuals and entropy_residual.
     """
 
-    def __init__(self, n_kappas: int, n_cells: int) -> None:
-        shape = (n_kappas, n_cells + 2)
-        self.kap, self.kap_flux = np.full((2,) + shape, np.nan)
-        self.a, self.b, self.c, self.res = np.empty((4,) + shape)
-        self.r, self.f, self.rf, self.hv = np.empty((4, n_cells + 2))
-        self.rho_next, self.gap = np.zeros((2, n_cells + 2))
+    #: Per-pair float vectors: kappa, kappa f(kappa) and ten work vectors.
+    _PAIR_VECTORS = 12
 
-    @staticmethod
-    def bytes_for(n_kappas: int, n_cells: int) -> int:
-        """Bytes of the buffers of a workspace for K kappas and J cells."""
-        return (6 * n_kappas + 6) * (n_cells + 2) * 8
+    def __init__(self, rows: int, cells: int) -> None:
+        self.r, self.flux, self.v = np.empty((3, rows, cells + 2))
+        self.lo, self.hi, self.c, self.t = np.empty((4, rows, cells))
+        self.mask, self.other, self.spread = np.empty((3, rows, cells), dtype=bool)
+        self.pair = np.empty((self._PAIR_VECTORS, PAIR_CHUNK))
+        self.cells = np.empty(PAIR_CHUNK, dtype=np.intp)
 
-    def set_kappas(self, kappas: np.ndarray, sat: Saturation) -> None:
-        """Rewrite the rows of the kappas whose bits changed."""
-        held = self.kap[:, 0]
-        if kappas.shape != held.shape:
-            raise ValueError("the workspace holds a different number of kappas")
-        changed = np.flatnonzero(kappas.view(np.int64) != held.view(np.int64))
-        if changed.size:
-            new = kappas[changed]
-            self.kap[changed] = new[:, None]
-            self.kap_flux[changed] = (new * sat(new))[:, None]
+    @classmethod
+    def bytes_for(cls, rows: int, cells: int) -> int:
+        """Bytes of the buffers of a kernel for B rows of J cells."""
+        floats = 3 * rows * (cells + 2) + 4 * rows * cells + cls._PAIR_VECTORS * PAIR_CHUNK
+        return floats * 8 + 3 * rows * cells + PAIR_CHUNK * np.dtype(np.intp).itemsize
+
+    def residuals(
+        self,
+        rho: np.ndarray,
+        rho_next: np.ndarray,
+        f_rho: np.ndarray,
+        speeds: np.ndarray,
+        fields: np.ndarray,
+        lam: float,
+        alpha: float,
+        boundary: str,
+        kappas: np.ndarray,
+        kappa_flux: np.ndarray,
+        grid: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Largest Lax-Friedrichs entropy residual of each of m steps.
+
+        Step i goes from rho[i] to rho_next[i] (m x J) with f_rho[i] = f on
+        rho[i] and the speed field speeds[fields[i]] (J + 2 cells).  Its
+        kappas are row i of kappas, with kappa f(kappa) in kappa_flux (m x
+        Q), and the grid (kappas, kappa f(kappa)), n kappas equispaced on
+        [0, R] that every step shares.  A flat cell at kappa contributes 0;
+        where kappas lie on both sides of the cell its +-c terms already
+        reach 0, so the zero is added only for a flat cell at a step's
+        lowest or highest kappa, and only to a step whose maximum is
+        negative without it.  A step's value is nan when any of its inputs
+        is not finite, and a zero is +0.
+        """
+        m, cells = rho.shape
+        r, flux, v = self.r[:m], self.flux[:m], self.v[:m]
+        lo, hi, c, t = self.lo[:m], self.hi[:m], self.c[:m], self.t[:m]
+        mask, other, spread = self.mask[:m], self.other[:m], self.spread[:m]
+        r[:, 1:-1] = rho
+        np.multiply(rho, f_rho, out=flux[:, 1:-1])
+        for ext in (r, flux):
+            if boundary == FREE_FLOW:
+                ext[:, 0], ext[:, -1] = ext[:, 1], ext[:, -2]
+            else:
+                ext[:, 0], ext[:, -1] = ext[:, -2], ext[:, 1]
+        np.take(speeds, fields, axis=0, out=v, mode="clip")
+        # c = rho' - LF(rho), in lf_step's operation order
+        np.multiply(flux[:, 2:], v[:, 2:], out=c)
+        c -= np.multiply(flux[:, :-2], v[:, :-2], out=t)
+        np.multiply(2.0, rho, out=t)
+        np.subtract(r[:, 2:], t, out=t)
+        t += r[:, :-2]
+        t *= alpha
+        t -= c
+        t *= 0.5 * lam
+        t += rho
+        np.subtract(rho_next, t, out=c)
+        np.minimum(r[:, :-2], r[:, 1:-1], out=lo)
+        np.minimum(lo, r[:, 2:], out=lo)
+        np.minimum(lo, rho_next, out=lo)
+        np.maximum(r[:, :-2], r[:, 1:-1], out=hi)
+        np.maximum(hi, r[:, 2:], out=hi)
+        np.maximum(hi, rho_next, out=hi)
+        np.less(lo, hi, out=spread)
+
+        # inactive pairs: +c where a kappa lies below lo, -c where one lies
+        # above hi; each reduction masks out the cells without one
+        k_lo, k_hi = kappas.min(axis=1)[:, None], kappas.max(axis=1)[:, None]
+        if grid is not None:
+            np.minimum(k_lo, grid[0][0], out=k_lo)
+            np.maximum(k_hi, grid[0][-1], out=k_hi)
+        np.copyto(t, c)
+        np.copyto(t, -np.inf, where=np.less_equal(lo, k_lo, out=mask))
+        out = np.maximum.reduce(t, axis=1)
+        np.copyto(t, c)
+        np.copyto(t, np.inf, where=np.greater_equal(hi, k_hi, out=mask))
+        np.maximum(out, np.negative(np.minimum.reduce(t, axis=1)), out=out)
+
+        # active pairs, queued into chunks: (cell index into the m x J
+        # rows, kappa, kappa f(kappa))
+        queued = 0
+
+        def queue(cells, kap, kap_flux):
+            nonlocal queued
+            done = 0
+            while done < cells.size:
+                size = min(PAIR_CHUNK - queued, cells.size - done)
+                span, part = slice(queued, queued + size), slice(done, done + size)
+                self.cells[span], self.pair[0, span], self.pair[1, span] = (
+                    cells[part], kap[part], kap_flux[part]
+                )
+                queued += size
+                done += size
+                if queued == PAIR_CHUNK:
+                    self._evaluate(queued, out, rho_next, lam, alpha)
+                    queued = 0
+
+        if grid is not None:
+            kap, kap_flux = grid
+            # the bucket test: t is the lowest grid kappa that may lie at or
+            # above lo, lowered by the slack
+            scale = (kap.size - 1) / kap[-1]
+            np.multiply(lo, scale * (1.0 - _BUCKET_SLACK), out=t)
+            np.ceil(t, out=t)
+            t *= (1.0 - _BUCKET_SLACK) / scale
+            np.less_equal(t, hi, out=mask)
+            cand = np.flatnonzero(mask & spread)
+            first = np.searchsorted(kap, lo.reshape(-1)[cand], side="left")
+            count = np.searchsorted(kap, hi.reshape(-1)[cand], side="right") - first
+            ends = np.cumsum(count)
+            base = ends - count - first
+            total = int(ends[-1]) if ends.size else 0
+            for start in range(0, total, PAIR_CHUNK):
+                pairs = np.arange(start, min(start + PAIR_CHUNK, total))
+                owner = np.searchsorted(ends, pairs, side="right")
+                index = pairs - base[owner]
+                queue(cand[owner], kap[index], kap_flux[index])
+        for q in range(kappas.shape[1]):
+            k = kappas[:, q, None]
+            np.less_equal(lo, k, out=mask)
+            mask &= np.less_equal(k, hi, out=other)
+            mask &= spread
+            hit = np.flatnonzero(mask)
+            row = hit // cells
+            queue(hit, kappas[row, q], kappa_flux[row, q])
+        if queued:
+            self._evaluate(queued, out, rho_next, lam, alpha)
+        if np.any(out < 0.0):
+            for k in (k_lo, k_hi):
+                np.equal(lo, k, out=mask)
+                mask &= np.equal(hi, k, out=other)
+                np.maximum(out, 0.0, out=out, where=np.logical_or.reduce(mask, axis=1))
+        out += 0.0
+        check = np.add.reduce(c, axis=1)
+        check += np.add.reduce(kappas, axis=1)
+        out[~np.isfinite(check)] = np.nan
+        return out
+
+    def _evaluate(self, n, out, rho_next, lam, alpha) -> None:
+        """Residuals of the first n queued pairs, element by element in the
+        order of entropy_residual's broadcast expressions, maximized into
+        out by row."""
+        cells = self.cells[:n]
+        row = cells // self.lo.shape[1]
+        left = cells + 2 * row
+        kap, kap_flux, rl, rc, rr, fl, fr, vl, vr, e, gap, sign = self.pair[:, :n]
+        r, flux, v = self.r.reshape(-1), self.flux.reshape(-1), self.v.reshape(-1)
+        np.take(r, left, out=rl, mode="clip")
+        np.take(r[1:], left, out=rc, mode="clip")
+        np.take(r[2:], left, out=rr, mode="clip")
+        np.take(flux, left, out=fl, mode="clip")
+        np.take(flux[2:], left, out=fr, mode="clip")
+        np.take(v, left, out=vl, mode="clip")
+        np.take(v[2:], left, out=vr, mode="clip")
+        np.take(rho_next.reshape(-1), cells, out=e, mode="clip")
+        np.subtract(vr, vl, out=gap)
+        gap *= 0.5 * lam
+        vl *= 0.5 * lam
+        vr *= 0.5 * lam
+        # P(r) = sgn(r - k) (F(r) - F(k)) (lam/2) V at j + 1 and j - 1
+        for d, p, hv in ((rr, fr, vr), (rl, fl, vl)):
+            d -= kap
+            p -= kap_flux
+            p *= np.sign(d, out=sign)
+            p *= hv
+            np.abs(d, out=d)
+        res = rr
+        res += rl
+        res *= -0.5 * lam * alpha
+        res += fr
+        res -= fl
+        rc -= kap
+        np.abs(rc, out=rc)
+        rc *= lam * alpha - 1.0
+        res += rc
+        e -= kap
+        np.sign(e, out=sign)
+        gap *= kap_flux
+        e += gap
+        e *= sign
+        res += e
+        # unlike np.maximum, its .at form flags a nan it propagates
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(out, row, res)
 
 
 def entropy_residual(
@@ -362,7 +537,7 @@ def entropy_residual(
     scheme: str = LAX_FRIEDRICHS,
     alpha: float | None = None,
     f_rho: np.ndarray | None = None,
-    work: EntropyWorkspace | None = None,
+    work: EntropyBlock | None = None,
 ) -> float:
     """Largest discrete entropy production of one step; theory says <= 0.
 
@@ -387,10 +562,10 @@ def entropy_residual(
     inequality is proved for Lax-Friedrichs; the Hilliges-Weidlich residual
     is reported for observation only.
 
-    f is evaluated on the cells (unless f_rho is given) and on the kappas
-    whose rows are rewritten, never on a kappa-by-cell array.  Since
-    F(max(u,k)) - F(min(u,k)) = sgn(u-k)(F(u) - F(k)) and max(w,k) -
-    min(w,k) = |w-k|, the Lax-Friedrichs flux is
+    f is evaluated on the cells (unless f_rho is given) and on the kappas,
+    never on a kappa-by-cell array.  Since F(max(u,k)) - F(min(u,k)) =
+    sgn(u-k)(F(u) - F(k)) and max(w,k) - min(w,k) = |w-k|, the
+    Lax-Friedrichs flux is
 
         Fk(u, w) = (P(u) V_j + P(w) V_{j+1}) / 2 - alpha (|w-k| - |u-k|) / 2,
         P(u) = sgn(u-k) (F(u) - F(k)),
@@ -399,62 +574,45 @@ def entropy_residual(
     e = rho'_j - k, for both schemes.  Hilliges-Weidlich takes f(max(w,k)) =
     min(f(w), f(k)) and f(min(w,k)) = max(f(w), f(k)), as f is non-increasing.
 
-    The Lax-Friedrichs residual is written into work, or into a workspace
-    built for this call, with out= ufuncs in the order of the broadcast
-    expressions above, so every (kappa, j) value keeps its bits.  Each
-    kappa row spans the J + 2 ghost-extended cells; the j - 1 and j + 1
-    terms read the raveled matrices shifted by one element, so the ghost
-    columns of the residual pick up finite junk from the neighbouring row
-    and are set to -inf before one np.max.  The Hilliges-Weidlich residual,
-    which runs only at record rows, is a broadcast expression.
+    The Lax-Friedrichs residual splits the (kappa, j) pairs in two.  Let
+    lo_j and hi_j be the least and greatest of rho_{j-1}, rho_j, rho_{j+1}
+    and rho'_j.  When kappa lies strictly below lo_j every sign above is
+    +1, and the kappa and F(kappa) terms cancel: in exact arithmetic the
+    residual is c_j = rho'_j - LF_j(rho), the step's defect against the
+    Lax-Friedrichs update; strictly above hi_j it is -c_j.  So only the
+    active pairs, lo_j <= kappa <= hi_j with lo_j < hi_j, are evaluated by
+    the formula above, element by element in the order of the broadcast
+    expressions (each equals a full (kappa, j) evaluation bit for bit);
+    every other pair contributes +-c_j, with c_j in lf_step's operation
+    order, and a flat cell (lo_j = hi_j) contributes exactly 0 at
+    kappa = lo_j.  Since an inactive pair takes c_j, not the formula at its
+    kappa, the maximum can differ from a full (kappa, j) evaluation at
+    rounding level.  The kappas are still the given sample, not every
+    kappa.  work is an EntropyBlock (built for this call when not given),
+    and the step runs the kernel a collector runs on whole blocks
+    (EntropyBlock.residuals).
+    The value is nan when an input is not finite.  The Hilliges-Weidlich
+    residual, which runs only at record rows, is a broadcast expression.
     """
     rho = np.asarray(rho, dtype=float)
     rho_next = np.asarray(rho_next, dtype=float)
     v_lag = np.asarray(v_lag, dtype=float)
-    kap = np.ascontiguousarray(kappas, dtype=float).reshape(-1)
+    kap = np.asarray(kappas, dtype=float).reshape(1, -1)
     if scheme == LAX_FRIEDRICHS:
         if alpha is None:
             raise ValueError("the Lax-Friedrichs entropy flux needs alpha")
         if work is None:
-            work = EntropyWorkspace(kap.size, rho.size)
-        work.set_kappas(kap, sat)
-        r = extend3(rho, boundary, out=work.r)
-        f_r = sat(r, out=work.f) if f_rho is None else extend3(f_rho, boundary, out=work.f)
-        np.multiply(r, f_r, out=work.rf)
-        np.multiply(0.5 * lam, v_lag, out=work.hv)
-        d, dist, p, res = work.a, work.b, work.c, work.res
-        np.subtract(r, work.kap, out=d)
-        np.abs(d, out=dist)
-        np.subtract(work.rf, work.kap_flux, out=p)
-        p *= np.sign(d, out=d)
-        p *= work.hv
-        # lam (Fk_{j+1/2} - Fk_{j-1/2}) - |rho_j - k|, from the cell-wise
-        # P and |r - k| of cells j - 1, j and j + 1: flat neighbours
-        flat_dist, flat_p = dist.reshape(-1), p.reshape(-1)
-        flat_res = res.reshape(-1)[1:-1]
-        np.add(flat_dist[2:], flat_dist[:-2], out=flat_res)
-        flat_res *= -0.5 * lam * alpha
-        flat_res += flat_p[2:]
-        flat_res -= flat_p[:-2]
-        dist *= lam * alpha - 1.0
-        flat_res += flat_dist[1:-1]
-        gap = work.gap[1:-1]
-        np.subtract(v_lag[2:], v_lag[:-2], out=gap)
-        np.multiply(0.5 * lam, gap, out=gap)
-        work.rho_next[1:-1] = rho_next
-        e, sign_e, kap_gap = d, dist, p
-        np.subtract(work.rho_next, work.kap, out=e)
-        np.sign(e, out=sign_e)
-        np.multiply(work.kap_flux, work.gap, out=kap_gap)
-        e += kap_gap
-        e *= sign_e
-        flat_res += e.reshape(-1)[1:-1]
-        res[:, 0] = -np.inf
-        res[:, -1] = -np.inf
-        return float(np.max(res))
+            work = EntropyBlock(1, rho.size)
+        f_rho = sat(rho) if f_rho is None else f_rho
+        return float(
+            work.residuals(
+                rho[None], rho_next[None], f_rho[None], v_lag[None], np.zeros(1, np.intp),
+                lam, alpha, boundary, kap, kap * sat(kap),
+            )[0]
+        )
     if scheme != HILLIGES_WEIDLICH:
         raise ValueError(f"unknown scheme {scheme!r}")
-    kap = kap[:, None]
+    kap = kap.reshape(-1, 1)
     r = extend3(rho, boundary)
     f_r = sat(r) if f_rho is None else extend3(f_rho, boundary)
     f_kap = sat(kap)
@@ -527,15 +685,19 @@ def asserts_entropy(vel: Velocity, sat: Saturation, scheme: str, thorough: bool)
 
 
 def block_bytes(n_cells: int, h: int, n_steps: int, entropy: bool) -> int:
-    """Bytes of one collector's buffers, all float64: the (B + 1, J) level
-    block, the (B + 1, J + 2) speed block, the (B, J) scratch block, the
-    ring of min(h, N_T) + 1 reaches and the KAPPA_COUNT + 2 kappas; with
-    the entropy assertion also the EntropyWorkspace of those kappas.  f on
+    """Bytes of one collector's buffers: the (B + 1, J) level block, the
+    (B + 1, J + 2) speed block, the (B, J) scratch block, the ring of
+    min(h, N_T) + 1 reaches and the KAPPA_COUNT + 2 kappas, all float64;
+    with the entropy assertion also the EntropyBlock of B rows and
+    kappa f(kappa) on the KAPPA_COUNT grid kappas.  The EntropyBlock
+    scales with B: its (B, J + 2) and (B, J) rows are most of it.  f on
     the levels goes into the scratch block."""
     rows, kappas = block_rows(n_cells), KAPPA_COUNT + 2
     blocks = (2 * rows + 1) * n_cells + (rows + 1) * (n_cells + 2)
     total = (blocks + min(h, n_steps) + 1 + kappas) * 8
-    return total + (EntropyWorkspace.bytes_for(kappas, n_cells) if entropy else 0)
+    if entropy:
+        total += EntropyBlock.bytes_for(rows, n_cells) + KAPPA_COUNT * 8
+    return total
 
 
 @dataclass(frozen=True)
@@ -581,12 +743,19 @@ class DiagnosticsCollector:
     checks run a block of steps at a time: a call copies its level, and a
     new field whole, into preallocated buffers of block_rows(J) rows, and
     flush() reduces the whole block with one NumPy call per statistic,
-    then walks its rows in step order.  A run that
-    asserts entropy evaluates f on the block's levels once per flush, into
-    the scratch block, and holds one EntropyWorkspace that every step's
-    entropy_residual call reuses: the walk changes only the two extrema
-    slots of the kappa vector, so only those two rows are rewritten.
-    Watch rows build their buffers per call.
+    then walks its rows in step order.  A run that asserts entropy
+    computes the whole block's residuals before the walk with one call of
+    its EntropyBlock, built once per run: f on the block's levels goes into
+    the scratch block, and each step's kappas are the 17 grid kappas, whose
+    f is evaluated once per run, and the extrema of the level it starts
+    from, whose f is evaluated once per flush.  Only the (kappa, cell)
+    pairs with kappa in [lo_j, hi_j] of a non-flat cell are evaluated; the
+    others contribute +-(rho' - LF(rho))_j exactly (see entropy_residual),
+    so entropy_max can differ from a full (kappa, j) evaluation at rounding
+    level.  The kappas are still that 19-point sample, not every kappa.
+    The walk reads each step's precomputed maximum and refuses it unless
+    it is at most ENTROPY_TOL, so a nan fails.  Watch rows call
+    entropy_residual and build their buffers per call.
     The bound of a field first seen at step n needs sup|rho| of level
     max(n - h, 0): the walk writes each step's max(|min|, |max|) into a
     ring of min(h, n_final) + 1 entries before the row's speed check.  A
@@ -647,10 +816,10 @@ class DiagnosticsCollector:
         # levels of the block in rows 1..count and its new speed fields,
         # with their ghost cells, in rows 1..; row 0 carries the last level
         # and the last field of the previous block (zero before step 0, so
-        # f on the first block reads defined values)
+        # the entropy kernel's unread step-0 row reads defined values)
         rows, cells = block_rows(grid.n_cells), grid.n_cells
         self._levels = np.zeros((rows + 1, cells))
-        self._speeds = np.empty((rows + 1, cells + 2))
+        self._speeds = np.zeros((rows + 1, cells + 2))
         self._scratch = np.empty((rows, cells))
         # sup|rho^n| of step n at n mod len; see the class docstring
         self._reach = np.empty(min(grid.delay_steps, n_final) + 1)
@@ -664,11 +833,12 @@ class DiagnosticsCollector:
         # default_kappas(R, previous level) up to order and repeats: the
         # walk writes each row's extrema into the last two slots
         self._kappas = np.concatenate([default_kappas(vel.rho_max), [0.0, 0.0]])
-        # the kernel's buffers for the per-step assertion; watch rows
-        # build theirs per call
+        # the block kernel's buffers and kappa f(kappa) on the grid kappas
+        # for the per-step assertion; watch rows build theirs per call
         self._entropy_work = None
         if self.entropy_assert:
-            self._entropy_work = EntropyWorkspace(len(self._kappas), cells)
+            self._entropy_work = EntropyBlock(rows, cells)
+            self._grid_flux = self._kappas[:-2] * sat(self._kappas[:-2])
 
     def __call__(self, n: int, level: np.ndarray, speeds: np.ndarray) -> None:
         i = self._count
@@ -693,6 +863,34 @@ class DiagnosticsCollector:
         np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
         return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
+    def _entropy_block(self, m, field_rows, lows, highs) -> list[float]:
+        """The asserted entropy residual of each of the block's m steps.
+
+        Step r goes from level row r to row r + 1 and reads the speed
+        field of the call before it; its kappas are the grid and the
+        extrema of level row r (the carry row's extrema are the kappa
+        vector's last two slots).  f on the levels goes into the scratch
+        block, which the distances and the speed gaps are done with.
+        """
+        levels = self._levels
+        f_levels = self.sat(levels[:m], out=self._scratch[:m])
+        extrema = np.empty((m, 2))
+        extrema[0] = self._kappas[-2:]
+        extrema[1:, 0], extrema[1:, 1] = lows[: m - 1], highs[: m - 1]
+        return self._entropy_work.residuals(
+            levels[:m],
+            levels[1 : m + 1],
+            f_levels,
+            self._speeds,
+            np.searchsorted(field_rows, np.arange(m)),
+            self.grid.lam,
+            self.grid.alpha,
+            self.boundary,
+            extrema,
+            extrema * self.sat(extrema),
+            (self._kappas[:-2], self._grid_flux),
+        ).tolist()
+
     def flush(self) -> None:
         """Check the buffered steps in step order; raise the first violation."""
         m = self._count
@@ -706,8 +904,7 @@ class DiagnosticsCollector:
         grid = self.grid
         # one reduction per statistic; each row's sum equals the 1-D sum of
         # its level bit for bit (the same pairwise order along the row)
-        lows = np.minimum.reduce(rows, axis=1).tolist()
-        highs = np.maximum.reduce(rows, axis=1).tolist()
+        lows, highs = np.minimum.reduce(rows, axis=1), np.maximum.reduce(rows, axis=1)
         masses = (np.add.reduce(rows, axis=1) * grid.dx).tolist()
         diff = scratch[:, : rows.shape[1] - 1]
         np.subtract(rows[:, 1:], rows[:, :-1], out=diff)
@@ -719,9 +916,10 @@ class DiagnosticsCollector:
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
         gaps = self._check_speeds(len(field_rows))
-        # f on the levels each step starts from goes into the scratch
-        # block, which the distances and the speed gaps above are done with
-        f_levels = self.sat(levels[:m], out=scratch) if self.entropy_assert else None
+        residuals = None
+        if self.entropy_assert:
+            residuals = self._entropy_block(m, field_rows, lows, highs)
+        lows, highs = lows.tolist(), highs.tolist()
 
         speeds = self._speeds[0]
         field = 0
@@ -780,21 +978,23 @@ class DiagnosticsCollector:
                 self.space_time_tv_time += dists[r]
                 self.space_time_tv_space += grid.dt * self._prev_tv
                 if self.entropy_assert or (self.entropy_watch and is_row):
-                    residual = entropy_residual(
-                        levels[r],
-                        levels[r + 1],
-                        speeds,
-                        grid.lam,
-                        self.sat,
-                        self.boundary,
-                        kappas,
-                        scheme=self.scheme,
-                        alpha=grid.alpha,
-                        f_rho=None if f_levels is None else f_levels[r],
-                        work=self._entropy_work,
-                    )
+                    if residuals is not None:
+                        residual = residuals[r]
+                    else:
+                        residual = entropy_residual(
+                            levels[r],
+                            levels[r + 1],
+                            speeds,
+                            grid.lam,
+                            self.sat,
+                            self.boundary,
+                            kappas,
+                            scheme=self.scheme,
+                            alpha=grid.alpha,
+                        )
                     self.entropy_max = max(self.entropy_max, residual)
-                    if self.entropy_assert and residual > ENTROPY_TOL:
+                    # a nan residual fails too
+                    if self.entropy_assert and not residual <= ENTROPY_TOL:
                         raise InvariantViolation(
                             f"step {n}: entropy residual {residual} above {ENTROPY_TOL}"
                         )

@@ -1,5 +1,6 @@
 """Norms, a priori bound constants, entropy residual, invariant collector."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lagflow import diagnostics
+from lagflow import diagnostics, preset_scenario, resolve_scenario
 from lagflow.diagnostics import (
     SPEED_TOL,
     DiagnosticsCollector,
@@ -266,16 +267,19 @@ def test_entropy_residual_matches_max_min_composition(kind):
 
 
 def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
-    """The collector's per-step kappas, once sorted and deduplicated, are
-    bit-identical to default_kappas(R, previous level); the residual's
+    """The kappas of each step that the collector hands the block kernel,
+    the grid and that step's row of extrema, once sorted and deduplicated,
+    are bit-identical to default_kappas(R, previous level); the residual's
     maximum ignores their order and repeats."""
     seen = []
+    residuals = diagnostics.EntropyBlock.residuals
 
-    def spy(rho, rho_next, v_lag, lam, sat, boundary, kappas, **kw):
-        seen.append((rho, np.array(kappas)))
-        return entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, **kw)
+    def spy(self, rho, *args):
+        kappas, grid = args[-3], args[-1]
+        seen.extend((prev.copy(), np.concatenate([grid[0], row])) for prev, row in zip(rho, kappas))
+        return residuals(self, rho, *args)
 
-    monkeypatch.setattr(diagnostics, "entropy_residual", spy)
+    monkeypatch.setattr(diagnostics.EntropyBlock, "residuals", spy)
     vel = Velocity("normalized_greenshields")
     sat = Saturation("linear", rho_max=1.0)
     kernel = Kernel("constant", length=0.1)
@@ -295,6 +299,8 @@ def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
     )
     rho0 = np.random.default_rng(5).uniform(0.05, 0.9, grid.n_cells)
     run(grid, weights, vel, sat, "lf", rho0, 6 * grid.dt, observer=col)
+    # the block's first row is step 0, whose residual the walk never reads
+    seen = seen[1:]
     assert len(seen) == 6
     assert len({float(np.max(prev)) for prev, _ in seen}) == 6
     for prev, kappas in seen:
@@ -499,7 +505,7 @@ class _PerStepCollector(DiagnosticsCollector):
                     alpha=self.grid.alpha,
                 )
                 self.entropy_max = max(self.entropy_max, residual)
-                if self.entropy_assert and residual > diagnostics.ENTROPY_TOL:
+                if self.entropy_assert and not residual <= diagnostics.ENTROPY_TOL:
                     raise InvariantViolation(
                         f"step {n}: entropy residual {residual} above {diagnostics.ENTROPY_TOL}"
                     )
@@ -702,19 +708,79 @@ def test_block_collector_reads_lagged_reach_above_capacity(small_blocks, scheme,
     assert str(err) == str(err_ref)
 
 
+def _box_delay_march(steps):
+    """The preset box_delay under LF on its own grid (J = 1000, blocks of
+    16 steps): the collector's case, the observer calls of its first
+    `steps` steps and the boundary."""
+    resolved = resolve_scenario(dataclasses.replace(preset_scenario("box_delay"), scheme="lf"))
+    grid = resolved.grid
+    calls = []
+    run(
+        grid, resolved.weights, resolved.velocity, resolved.saturation, "lf", resolved.rho0,
+        steps * grid.dt, resolved.boundary, observer=lambda *call: calls.append(call),
+    )
+    assert len(calls) == steps + 1
+    case = (grid, resolved.weights, resolved.velocity, resolved.saturation, resolved.constants)
+    return case, calls, resolved.boundary
+
+
+@pytest.mark.parametrize("where, cell", [("tail", 480), ("front", 200)])
+def test_block_collector_raises_a_1e9_defect_of_a_real_run(where, cell):
+    """One cell of level 150 of a box_delay LF run raised by 1e-9 gives
+    step 150 the defect rho' - LF(rho) = 1e-9 > ENTROPY_TOL there: the
+    block collector raises at step 150 with the per-step reference's
+    message.  In the tail ahead of the box (0 < rho < 1e-12) no kappa lies
+    in [lo_j, hi_j], so only inactive pairs see the change; at the box
+    front active pairs do."""
+    case, calls, boundary = _box_delay_march(160)
+    n = 150
+    prev, level, speeds = calls[n - 1][1], calls[n][1], calls[n][2]
+    raised = level.copy()
+    raised[cell] += 1e-9
+    near = np.append(extend3(prev, boundary)[cell : cell + 3], raised[cell])
+    lo, hi = near.min(), near.max()
+    kappas = default_kappas(1.0, prev)
+    assert lo < hi and np.any((lo <= kappas) & (kappas <= hi)) == (where == "front")
+    if where == "tail":
+        assert 0.0 < lo and hi < 2e-9
+    calls[n] = (n, raised, speeds)
+    err, _ = _drive(DiagnosticsCollector, case, calls, "lf", boundary, 160)
+    err_ref, _ = _drive(_PerStepCollector, case, calls, "lf", boundary, 160)
+    assert str(err_ref).startswith(f"step {n}: entropy residual")
+    assert type(err) is type(err_ref)
+    assert str(err) == str(err_ref)
+
+
+def test_collector_raises_on_a_nan_speed_field():
+    """A nan cell in the speed field of call 6 makes step 7's entropy
+    residual nan, and the assertion refuses it: a nan compares false with
+    the tolerance either way, so the check is 'not residual <= tol'."""
+    case, calls = _oracle_march("lf", FREE_FLOW, 2, 13, 3)
+    n, level, speeds = calls[6]
+    spoilt = speeds.copy()
+    spoilt[20] = np.nan
+    calls[6] = (n, level, spoilt)
+    err, _ = _drive(DiagnosticsCollector, case, calls, "lf", FREE_FLOW, 13)
+    assert isinstance(err, InvariantViolation)
+    assert str(err) == f"step 7: entropy residual nan above {diagnostics.ENTROPY_TOL}"
+
+
 def test_block_sizes_follow_block_bytes():
     """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
     block, the (B + 1, J + 2) speed block, the (B, J) scratch block, a
     ring of min(h, N_T) + 1 reaches and the 19 kappas; an
-    entropy-asserting run adds a workspace of six (19, J + 2) matrices and
-    six J + 2 vectors, and writes f on the levels into the scratch block."""
+    entropy-asserting run adds the block kernel's three (B, J + 2) and
+    four (B, J) float rows, three (B, J) masks, twelve PAIR_CHUNK float
+    vectors and one of cell indices, and the grid's 17 values of
+    kappa f(kappa), and writes f on the levels into the scratch block."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
     watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194 + 19) * 8
     assert diagnostics.block_bytes(344, 2193, 10965, False) == watched
-    asserted = watched + (6 * 19 + 6) * 346 * 8
-    assert diagnostics.block_bytes(344, 2193, 10965, True) == asserted
+    chunk = diagnostics.PAIR_CHUNK
+    kernel = (3 * 47 * 346 + 4 * 47 * 344 + 12 * chunk + 17) * 8 + 3 * 47 * 344 + chunk * 8
+    assert diagnostics.block_bytes(344, 2193, 10965, True) == watched + kernel
 
 
 def _array_bytes(obj):
@@ -728,8 +794,9 @@ def _array_bytes(obj):
 def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     """block_bytes, which the manifest reports and the history budget
     counts, is every array a fresh collector holds (its blocks, reach ring
-    and kappas) and, on an LF run that asserts entropy, every array of its
-    entropy workspace; an HW run builds no workspace."""
+    and kappas, and kappa f(kappa) on the grid when it asserts entropy)
+    and, on an LF run that asserts entropy, every array of its entropy
+    block kernel; an HW run builds no kernel."""
     vel, sat, _ = _model()
     dx = 1.0 / cells
     for scheme, alpha in (("lf", 2.0), ("hw", None)):
@@ -747,14 +814,14 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
 
 
 # ---------------------------------------------------------------------------
-# the workspace entropy kernel against the broadcast kernel
+# the active-set entropy kernel against the broadcast kernel
 
 
-def _broadcast_entropy_residual(
+def _broadcast_entropy_matrix(
     rho, rho_next, v_lag, lam, sat, boundary, kappas, scheme="lf", alpha=None
 ):
-    """Reference: the broadcast kernel that allocated its (K, J) arrays on
-    every call; v_lag is the J cells of the speed field."""
+    """Reference: the (K, J) residuals of the broadcast kernel, which
+    allocated them on every call; v_lag is the J cells of the speed field."""
     rho = np.asarray(rho, dtype=float)
     rho_next = np.asarray(rho_next, dtype=float)
     kap = np.asarray(kappas, dtype=float)[:, None]
@@ -791,7 +858,26 @@ def _broadcast_entropy_residual(
     e += flux_kap * gap
     e *= sign_e
     residual += e
-    return float(np.max(residual))
+    return residual
+
+
+def _split_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, alpha):
+    """Reference for the LF kernel, built from three parts: the broadcast
+    kernel's residual on the active pairs (lo_j <= kappa <= hi_j and
+    lo_j < hi_j, lo_j and hi_j the least and greatest of rho_{j-1}, rho_j,
+    rho_{j+1} and rho'_j), s (rho' - lf_step(rho))_j on the other pairs
+    (s = +1 below lo_j, -1 above hi_j) and 0 on a flat cell at kappa; the
+    maximum, with +0 for a zero."""
+    dense = _broadcast_entropy_matrix(rho, rho_next, v_lag, lam, sat, boundary, kappas, "lf", alpha)
+    r = extend3(rho, boundary)
+    lo = np.minimum.reduce([r[:-2], r[1:-1], r[2:], rho_next])
+    hi = np.maximum.reduce([r[:-2], r[1:-1], r[2:], rho_next])
+    with Workspace(len(rho), 1, boundary) as work:
+        defect = rho_next - lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+    kap = np.asarray(kappas, dtype=float)[:, None]
+    active = (lo <= kap) & (kap <= hi) & (lo < hi)
+    inactive = np.where(kap < lo, defect, np.where(kap > hi, -defect, 0.0))
+    return float(np.max(np.where(active, dense, inactive))) + 0.0
 
 
 _LAWS = {
@@ -822,6 +908,28 @@ def _random_steps(rng, scheme, boundary, sat, count):
         yield rho, rho_next, v_lag, lam, alpha
 
 
+def _flat_steps(rng, boundary, sat, count):
+    """count LF steps with flat cells at J in {1, 2, 3, 40}: rho is
+    constant on runs of cells (0 and R among its values, every cell alike
+    in each fifth step) and rho' equals rho on a random half of the cells,
+    the LF update elsewhere, so some updates are not LF."""
+    speed = 1.0 + sat.d1_sup
+    for trial in range(count):
+        n = (1, 2, 3, 40)[trial % 4]
+        values = [0.0, 1.0, rng.uniform(0.0, 1.0)]
+        rho = np.repeat(rng.choice(values, n), rng.integers(1, 6, n))[:n]
+        if trial % 5 == 0:
+            rho[:] = rho[0]
+        v_lag = rng.uniform(0.0, 1.0, n)
+        alpha = rng.uniform(0.05, 1.0) * speed
+        lam = 1.0 / (alpha + speed)
+        with Workspace(n, 1, boundary) as work:
+            rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+        same = rng.random(n) < 0.5
+        rho_next[same] = rho[same]
+        yield rho, rho_next, v_lag, lam, alpha
+
+
 def _tied_kappas(rng, rho, rho_next):
     """default_kappas plus kappas equal to cell and updated values (the
     sgn(0) terms), 0 and R among them."""
@@ -830,56 +938,111 @@ def _tied_kappas(rng, rho, rho_next):
     )
 
 
+def _one_sided_kappas(rng, rho):
+    """Kappas at and above the level's maximum, and at and below its
+    minimum: a flat cell there sits at the lowest or highest kappa."""
+    top, bottom = float(np.max(rho)), float(np.min(rho))
+    return (
+        np.concatenate([[top], rng.uniform(top, 1.0, 2)]),
+        np.concatenate([[bottom], rng.uniform(0.0, bottom, 2)]),
+    )
+
+
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_entropy_residual_bits_equal_broadcast_kernel(scheme, boundary, law):
-    """The residual equals the broadcast kernel's to the last bit, with a
-    per-call workspace and with f on the level handed in."""
+    """The residual equals its reference to the last bit, with a per-call
+    workspace and with f on the level handed in.  HW: the broadcast
+    kernel.  LF: the three-part reference (_split_entropy_residual), on
+    random steps at tied kappas and on steps with flat cells at tied and
+    at one-sided kappas."""
     rng = np.random.default_rng(11)
     sat = _LAWS[law]
     for rho, rho_next, v_lag, lam, alpha in _random_steps(rng, scheme, boundary, sat, 40):
         kappas = _tied_kappas(rng, rho, rho_next)
-        ref = _broadcast_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, scheme, alpha)
         args = (rho, rho_next, extend3(v_lag, boundary), lam, sat, boundary, kappas, scheme, alpha)
+        if scheme == "lf":
+            ref = _split_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, alpha)
+        else:
+            ref = float(np.max(_broadcast_entropy_matrix(*args[:2], v_lag, *args[3:])))
         assert entropy_residual(*args).hex() == ref.hex()
         assert entropy_residual(*args, f_rho=sat(rho)).hex() == ref.hex()
+    if scheme == "hw":
+        return
+    for rho, rho_next, v_lag, lam, alpha in _flat_steps(rng, boundary, sat, 60):
+        for kappas in (_tied_kappas(rng, rho, rho_next),) + _one_sided_kappas(rng, rho):
+            ref = _split_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, alpha)
+            args = (rho, rho_next, extend3(v_lag, boundary), lam, sat, boundary, kappas, "lf", alpha)
+            assert entropy_residual(*args).hex() == ref.hex()
 
 
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
-def test_reused_entropy_workspace_keeps_the_bits(boundary, law):
-    """One workspace per J serves a run of LF steps while the kappas change
-    as the collector's do (the last two slots), all at once, or not at
-    all, and every residual keeps the broadcast kernel's bits."""
+def test_block_entropy_equals_per_step_bits(boundary, law):
+    """EntropyBlock.residuals over blocks of B = 1..5 steps and of the
+    collector's own B, given the grid kappas and each step's extrema as
+    the collector gives them, equals entropy_residual of each step at
+    default_kappas(R, rho) to the last bit: J in {1, 2, 3, 40, 1000},
+    eleven chained LF steps from a level with a stretch of zeros, whose
+    extrema change each step and which share four speed fields."""
     rng = np.random.default_rng(12)
     sat = _LAWS[law]
-    kappas = np.concatenate([default_kappas(1.0), [0.0, 0.0]])
-    spaces = {n: diagnostics.EntropyWorkspace(len(kappas), n) for n in (1, 2, 3, 40)}
-    for trial, (rho, rho_next, v_lag, lam, alpha) in enumerate(
-        _random_steps(rng, "lf", boundary, sat, 120)
-    ):
-        change = trial // 4 % 3
-        if change == 0:
-            kappas[-2:] = rng.choice(rho, 1)[0], rng.choice(rho_next, 1)[0]
-        elif change == 1:
-            kappas[:] = rng.uniform(0.0, 1.0, len(kappas))
-            kappas[rng.integers(len(kappas))] = rho[0]
-        ref = _broadcast_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, "lf", alpha)
-        new = entropy_residual(
-            rho, rho_next, extend3(v_lag, boundary), lam, sat, boundary, kappas, "lf", alpha,
-            f_rho=sat(rho), work=spaces[len(rho)],
-        )
-        assert new.hex() == ref.hex()
+    grid = (default_kappas(1.0), default_kappas(1.0) * sat(default_kappas(1.0)))
+    speed = 1.0 + sat.d1_sup
+    steps = 11
+    for n in (1, 2, 3, 40, 1000):
+        alpha = rng.uniform(0.3, 1.0) * speed
+        lam = 1.0 / (alpha + speed)
+        table = np.array([extend3(rng.uniform(0.0, 1.0, n), boundary) for _ in range(4)])
+        fields = np.sort(rng.integers(0, 4, steps))
+        levels = [rng.uniform(0.0, 1.0, n)]
+        levels[0][: n // 3] = 0.0
+        with Workspace(n, 1, boundary) as work:
+            for field in fields:
+                levels.append(lf_step(levels[-1], table[field], lam, alpha, sat, work))
+        levels = np.array(levels)
+        expected = [
+            entropy_residual(
+                levels[i], levels[i + 1], table[fields[i]], lam, sat, boundary,
+                default_kappas(1.0, levels[i]), "lf", alpha,
+            ).hex()
+            for i in range(steps)
+        ]
+        for rows in (1, 2, 3, 4, 5, diagnostics.block_rows(n)):
+            block = diagnostics.EntropyBlock(rows, n)
+            got = []
+            for first in range(0, steps, rows):
+                rho = levels[first : min(first + rows, steps)]
+                extrema = np.stack([rho.min(axis=1), rho.max(axis=1)], axis=1)
+                got += block.residuals(
+                    rho, levels[first + 1 : first + 1 + len(rho)], sat(rho), table,
+                    fields[first : first + len(rho)], lam, alpha, boundary,
+                    extrema, extrema * sat(extrema), grid,
+                ).tolist()
+            assert [x.hex() for x in got] == expected, (n, rows)
 
 
-def test_entropy_workspace_refuses_another_kappa_count():
-    work = diagnostics.EntropyWorkspace(3, 5)
-    with pytest.raises(ValueError, match="kappas"):
-        entropy_residual(
-            np.zeros(5), np.zeros(5), np.zeros(7), 0.1, _LAWS["linear"], FREE_FLOW,
-            [0.0, 1.0], "lf", 1.0, work=work,
-        )
+def test_entropy_residual_is_nan_on_any_non_finite_input():
+    """A nan or inf in rho, rho', the speeds (ghost cells too) or the
+    kappas makes the LF residual nan: no non-finite value vanishes in a
+    cell the kernel masks out."""
+    sat = _LAWS["linear"]
+    rng = np.random.default_rng(15)
+    rho = rng.uniform(0.0, 1.0, 40)
+    speeds = extend3(rng.uniform(0.0, 1.0, 40), FREE_FLOW)
+    with Workspace(40, 1, FREE_FLOW) as work:
+        rho_next = lf_step(rho, speeds, 0.25, 2.0, sat, work)
+    kappas = default_kappas(1.0, rho)
+    args = [rho, rho_next, speeds, kappas]
+    assert math.isfinite(entropy_residual(rho, rho_next, speeds, 0.25, sat, FREE_FLOW, kappas, "lf", 2.0))
+    for which, cell in ((0, 7), (1, 7), (2, 0), (2, 20), (2, 41), (3, 4)):
+        for bad in (math.nan, math.inf):
+            a, b, v, k = (np.array(x) for x in args)
+            (a, b, v, k)[which][cell] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                res = entropy_residual(a, b, v, 0.25, sat, FREE_FLOW, k, "lf", 2.0)
+            assert math.isnan(res), (which, cell, bad)
 
 
 @pytest.mark.parametrize("law", sorted(_LAWS))
@@ -909,7 +1072,7 @@ def test_warmed_entropy_call_allocates_no_kappa_by_cell_array():
     speeds = extend3(rng.uniform(0.0, 1.0, n), FREE_FLOW)
     f_rho = sat(rho)
     kappas = np.concatenate([default_kappas(1.0), [0.0, 0.0]])
-    work = diagnostics.EntropyWorkspace(len(kappas), n)
+    work = diagnostics.EntropyBlock(1, n)
     args = (rho, rho_next, speeds, 0.25, sat, FREE_FLOW, kappas, "lf", 2.0)
     entropy_residual(*args, f_rho=f_rho, work=work)
     kappas[-2:] = rho.min(), rho.max()
