@@ -113,7 +113,6 @@ class ResolvedRun:
     tv0: float
     rho0_l1: float
     constants: BoundConstants | None
-    thorough: bool
     n_steps: int
     stride: int
 
@@ -128,13 +127,13 @@ class SimulationResult:
     snapshots: list  # (requested_time, actual_time, level)
 
 
-def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRun:
+def resolve_scenario(scenario: Scenario) -> ResolvedRun:
     """Fix dt by the scheme's CFL rule, fit the delay, project the datum.
 
     A run whose delay history and check block would exceed
     HISTORY_BUDGET_BYTES is refused with a ScenarioError before anything
-    is allocated.  thorough=False turns the per-step entropy assertion
-    into record-row observation (used for auxiliary reference runs).
+    is allocated.  The check block includes the entropy kernel's buffers
+    when the run asserts the entropy inequality (asserts_entropy).
     """
     vel = scenario.velocity
     sat = scenario.saturation
@@ -153,7 +152,7 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
     )
     n_steps = step_count(scenario.t_final, grid.dt)
     sizes = (grid.n_cells, grid.delay_steps, n_steps)
-    entropy = asserts_entropy(vel, sat, scenario.scheme, thorough)
+    entropy = asserts_entropy(vel, sat, scenario.scheme)
     need = history_bytes(*sizes) + block_bytes(*sizes, entropy)
     if need > HISTORY_BUDGET_BYTES:
         raise ScenarioError(
@@ -180,7 +179,6 @@ def resolve_scenario(scenario: Scenario, *, thorough: bool = True) -> ResolvedRu
         tv0=tv0,
         rho0_l1=rho0_l1,
         constants=constants,
-        thorough=thorough,
         n_steps=n_steps,
         stride=stride,
     )
@@ -201,7 +199,6 @@ def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
         scheme=resolved.scheme,
         boundary=resolved.boundary,
         constants=resolved.constants,
-        thorough=resolved.thorough,
         stride=resolved.stride,
         n_final=resolved.n_steps,
     )
@@ -373,9 +370,7 @@ def compare_schemes(scenario: Scenario, ref_dx: float, out_dir: str | Path | Non
     except ValueError as exc:
         raise ScenarioError(f"ref_dx: {exc}") from exc
     resolved = [resolve_scenario(dataclasses.replace(scenario, scheme=k)) for k in ("lf", "hw")]
-    ref_resolved = resolve_scenario(
-        dataclasses.replace(scenario, scheme="lf", dx=ref_dx), thorough=False
-    )
+    ref_resolved = resolve_scenario(dataclasses.replace(scenario, scheme="lf", dx=ref_dx))
     finals = {res.scheme: (res, simulate(res)) for res in resolved}
     ref_sim = simulate(ref_resolved)
     ref_coarse = restrict_to_coarse(ref_sim.final_level, factor)

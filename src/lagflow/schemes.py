@@ -89,7 +89,8 @@ class Workspace:
 
 
 def _fill_ghosts(ext: np.ndarray, boundary: str) -> np.ndarray:
-    """ext with its two ghost cells set from ext[1:-1] (replicate or wrap)."""
+    """ext with its two ghost cells set from ext[1:-1] (replicate or wrap);
+    a block whose rows are extended levels passes its transpose."""
     if boundary == FREE_FLOW:
         ext[0], ext[-1] = ext[1], ext[-2]
     else:

@@ -2,7 +2,7 @@
 tolerance, one test (and one pass/fail line) per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v``.  Full preset simulations
-are cached per (preset, scheme, boundary, delay, thoroughness) so each
+are cached per (preset, scheme, boundary, delay) so each
 configuration is marched exactly once per session.
 """
 
@@ -57,9 +57,9 @@ def _standard_snapshots(scenario):
     return tuple(sorted(times))
 
 
-def _run(name, scheme, boundary=None, tau=None, thorough=True):
+def _run(name, scheme, boundary=None, tau=None):
     """Simulate one preset configuration once per session."""
-    key = (name, scheme, boundary, tau, thorough)
+    key = (name, scheme, boundary, tau)
     if key not in _cache:
         s = preset_scenario(name)
         overrides = {"scheme": scheme}
@@ -68,7 +68,7 @@ def _run(name, scheme, boundary=None, tau=None, thorough=True):
         if tau is not None:
             overrides["tau"] = tau
         s = dataclasses.replace(s, **overrides)
-        resolved = resolve_scenario(s, thorough=thorough)
+        resolved = resolve_scenario(s)
         _cache[key] = (resolved, simulate(resolved, _standard_snapshots(s)))
     return _cache[key]
 
@@ -147,7 +147,7 @@ def test_criterion_03_periodic_mass_conservation():
     worst = 0.0
     for name in PRESET_NAMES:
         for scheme in SCHEMES:
-            resolved, sim = _run(name, scheme, boundary=PERIODIC, thorough=False)
+            resolved, sim = _run(name, scheme, boundary=PERIODIC)
             mass0 = resolved.rho0_l1
             drift_rel = sim.collector.mass_drift_max * max(mass0, 1.0) / mass0
             worst = max(worst, drift_rel)
@@ -324,7 +324,7 @@ def test_criterion_12_zero_delay_reduction_is_bit_identical():
     non-delayed loop on every preset, both schemes."""
     for name in PRESET_NAMES:
         for scheme in SCHEMES:
-            resolved, sim = _run(name, scheme, tau=0.0, thorough=False)
+            resolved, sim = _run(name, scheme, tau=0.0)
             assert resolved.grid.delay_steps == 0
             reference = _independent_zero_delay_loop(resolved)
             assert np.array_equal(sim.final_level, reference), (name, scheme)

@@ -293,7 +293,6 @@ def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
         scheme="lf",
         boundary=FREE_FLOW,
         constants=None,
-        thorough=True,
         stride=2,
         n_final=6,
     )
@@ -356,7 +355,6 @@ def _collector(n_final=4, tau=0.02, dx=0.05, boundary=FREE_FLOW):
         scheme="hw",
         boundary=boundary,
         constants=c,
-        thorough=True,
         stride=2,
         n_final=n_final,
     )
@@ -440,7 +438,7 @@ def test_collector_speed_ceiling_is_speed_increment_bound():
 class _PerStepCollector(DiagnosticsCollector):
     """Reference: every check runs inside the call, in the order and with
     the messages of the block collector's row walk, from 1-D reductions of
-    the level itself.  A new speed field's lagged level is the level of
+    the level itself, and refuses a value unless it is within its bound.  A new speed field's lagged level is the level of
     call max(n - h, 0), kept from the calls."""
 
     def __init__(self, *args, **kwargs):
@@ -460,16 +458,16 @@ class _PerStepCollector(DiagnosticsCollector):
             reach = max(self.vel.rho_max, sup_norm(lagged))
             ceiling = speed_increment_bound(self.vel, self.weights, reach)
             gap = float(np.max(np.abs(np.diff(interior))))
-            if gap > ceiling + SPEED_TOL:
+            if not gap <= ceiling + SPEED_TOL:
                 raise InvariantViolation(f"step {n}: speed increment {gap} exceeds bound {ceiling}")
         lo = float(np.min(level))
         hi = float(np.max(level))
         self.sup_density = max(self.sup_density, hi)
         self.min_density = min(self.min_density, lo)
-        if self.positivity and lo < -diagnostics.LEVEL_TOL:
+        if self.positivity and not lo >= -diagnostics.LEVEL_TOL:
             raise InvariantViolation(f"step {n}: negative density {lo}")
         ceiling = self.rho_ceiling
-        if ceiling is not None and hi > ceiling + diagnostics.LEVEL_TOL:
+        if ceiling is not None and not hi <= ceiling + diagnostics.LEVEL_TOL:
             raise InvariantViolation(f"step {n}: density {hi} exceeds the ceiling {ceiling}")
         mass = self.grid.dx * float(np.sum(level))
         if self._mass0 is None:
@@ -477,7 +475,7 @@ class _PerStepCollector(DiagnosticsCollector):
         elif self.conserve_mass:
             drift = abs(mass - self._mass0) / max(abs(self._mass0), 1.0)
             self.mass_drift_max = max(self.mass_drift_max, drift)
-            if drift > diagnostics.MASS_TOL:
+            if not drift <= diagnostics.MASS_TOL:
                 raise InvariantViolation(f"step {n}: relative mass drift {drift}")
         tv = total_variation(level, self.boundary)
         l1 = l1_norm(level, self.grid.dx)
@@ -485,7 +483,7 @@ class _PerStepCollector(DiagnosticsCollector):
         self.sup_bv = max(self.sup_bv, tv + l1)
         if self.tv_ceiling:
             bound = self.constants.tv_bound_at(t)
-            if tv > bound * (1.0 + diagnostics.BOUND_TOL) + diagnostics.BOUND_TOL:
+            if not tv <= bound * (1.0 + diagnostics.BOUND_TOL) + diagnostics.BOUND_TOL:
                 raise InvariantViolation(f"step {n}: total variation {tv} exceeds the ceiling {bound}")
         is_row = n == 0 or n == self.n_final or n % self.stride == 0
         residual = math.nan
@@ -564,10 +562,10 @@ def _oracle_march(scheme, boundary, h, n_final, seed, sat=None, high=0.7):
     return (grid, weights, vel, sat, constants), calls
 
 
-def _drive(cls, case, calls, scheme, boundary, n_final, thorough=True, stride=3):
+def _drive(cls, case, calls, scheme, boundary, n_final, stride=3):
     """Feed the calls to a new collector; its error or None, and itself."""
     grid, weights, vel, sat, constants = case
-    col = cls(grid, weights, vel, sat, scheme, boundary, constants, thorough, stride, n_final)
+    col = cls(grid, weights, vel, sat, scheme, boundary, constants, stride, n_final)
     try:
         for call in calls:
             col(*call)
@@ -596,15 +594,18 @@ def small_blocks(monkeypatch):
 def test_block_collector_matches_per_step_collector(small_blocks, scheme, boundary, n_final, h):
     """Records, running maxima and space-time accumulators equal the
     per-step reference's bit for bit, with n_final below the block size
-    and not a multiple of it, thorough and watching; with h = 12 the
-    second block brings no new speed field."""
+    and not a multiple of it, on runs that assert entropy (LF with
+    saturation) and on runs that watch it (HW, and both schemes without
+    saturation); with h = 12 the second block brings no new speed field."""
     for seed in range(3):
-        case, calls = _oracle_march(scheme, boundary, h, n_final, seed)
-        for thorough in (True, False):
-            args = (case, calls, scheme, boundary, n_final, thorough)
+        for sat in (None, Saturation("none")):
+            case, calls = _oracle_march(scheme, boundary, h, n_final, seed, sat=sat)
+            args = (case, calls, scheme, boundary, n_final)
             err, col = _drive(DiagnosticsCollector, *args)
             err_ref, ref = _drive(_PerStepCollector, *args)
             assert err is None and err_ref is None
+            assert col.entropy_assert == (scheme == "lf" and sat is None)
+            assert col.entropy_watch != col.entropy_assert
             assert len(col.records) == len(range(0, n_final, 3)) + 1
             assert _state(col) == _state(ref)
 
@@ -752,23 +753,48 @@ def test_block_collector_raises_a_1e9_defect_of_a_real_run(where, cell):
 
 
 def test_collector_raises_on_a_nan_speed_field():
-    """A nan cell in the speed field of call 6 makes step 7's entropy
-    residual nan, and the assertion refuses it: a nan compares false with
-    the tolerance either way, so the check is 'not residual <= tol'."""
+    """A nan in the left ghost cell of the speed field of call 6, which the
+    increment check does not read, makes step 7's entropy residual nan,
+    and the assertion refuses it: a nan compares false with the tolerance
+    either way, so the check is 'not residual <= tol'."""
     case, calls = _oracle_march("lf", FREE_FLOW, 2, 13, 3)
     n, level, speeds = calls[6]
     spoilt = speeds.copy()
-    spoilt[20] = np.nan
+    spoilt[0] = np.nan
     calls[6] = (n, level, spoilt)
     err, _ = _drive(DiagnosticsCollector, case, calls, "lf", FREE_FLOW, 13)
     assert isinstance(err, InvariantViolation)
     assert str(err) == f"step 7: entropy residual nan above {diagnostics.ENTROPY_TOL}"
 
 
+@pytest.mark.parametrize("where", ["level", "speeds"])
+def test_collector_refuses_a_nan_level_or_speed_field(small_blocks, where):
+    """A nan cell in the level, or in the new speed field, of call 7 of an
+    HW run makes that step's minimum, or its field's increment gap, nan;
+    positivity and the speed check refuse it at step 7, as the per-step
+    reference does, for a nan fails every 'not value <= bound'."""
+    case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 4)
+    n, level, speeds = calls[7]
+    assert speeds is not calls[6][2]
+    if where == "level":
+        level = level.copy()
+        level[20] = np.nan
+    else:
+        speeds = speeds.copy()
+        speeds[20] = np.nan
+    calls[7] = (n, level, speeds)
+    err, _ = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13)
+    err_ref, _ = _drive(_PerStepCollector, case, calls, "hw", FREE_FLOW, 13)
+    fragment = "negative density nan" if where == "level" else "speed increment nan"
+    assert str(err_ref).startswith(f"step 7: {fragment}")
+    assert type(err) is type(err_ref)
+    assert str(err) == str(err_ref)
+
+
 def test_block_sizes_follow_block_bytes():
     """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
     block, the (B + 1, J + 2) speed block, the (B, J) scratch block, a
-    ring of min(h, N_T) + 1 reaches and the 19 kappas; an
+    ring of min(h, N_T) + 1 reaches and the 17 grid kappas; an
     entropy-asserting run adds the block kernel's three (B, J + 2) and
     four (B, J) float rows, three (B, J) masks, twelve PAIR_CHUNK float
     vectors and one of cell indices, and the grid's 17 values of
@@ -776,7 +802,7 @@ def test_block_sizes_follow_block_bytes():
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
-    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194 + 19) * 8
+    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194 + 17) * 8
     assert diagnostics.block_bytes(344, 2193, 10965, False) == watched
     chunk = diagnostics.PAIR_CHUNK
     kernel = (3 * 47 * 346 + 4 * 47 * 344 + 12 * chunk + 17) * 8 + 3 * 47 * 344 + chunk * 8
@@ -794,7 +820,7 @@ def _array_bytes(obj):
 def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     """block_bytes, which the manifest reports and the history budget
     counts, is every array a fresh collector holds (its blocks, reach ring
-    and kappas, and kappa f(kappa) on the grid when it asserts entropy)
+    and grid kappas, and kappa f(kappa) on them when it asserts entropy)
     and, on an LF run that asserts entropy, every array of its entropy
     block kernel; an HW run builds no kernel."""
     vel, sat, _ = _model()
@@ -803,7 +829,7 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
         grid = build_grid(0.0, 1.0, dx, 0.01, h * 0.01, dx, alpha)
         assert (grid.n_cells, grid.delay_steps) == (cells, h)
         weights = discretize_kernel(Kernel("constant", length=dx), grid)
-        col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, True, 1, n_final)
+        col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, 1, n_final)
         assert col.entropy_assert == (scheme == "lf")
         held = _array_bytes(col)
         if col.entropy_assert:
@@ -952,9 +978,8 @@ def _one_sided_kappas(rng, rho):
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_entropy_residual_bits_equal_broadcast_kernel(scheme, boundary, law):
-    """The residual equals its reference to the last bit, with a per-call
-    workspace and with f on the level handed in.  HW: the broadcast
-    kernel.  LF: the three-part reference (_split_entropy_residual), on
+    """The residual equals its reference to the last bit.  HW: the
+    broadcast kernel.  LF: the three-part reference (_split_entropy_residual), on
     random steps at tied kappas and on steps with flat cells at tied and
     at one-sided kappas."""
     rng = np.random.default_rng(11)
@@ -967,7 +992,6 @@ def test_entropy_residual_bits_equal_broadcast_kernel(scheme, boundary, law):
         else:
             ref = float(np.max(_broadcast_entropy_matrix(*args[:2], v_lag, *args[3:])))
         assert entropy_residual(*args).hex() == ref.hex()
-        assert entropy_residual(*args, f_rho=sat(rho)).hex() == ref.hex()
     if scheme == "hw":
         return
     for rho, rho_next, v_lag, lam, alpha in _flat_steps(rng, boundary, sat, 60):
@@ -1063,26 +1087,33 @@ def test_saturation_on_a_block_equals_each_extended_row(boundary, law):
 
 
 def test_warmed_entropy_call_allocates_no_kappa_by_cell_array():
-    """At K = 19, J = 1000 a call on a warmed workspace peaks below one
-    K x J float64 array (152 000 bytes), with its two extrema kappas new."""
+    """At K = 19, J = 1000 a call of a warmed one-row EntropyBlock, given
+    the 17 grid kappas and the two extrema as the collector gives them,
+    peaks below one K x J float64 array (152 000 bytes), with its two
+    extrema new."""
     rng = np.random.default_rng(14)
     sat = _LAWS["exponential"]
     n = 1000
     rho, rho_next = rng.uniform(0.0, 1.0, (2, n))
-    speeds = extend3(rng.uniform(0.0, 1.0, n), FREE_FLOW)
-    f_rho = sat(rho)
-    kappas = np.concatenate([default_kappas(1.0), [0.0, 0.0]])
-    work = diagnostics.EntropyBlock(1, n)
-    args = (rho, rho_next, speeds, 0.25, sat, FREE_FLOW, kappas, "lf", 2.0)
-    entropy_residual(*args, f_rho=f_rho, work=work)
-    kappas[-2:] = rho.min(), rho.max()
+    speeds = extend3(rng.uniform(0.0, 1.0, n), FREE_FLOW)[None]
+    grid = (default_kappas(1.0), default_kappas(1.0) * sat(default_kappas(1.0)))
+    block = diagnostics.EntropyBlock(1, n)
+
+    def call(extrema):
+        return block.residuals(
+            rho[None], rho_next[None], sat(rho)[None], speeds, np.zeros(1, np.intp),
+            0.25, 2.0, FREE_FLOW, extrema, extrema * sat(extrema), grid,
+        )
+
+    call(np.zeros((1, 2)))
+    extrema = np.array([[rho.min(), rho.max()]])
     tracemalloc.start()
     try:
-        entropy_residual(*args, f_rho=f_rho, work=work)
+        call(extrema)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < len(kappas) * n * 8
+    assert peak < (grid[0].size + 2) * n * 8
 
 
 _FAULT_RUN = """

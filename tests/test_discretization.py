@@ -223,7 +223,7 @@ def _projection_loop(datum, grid):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_projection_equals_per_cell_loop_on_presets(name):
     scenario = preset_scenario(name)
-    resolved = resolve_scenario(scenario, thorough=False)
+    resolved = resolve_scenario(scenario)
     datum = make_datum(scenario.datum_kind, **scenario.datum_params)
     assert np.array_equal(resolved.rho0, _projection_loop(datum, resolved.grid))
 

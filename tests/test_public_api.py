@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -38,6 +39,12 @@ PUBLIC = [
     "tau_sweep",
     "write_preset_configs",
 ]
+
+
+def test_resolve_scenario_takes_only_the_scenario():
+    """No switch beside the scenario decides which checks a run makes."""
+    params = tuple(inspect.signature(lagflow.resolve_scenario).parameters)
+    assert params == ("scenario",)
 
 
 def _importable():

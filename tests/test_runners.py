@@ -73,19 +73,20 @@ def test_collector_checks_gate_on_hypotheses():
     sat = Saturation("linear", rho_max=1.0)
     cropped = Velocity("cropped")
 
-    def checks(velocity, saturation, scheme, boundary, thorough):
+    def checks(velocity, saturation, scheme, boundary):
         scenario = _tiny(
             velocity=velocity, saturation=saturation, scheme=scheme, boundary=boundary
         )
-        return simulate(resolve_scenario(scenario, thorough=thorough)).collector
+        return simulate(resolve_scenario(scenario)).collector
 
-    c = checks(vel, sat_none, "hw", "free_flow", thorough=True)
+    c = checks(vel, sat_none, "hw", "free_flow")
     assert not c.positivity and c.rho_ceiling is None and not c.tv_ceiling
-    c = checks(vel, sat, "lf", "free_flow", thorough=True)
-    assert c.entropy_assert and not c.entropy_watch
-    c = checks(vel, sat, "lf", "free_flow", thorough=False)
     assert not c.entropy_assert and c.entropy_watch
-    c = checks(cropped, sat, "lf", "periodic", thorough=True)
+    c = checks(vel, sat, "lf", "free_flow")
+    assert c.entropy_assert and not c.entropy_watch
+    c = checks(vel, sat_none, "lf", "free_flow")
+    assert not c.entropy_assert and c.entropy_watch
+    c = checks(cropped, sat, "lf", "periodic")
     assert c.conserve_mass and not c.tv_ceiling and not c.entropy_assert
     assert not c.entropy_watch
 
@@ -136,7 +137,7 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 def test_manifest_reports_block_bytes(tmp_path):
     """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
     (B + 1, J + 2) speed fields, the (B, J) scratch, a ring of
-    min(h, N_T) + 1 reaches and the 19 kappas; the LF run, which asserts
+    min(h, N_T) + 1 reaches and the 17 grid kappas; the LF run, which asserts
     entropy, adds the entropy block kernel of B rows and the grid's
     kappa f(kappa) (f on the levels goes into the scratch).  The budget
     counts them with the history."""
@@ -144,7 +145,7 @@ def test_manifest_reports_block_bytes(tmp_path):
     for scheme, h, n_steps, entropy in (("hw", 2, 10, False), ("lf", 4, 20, True)):
         run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
         manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
-        expected = ((2 * 327 + 1) * 50 + 328 * 52 + h + 1 + 19) * 8
+        expected = ((2 * 327 + 1) * 50 + 328 * 52 + h + 1 + 17) * 8
         if entropy:
             expected += (3 * 327 * 52 + 4 * 327 * 50 + 12 * chunk + 17) * 8
             expected += 3 * 327 * 50 + chunk * 8
@@ -204,6 +205,22 @@ def test_compare_schemes_constant_datum_gives_zero_distances():
     assert report["l1_lf_vs_ref"] == pytest.approx(0.0, abs=1e-14)
     assert report["l1_hw_vs_ref"] == pytest.approx(0.0, abs=1e-14)
     assert report["refinement_factor"] == 2
+
+
+def test_compare_schemes_reference_asserts_entropy(monkeypatch):
+    """The fine-grid LF reference makes the checks of any LF run with a
+    saturation term: it asserts the entropy inequality on every step."""
+    seen = []
+    real = runners.simulate
+
+    def spy(resolved, *args):
+        sim = real(resolved, *args)
+        seen.append((resolved.scheme, resolved.grid.n_cells, sim.collector.entropy_assert))
+        return sim
+
+    monkeypatch.setattr(runners, "simulate", spy)
+    compare_schemes(_tiny(), ref_dx=0.01)
+    assert seen == [("lf", 50, True), ("hw", 50, False), ("lf", 100, True)]
 
 
 def test_compare_schemes_rejects_non_divisor_reference():

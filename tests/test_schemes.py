@@ -305,7 +305,7 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
     vel = Velocity("normalized_greenshields")
     collector = DiagnosticsCollector(
         grid, weights, vel, _SAT_NONE, "hw", FREE_FLOW,
-        constants=None, thorough=True, stride=1, n_final=n_steps,
+        constants=None, stride=1, n_final=n_steps,
     )
 
     def observer(n, level, v_lag):
