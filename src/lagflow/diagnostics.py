@@ -51,7 +51,7 @@ import numpy as np
 
 from .discretization import Grid, KernelWeights
 from .model_functions import SAT_NONE, Kernel, Saturation, Velocity, flux_speed
-from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, _fill_ghosts, extend3
+from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, _fill_ghosts
 
 #: Absolute tolerance for the discrete entropy inequality.
 ENTROPY_TOL = 1e-10
@@ -292,18 +292,20 @@ def stability_bound(consts: StabilityConstants, t: float, datum_distance: float)
 # discrete entropy residual
 
 
-#: Equispaced entropy constants the check samples in [0, R].
+#: Equispaced constants of default_kappas.
 KAPPA_COUNT = 17
 
 
 def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.ndarray:
-    """KAPPA_COUNT = 17 equispaced entropy constants in [0, R], plus the
-    level's extrema.
+    """KAPPA_COUNT = 17 equispaced constants in [0, R], plus the level's
+    extrema, sorted and deduplicated.
 
-    The entropy check is a sample in kappa, not a proof over all kappa: for
-    a nonlinear F the residual is not piecewise linear between level values
-    (F(kappa) keeps a nonzero coefficient where the data straddle kappa).
-    The extrema pin the sample to the level's active range.
+    No check reads them; the function stays because the benchmark wraps
+    it by name.  The entropy check needs no sample: by the monotone-scheme
+    lemma (entropy_residual) the residual of every kappa is at most
+    max_j (|c_j| + 2 (hi_j - lo_j) m_j), which is the supremum over kappa
+    wherever m_j = 0, and 0 for a march that did what the scheme says; on
+    a watched run without saturation it may be an upper bound only.
     """
     base = np.linspace(0.0, rho_ceiling, KAPPA_COUNT)
     if level is not None:
@@ -311,216 +313,144 @@ def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.nd
     return np.unique(base)
 
 
-#: (kappa, cell) pairs the Lax-Friedrichs entropy kernel evaluates at a time.
-PAIR_CHUNK = 1024
-
-#: Relative slack of the bucket test that preselects the cells whose
-#: [lo, hi] may hold a grid kappa (searchsorted then decides exactly); far
-#: above the few ulps by which kappa_i and i R / (n - 1) differ.
-_BUCKET_SLACK = 1e-9
-
-
 class EntropyBlock:
-    """Buffers of the Lax-Friedrichs entropy kernel for up to B steps of J cells.
+    """Buffers of the entropy kernel for up to B steps of J cells.
 
-    (B, J + 2) rows: the ghost-extended level r, F = r f(r) and the speed
-    field each step read.  (B, J) rows: lo and hi, the least and greatest
-    of r_{j-1}, r_j, r_{j+1} and rho'_j, the defect c = rho' - LF(rho) and
-    a work row, and three boolean masks.  PAIR_CHUNK-long vectors hold the
-    queued active (kappa, cell) pairs and their per-pair work.  See
-    residuals and entropy_residual.
+    Per step it forms, per cell, the defect c_j = rho'_j - H_j(rho) in
+    the step's own operation order, lo_j, hi_j and the monotonicity
+    defect m_j, and returns max_j (|c_j| + 2 (hi_j - lo_j) m_j): by the
+    monotone-scheme lemma (entropy_residual) a bound on the residual of
+    every kappa.  It is the supremum over kappa where every m_j = 0 (on
+    every step inside the CFL rules with speeds in [0, v_max] and, on
+    HW, levels in [0, R]), and 0 for a march that did what the scheme
+    says; on a watched run without saturation it may be an upper bound
+    only.  An LF block forms lo and hi only when some m_j is not 0.
+    (B, J + 2) rows: the ghost-extended level r, f on it (then the
+    fluxes) and the speed fields; (B, J) rows: lo, hi, the defect and a
+    work row.
     """
 
-    #: Per-pair float vectors: kappa, kappa f(kappa) and ten work vectors.
-    _PAIR_VECTORS = 12
-
     def __init__(self, rows: int, cells: int) -> None:
-        self.r, self.flux, self.v = np.empty((3, rows, cells + 2))
+        self.r, self.f, self.v = np.empty((3, rows, cells + 2))
         self.lo, self.hi, self.c, self.t = np.empty((4, rows, cells))
-        self.mask, self.other, self.spread = np.empty((3, rows, cells), dtype=bool)
-        self.pair = np.empty((self._PAIR_VECTORS, PAIR_CHUNK))
-        self.cells = np.empty(PAIR_CHUNK, dtype=np.intp)
 
-    @classmethod
-    def bytes_for(cls, rows: int, cells: int) -> int:
+    @staticmethod
+    def bytes_for(rows: int, cells: int) -> int:
         """Bytes of the buffers of a kernel for B rows of J cells."""
-        floats = 3 * rows * (cells + 2) + 4 * rows * cells + cls._PAIR_VECTORS * PAIR_CHUNK
-        return floats * 8 + 3 * rows * cells + PAIR_CHUNK * np.dtype(np.intp).itemsize
+        return (3 * rows * (cells + 2) + 4 * rows * cells) * 8
 
     def residuals(
         self,
         rho: np.ndarray,
         rho_next: np.ndarray,
-        f_rho: np.ndarray,
         speeds: np.ndarray,
         fields: np.ndarray,
         lam: float,
-        alpha: float,
+        sat: Saturation,
         boundary: str,
-        kappas: np.ndarray,
-        kappa_flux: np.ndarray,
-        grid: tuple[np.ndarray, np.ndarray] | None = None,
+        scheme: str,
+        alpha: float | None,
     ) -> np.ndarray:
-        """Largest Lax-Friedrichs entropy residual of each of m steps.
+        """The entropy bound max_j (|c_j| + 2 (hi_j - lo_j) m_j) of each of
+        m steps (see entropy_residual).
 
-        Step i goes from rho[i] to rho_next[i] (m x J) with f_rho[i] = f on
-        rho[i] and the speed field speeds[fields[i]] (J + 2 cells).  Its
-        kappas are row i of kappas, with kappa f(kappa) in kappa_flux (m x
-        Q), and the grid (kappas, kappa f(kappa)), n kappas equispaced on
-        [0, R] that every step shares.  A flat cell at kappa contributes 0;
-        where kappas lie on both sides of the cell its +-c terms already
-        reach 0, so the zero is added only for a flat cell at a step's
-        lowest or highest kappa, and only to a step whose maximum is
-        negative without it.  A step's value is nan when any of its inputs
-        is not finite, and a zero is +0.
+        Step i goes from rho[i] to rho_next[i] (m x J) and reads the speed
+        field speeds[fields[i]] (J + 2 cells).  A step's value is nan when
+        it is not finite, and a zero is +0.
         """
-        m, cells = rho.shape
-        r, flux, v = self.r[:m], self.flux[:m], self.v[:m]
+        m = len(rho)
+        r, f, v = self.r[:m], self.f[:m], self.v[:m]
         lo, hi, c, t = self.lo[:m], self.hi[:m], self.c[:m], self.t[:m]
-        mask, other, spread = self.mask[:m], self.other[:m], self.spread[:m]
         r[:, 1:-1] = rho
-        np.multiply(rho, f_rho, out=flux[:, 1:-1])
         _fill_ghosts(r.T, boundary)
-        _fill_ghosts(flux.T, boundary)
+        sat(r, out=f)
         np.take(speeds, fields, axis=0, out=v, mode="clip")
-        # c = rho' - LF(rho), in lf_step's operation order
-        np.multiply(flux[:, 2:], v[:, 2:], out=c)
-        c -= np.multiply(flux[:, :-2], v[:, :-2], out=t)
-        np.multiply(2.0, rho, out=t)
-        np.subtract(r[:, 2:], t, out=t)
-        t += r[:, :-2]
-        t *= alpha
-        t -= c
-        t *= 0.5 * lam
-        t += rho
+        # c = rho' - H(rho), in the step's own operation order
+        if scheme == LAX_FRIEDRICHS:
+            f *= r
+            np.multiply(f[:, 2:], v[:, 2:], out=c)
+            c -= np.multiply(f[:, :-2], v[:, :-2], out=t)
+            np.multiply(2.0, rho, out=t)
+            np.subtract(r[:, 2:], t, out=t)
+            t += r[:, :-2]
+            t *= alpha
+            t -= c
+            t *= 0.5 * lam
+            t += rho
+        else:
+            np.multiply(r[:, 1:-1], f[:, 2:], out=c)
+            c *= v[:, 2:]
+            np.multiply(r[:, :-2], f[:, 1:-1], out=t)
+            t *= v[:, 1:-1]
+            c -= t
+            c *= lam
+            np.subtract(rho, c, out=t)
         np.subtract(rho_next, t, out=c)
+        np.abs(c, out=c)
+        if self._monotonicity_defect(m, rho_next, lam, sat, scheme, alpha):
+            hi -= lo
+            hi *= t
+            hi *= 2.0
+            c += hi
+        out = np.maximum.reduce(c, axis=1)
+        out[~np.isfinite(out)] = np.nan
+        return out
+
+    def _monotonicity_defect(self, m, rho_next, lam, sat, scheme, alpha) -> bool:
+        """Whether some m_j of the first m steps is not 0; if so, m_j is in
+        the work rows t and lo_j, hi_j in lo and hi.  f serves as scratch,
+        and r once lo and hi are formed."""
+        r, v, lo, hi, t = self.r[:m], self.v[:m], self.lo[:m], self.hi[:m], self.t[:m]
+        d = sat.d1_sup
+        if scheme == LAX_FRIEDRICHS:
+            # max(0, lam alpha - 1) + (lam / 2) sum max(0, Phi |V_{j+-1}| - alpha)
+            phi = 1.0 + sat.rho_max * d
+            if lam * alpha <= 1.0 and phi * max(v.max(), -v.min()) <= alpha:
+                return False
+            g = np.abs(v, out=self.f[:m])
+            g *= phi
+            g -= alpha
+            np.maximum(g, 0.0, out=g)
+            np.add(g[:, 2:], g[:, :-2], out=t)
+            t *= 0.5 * lam
+            t += max(0.0, lam * alpha - 1.0)
         np.minimum(r[:, :-2], r[:, 1:-1], out=lo)
         np.minimum(lo, r[:, 2:], out=lo)
         np.minimum(lo, rho_next, out=lo)
         np.maximum(r[:, :-2], r[:, 1:-1], out=hi)
         np.maximum(hi, r[:, 2:], out=hi)
         np.maximum(hi, rho_next, out=hi)
-        np.less(lo, hi, out=spread)
-
-        # inactive pairs: +c where a kappa lies below lo, -c where one lies
-        # above hi; each reduction masks out the cells without one
-        k_lo, k_hi = kappas.min(axis=1)[:, None], kappas.max(axis=1)[:, None]
-        if grid is not None:
-            np.minimum(k_lo, grid[0][0], out=k_lo)
-            np.maximum(k_hi, grid[0][-1], out=k_hi)
-        np.copyto(t, c)
-        np.copyto(t, -np.inf, where=np.less_equal(lo, k_lo, out=mask))
-        out = np.maximum.reduce(t, axis=1)
-        np.copyto(t, c)
-        np.copyto(t, np.inf, where=np.greater_equal(hi, k_hi, out=mask))
-        np.maximum(out, np.negative(np.minimum.reduce(t, axis=1)), out=out)
-
-        # active pairs, queued into chunks: (cell index into the m x J
-        # rows, kappa, kappa f(kappa))
-        queued = 0
-
-        def queue(cells, kap, kap_flux):
-            nonlocal queued
-            done = 0
-            while done < cells.size:
-                size = min(PAIR_CHUNK - queued, cells.size - done)
-                span, part = slice(queued, queued + size), slice(done, done + size)
-                self.cells[span], self.pair[0, span], self.pair[1, span] = (
-                    cells[part], kap[part], kap_flux[part]
-                )
-                queued += size
-                done += size
-                if queued == PAIR_CHUNK:
-                    self._evaluate(queued, out, rho_next, lam, alpha)
-                    queued = 0
-
-        if grid is not None:
-            kap, kap_flux = grid
-            # the bucket test: t is the lowest grid kappa that may lie at or
-            # above lo, lowered by the slack
-            scale = (kap.size - 1) / kap[-1]
-            np.multiply(lo, scale * (1.0 - _BUCKET_SLACK), out=t)
-            np.ceil(t, out=t)
-            t *= (1.0 - _BUCKET_SLACK) / scale
-            np.less_equal(t, hi, out=mask)
-            cand = np.flatnonzero(mask & spread)
-            first = np.searchsorted(kap, lo.reshape(-1)[cand], side="left")
-            count = np.searchsorted(kap, hi.reshape(-1)[cand], side="right") - first
-            ends = np.cumsum(count)
-            base = ends - count - first
-            total = int(ends[-1]) if ends.size else 0
-            for start in range(0, total, PAIR_CHUNK):
-                pairs = np.arange(start, min(start + PAIR_CHUNK, total))
-                owner = np.searchsorted(ends, pairs, side="right")
-                index = pairs - base[owner]
-                queue(cand[owner], kap[index], kap_flux[index])
-        for q in range(kappas.shape[1]):
-            k = kappas[:, q, None]
-            np.less_equal(lo, k, out=mask)
-            mask &= np.less_equal(k, hi, out=other)
-            mask &= spread
-            hit = np.flatnonzero(mask)
-            row = hit // cells
-            queue(hit, kappas[row, q], kappa_flux[row, q])
-        if queued:
-            self._evaluate(queued, out, rho_next, lam, alpha)
-        if np.any(out < 0.0):
-            for k in (k_lo, k_hi):
-                np.equal(lo, k, out=mask)
-                mask &= np.equal(hi, k, out=other)
-                np.maximum(out, 0.0, out=out, where=np.logical_or.reduce(mask, axis=1))
-        out += 0.0
-        check = np.add.reduce(c, axis=1)
-        check += np.add.reduce(kappas, axis=1)
-        out[~np.isfinite(check)] = np.nan
-        return out
-
-    def _evaluate(self, n, out, rho_next, lam, alpha) -> None:
-        """Residuals of the first n queued pairs, element by element in the
-        order of entropy_residual's broadcast expressions, maximized into
-        out by row."""
-        cells = self.cells[:n]
-        row = cells // self.lo.shape[1]
-        left = cells + 2 * row
-        kap, kap_flux, rl, rc, rr, fl, fr, vl, vr, e, gap, sign = self.pair[:, :n]
-        r, flux, v = self.r.reshape(-1), self.flux.reshape(-1), self.v.reshape(-1)
-        np.take(r, left, out=rl, mode="clip")
-        np.take(r[1:], left, out=rc, mode="clip")
-        np.take(r[2:], left, out=rr, mode="clip")
-        np.take(flux, left, out=fl, mode="clip")
-        np.take(flux[2:], left, out=fr, mode="clip")
-        np.take(v, left, out=vl, mode="clip")
-        np.take(v[2:], left, out=vr, mode="clip")
-        np.take(rho_next.reshape(-1), cells, out=e, mode="clip")
-        np.subtract(vr, vl, out=gap)
-        gap *= 0.5 * lam
-        vl *= 0.5 * lam
-        vr *= 0.5 * lam
-        # P(r) = sgn(r - k) (F(r) - F(k)) (lam/2) V at j + 1 and j - 1
-        for d, p, hv in ((rr, fr, vr), (rl, fl, vl)):
-            d -= kap
-            p -= kap_flux
-            p *= np.sign(d, out=sign)
-            p *= hv
-            np.abs(d, out=d)
-        res = rr
-        res += rl
-        res *= -0.5 * lam * alpha
-        res += fr
-        res -= fl
-        rc -= kap
-        np.abs(rc, out=rc)
-        rc *= lam * alpha - 1.0
-        res += rc
-        e -= kap
-        np.sign(e, out=sign)
-        gap *= kap_flux
-        e += gap
-        e *= sign
-        res += e
-        # unlike np.maximum, its .at form flags a nan it propagates
-        with np.errstate(invalid="ignore"):
-            np.maximum.at(out, row, res)
+        if scheme == LAX_FRIEDRICHS:
+            return True
+        v_j, v_next = v[:, 1:-1], v[:, 2:]
+        a, b = r[:, 1:-1], self.f[:m, 1:-1]
+        # lam max(0, -V_j) + lam d max(0, -lo V_{j+1}, -hi V_{j+1})
+        np.minimum(v_j, 0.0, out=t)
+        np.multiply(lo, v_next, out=a)
+        np.minimum(a, np.multiply(hi, v_next, out=b), out=a)
+        np.minimum(a, 0.0, out=a)
+        a *= d
+        t += a
+        t *= -lam
+        # max(0, lam max(V_{j+1}, 0) + lam d max(0, lo V_j, hi V_j) - 1)
+        np.multiply(lo, v_j, out=a)
+        np.maximum(a, np.multiply(hi, v_j, out=b), out=a)
+        np.maximum(a, 0.0, out=a)
+        a *= d
+        a += np.maximum(v_next, 0.0, out=b)
+        a *= lam
+        a -= 1.0
+        np.maximum(a, 0.0, out=a)
+        t += a
+        # f drops by 1 - f(0) at 0 (the exponential law): lam (1 - f(0))
+        # (|V_j| + |V_{j+1}|) on the cells whose [lo, hi] holds 0 and less
+        drop = 1.0 - float(sat(0.0))
+        if drop > 0.0:
+            np.abs(v_j, out=a)
+            a += np.abs(v_next, out=b)
+            a *= lam * drop
+            t += np.where((lo < 0.0) & (hi >= 0.0), a, 0.0)
+        return bool(t.any())
 
 
 def entropy_residual(
@@ -530,98 +460,72 @@ def entropy_residual(
     lam: float,
     sat: Saturation,
     boundary: str,
-    kappas: np.ndarray,
     scheme: str = LAX_FRIEDRICHS,
     alpha: float | None = None,
 ) -> float:
-    """Largest discrete entropy production of one step; theory says <= 0.
+    """An upper bound on the discrete entropy production of one step over
+    every constant kappa; theory says it is 0.
 
     v_lag is the speed field the step read, with its ghost cells (J + 2
-    cells, as lf_step and hw_step take it).  For each cell j and constant
-    kappa the residual is
+    cells, as lf_step and hw_step take it).  Freeze it and write the step
+    at cell j as rho'_j = H_j(rho_{j-1}, rho_j, rho_{j+1}); F(u) = u f(u).
+    For each kappa the residual is
 
-        |rho'_j - k| - |rho_j - k|
-        + lam (Fk_{j+1/2}(rho_j, rho_j+1) - Fk_{j-1/2}(rho_j-1, rho_j))
-        + correction_j,
+        R_j(kappa) = sgn(rho'_j - kappa) (rho'_j - kappa + F(kappa) g_j)
+                     - [H_j(rho v kappa) - H_j(rho ^ kappa)],
 
-    with the numerical entropy flux built from the scheme's interface flux
-    G by the max/min composition
+    the Kruzkov entropy production of the step with the numerical entropy
+    flux G(u v kappa, w v kappa) - G(u ^ kappa, w ^ kappa) and the
+    non-local correction F(kappa) g_j, with g_j = (lam/2)(V_{j+1} -
+    V_{j-1}) for Lax-Friedrichs and lam (V_{j+1} - V_j) for
+    Hilliges-Weidlich, so that H_j(kappa, kappa, kappa) = kappa - F(kappa)
+    g_j.  Let c_j = rho'_j - H_j(rho) be the step's defect and lo_j, hi_j
+    the least and greatest of rho_{j-1}, rho_j, rho_{j+1} and rho'_j.
 
-        Fk(u, w) = G(max(u,k), max(w,k)) - G(min(u,k), min(w,k)),
+    Lemma (Crandall and Majda 1980; the non-local correction as in
+    Betancourt, Buerger, Karlsen and Tory 2011).  Below lo_j the residual
+    is c_j, above hi_j it is -c_j.  If H_j is non-decreasing in each
+    argument on [lo_j, hi_j]^3, then H_j(rho v kappa) - H_j(rho ^ kappa) >=
+    |H_j(rho) - H_j(kappa, kappa, kappa)|, so R_j(kappa) <= |c_j| for
+    every kappa, and sup_kappa R_j = |c_j| exactly.  If each partial
+    derivative of H_j is only >= -m_i there, the same argument loses at
+    most 2 (hi_j - lo_j) m_j, m_j = m_1 + m_2 + m_3.
 
-    G(u, w) = F(u) V_j / 2 + F(w) V_{j+1} / 2 - alpha (w - u) / 2 for the
-    Lax-Friedrichs scheme with correction
-    (lam/2) sgn(rho'_j - k) F(k) (V_{j+1} - V_{j-1}), and
-    G(u, w) = u f(w) V_{j+1} for Hilliges-Weidlich with correction
-    lam sgn(rho'_j - k) F(k) (V_{j+1} - V_j); F(rho) = rho f(rho).  The
-    inequality is proved for Lax-Friedrichs; the Hilliges-Weidlich residual
-    is reported for observation only.
+    The value is max_j (|c_j| + 2 (hi_j - lo_j) m_j), an upper bound on
+    sup over all real kappa of max_j R_j(kappa); it is that supremum
+    wherever m_j = 0.  With f in [0, 1], |F'| <= Phi = 1 + R sup|f'| on
+    the whole line (f = 1 below 0, 0 above R) and d = sup|f'|:
 
-    f is evaluated on the cells and on the kappas, never on a kappa-by-cell
-    array.  Since F(max(u,k)) - F(min(u,k)) = sgn(u-k)(F(u) - F(k)) and
-    max(w,k) - min(w,k) = |w-k|, the Lax-Friedrichs flux is
+        LF  m_j = max(0, lam alpha - 1)
+                  + (lam/2) sum_{+-} max(0, Phi |V_{j+-1}| - alpha)
+        HW  m_j = lam max(0, -V_j) + lam d max(0, -lo_j V_{j+1}, -hi_j V_{j+1})
+                  + max(0, lam max(V_{j+1}, 0)
+                           + lam d max(0, lo_j V_j, hi_j V_j) - 1)
 
-        Fk(u, w) = (P(u) V_j + P(w) V_{j+1}) / 2 - alpha (|w-k| - |u-k|) / 2,
-        P(u) = sgn(u-k) (F(u) - F(k)),
-
-    |rho'_j - k| and the correction fuse into sgn(e) (e + lam F(k) gap_j),
-    e = rho'_j - k, for both schemes.  Hilliges-Weidlich takes f(max(w,k)) =
-    min(f(w), f(k)) and f(min(w,k)) = max(f(w), f(k)), as f is non-increasing.
-
-    The Lax-Friedrichs residual splits the (kappa, j) pairs in two.  Let
-    lo_j and hi_j be the least and greatest of rho_{j-1}, rho_j, rho_{j+1}
-    and rho'_j.  When kappa lies strictly below lo_j every sign above is
-    +1, and the kappa and F(kappa) terms cancel: in exact arithmetic the
-    residual is c_j = rho'_j - LF_j(rho), the step's defect against the
-    Lax-Friedrichs update; strictly above hi_j it is -c_j.  So only the
-    active pairs, lo_j <= kappa <= hi_j with lo_j < hi_j, are evaluated by
-    the formula above, element by element in the order of the broadcast
-    expressions (each equals a full (kappa, j) evaluation bit for bit);
-    every other pair contributes +-c_j, with c_j in lf_step's operation
-    order, and a flat cell (lo_j = hi_j) contributes exactly 0 at
-    kappa = lo_j.  Since an inactive pair takes c_j, not the formula at its
-    kappa, the maximum can differ from a full (kappa, j) evaluation at
-    rounding level.  The kappas are still the given sample, not every
-    kappa.  The step runs, on an EntropyBlock of one row built for the
-    call, the kernel a collector runs on whole blocks
-    (EntropyBlock.residuals).  The value is nan when an input is not
-    finite.  The Hilliges-Weidlich residual, which a collector computes
-    only at record rows, is a broadcast expression.
+    and HW adds lam (1 - f(0)) (|V_j| + |V_{j+1}|) where lo_j < 0 <= hi_j:
+    the exponential law's f jumps from 1 to f(0) at 0.  Under the CFL
+    rules, with 0 <= V <= v_max (LF) and, for HW, levels in [0, R], every
+    m_j is 0, as on every preset step.  c_j is computed in the step's own
+    operation order, so a march that did what the scheme says gives
+    exactly 0.  A run without a saturation term leaves [0, R] and its
+    speeds [0, v_max], so a value watched there may be an upper bound,
+    not the supremum.  The value is nan when it is not finite.  The step
+    runs on an EntropyBlock of one row built for the call, the kernel a
+    collector runs on whole blocks.
     """
-    rho = np.asarray(rho, dtype=float)
-    rho_next = np.asarray(rho_next, dtype=float)
-    v_lag = np.asarray(v_lag, dtype=float)
-    kap = np.asarray(kappas, dtype=float).reshape(1, -1)
     if scheme == LAX_FRIEDRICHS:
         if alpha is None:
-            raise ValueError("the Lax-Friedrichs entropy flux needs alpha")
-        return float(
-            EntropyBlock(1, rho.size).residuals(
-                rho[None], rho_next[None], sat(rho)[None], v_lag[None], np.zeros(1, np.intp),
-                lam, alpha, boundary, kap, kap * sat(kap),
-            )[0]
-        )
-    if scheme != HILLIGES_WEIDLICH:
+            raise ValueError("the Lax-Friedrichs entropy bound needs alpha")
+    elif scheme != HILLIGES_WEIDLICH:
         raise ValueError(f"unknown scheme {scheme!r}")
-    kap = kap.reshape(-1, 1)
-    r = extend3(rho, boundary)
-    f_r = sat(r)
-    f_kap = sat(kap)
-    flux_kap = kap * f_kap
-    u, f_w = r[:-1], f_r[1:]
-    flux_k = np.maximum(u, kap)
-    flux_k *= np.minimum(f_w, f_kap)
-    flux_k -= np.minimum(u, kap) * np.maximum(f_w, f_kap)
-    flux_k *= lam * v_lag[1:]
-    residual = np.subtract(flux_k[:, 1:], flux_k[:, :-1])
-    residual -= np.abs(rho - kap)
-    gap = lam * (v_lag[2:] - v_lag[1:-1])
-    e = rho_next - kap
-    sign_e = np.sign(e)
-    e += flux_kap * gap
-    e *= sign_e
-    residual += e
-    return float(np.max(residual))
+    rho = np.asarray(rho, dtype=float)
+    return float(
+        EntropyBlock(1, rho.size).residuals(
+            rho[None], np.asarray(rho_next, dtype=float)[None],
+            np.asarray(v_lag, dtype=float)[None], np.zeros(1, np.intp),
+            lam, sat, boundary, scheme, alpha,
+        )[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +582,20 @@ def asserts_entropy(vel: Velocity, sat: Saturation, scheme: str) -> bool:
 
 def block_bytes(n_cells: int, h: int, n_steps: int, entropy: bool) -> int:
     """Bytes of one collector's buffers: the (B + 1, J) level block, the
-    (B + 1, J + 2) speed block, the (B, J) scratch block, the ring of
-    min(h, N_T) + 1 reaches and the KAPPA_COUNT grid kappas, all float64;
-    with the entropy assertion also the EntropyBlock of B rows and
-    kappa f(kappa) on the grid kappas.  The EntropyBlock scales with B:
-    its (B, J + 2) and (B, J) rows are most of it.  f on the levels goes
-    into the scratch block."""
+    (B + 1, J + 2) speed block, the (B, J) scratch block and the ring of
+    min(h, N_T) + 1 reaches, all float64; with the entropy assertion also
+    the EntropyBlock of B rows, three (B, J + 2) and four (B, J) float64
+    rows.  They hold no kappa: by the monotone-scheme lemma
+    (entropy_residual) max_j (|c_j| + 2 (hi_j - lo_j) m_j) bounds the
+    residual of every kappa, is its supremum where m_j = 0 and is 0 for
+    a march that did what the scheme says; a watched run without
+    saturation, which builds no EntropyBlock here, may see an upper bound
+    only."""
     rows = block_rows(n_cells)
     blocks = (2 * rows + 1) * n_cells + (rows + 1) * (n_cells + 2)
-    total = (blocks + min(h, n_steps) + 1 + KAPPA_COUNT) * 8
+    total = (blocks + min(h, n_steps) + 1) * 8
     if entropy:
-        total += EntropyBlock.bytes_for(rows, n_cells) + KAPPA_COUNT * 8
+        total += EntropyBlock.bytes_for(rows, n_cells)
     return total
 
 
@@ -696,8 +603,9 @@ def block_bytes(n_cells: int, h: int, n_steps: int, entropy: bool) -> int:
 class DiagnosticsRecord:
     """One diagnostics CSV row: level statistics at time t.
 
-    entropy_residual_max is the largest residual of the step that produced
-    this level (nan at t = 0 or when the residual was not computed).
+    entropy_residual_max is the entropy bound of the step that produced
+    this level, over every kappa (nan at t = 0 or when it was not
+    computed).
     tv_ceiling is the theoretical ceiling for tv (inf when it overflows,
     nan when the constants are unavailable).
     """
@@ -736,24 +644,22 @@ class DiagnosticsCollector:
     checks run a block of steps at a time: a call copies its level, and a
     new field whole, into preallocated buffers of block_rows(J) rows, and
     flush() reduces the whole block with one NumPy call per statistic,
-    computes every entropy residual the walk will read, then walks its
-    rows in step order.  Each step's kappas are the 17 grid kappas,
-    default_kappas(R) once per run, and the extrema of the level it starts
-    from, which the block's reduction over its level rows and the carry
-    row gives.  A run that asserts entropy computes the whole block's
-    residuals with one call of its EntropyBlock, built once per run: f on
-    the block's levels goes into the scratch block, and f on the grid
-    kappas is evaluated once per run and on the extrema once per flush.
-    Only the (kappa, cell) pairs with kappa in [lo_j, hi_j] of a non-flat
-    cell are evaluated; the others contribute +-(rho' - LF(rho))_j exactly
-    (see entropy_residual), so entropy_max can differ from a full
-    (kappa, j) evaluation at rounding level.  The kappas are still that
-    19-point sample, not every kappa.  A watching run calls
-    entropy_residual at its record rows after step 0, which builds its
-    buffers per call, and leaves nan on the other rows.  The walk calls no
-    entropy function: it reads each step's residual and refuses an
-    asserted one unless it is at most ENTROPY_TOL.  Every check refuses a
-    value unless it is within its bound, so a nan fails each one.
+    computes every entropy value the walk will read, then walks its rows
+    in step order.  A run that asserts entropy computes the whole block's
+    values with one call of its EntropyBlock, built once per run: for
+    each step the bound max_j (|c_j| + 2 (hi_j - lo_j) m_j) on the
+    residual of every kappa, c_j = rho' - H_j(rho) the step's defect and
+    m_j its monotonicity defect (see entropy_residual).  On a step within
+    the CFL rules, with speeds in [0, v_max], every m_j is 0 and the value
+    is max_j |c_j|, the exact supremum over kappa, which is 0 for a march
+    that did what the scheme says.  A watching run calls entropy_residual
+    at its record rows after step 0, which builds its buffers per call,
+    and leaves nan on the other rows; without a saturation term its
+    levels leave [0, R], so a watched value may be an upper bound, not
+    the supremum.  The walk calls no entropy function: it reads each
+    step's value and refuses an asserted one unless it is at most
+    ENTROPY_TOL.  Every check refuses a value unless it is within its
+    bound, so a nan fails each one.
     The bound of a field first seen at step n needs sup|rho| of level
     max(n - h, 0): the walk writes each step's max(|min|, |max|) into a
     ring of min(h, n_final) + 1 entries before the row's speed check.  A
@@ -827,13 +733,9 @@ class DiagnosticsCollector:
         self._prev_speeds: np.ndarray | None = None
         # TV of the carry row's step
         self._prev_tv = 0.0
-        self._grid_kappas = default_kappas(vel.rho_max)
-        # the block kernel's buffers and kappa f(kappa) on the grid kappas
-        # for the per-step assertion; watch rows build theirs per call
-        self._entropy_work = None
-        if self.entropy_assert:
-            self._entropy_work = EntropyBlock(rows, cells)
-            self._grid_flux = self._grid_kappas * sat(self._grid_kappas)
+        # the block kernel's buffers for the per-step assertion; watch rows
+        # build theirs per call
+        self._entropy_work = EntropyBlock(rows, cells) if self.entropy_assert else None
 
     def __call__(self, n: int, level: np.ndarray, speeds: np.ndarray) -> None:
         i = self._count
@@ -858,28 +760,23 @@ class DiagnosticsCollector:
         np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
         return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
-    def _residuals(self, m, field_rows, lows, highs, records) -> list[float]:
-        """The entropy residual of each of the block's m steps that the
-        walk reads, nan where the run computes none.
+    def _residuals(self, m, field_rows, records) -> list[float]:
+        """The entropy value of each of the block's m steps that the walk
+        reads, nan where the run computes none.
 
         Step r goes from level row r to row r + 1 and reads the speed
-        field of the call before it; its kappas are the grid and the
-        extrema lows[r], highs[r] of level row r.  An asserting run
-        evaluates every step with its EntropyBlock and writes f on the
-        levels into the scratch block, which the distances and the speed
-        gaps are done with; a watching run evaluates, with
+        field of the call before it.  An asserting run evaluates every
+        step with its EntropyBlock; a watching run evaluates, with
         entropy_residual, the steps after step 0 that records marks.
         """
         levels, grid = self._levels, self.grid
         # step r reads speed row k, k the number of fields first seen
         # before row r (row 0 is the carry's field)
         if self.entropy_assert:
-            extrema = np.stack([lows[:m], highs[:m]], axis=1)
             fields = np.searchsorted(field_rows, np.arange(m))
             return self._entropy_work.residuals(
-                levels[:m], levels[1 : m + 1], self.sat(levels[:m], out=self._scratch[:m]),
-                self._speeds, fields, grid.lam, grid.alpha, self.boundary,
-                extrema, extrema * self.sat(extrema), (self._grid_kappas, self._grid_flux),
+                levels[:m], levels[1 : m + 1], self._speeds, fields, grid.lam, self.sat,
+                self.boundary, self.scheme, grid.alpha,
             ).tolist()
         residuals = [math.nan] * m
         if self.entropy_watch:
@@ -889,8 +786,7 @@ class DiagnosticsCollector:
                     speeds = self._speeds[np.searchsorted(field_rows, r)]
                     residuals[r] = entropy_residual(
                         levels[r], levels[r + 1], speeds, grid.lam, self.sat,
-                        self.boundary, np.concatenate([self._grid_kappas, [lows[r], highs[r]]]),
-                        scheme=self.scheme, alpha=grid.alpha,
+                        self.boundary, scheme=self.scheme, alpha=grid.alpha,
                     )
         return residuals
 
@@ -909,11 +805,9 @@ class DiagnosticsCollector:
         # a record at step 0, every stride steps and step n_final
         records = [n % self.stride == 0 or n == self.n_final for n in range(first, first + m)]
         # one reduction per statistic; each row's sum equals the 1-D sum of
-        # its level bit for bit (the same pairwise order along the row).
-        # The extrema cover the carry row too: those of level row r are
-        # the kappas of the step from row r to row r + 1.
-        lows = np.minimum.reduce(levels[: m + 1], axis=1)
-        highs = np.maximum.reduce(levels[: m + 1], axis=1)
+        # its level bit for bit (the same pairwise order along the row)
+        lows = np.minimum.reduce(rows, axis=1).tolist()
+        highs = np.maximum.reduce(rows, axis=1).tolist()
         masses = (np.add.reduce(rows, axis=1) * grid.dx).tolist()
         diff = scratch[:, : rows.shape[1] - 1]
         np.subtract(rows[:, 1:], rows[:, :-1], out=diff)
@@ -925,8 +819,7 @@ class DiagnosticsCollector:
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
         gaps = self._check_speeds(len(field_rows))
-        residuals = self._residuals(m, field_rows, lows, highs, records)
-        lows, highs = lows[1:].tolist(), highs[1:].tolist()
+        residuals = self._residuals(m, field_rows, records)
 
         field = 0
         field_row = field_rows[0] if field_rows else -1

@@ -14,12 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from entropy_oracle import brute_force_entropy
 
-from lagflow.diagnostics import (
-    default_kappas,
-    entropy_residual,
-    lipschitz_in_time_check,
-)
+from lagflow.diagnostics import entropy_residual, lipschitz_in_time_check
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import PRESET_NAMES, preset_scenario
@@ -157,7 +154,8 @@ def test_criterion_03_periodic_mass_conservation():
 
 def test_criterion_04_discrete_entropy_inequality():
     """LF entropy residual <= 1e-10 on every preset (checked at every step
-    in-run) and on 100 randomized single-step trials."""
+    in-run) and on 100 randomized single-step trials, where the bound over
+    every kappa is also at least the brute-force supremum less 1e-14."""
     worst = -math.inf
     for name in PRESET_NAMES:
         resolved, sim = _run(name, "lf")
@@ -177,12 +175,11 @@ def test_criterion_04_discrete_entropy_inequality():
         speeds = extend3(v_lag, boundary)
         with Workspace(n, 1, boundary) as work:
             rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
-        res = entropy_residual(
-            rho, rho_next, speeds, lam, sat, boundary,
-            default_kappas(1.0, rho), "lf", alpha,
-        )
+        res = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, "lf", alpha)
         worst = max(worst, res)
         assert res <= 1e-10
+        oracle = brute_force_entropy(rho, rho_next, v_lag, lam, sat, boundary, "lf", alpha)
+        assert res >= oracle - 1e-14
     print(f"criterion 4 PASS: worst LF entropy residual {worst:.3e} <= 1e-10")
 
 

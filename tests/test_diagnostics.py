@@ -5,12 +5,12 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
+from entropy_oracle import broadcast_entropy_matrix, brute_force_entropy
 
-from lagflow import diagnostics, preset_scenario, resolve_scenario
+from lagflow import diagnostics, preset_scenario, resolve_scenario, simulate
 from lagflow.diagnostics import (
     SPEED_TOL,
     DiagnosticsCollector,
@@ -182,9 +182,7 @@ def test_entropy_residual_nonpositive_for_lf_randomized():
         speeds = extend3(v_lag, boundary)
         with Workspace(n, 1, boundary) as work:
             rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
-        res = entropy_residual(
-            rho, rho_next, speeds, lam, sat, boundary, default_kappas(1.0, rho), "lf", alpha
-        )
+        res = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, "lf", alpha)
         worst = max(worst, res)
     assert worst <= 1e-10
 
@@ -196,7 +194,7 @@ def test_entropy_residual_flags_manufactured_violation():
     fake_next = rho.copy()
     fake_next[2] = 0.9
     v = np.full(7, 0.5)
-    res = entropy_residual(rho, fake_next, v, 0.25, sat, FREE_FLOW, default_kappas(1.0, rho), "lf", 2.0)
+    res = entropy_residual(rho, fake_next, v, 0.25, sat, FREE_FLOW, "lf", 2.0)
     assert res > 0.1
 
 
@@ -234,9 +232,11 @@ def _max_min_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, 
 
 @pytest.mark.parametrize("kind", ["none", "linear", "exponential"])
 def test_entropy_residual_matches_max_min_composition(kind):
-    """The closed-form residual equals the max/min composition to 1e-15 on
-    random LF and HW steps, per kappa, with kappas tied to cell values and
-    to updated values (sgn(0) terms)."""
+    """On random LF and HW steps inside the CFL rules, with levels and
+    speeds in [0, 1], the value equals to 1e-15 the largest max/min
+    composition over kappas tied to cell values and to updated values
+    (sgn(0) terms), one below and one above all the data; it is at least
+    the composition at each of them."""
     rng = np.random.default_rng(7)
     sat = Saturation(kind, eps=0.05 if kind == "exponential" else None)
     alpha = 1.0 + sat.d1_sup  # V (1 + R |f'|) with V = R = 1
@@ -254,56 +254,14 @@ def test_entropy_residual_matches_max_min_composition(kind):
             else:
                 lam = rng.uniform(0.1, 1.0) / (1.0 + sat.d1_sup)
                 rho_next = hw_step(rho, extend3(v_lag, boundary), lam, sat, work)
-        kappas = np.concatenate(
-            [default_kappas(1.0, rho), rng.choice(rho, 3), rng.choice(rho_next, 3)]
-        )
+        kappas = np.concatenate([rho, rho_next, [-1.0, 2.0]])
         args = (rho, rho_next, v_lag, lam, sat, boundary)
         speeds = extend3(v_lag, boundary)
-        for k in [kappas] + [[x] for x in kappas]:
-            new = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, k, scheme, alpha)
-            ref = _max_min_entropy_residual(*args, k, scheme, alpha)
-            worst = max(worst, abs(new - ref))
+        new = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, scheme, alpha)
+        ref = [_max_min_entropy_residual(*args, [k], scheme, alpha) for k in kappas]
+        assert new >= max(ref) - 1e-15
+        worst = max(worst, abs(new - max(ref)))
     assert worst <= 1e-15
-
-
-def test_collector_kappas_equal_default_kappas_of_previous_level(monkeypatch):
-    """The kappas of each step that the collector hands the block kernel,
-    the grid and that step's row of extrema, once sorted and deduplicated,
-    are bit-identical to default_kappas(R, previous level); the residual's
-    maximum ignores their order and repeats."""
-    seen = []
-    residuals = diagnostics.EntropyBlock.residuals
-
-    def spy(self, rho, *args):
-        kappas, grid = args[-3], args[-1]
-        seen.extend((prev.copy(), np.concatenate([grid[0], row])) for prev, row in zip(rho, kappas))
-        return residuals(self, rho, *args)
-
-    monkeypatch.setattr(diagnostics.EntropyBlock, "residuals", spy)
-    vel = Velocity("normalized_greenshields")
-    sat = Saturation("linear", rho_max=1.0)
-    kernel = Kernel("constant", length=0.1)
-    grid = build_grid(0.0, 1.0, 0.05, 0.01, 0.02, 0.1, alpha=2.0)
-    weights = discretize_kernel(kernel, grid)
-    col = DiagnosticsCollector(
-        grid=grid,
-        weights=weights,
-        vel=vel,
-        sat=sat,
-        scheme="lf",
-        boundary=FREE_FLOW,
-        constants=None,
-        stride=2,
-        n_final=6,
-    )
-    rho0 = np.random.default_rng(5).uniform(0.05, 0.9, grid.n_cells)
-    run(grid, weights, vel, sat, "lf", rho0, 6 * grid.dt, observer=col)
-    # the block's first row is step 0, whose residual the walk never reads
-    seen = seen[1:]
-    assert len(seen) == 6
-    assert len({float(np.max(prev)) for prev, _ in seen}) == 6
-    for prev, kappas in seen:
-        assert np.array_equal(np.unique(kappas), default_kappas(1.0, prev))
 
 
 def test_lipschitz_check_accepts_rate_respecting_snapshots():
@@ -498,7 +456,6 @@ class _PerStepCollector(DiagnosticsCollector):
                     self.grid.lam,
                     self.sat,
                     self.boundary,
-                    default_kappas(self.vel.rho_max, self._prev_level),
                     scheme=self.scheme,
                     alpha=self.grid.alpha,
                 )
@@ -730,9 +687,8 @@ def test_block_collector_raises_a_1e9_defect_of_a_real_run(where, cell):
     """One cell of level 150 of a box_delay LF run raised by 1e-9 gives
     step 150 the defect rho' - LF(rho) = 1e-9 > ENTROPY_TOL there: the
     block collector raises at step 150 with the per-step reference's
-    message.  In the tail ahead of the box (0 < rho < 1e-12) no kappa lies
-    in [lo_j, hi_j], so only inactive pairs see the change; at the box
-    front active pairs do."""
+    message, in the tail ahead of the box (0 < rho < 1e-12, a span
+    [lo_j, hi_j] of about 1e-9) and on the box front."""
     case, calls, boundary = _box_delay_march(160)
     n = 150
     prev, level, speeds = calls[n - 1][1], calls[n][1], calls[n][2]
@@ -740,10 +696,7 @@ def test_block_collector_raises_a_1e9_defect_of_a_real_run(where, cell):
     raised[cell] += 1e-9
     near = np.append(extend3(prev, boundary)[cell : cell + 3], raised[cell])
     lo, hi = near.min(), near.max()
-    kappas = default_kappas(1.0, prev)
-    assert lo < hi and np.any((lo <= kappas) & (kappas <= hi)) == (where == "front")
-    if where == "tail":
-        assert 0.0 < lo and hi < 2e-9
+    assert (0.0 < lo and hi < 2e-9) == (where == "tail")
     calls[n] = (n, raised, speeds)
     err, _ = _drive(DiagnosticsCollector, case, calls, "lf", boundary, 160)
     err_ref, _ = _drive(_PerStepCollector, case, calls, "lf", boundary, 160)
@@ -793,19 +746,15 @@ def test_collector_refuses_a_nan_level_or_speed_field(small_blocks, where):
 
 def test_block_sizes_follow_block_bytes():
     """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
-    block, the (B + 1, J + 2) speed block, the (B, J) scratch block, a
-    ring of min(h, N_T) + 1 reaches and the 17 grid kappas; an
-    entropy-asserting run adds the block kernel's three (B, J + 2) and
-    four (B, J) float rows, three (B, J) masks, twelve PAIR_CHUNK float
-    vectors and one of cell indices, and the grid's 17 values of
-    kappa f(kappa), and writes f on the levels into the scratch block."""
+    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and a
+    ring of min(h, N_T) + 1 reaches; an entropy-asserting run adds the
+    block kernel's three (B, J + 2) and four (B, J) float rows."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
-    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194 + 17) * 8
+    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194) * 8
     assert diagnostics.block_bytes(344, 2193, 10965, False) == watched
-    chunk = diagnostics.PAIR_CHUNK
-    kernel = (3 * 47 * 346 + 4 * 47 * 344 + 12 * chunk + 17) * 8 + 3 * 47 * 344 + chunk * 8
+    kernel = (3 * 47 * 346 + 4 * 47 * 344) * 8
     assert diagnostics.block_bytes(344, 2193, 10965, True) == watched + kernel
 
 
@@ -819,10 +768,9 @@ def _array_bytes(obj):
 )
 def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     """block_bytes, which the manifest reports and the history budget
-    counts, is every array a fresh collector holds (its blocks, reach ring
-    and grid kappas, and kappa f(kappa) on them when it asserts entropy)
-    and, on an LF run that asserts entropy, every array of its entropy
-    block kernel; an HW run builds no kernel."""
+    counts, is every array a fresh collector holds (its blocks and reach
+    ring) and, on an LF run that asserts entropy, every array of its
+    entropy block kernel; an HW run builds no kernel."""
     vel, sat, _ = _model()
     dx = 1.0 / cells
     for scheme, alpha in (("lf", 2.0), ("hw", None)):
@@ -840,70 +788,7 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
 
 
 # ---------------------------------------------------------------------------
-# the active-set entropy kernel against the broadcast kernel
-
-
-def _broadcast_entropy_matrix(
-    rho, rho_next, v_lag, lam, sat, boundary, kappas, scheme="lf", alpha=None
-):
-    """Reference: the (K, J) residuals of the broadcast kernel, which
-    allocated them on every call; v_lag is the J cells of the speed field."""
-    rho = np.asarray(rho, dtype=float)
-    rho_next = np.asarray(rho_next, dtype=float)
-    kap = np.asarray(kappas, dtype=float)[:, None]
-    r = extend3(rho, boundary)
-    v = extend3(v_lag, boundary)
-    f_r = sat(r)
-    f_kap = sat(kap)
-    flux_kap = kap * f_kap
-    if scheme == "lf":
-        d = r - kap
-        dist = np.abs(d)
-        p = np.subtract(r * f_r, flux_kap)
-        p *= np.sign(d, out=d)
-        p *= (0.5 * lam) * v
-        residual = np.add(dist[:, 2:], dist[:, :-2])
-        residual *= -0.5 * lam * alpha
-        residual += p[:, 2:]
-        residual -= p[:, :-2]
-        mid = dist[:, 1:-1]
-        mid *= lam * alpha - 1.0
-        residual += mid
-        gap = (0.5 * lam) * (v[2:] - v[:-2])
-    else:
-        u, f_w = r[:-1], f_r[1:]
-        flux_k = np.maximum(u, kap)
-        flux_k *= np.minimum(f_w, f_kap)
-        flux_k -= np.minimum(u, kap) * np.maximum(f_w, f_kap)
-        flux_k *= lam * v[1:]
-        residual = np.subtract(flux_k[:, 1:], flux_k[:, :-1])
-        residual -= np.abs(rho - kap)
-        gap = lam * (v[2:] - v[1:-1])
-    e = rho_next - kap
-    sign_e = np.sign(e)
-    e += flux_kap * gap
-    e *= sign_e
-    residual += e
-    return residual
-
-
-def _split_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, alpha):
-    """Reference for the LF kernel, built from three parts: the broadcast
-    kernel's residual on the active pairs (lo_j <= kappa <= hi_j and
-    lo_j < hi_j, lo_j and hi_j the least and greatest of rho_{j-1}, rho_j,
-    rho_{j+1} and rho'_j), s (rho' - lf_step(rho))_j on the other pairs
-    (s = +1 below lo_j, -1 above hi_j) and 0 on a flat cell at kappa; the
-    maximum, with +0 for a zero."""
-    dense = _broadcast_entropy_matrix(rho, rho_next, v_lag, lam, sat, boundary, kappas, "lf", alpha)
-    r = extend3(rho, boundary)
-    lo = np.minimum.reduce([r[:-2], r[1:-1], r[2:], rho_next])
-    hi = np.maximum.reduce([r[:-2], r[1:-1], r[2:], rho_next])
-    with Workspace(len(rho), 1, boundary) as work:
-        defect = rho_next - lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
-    kap = np.asarray(kappas, dtype=float)[:, None]
-    active = (lo <= kap) & (kap <= hi) & (lo < hi)
-    inactive = np.where(kap < lo, defect, np.where(kap > hi, -defect, 0.0))
-    return float(np.max(np.where(active, dense, inactive))) + 0.0
+# the entropy bound against the brute-force oracle
 
 
 _LAWS = {
@@ -914,206 +799,189 @@ _LAWS = {
 
 
 def _random_steps(rng, scheme, boundary, sat, count):
-    """count random steps (rho, rho', J-cell speeds, lam, alpha) at J in
-    {1, 2, 3, 40}, with alpha (LF) or lam (HW) from 5 % to 100 % of its
-    CFL value, so that some LF steps are not monotone."""
+    """count random steps (rho, rho', speeds with ghost cells, lam, alpha,
+    the scheme's update of rho, monotone) at J in {1, 2, 3, 40}.
+
+    A third of them lie inside the hypotheses of the lemma: levels and
+    speeds in [0, 1] and the CFL rules, with alpha at 100-150 % of
+    V (1 + R |f'|) (LF).  The others draw levels and speeds from
+    [-0.3, 1.3], alpha from 5-120 % of that value and lam up to three
+    times the CFL limit.  Two thirds of the updates carry defects of
+    +-1e-3 in some cells.  monotone says the step is sure to be monotone:
+    inside the hypotheses, with rho' too in [0, 1] on HW.
+    """
     speed = 1.0 + sat.d1_sup  # V (1 + R |f'|) with V = R = 1
     for trial in range(count):
         n = (1, 2, 3, 40)[trial % 4]
-        share = rng.uniform(0.05, 1.0)
-        rho = rng.uniform(0.0, 1.0, n)
-        v_lag = rng.uniform(0.0, 1.0, n)
+        inside = trial % 3 == 0
+        low, high = (0.0, 1.0) if inside else (-0.3, 1.3)
+        rho = rng.uniform(low, high, n)
+        speeds = extend3(rng.uniform(low, high, n), boundary)
+        share = rng.uniform(0.05, 1.0 if inside else 3.0)
         with Workspace(n, 1, boundary) as work:
             if scheme == "lf":
-                alpha = share * speed
-                lam = 1.0 / (alpha + speed)
-                rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+                alpha = speed * (rng.uniform(1.0, 1.5) if inside else rng.uniform(0.05, 1.2))
+                lam = share / alpha
+                update = lf_step(rho, speeds, lam, alpha, sat, work)
             else:
                 alpha, lam = None, share / speed
-                rho_next = hw_step(rho, extend3(v_lag, boundary), lam, sat, work)
-        yield rho, rho_next, v_lag, lam, alpha
-
-
-def _flat_steps(rng, boundary, sat, count):
-    """count LF steps with flat cells at J in {1, 2, 3, 40}: rho is
-    constant on runs of cells (0 and R among its values, every cell alike
-    in each fifth step) and rho' equals rho on a random half of the cells,
-    the LF update elsewhere, so some updates are not LF."""
-    speed = 1.0 + sat.d1_sup
-    for trial in range(count):
-        n = (1, 2, 3, 40)[trial % 4]
-        values = [0.0, 1.0, rng.uniform(0.0, 1.0)]
-        rho = np.repeat(rng.choice(values, n), rng.integers(1, 6, n))[:n]
-        if trial % 5 == 0:
-            rho[:] = rho[0]
-        v_lag = rng.uniform(0.0, 1.0, n)
-        alpha = rng.uniform(0.05, 1.0) * speed
-        lam = 1.0 / (alpha + speed)
-        with Workspace(n, 1, boundary) as work:
-            rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
-        same = rng.random(n) < 0.5
-        rho_next[same] = rho[same]
-        yield rho, rho_next, v_lag, lam, alpha
-
-
-def _tied_kappas(rng, rho, rho_next):
-    """default_kappas plus kappas equal to cell and updated values (the
-    sgn(0) terms), 0 and R among them."""
-    return np.concatenate(
-        [default_kappas(1.0, rho), rng.choice(rho, 2), rng.choice(rho_next, 2), [0.0, 1.0]]
-    )
-
-
-def _one_sided_kappas(rng, rho):
-    """Kappas at and above the level's maximum, and at and below its
-    minimum: a flat cell there sits at the lowest or highest kappa."""
-    top, bottom = float(np.max(rho)), float(np.min(rho))
-    return (
-        np.concatenate([[top], rng.uniform(top, 1.0, 2)]),
-        np.concatenate([[bottom], rng.uniform(0.0, bottom, 2)]),
-    )
+                update = hw_step(rho, speeds, lam, sat, work)
+        rho_next = update + (rng.choice([0.0, 1e-3, -1e-3], n) if trial % 3 != 1 else 0.0)
+        monotone = inside and (scheme == "lf" or 0.0 <= rho_next.min() <= rho_next.max() <= 1.0)
+        yield rho, rho_next, speeds, lam, alpha, update, monotone
 
 
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
-def test_entropy_residual_bits_equal_broadcast_kernel(scheme, boundary, law):
-    """The residual equals its reference to the last bit.  HW: the
-    broadcast kernel.  LF: the three-part reference (_split_entropy_residual), on
-    random steps at tied kappas and on steps with flat cells at tied and
-    at one-sided kappas."""
+def test_entropy_residual_bounds_every_kappa(scheme, boundary, law):
+    """On random steps, monotone or not, the value is at least the
+    brute-force supremum over kappa less 1e-14, and on the monotone ones
+    it is max_j |rho'_j - H_j(rho)| bit for bit, H the scheme's update."""
     rng = np.random.default_rng(11)
     sat = _LAWS[law]
-    for rho, rho_next, v_lag, lam, alpha in _random_steps(rng, scheme, boundary, sat, 40):
-        kappas = _tied_kappas(rng, rho, rho_next)
-        args = (rho, rho_next, extend3(v_lag, boundary), lam, sat, boundary, kappas, scheme, alpha)
-        if scheme == "lf":
-            ref = _split_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, alpha)
-        else:
-            ref = float(np.max(_broadcast_entropy_matrix(*args[:2], v_lag, *args[3:])))
-        assert entropy_residual(*args).hex() == ref.hex()
-    if scheme == "hw":
-        return
-    for rho, rho_next, v_lag, lam, alpha in _flat_steps(rng, boundary, sat, 60):
-        for kappas in (_tied_kappas(rng, rho, rho_next),) + _one_sided_kappas(rng, rho):
-            ref = _split_entropy_residual(rho, rho_next, v_lag, lam, sat, boundary, kappas, alpha)
-            args = (rho, rho_next, extend3(v_lag, boundary), lam, sat, boundary, kappas, "lf", alpha)
-            assert entropy_residual(*args).hex() == ref.hex()
+    monotone_steps = 0
+    for rho, rho_next, speeds, lam, alpha, update, monotone in _random_steps(
+        rng, scheme, boundary, sat, 60
+    ):
+        value = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, scheme, alpha)
+        oracle = brute_force_entropy(rho, rho_next, speeds[1:-1], lam, sat, boundary, scheme, alpha)
+        assert value >= oracle - 1e-14, (value, oracle)
+        if monotone:
+            monotone_steps += 1
+            assert value == float(np.max(np.abs(rho_next - update)))
+    assert monotone_steps >= 10
+
+
+def test_entropy_residual_covers_the_jump_of_the_exponential_law():
+    """The exponential law has f(0) = 1 - e^{-R/eps} but f = 1 below 0.  On
+    an HW step whose level crosses 0 the supremum over kappa exceeds
+    |c| = 0 by about lam (1 - f(0)) rho_{j-1} V_j, far more than the
+    derivative terms of m_j give, and the jump's term in m_j covers it."""
+    sat = Saturation("exponential", rho_max=1.0, eps=0.5)
+    rho = np.array([0.861, -1.5e-6, 0.212])
+    speeds = extend3(np.array([0.103, 0.961, 0.889]), FREE_FLOW)
+    lam = 0.33
+    with Workspace(3, 1, FREE_FLOW) as work:
+        rho_next = hw_step(rho, speeds, lam, sat, work)
+    oracle = brute_force_entropy(rho, rho_next, speeds[1:-1], lam, sat, FREE_FLOW, "hw")
+    assert oracle > 0.01
+    assert entropy_residual(rho, rho_next, speeds, lam, sat, FREE_FLOW, "hw") >= oracle - 1e-14
+
+
+@pytest.mark.parametrize("name", ["box_delay", "stopgo_riemann"])
+def test_block_kernel_bounds_the_sampled_kernel_on_preset_runs(monkeypatch, name):
+    """On every step of the preset's LF run the block kernel's value is at
+    least the largest residual at the 19 sampled kappas, default_kappas(R,
+    rho), less 1e-15: the bound over every kappa covers the sample."""
+    resolved = resolve_scenario(dataclasses.replace(preset_scenario(name), scheme="lf"))
+    rho_max = resolved.velocity.rho_max
+    residuals = diagnostics.EntropyBlock.residuals
+    steps = []
+
+    def spy(self, rho, rho_next, speeds, fields, lam, sat, boundary, scheme, alpha):
+        out = residuals(self, rho, rho_next, speeds, fields, lam, sat, boundary, scheme, alpha)
+        for i, field in enumerate(fields):
+            sampled = broadcast_entropy_matrix(
+                rho[i], rho_next[i], speeds[field, 1:-1], lam, sat, boundary,
+                default_kappas(rho_max, rho[i]), scheme, alpha,
+            )
+            assert out[i] >= np.max(sampled) - 1e-15, (len(steps), out[i], np.max(sampled))
+            steps.append(out[i])
+        return out
+
+    monkeypatch.setattr(diagnostics.EntropyBlock, "residuals", spy)
+    result = simulate(resolved)
+    # every step and the unread step-0 row of the first block
+    assert len(steps) == resolved.n_steps + 1
+    assert result.collector.entropy_max == 0.0
 
 
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 def test_block_entropy_equals_per_step_bits(boundary, law):
     """EntropyBlock.residuals over blocks of B = 1..5 steps and of the
-    collector's own B, given the grid kappas and each step's extrema as
-    the collector gives them, equals entropy_residual of each step at
-    default_kappas(R, rho) to the last bit: J in {1, 2, 3, 40, 1000},
-    eleven chained LF steps from a level with a stretch of zeros, whose
-    extrema change each step and which share four speed fields."""
+    collector's own B equals entropy_residual of each step to the last
+    bit, on both schemes: J in {1, 2, 3, 40, 1000}, eleven chained steps
+    from a level with a stretch of zeros, every fourth one raised by 1e-3
+    in one cell, which share four speed fields."""
     rng = np.random.default_rng(12)
     sat = _LAWS[law]
-    grid = (default_kappas(1.0), default_kappas(1.0) * sat(default_kappas(1.0)))
     speed = 1.0 + sat.d1_sup
     steps = 11
-    for n in (1, 2, 3, 40, 1000):
-        alpha = rng.uniform(0.3, 1.0) * speed
-        lam = 1.0 / (alpha + speed)
-        table = np.array([extend3(rng.uniform(0.0, 1.0, n), boundary) for _ in range(4)])
-        fields = np.sort(rng.integers(0, 4, steps))
-        levels = [rng.uniform(0.0, 1.0, n)]
-        levels[0][: n // 3] = 0.0
-        with Workspace(n, 1, boundary) as work:
-            for field in fields:
-                levels.append(lf_step(levels[-1], table[field], lam, alpha, sat, work))
-        levels = np.array(levels)
-        expected = [
-            entropy_residual(
-                levels[i], levels[i + 1], table[fields[i]], lam, sat, boundary,
-                default_kappas(1.0, levels[i]), "lf", alpha,
-            ).hex()
-            for i in range(steps)
-        ]
-        for rows in (1, 2, 3, 4, 5, diagnostics.block_rows(n)):
-            block = diagnostics.EntropyBlock(rows, n)
-            got = []
-            for first in range(0, steps, rows):
-                rho = levels[first : min(first + rows, steps)]
-                extrema = np.stack([rho.min(axis=1), rho.max(axis=1)], axis=1)
-                got += block.residuals(
-                    rho, levels[first + 1 : first + 1 + len(rho)], sat(rho), table,
-                    fields[first : first + len(rho)], lam, alpha, boundary,
-                    extrema, extrema * sat(extrema), grid,
-                ).tolist()
-            assert [x.hex() for x in got] == expected, (n, rows)
+    for scheme in ("lf", "hw"):
+        for n in (1, 2, 3, 40, 1000):
+            alpha = rng.uniform(0.3, 1.0) * speed
+            lam = 1.0 / (alpha + speed) if scheme == "lf" else rng.uniform(0.3, 1.0) / speed
+            table = np.array([extend3(rng.uniform(0.0, 1.0, n), boundary) for _ in range(4)])
+            fields = np.sort(rng.integers(0, 4, steps))
+            levels = [rng.uniform(0.0, 1.0, n)]
+            levels[0][: n // 3] = 0.0
+            with Workspace(n, 1, boundary) as work:
+                for i, field in enumerate(fields):
+                    if scheme == "lf":
+                        levels.append(lf_step(levels[-1], table[field], lam, alpha, sat, work))
+                    else:
+                        levels.append(hw_step(levels[-1], table[field], lam, sat, work))
+                    if i % 4 == 3:
+                        levels[-1][rng.integers(n)] += 1e-3
+            levels = np.array(levels)
+            expected = [
+                entropy_residual(
+                    levels[i], levels[i + 1], table[fields[i]], lam, sat, boundary, scheme, alpha
+                ).hex()
+                for i in range(steps)
+            ]
+            assert any(float.fromhex(x) > 0.0 for x in expected)
+            for rows in (1, 2, 3, 4, 5, diagnostics.block_rows(n)):
+                block = diagnostics.EntropyBlock(rows, n)
+                got = []
+                for first in range(0, steps, rows):
+                    rho = levels[first : min(first + rows, steps)]
+                    got += block.residuals(
+                        rho, levels[first + 1 : first + 1 + len(rho)], table,
+                        fields[first : first + len(rho)], lam, sat, boundary, scheme, alpha,
+                    ).tolist()
+                assert [x.hex() for x in got] == expected, (scheme, n, rows)
 
 
 def test_entropy_residual_is_nan_on_any_non_finite_input():
-    """A nan or inf in rho, rho', the speeds (ghost cells too) or the
-    kappas makes the LF residual nan: no non-finite value vanishes in a
-    cell the kernel masks out."""
+    """A nan or inf in rho, rho' or the speeds (ghost cells too) makes the
+    LF value nan."""
     sat = _LAWS["linear"]
     rng = np.random.default_rng(15)
     rho = rng.uniform(0.0, 1.0, 40)
     speeds = extend3(rng.uniform(0.0, 1.0, 40), FREE_FLOW)
     with Workspace(40, 1, FREE_FLOW) as work:
         rho_next = lf_step(rho, speeds, 0.25, 2.0, sat, work)
-    kappas = default_kappas(1.0, rho)
-    args = [rho, rho_next, speeds, kappas]
-    assert math.isfinite(entropy_residual(rho, rho_next, speeds, 0.25, sat, FREE_FLOW, kappas, "lf", 2.0))
-    for which, cell in ((0, 7), (1, 7), (2, 0), (2, 20), (2, 41), (3, 4)):
+    args = [rho, rho_next, speeds]
+    assert math.isfinite(entropy_residual(rho, rho_next, speeds, 0.25, sat, FREE_FLOW, "lf", 2.0))
+    for which, cell in ((0, 7), (1, 7), (2, 0), (2, 20), (2, 41)):
         for bad in (math.nan, math.inf):
-            a, b, v, k = (np.array(x) for x in args)
-            (a, b, v, k)[which][cell] = bad
+            a, b, v = (np.array(x) for x in args)
+            (a, b, v)[which][cell] = bad
             with np.errstate(invalid="ignore", over="ignore"):
-                res = entropy_residual(a, b, v, 0.25, sat, FREE_FLOW, k, "lf", 2.0)
+                res = entropy_residual(a, b, v, 0.25, sat, FREE_FLOW, "lf", 2.0)
             assert math.isnan(res), (which, cell, bad)
 
 
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 def test_saturation_on_a_block_equals_each_extended_row(boundary, law):
-    """f on a (m, J) block of levels equals f on each ghost-extended row
-    bit for bit, so the collector's block of f can stand in for the
-    kernel's own evaluation."""
+    """f on a (m, J + 2) block of ghost-extended levels equals f on each
+    extended row, and on the row without its left ghost cell, bit for
+    bit, so the kernel's evaluation of f on a block stands in for
+    lf_step's and hw_step's."""
     rng = np.random.default_rng(13)
     sat = _LAWS[law]
     for n in (1, 2, 3, 7, 344, 1000, 4000):
         block = rng.uniform(-0.1, 1.1, (5, n))
         block[0, : min(n, 3)] = (0.0, 1.0, -0.0)[: min(n, 3)]
-        whole = sat(block)
-        for row, f_row in zip(block, whole):
-            f_ext = sat(extend3(row, boundary))
-            assert f_ext[1:-1].tobytes() == f_row.tobytes()
-
-
-def test_warmed_entropy_call_allocates_no_kappa_by_cell_array():
-    """At K = 19, J = 1000 a call of a warmed one-row EntropyBlock, given
-    the 17 grid kappas and the two extrema as the collector gives them,
-    peaks below one K x J float64 array (152 000 bytes), with its two
-    extrema new."""
-    rng = np.random.default_rng(14)
-    sat = _LAWS["exponential"]
-    n = 1000
-    rho, rho_next = rng.uniform(0.0, 1.0, (2, n))
-    speeds = extend3(rng.uniform(0.0, 1.0, n), FREE_FLOW)[None]
-    grid = (default_kappas(1.0), default_kappas(1.0) * sat(default_kappas(1.0)))
-    block = diagnostics.EntropyBlock(1, n)
-
-    def call(extrema):
-        return block.residuals(
-            rho[None], rho_next[None], sat(rho)[None], speeds, np.zeros(1, np.intp),
-            0.25, 2.0, FREE_FLOW, extrema, extrema * sat(extrema), grid,
-        )
-
-    call(np.zeros((1, 2)))
-    extrema = np.array([[rho.min(), rho.max()]])
-    tracemalloc.start()
-    try:
-        call(extrema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (grid[0].size + 2) * n * 8
+        extended = np.array([extend3(row, boundary) for row in block])
+        whole = sat(extended)
+        for row, f_row in zip(extended, whole):
+            assert sat(row).tobytes() == f_row.tobytes()
+            assert sat(row[1:]).tobytes() == f_row[1:].tobytes()
 
 
 _FAULT_RUN = """

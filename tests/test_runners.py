@@ -136,19 +136,16 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 
 def test_manifest_reports_block_bytes(tmp_path):
     """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
-    (B + 1, J + 2) speed fields, the (B, J) scratch, a ring of
-    min(h, N_T) + 1 reaches and the 17 grid kappas; the LF run, which asserts
-    entropy, adds the entropy block kernel of B rows and the grid's
-    kappa f(kappa) (f on the levels goes into the scratch).  The budget
-    counts them with the history."""
-    chunk = diagnostics.PAIR_CHUNK
+    (B + 1, J + 2) speed fields, the (B, J) scratch and a ring of
+    min(h, N_T) + 1 reaches; the LF run, which asserts entropy, adds the
+    entropy block kernel's three (B, J + 2) and four (B, J) rows.  The
+    budget counts them with the history."""
     for scheme, h, n_steps, entropy in (("hw", 2, 10, False), ("lf", 4, 20, True)):
         run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
         manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
-        expected = ((2 * 327 + 1) * 50 + 328 * 52 + h + 1 + 17) * 8
+        expected = ((2 * 327 + 1) * 50 + 328 * 52 + h + 1) * 8
         if entropy:
-            expected += (3 * 327 * 52 + 4 * 327 * 50 + 12 * chunk + 17) * 8
-            expected += 3 * 327 * 50 + chunk * 8
+            expected += (3 * 327 * 52 + 4 * 327 * 50) * 8
         assert f"n_steps = {n_steps}" in manifest
         assert f"block_bytes = {expected}" in manifest
         assert diagnostics.block_bytes(50, h, n_steps, entropy) == expected
