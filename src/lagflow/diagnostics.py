@@ -51,7 +51,7 @@ import numpy as np
 
 from .discretization import Grid, KernelWeights
 from .model_functions import SAT_NONE, Kernel, Saturation, Velocity, flux_speed
-from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, _fill_ghosts
+from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, update
 
 #: Absolute tolerance for the discrete entropy inequality.
 ENTROPY_TOL = 1e-10
@@ -316,18 +316,17 @@ def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.nd
 class EntropyBlock:
     """Buffers of the entropy kernel for up to B steps of J cells.
 
-    Per step it forms, per cell, the defect c_j = rho'_j - H_j(rho) in
-    the step's own operation order, lo_j, hi_j and the monotonicity
-    defect m_j, and returns max_j (|c_j| + 2 (hi_j - lo_j) m_j): by the
-    monotone-scheme lemma (entropy_residual) a bound on the residual of
-    every kappa.  It is the supremum over kappa where every m_j = 0 (on
-    every step inside the CFL rules with speeds in [0, v_max] and, on
-    HW, levels in [0, R]), and 0 for a march that did what the scheme
-    says; on a watched run without saturation it may be an upper bound
-    only.  An LF block forms lo and hi only when some m_j is not 0.
-    (B, J + 2) rows: the ghost-extended level r, f on it (then the
-    fluxes) and the speed fields; (B, J) rows: lo, hi, the defect and a
-    work row.
+    Per step it forms, per cell, the defect c_j = rho'_j - H_j(rho), H from
+    schemes.update (which lf_step and hw_step call), lo_j, hi_j and the
+    monotonicity defect m_j, and returns max_j (|c_j| + 2 (hi_j - lo_j) m_j):
+    by the monotone-scheme lemma (entropy_residual) a bound on the residual
+    of every kappa.  It is the supremum over kappa where every m_j = 0 (on
+    every step inside the CFL rules with speeds in [0, v_max] and, on HW,
+    levels in [0, R]), and 0 for a march that did what the scheme says; on
+    a watched run without saturation it may be an upper bound only.  An LF
+    block forms lo and hi only when some m_j is not 0.  (B, J + 2) rows:
+    the ghost-extended level r, f on it (then the fluxes) and the speed
+    fields; (B, J) rows: lo, hi, the defect and a work row.
     """
 
     def __init__(self, rows: int, cells: int) -> None:
@@ -359,32 +358,10 @@ class EntropyBlock:
         it is not finite, and a zero is +0.
         """
         m = len(rho)
-        r, f, v = self.r[:m], self.f[:m], self.v[:m]
-        lo, hi, c, t = self.lo[:m], self.hi[:m], self.c[:m], self.t[:m]
-        r[:, 1:-1] = rho
-        _fill_ghosts(r.T, boundary)
-        sat(r, out=f)
+        v, lo, hi, c, t = self.v[:m], self.lo[:m], self.hi[:m], self.c[:m], self.t[:m]
         np.take(speeds, fields, axis=0, out=v, mode="clip")
-        # c = rho' - H(rho), in the step's own operation order
-        if scheme == LAX_FRIEDRICHS:
-            f *= r
-            np.multiply(f[:, 2:], v[:, 2:], out=c)
-            c -= np.multiply(f[:, :-2], v[:, :-2], out=t)
-            np.multiply(2.0, rho, out=t)
-            np.subtract(r[:, 2:], t, out=t)
-            t += r[:, :-2]
-            t *= alpha
-            t -= c
-            t *= 0.5 * lam
-            t += rho
-        else:
-            np.multiply(r[:, 1:-1], f[:, 2:], out=c)
-            c *= v[:, 2:]
-            np.multiply(r[:, :-2], f[:, 1:-1], out=t)
-            t *= v[:, 1:-1]
-            c -= t
-            c *= lam
-            np.subtract(rho, c, out=t)
+        # c = rho' - H(rho), with H(rho) from the function the march runs
+        update(scheme, rho.T, v.T, lam, alpha, sat, boundary, self.r[:m].T, self.f[:m].T, c.T, t.T)
         np.subtract(rho_next, t, out=c)
         np.abs(c, out=c)
         if self._monotonicity_defect(m, rho_next, lam, sat, scheme, alpha):
@@ -505,13 +482,13 @@ def entropy_residual(
     and HW adds lam (1 - f(0)) (|V_j| + |V_{j+1}|) where lo_j < 0 <= hi_j:
     the exponential law's f jumps from 1 to f(0) at 0.  Under the CFL
     rules, with 0 <= V <= v_max (LF) and, for HW, levels in [0, R], every
-    m_j is 0, as on every preset step.  c_j is computed in the step's own
-    operation order, so a march that did what the scheme says gives
-    exactly 0.  A run without a saturation term leaves [0, R] and its
-    speeds [0, v_max], so a value watched there may be an upper bound,
-    not the supremum.  The value is nan when it is not finite.  The step
-    runs on an EntropyBlock of one row built for the call, the kernel a
-    collector runs on whole blocks.
+    m_j is 0, as on every preset step.  H_j(rho) is formed by
+    schemes.update, the function both lf_step and hw_step call, so a
+    march that did what the scheme says gives exactly 0.  A run without a
+    saturation term leaves [0, R] and its speeds [0, v_max], so a value
+    watched there may be an upper bound, not the supremum.  The value is
+    nan when it is not finite.  The step runs on an EntropyBlock of one
+    row built for the call, the kernel a collector runs on whole blocks.
     """
     if scheme == LAX_FRIEDRICHS:
         if alpha is None:

@@ -5,7 +5,8 @@ Both schemes advance the delayed conservation law
     d/dt rho + d/dx ( rho f(rho) v((rho * omega)(t - tau, x)) ) = 0
 
 one step at a time using the lagged speed field V_j = V^{n-h}_j.  With
-lam = dt/dx and F(rho) = rho f(rho):
+lam = dt/dx and F(rho) = rho f(rho), update writes both; lf_step, hw_step
+and the entropy check (diagnostics.EntropyBlock) all call it:
 
 Lax-Friedrichs (viscosity alpha):
 
@@ -26,8 +27,8 @@ the convolution window, follow the boundary rule: free-flow replicates
 the first/last cell, periodic wraps.
 
 run marches on a Workspace built once per run: the ghost-extended level,
-f on it, the fluxes, a difference buffer and the convolution window are
-rewritten in place with out= ufuncs, in the order the fresh-array
+f on it (then the fluxes), a difference buffer and the convolution window
+are rewritten in place with out= ufuncs, in the order the fresh-array
 expressions above evaluate, so the levels keep their bits.  Two kinds of
 array stay fresh: each new level, which the delay history may hold, and
 each speed field, which up to h + 1 steps and the observer share.
@@ -63,8 +64,8 @@ class Workspace:
     """Buffers one march reuses every step, and its floating-point error state.
 
     Sized from J cells and K kernel weights: the ghost-extended level r,
-    f(r) and the fluxes (J + 2 cells each), a difference buffer (J) and the
-    convolution window (J + K - 1).  Entered as a context manager, it
+    f(r), then the fluxes (J + 2 cells each), a difference buffer (J) and
+    the convolution window (J + K - 1).  Entered as a context manager, it
     ignores invalid and overflowing floating-point operations; the
     non-finite guard (_finite) reports their results instead.
     """
@@ -73,7 +74,7 @@ class Workspace:
         if boundary not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {boundary!r}")
         self.boundary = boundary
-        self.r, self.f, self.flux = np.empty((3, n_cells + 2))
+        self.r, self.f = np.empty((2, n_cells + 2))
         self.diff = np.empty(n_cells)
         self.window = np.empty(n_cells + n_weights - 1)
         # periodic: window cell J + k holds level cell k mod J
@@ -172,6 +173,39 @@ def _finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
+def update(
+    scheme: str, rho: np.ndarray, v: np.ndarray, lam: float, alpha: float | None,
+    sat: Saturation, boundary: str, r: np.ndarray, f: np.ndarray, d: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """One step of the scheme from rho and the speed field v, written into out.
+
+    Cell by cell along axis 0: B steps pass the (J, B) transposes of rows.
+    r takes the extended level and f takes f(r), then the fluxes (J + 2
+    cells each, as v); d takes the differences.  out may not alias rho or d.
+    """
+    extend3(rho, boundary, out=r)
+    if scheme == LAX_FRIEDRICHS:
+        # f = F(r) V; rho + (lam / 2) (alpha (r[2:] - 2 rho + r[:-2]) - (f[2:] - f[:-2]))
+        sat(r, out=f)
+        f *= r
+        f *= v
+        np.multiply(2.0, rho, out=d)
+        np.subtract(r[2:], d, out=d)
+        d += r[:-2]
+        d *= alpha
+        d -= np.subtract(f[2:], f[:-2], out=out)
+        d *= 0.5 * lam
+        return np.add(rho, d, out=out)
+    # f[k] = r_{k-1} f(r_k) V_k, the flux through the left edge of extended cell k
+    sat(r[1:], out=f[1:])
+    f[1:] *= r[:-1]
+    f[1:] *= v[1:]
+    np.subtract(f[2:], f[1:-1], out=d)
+    d *= lam
+    return np.subtract(rho, d, out=out)
+
+
 def lf_step(
     rho: np.ndarray,
     v_lag: np.ndarray,
@@ -184,19 +218,8 @@ def lf_step(
 
     v_lag is the speed field with its ghost cells (lagged_speeds).
     """
-    r = extend3(rho, work.boundary, out=work.r)
-    f, flux, diff = work.f, work.flux, work.diff
-    np.multiply(r, sat(r, out=f), out=flux)
-    flux *= v_lag
-    # rho + (lam / 2) (alpha (r[2:] - 2 rho + r[:-2]) - (flux[2:] - flux[:-2]))
-    np.multiply(2.0, rho, out=diff)
-    np.subtract(r[2:], diff, out=diff)
-    diff += r[:-2]
-    diff *= alpha
-    # f is spent once the fluxes are formed; it takes their difference
-    diff -= np.subtract(flux[2:], flux[:-2], out=f[2:])
-    diff *= 0.5 * lam
-    return _finite(np.add(rho, diff))
+    return _finite(update(LAX_FRIEDRICHS, rho, v_lag, lam, alpha, sat, work.boundary,
+                          work.r, work.f, work.diff, np.empty(len(rho))))
 
 
 def hw_step(
@@ -212,14 +235,8 @@ def hw_step(
     interface flux rho_j f(rho_{j+1}) V_{j+1} is non-negative whenever
     the level is, so no numerical viscosity is needed.
     """
-    r = extend3(rho, work.boundary, out=work.r)
-    # flux[j] = flux through the right interface of (extended) cell j
-    flux, diff = work.flux[:-1], work.diff
-    np.multiply(r[:-1], sat(r[1:], out=work.f[1:]), out=flux)
-    flux *= v_lag[1:]
-    np.subtract(flux[1:], flux[:-1], out=diff)
-    diff *= lam
-    return _finite(np.subtract(rho, diff))
+    return _finite(update(HILLIGES_WEIDLICH, rho, v_lag, lam, None, sat, work.boundary,
+                          work.r, work.f, work.diff, np.empty(len(rho))))
 
 
 def step_count(t_final: float, dt: float) -> int:

@@ -31,7 +31,9 @@ from lagflow.diagnostics import (
 )
 from lagflow.discretization import build_grid, cfl_dt_hw, cfl_dt_lf, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity
-from lagflow.schemes import FREE_FLOW, PERIODIC, Workspace, extend3, hw_step, lf_step, run
+from lagflow.schemes import (
+    FREE_FLOW, PERIODIC, Workspace, extend3, hw_step, lf_step, run, update,
+)
 
 
 def _model():
@@ -900,15 +902,34 @@ def test_block_kernel_bounds_the_sampled_kernel_on_preset_runs(monkeypatch, name
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 def test_block_entropy_equals_per_step_bits(boundary, law):
-    """EntropyBlock.residuals over blocks of B = 1..5 steps and of the
+    """schemes.update on a (J, B) block view equals B one-row calls, and
+    lf_step and hw_step return its row, to the last bit; and
+    EntropyBlock.residuals over blocks of B = 1..5 steps and of the
     collector's own B equals entropy_residual of each step to the last
-    bit, on both schemes: J in {1, 2, 3, 40, 1000}, eleven chained steps
+    bit.  Both schemes: J in {1, 2, 3, 40, 1000}, eleven chained steps
     from a level with a stretch of zeros, every fourth one raised by 1e-3
     in one cell, which share four speed fields."""
     rng = np.random.default_rng(12)
     sat = _LAWS[law]
     speed = 1.0 + sat.d1_sup
     steps = 11
+
+    def update_row(scheme, rho, v, lam, alpha):
+        """update of one level on fresh one-row buffers."""
+        r, f = np.empty((2, len(v)))
+        d, out = np.empty((2, len(rho)))
+        return update(scheme, rho, v, lam, alpha, sat, boundary, r, f, d, out)
+
+    def update_block(scheme, rho, v, lam, alpha):
+        """update of B levels (rows) on the (J, B) transposes of the first
+        B rows of five-row buffers, as EntropyBlock passes them."""
+        rows, n = rho.shape
+        r, f = np.empty((2, 5, n + 2))
+        d, out = np.empty((2, 5, n))
+        update(scheme, rho.T, v.T, lam, alpha, sat, boundary, r[:rows].T, f[:rows].T,
+               d[:rows].T, out[:rows].T)
+        return out[:rows]
+
     for scheme in ("lf", "hw"):
         for n in (1, 2, 3, 40, 1000):
             alpha = rng.uniform(0.3, 1.0) * speed
@@ -923,9 +944,18 @@ def test_block_entropy_equals_per_step_bits(boundary, law):
                         levels.append(lf_step(levels[-1], table[field], lam, alpha, sat, work))
                     else:
                         levels.append(hw_step(levels[-1], table[field], lam, sat, work))
+                    row = update_row(scheme, levels[-2], table[field], lam, alpha)
+                    assert levels[-1].tobytes() == row.tobytes(), (scheme, n, i)
                     if i % 4 == 3:
                         levels[-1][rng.integers(n)] += 1e-3
             levels = np.array(levels)
+            for rows in (1, 2, 3, 4, 5):
+                for first in range(0, steps - rows + 1, rows):
+                    rho, v = levels[first : first + rows], table[fields[first : first + rows]]
+                    block = update_block(scheme, rho, v, lam, alpha)
+                    for i in range(rows):
+                        row = update_row(scheme, rho[i], v[i], lam, alpha)
+                        assert block[i].tobytes() == row.tobytes(), (scheme, n, rows, i)
             expected = [
                 entropy_residual(
                     levels[i], levels[i + 1], table[fields[i]], lam, sat, boundary, scheme, alpha

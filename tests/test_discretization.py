@@ -1,6 +1,9 @@
 """Grid construction, kernel quadrature, CFL steps, datum projection."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +284,42 @@ def test_projection_never_evaluates_a_breakpoint():
     grid = build_grid(0.0, 1.0, np.nextafter(0.1, 0.0), 0.1, 0.0, 0.1)
     project_initial_datum(Spy(make_datum("riemann_up")), grid)
     assert on_breaks > 0
+
+
+_PROJECTION_FAULTS = """
+import resource
+from lagflow.discretization import build_grid, project_initial_datum
+from lagflow.initial_data import Box, OscSin
+grid = build_grid(0.0, 5.0, 1.25e-3, 1.25e-3, 0.0, 1.25e-3)
+assert grid.n_cells == 4000
+for datum in (Box(height=1.5, a=1.0, b=2.0), OscSin(shift=0.5)):
+    for _ in range(3):
+        project_initial_datum(datum, grid)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        project_initial_datum(datum, grid)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_projection_under_default_malloc_faults_few_pages_per_call():
+    """A fresh interpreter with glibc's default malloc settings projects a
+    box and a sine datum onto box_refine's J = 4000 grid (dx = 1.25e-3)
+    with fewer than 20 minor page faults per warmed call: no quadrature
+    temporary is large enough to be mapped and unmapped."""
+    pytest.importorskip("resource")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OMP_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _PROJECTION_FAULTS],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    faults = [float(x) for x in done.stdout.split()]
+    assert len(faults) == 2
+    assert max(faults) < 20, faults
 
 
 def test_stopgo_grid_dimensions():

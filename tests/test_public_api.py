@@ -92,3 +92,19 @@ def test_demo_module_imports_cleanly(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """No module of lagflow imports an underscore name from another lagflow
+    module: what two modules share is named without one."""
+    package = Path(lagflow.__file__).parent
+    private = [
+        (path.name, alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "lagflow")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
