@@ -51,7 +51,15 @@ import numpy as np
 
 from .discretization import Grid, KernelWeights
 from .model_functions import SAT_NONE, Kernel, Saturation, Velocity, flux_speed
-from .schemes import FREE_FLOW, HILLIGES_WEIDLICH, LAX_FRIEDRICHS, PERIODIC, update
+from .schemes import (
+    BLOCK_BYTES,
+    FREE_FLOW,
+    HILLIGES_WEIDLICH,
+    LAX_FRIEDRICHS,
+    PERIODIC,
+    speed_rows,
+    update,
+)
 
 #: Absolute tolerance for the discrete entropy inequality.
 ENTROPY_TOL = 1e-10
@@ -165,7 +173,9 @@ class BoundConstants:
     tv_rate_current / tv_rate_lagged are the TV growth rates G and H fed by
     the current and the lagged level; tv_rate is their maximum M.  The
     amplification C and the L1-in-time rate K live in log space (see the
-    module docstring).
+    module docstring).  log_tv_window = log(2 e^{M tau} - 1), the factor of
+    one whole delay window, and log_tv0 = log TV(rho0) are held for
+    tv_bound_at, which the collector calls on every step.
     """
 
     tv_rate_current: float
@@ -175,6 +185,8 @@ class BoundConstants:
     log_l1_time_rate: float
     tau: float
     tv0: float
+    log_tv_window: float
+    log_tv0: float
 
     @property
     def tv_amplification(self) -> float:
@@ -185,7 +197,19 @@ class BoundConstants:
         return exp_or_inf(self.log_l1_time_rate)
 
     def tv_bound_at(self, t: float) -> float:
-        return tv_bound(t, self.tau, self.tv_rate, self.tv0)
+        """tv_bound(t, tau, tv_rate, tv0), bit for bit: the same expressions
+        added in the same order, with the run's constant terms held."""
+        if self.tv0 == 0.0:
+            return 0.0
+        if t < 0:
+            raise ValueError("times must be non-negative")
+        tau, rate = self.tau, self.tv_rate
+        if tau == 0.0:
+            log_c = 2.0 * rate * t
+        else:
+            q = math.floor(t / tau)
+            log_c = _log_two_exp_minus_one(rate * (t - q * tau)) + q * self.log_tv_window
+        return exp_or_inf(log_c + self.log_tv0)
 
 
 def bound_constants(
@@ -228,6 +252,8 @@ def bound_constants(
         log_l1_time_rate=float(log_k),
         tau=tau,
         tv0=tv0,
+        log_tv_window=_log_two_exp_minus_one(m * tau),
+        log_tv0=log_term(tv0),
     )
 
 
@@ -323,8 +349,9 @@ class EntropyBlock:
     of every kappa.  It is the supremum over kappa where every m_j = 0 (on
     every step inside the CFL rules with speeds in [0, v_max] and, on HW,
     levels in [0, R]), and 0 for a march that did what the scheme says; on
-    a watched run without saturation it may be an upper bound only.  An LF
-    block forms lo and hi only when some m_j is not 0.  (B, J + 2) rows:
+    a watched run without saturation it may be an upper bound only.  A
+    block forms lo, hi and m only when a few reductions over it cannot
+    prove every m_j to be 0 (see _certified).  (B, J + 2) rows:
     the ghost-extended level r, f on it (then the fluxes) and the speed
     fields; (B, J) rows: lo, hi, the defect and a work row.
     """
@@ -373,17 +400,53 @@ class EntropyBlock:
         out[~np.isfinite(out)] = np.nan
         return out
 
+    def _certified(self, m, rho_next, lam, sat, scheme, alpha) -> bool:
+        """Whether every m_j of the first m steps is 0, proved from a few
+        reductions over the block, so that lo, hi and m need not be formed.
+
+        LF: lam alpha <= 1 and Phi max|V| <= alpha make both terms of m_j
+        0.  HW: V >= 0 on the cells the step reads (V_j, V_{j+1}), the
+        levels and rho' >= 0, and lam (V_top d L_top + V_top) <= 1, with
+        V_top = max V and L_top the largest level or rho' value, which is
+        lam max V (1 + d max level) <= 1.  Then every m_j is 0:
+
+        - lam max(0, -V_j) = 0, as V_j >= 0;
+        - lo_j, hi_j >= 0, so -lo_j V_{j+1} and -hi_j V_{j+1} are <= 0 and
+          the second term is 0;
+        - lo_j < 0 nowhere, so the jump term of the exponential law is 0;
+        - the third term evaluates lam (d max(lo_j V_j, hi_j V_j, 0)
+          + max(V_{j+1}, 0)) - 1 with every operand in [0, the matching
+          operand of the check]; rounding to nearest is monotone, so each
+          cell's value is at most the check's lam (d L_top V_top + V_top)
+          - 1, computed in the same order, which is <= 0.
+
+        A nan anywhere fails a comparison, so the block is not certified.
+        """
+        r, v = self.r[:m], self.v[:m]
+        d = sat.d1_sup
+        if scheme == LAX_FRIEDRICHS:
+            phi = 1.0 + sat.rho_max * d
+            return lam * alpha <= 1.0 and phi * max(v.max(), -v.min()) <= alpha
+        read = v[:, 1:]
+        top = read.max()
+        level_top = max(r.max(), rho_next.max())
+        return (
+            read.min() >= 0.0
+            and min(r.min(), rho_next.min()) >= 0.0
+            and (level_top * top * d + top) * lam <= 1.0
+        )
+
     def _monotonicity_defect(self, m, rho_next, lam, sat, scheme, alpha) -> bool:
         """Whether some m_j of the first m steps is not 0; if so, m_j is in
         the work rows t and lo_j, hi_j in lo and hi.  f serves as scratch,
         and r once lo and hi are formed."""
+        if self._certified(m, rho_next, lam, sat, scheme, alpha):
+            return False
         r, v, lo, hi, t = self.r[:m], self.v[:m], self.lo[:m], self.hi[:m], self.t[:m]
         d = sat.d1_sup
         if scheme == LAX_FRIEDRICHS:
             # max(0, lam alpha - 1) + (lam / 2) sum max(0, Phi |V_{j+-1}| - alpha)
             phi = 1.0 + sat.rho_max * d
-            if lam * alpha <= 1.0 and phi * max(v.max(), -v.min()) <= alpha:
-                return False
             g = np.abs(v, out=self.f[:m])
             g *= phi
             g -= alpha
@@ -540,11 +603,6 @@ def lipschitz_in_time_check(
 # ---------------------------------------------------------------------------
 # per-run collector
 
-#: Bytes of each of the collector's block buffers (levels, speed fields
-#: and scratch); see block_rows and block_bytes.
-BLOCK_BYTES = 1 << 17
-
-
 def block_rows(n_cells: int) -> int:
     """Steps the collector checks per block: J-cell float64 rows in BLOCK_BYTES."""
     return max(1, BLOCK_BYTES // (8 * n_cells))
@@ -558,18 +616,20 @@ def asserts_entropy(vel: Velocity, sat: Saturation, scheme: str) -> bool:
 
 
 def block_bytes(n_cells: int, h: int, n_steps: int, entropy: bool) -> int:
-    """Bytes of one collector's buffers: the (B + 1, J) level block, the
-    (B + 1, J + 2) speed block, the (B, J) scratch block and the ring of
-    min(h, N_T) + 1 reaches, all float64; with the entropy assertion also
-    the EntropyBlock of B rows, three (B, J + 2) and four (B, J) float64
-    rows.  They hold no kappa: by the monotone-scheme lemma
+    """Bytes of one collector's buffers and of the march's live speed
+    blocks: the (B + 1, J) level block, the (B + 1, J + 2) speed block,
+    the (B, J) scratch block and the ring of min(h, N_T) + 1 reaches, plus
+    the two (b, J + 2) blocks of speed fields schemes.run holds at once,
+    b = schemes.speed_rows(J, h), all float64; with the entropy assertion
+    also the EntropyBlock of B rows, three (B, J + 2) and four (B, J)
+    float64 rows.  They hold no kappa: by the monotone-scheme lemma
     (entropy_residual) max_j (|c_j| + 2 (hi_j - lo_j) m_j) bounds the
     residual of every kappa, is its supremum where m_j = 0 and is 0 for
     a march that did what the scheme says; a watched run without
     saturation, which builds no EntropyBlock here, may see an upper bound
     only."""
     rows = block_rows(n_cells)
-    blocks = (2 * rows + 1) * n_cells + (rows + 1) * (n_cells + 2)
+    blocks = (2 * rows + 1) * n_cells + (rows + 1 + 2 * speed_rows(n_cells, h)) * (n_cells + 2)
     total = (blocks + min(h, n_steps) + 1) * 8
     if entropy:
         total += EntropyBlock.bytes_for(rows, n_cells)

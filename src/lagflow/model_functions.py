@@ -140,15 +140,19 @@ class Saturation:
             np.divide(rho, self.rho_max, out=out)
             np.subtract(1.0, out, out=out)
             return np.clip(out, 0.0, 1.0, out=out)
-        # taken before out is written, which may be rho itself
-        below = rho < 0.0
+        # f = 1 below 0 needs no mask when R / eps >= 38 (every preset has 50
+        # or 85): then (rho - R) / eps <= -38 for every rho <= 0 (rounding is
+        # monotone), e^{-38} < 2^-54 and 1 - e^{...} rounds to exactly 1.0.
+        # The mask is taken before out is written, which may be rho itself.
+        below = rho < 0.0 if self.rho_max / self.eps < 38.0 else None
         # above R, min(rho, R) gives 1 - e^0 = 0 exactly
         np.minimum(rho, self.rho_max, out=out)
         np.subtract(out, self.rho_max, out=out)
         np.divide(out, self.eps, out=out)
         np.exp(out, out=out)
         np.subtract(1.0, out, out=out)
-        np.copyto(out, 1.0, where=below)
+        if below is not None:
+            np.copyto(out, 1.0, where=below)
         return out
 
 

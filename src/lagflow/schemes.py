@@ -22,6 +22,11 @@ tau = h dt (the datum is extended as constant in time on [-tau, 0]):
 
     V_j = v(dx * sum_{k=0}^{N-1} w[k] * rho[j + k]).
 
+Since a step reads the level h steps back, the next b <= h lagged levels
+are already in the history when the head moves, and lagged_speeds builds
+their fields as the rows of one block: one np.correlate per level, then
+one dx scale, one velocity call and one ghost fill for all b.
+
 Ghost cells, one on each side of a step and N - 1 past the right edge of
 the convolution window, follow the boundary rule: free-flow replicates
 the first/last cell, periodic wraps.
@@ -31,14 +36,16 @@ f on it (then the fluxes), a difference buffer and the convolution window
 are rewritten in place with out= ufuncs, in the order the fresh-array
 expressions above evaluate, so the levels keep their bits.  Two kinds of
 array stay fresh: each new level, which the delay history may hold, and
-each speed field, which up to h + 1 steps and the observer share.
+each block of speed fields, whose rows up to h + 1 steps and the observer
+share.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable
+from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +61,10 @@ FREE_FLOW = "free_flow"
 PERIODIC = "periodic"
 
 BOUNDARY_KINDS = (FREE_FLOW, PERIODIC)
+
+#: Bytes of one block of speed fields (speed_rows) and of each of the
+#: collector's block buffers (diagnostics.block_rows).
+BLOCK_BYTES = 1 << 17
 
 
 class StepError(RuntimeError):
@@ -123,31 +134,42 @@ def push_level(history: deque, rho_next: np.ndarray) -> None:
 
 
 def lagged_speeds(
-    level: np.ndarray,
+    levels: Sequence[np.ndarray],
     weights: KernelWeights,
     vel: Velocity,
     work: Workspace,
 ) -> np.ndarray:
-    """Speeds v(dx * sum_k w[k] rho[j+k]) of one level with their ghost
-    cells: a fresh, read-only array of J + 2 cells.
+    """Speeds v(dx * sum_k w[k] rho[j+k]) of b levels with their ghost
+    cells: the read-only rows of a fresh (b, J + 2) block.
 
-    run reuses one speed field for up to h + 1 steps, so a caller that
-    wrote into it would corrupt the steps after it.
+    Each level is convolved on its own, with one np.correlate on its
+    window; the dx scale, the velocity law and the ghost cells then run
+    once on the whole block, elementwise, so every row has the bits a
+    one-level call gives.  run reuses one speed field for up to h + 1
+    steps, so a caller that wrote into it would corrupt the steps after it.
     """
-    n = len(level)
-    window = work.window
-    window[:n] = level
-    if work.boundary == FREE_FLOW:
-        window[n:] = window[n - 1]
-    else:
-        np.take(level, work.wrap, mode="wrap", out=window[n:])
-    loads = np.correlate(window, weights.w, mode="valid")
+    n = len(levels[0])
+    block = np.empty((len(levels), n + 2))
+    window, w = work.window, weights.w
+    for level, row in zip(levels, block):
+        window[:n] = level
+        if work.boundary == FREE_FLOW:
+            window[n:] = window[n - 1]
+        else:
+            np.take(level, work.wrap, mode="wrap", out=window[n:])
+        row[1:-1] = np.correlate(window, w, mode="valid")
+    loads = block[:, 1:-1]
     np.multiply(weights.dx, loads, out=loads)
-    speeds = np.empty(n + 2)
-    vel(loads, out=speeds[1:-1])
-    _fill_ghosts(speeds, work.boundary)
-    speeds.flags.writeable = False
-    return speeds
+    vel(loads, out=loads)
+    _fill_ghosts(block.T, work.boundary)
+    block.flags.writeable = False
+    return block
+
+
+def speed_rows(n_cells: int, h: int) -> int:
+    """Most levels run convolves in one lagged_speeds call: as many J + 2
+    cell float64 rows as BLOCK_BYTES holds, at most h and at least one."""
+    return max(1, min(h, BLOCK_BYTES // (8 * (n_cells + 2))))
 
 
 def history_bytes(n_cells: int, h: int, n_steps: int) -> int:
@@ -271,13 +293,18 @@ def run(
     and, behind it, the levels a later step will read.  Level n is pushed
     only when n <= N_T - h, since no step reads a later one, and the head
     is popped only when n > h, so between steps the history holds at most
-    min(h, max(N_T - h, 0)) + 1 levels (history_bytes).  The speeds are
-    recomputed only when the head moves: consecutive calls share one
-    read-only speeds array (the J + 2 cells that lagged_speeds built, ghost
-    cells included, which the steps read) exactly while they share the
-    lagged level, so an observer may treat the same speeds object as the
-    same field.  The observer runs inside the workspace's floating-point
-    error state.
+    min(h, max(N_T - h, 0)) + 1 levels (history_bytes).  A new speed field
+    is taken only when the head moves: consecutive calls share one
+    read-only speeds array (a J + 2 cell row view that lagged_speeds
+    built, ghost cells included, which the steps read) exactly while they
+    share the lagged level, so an observer may treat the same speeds
+    object as the same field.  The fields come a block at a time: the
+    levels behind the head are already in the history, so whenever the
+    queue of fields runs out, lagged_speeds convolves the first
+    min(speed_rows(J, h), len(history)) of them in one call and the queue
+    hands out one row per lagged level.  At most two blocks are live, the
+    one being handed out and the one holding the previous field.  The
+    observer runs inside the workspace's floating-point error state.
     """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -290,8 +317,11 @@ def run(
     history = init_history(rho, h)
     n_steps = step_count(t_final, grid.dt)
     lam = grid.lam
+    rows = speed_rows(rho.size, h)
+    # speed fields of the levels behind the head, one row view each
+    fields: deque = deque()
     with Workspace(rho.size, weights.n, boundary) as work:
-        speeds = lagged_speeds(history[0], weights, vel, work)
+        speeds = lagged_speeds([history[0]], weights, vel, work)[0]
         if observer is not None:
             observer(0, rho, speeds)
         for n in range(1, n_steps + 1):
@@ -306,7 +336,10 @@ def run(
                 push_level(history, rho)
             if n > h:
                 history.popleft()
-                speeds = lagged_speeds(history[0], weights, vel, work)
+                if not fields:
+                    levels = list(islice(history, min(rows, len(history))))
+                    fields.extend(lagged_speeds(levels, weights, vel, work))
+                speeds = fields.popleft()
             if observer is not None:
                 observer(n, rho, speeds)
     return rho

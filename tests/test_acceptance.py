@@ -308,7 +308,7 @@ def _independent_zero_delay_loop(resolved):
     rho = resolved.rho0.copy()
     with Workspace(grid.n_cells, weights.n, resolved.boundary) as work:
         for _ in range(resolved.n_steps):
-            speeds = lagged_speeds(rho, weights, vel, work)
+            speeds = lagged_speeds([rho], weights, vel, work)[0]
             if resolved.scheme == "lf":
                 rho = lf_step(rho, speeds, grid.lam, grid.alpha, sat, work)
             else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from entropy_oracle import broadcast_entropy_matrix, brute_force_entropy
 
-from lagflow import diagnostics, preset_scenario, resolve_scenario, simulate
+from lagflow import diagnostics, preset_scenario, resolve_scenario, schemes, simulate
 from lagflow.diagnostics import (
     SPEED_TOL,
     DiagnosticsCollector,
@@ -101,6 +101,27 @@ def test_log_amplification_approaches_zero_delay_limit():
 def test_tv_bound_overflow_is_honest_infinity():
     assert tv_bound(1.0, 0.0, 1e6, 1.0) == math.inf
     assert tv_bound(1.0, 0.0, 1e6, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1, 0.3, 0.017])
+@pytest.mark.parametrize("tv0", [0.0, 0.9, 3.0])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_tv_bound_at_equals_tv_bound_bits(scheme, tv0, tau):
+    """BoundConstants.tv_bound_at, which holds log TV0 and the factor of a
+    whole window, equals tv_bound bit for bit: at the window seams q tau,
+    one ulp either side of them, between them, past overflow, at tau = 0
+    and at TV0 = 0."""
+    vel, sat, kernel = _model()
+    c = bound_constants(vel, sat, kernel, 2.0, 0.5, tau, tv0, 0.5, scheme)
+    seams = [q * tau for q in range(12)] if tau else [0.0]
+    times = [0.0, 1e-9, 0.05, 0.123, 0.5, 7.0, 40.0]
+    for seam in seams:
+        times += [seam, math.nextafter(seam, -math.inf), math.nextafter(seam, math.inf)]
+    times += [n * 0.5 / 997 for n in range(998)]
+    for t in (t for t in times if t >= 0.0):
+        expected = tv_bound(t, tau, c.tv_rate, tv0)
+        assert c.tv_bound_at(t).hex() == expected.hex(), t
+    assert c.tv_bound_at(40.0) == (0.0 if tv0 == 0.0 else math.inf)
 
 
 def test_bound_constants_frozen_rates():
@@ -749,12 +770,18 @@ def test_collector_refuses_a_nan_level_or_speed_field(small_blocks, where):
 def test_block_sizes_follow_block_bytes():
     """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
     block, the (B + 1, J + 2) speed block, the (B, J) scratch block and a
-    ring of min(h, N_T) + 1 reaches; an entropy-asserting run adds the
-    block kernel's three (B, J + 2) and four (B, J) float rows."""
+    ring of min(h, N_T) + 1 reaches, and the march holds two (b, J + 2)
+    blocks of speed fields, b = max(1, min(h, BLOCK_BYTES // 8 (J + 2)));
+    an entropy-asserting run adds the block kernel's three (B, J + 2) and
+    four (B, J) float rows."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
-    watched = ((2 * 47 + 1) * 344 + 48 * 346 + 2194) * 8
+    assert schemes.speed_rows(344, 2193) == 47
+    assert schemes.speed_rows(4000, 6192) == 4
+    assert schemes.speed_rows(1000, 3) == 3
+    assert schemes.speed_rows(1000, 0) == schemes.speed_rows(10**6, 9) == 1
+    watched = ((2 * 47 + 1) * 344 + (48 + 2 * 47) * 346 + 2194) * 8
     assert diagnostics.block_bytes(344, 2193, 10965, False) == watched
     kernel = (3 * 47 * 346 + 4 * 47 * 344) * 8
     assert diagnostics.block_bytes(344, 2193, 10965, True) == watched + kernel
@@ -771,8 +798,9 @@ def _array_bytes(obj):
 def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     """block_bytes, which the manifest reports and the history budget
     counts, is every array a fresh collector holds (its blocks and reach
-    ring) and, on an LF run that asserts entropy, every array of its
-    entropy block kernel; an HW run builds no kernel."""
+    ring), the march's two live blocks of speed_rows(J, h) speed fields
+    and, on an LF run that asserts entropy, every array of its entropy
+    block kernel; an HW run builds no kernel."""
     vel, sat, _ = _model()
     dx = 1.0 / cells
     for scheme, alpha in (("lf", 2.0), ("hw", None)):
@@ -781,7 +809,7 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
         weights = discretize_kernel(Kernel("constant", length=dx), grid)
         col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, 1, n_final)
         assert col.entropy_assert == (scheme == "lf")
-        held = _array_bytes(col)
+        held = _array_bytes(col) + 2 * schemes.speed_rows(cells, h) * (cells + 2) * 8
         if col.entropy_assert:
             held += _array_bytes(col._entropy_work)
         else:
@@ -973,6 +1001,68 @@ def test_block_entropy_equals_per_step_bits(boundary, law):
                         fields[first : first + len(rho)], lam, sat, boundary, scheme, alpha,
                     ).tolist()
                 assert [x.hex() for x in got] == expected, (scheme, n, rows)
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_certified_blocks_give_the_full_path_bits(monkeypatch, scheme, boundary, law):
+    """EntropyBlock.residuals with the certificate (which skips lo, hi and
+    m) and with it switched off (which forms them on every block) give the
+    same bits, on random blocks of 1-4 steps at J in {1, 3, 40}: inside the
+    hypotheses, at the CFL limit (a level at R and a speed at V, lam at
+    and one ulp either side of 1 / V (1 + R |f'|) on HW, 1 / alpha with
+    alpha = Phi V on LF) and outside them.  The certificate holds on some
+    blocks and fails on others, on HW at the limit too."""
+    rng = np.random.default_rng(21)
+    sat = _LAWS[law]
+    speed = 1.0 + sat.d1_sup
+    certified = diagnostics.EntropyBlock._certified
+    outcomes = {"inside": set(), "limit": set(), "outside": set()}
+    for trial in range(90):
+        n, rows = (1, 3, 40)[trial % 3], 1 + trial % 4
+        case = ("inside", "limit", "outside")[trial // 30]
+        low, high = (-0.3, 1.3) if case == "outside" else (0.0, 1.0)
+        rho = rng.uniform(low, high, (rows, n))
+        table = np.array([extend3(rng.uniform(low, high, n), boundary) for _ in range(3)])
+        fields = np.sort(rng.integers(0, 3, rows))
+        alpha = None
+        if scheme == "lf":
+            alpha = speed if case == "limit" else speed * rng.uniform(1.0, 1.5)
+        limit = 1.0 / (speed if scheme == "hw" else alpha)
+        lam = limit * rng.uniform(0.3, 1.0)
+        if case == "limit":
+            rho[rng.integers(rows), rng.integers(n)] = 1.0
+            table[:, 1 + rng.integers(n)] = 1.0
+            lam = (math.nextafter(limit, 0.0), limit, math.nextafter(limit, 2.0))[trial // 3 % 3]
+        elif case == "outside":
+            lam *= rng.uniform(1.0, 3.0)
+        rho_next = np.empty_like(rho)
+        with Workspace(n, 1, boundary) as work:
+            for i in range(rows):
+                if scheme == "lf":
+                    rho_next[i] = lf_step(rho[i], table[fields[i]], lam, alpha, sat, work)
+                else:
+                    rho_next[i] = hw_step(rho[i], table[fields[i]], lam, sat, work)
+        if trial % 5 == 4:
+            rho_next[:, rng.integers(n)] += rng.choice([1e-3, -1e-3])
+        args = (rho, rho_next, table, fields, lam, sat, boundary, scheme, alpha)
+        with monkeypatch.context() as patch:
+            seen = []
+            patch.setattr(
+                diagnostics.EntropyBlock, "_certified",
+                lambda self, *a: seen.append(certified(self, *a)) or seen[-1],
+            )
+            fast = diagnostics.EntropyBlock(4, n).residuals(*args)
+            patch.setattr(diagnostics.EntropyBlock, "_certified", lambda self, *a: False)
+            full = diagnostics.EntropyBlock(4, n).residuals(*args)
+        assert fast.tobytes() == full.tobytes(), (case, trial)
+        outcomes[case].add(seen[0])
+    assert outcomes["inside"] == {True}
+    assert True in outcomes["limit"]
+    # on LF, lam one ulp above 1 / alpha may still round to lam alpha = 1
+    assert False in outcomes["limit"] or scheme == "lf"
+    assert False in outcomes["outside"]
 
 
 def test_entropy_residual_is_nan_on_any_non_finite_input():

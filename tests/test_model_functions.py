@@ -71,10 +71,10 @@ def test_exponential_saturation_vanishes_at_capacity():
 
 
 def _densities(r):
-    """Random densities in [-1, 3R], then NaN, +-inf, +-0, R and its
-    neighbouring floats."""
+    """Random densities in [-1, 3R], then NaN, +-inf, +-0, -1e300, -1, R
+    and its neighbouring floats."""
     rng = np.random.default_rng(0)
-    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, r]
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e300, -1.0, r]
     special += [np.nextafter(r, np.inf), np.nextafter(r, -np.inf)]
     return np.concatenate([rng.uniform(-1.0, 3.0 * r, 2000), special])
 
@@ -86,17 +86,22 @@ def _assert_out_matches_allocating_call(law, rho):
     assert buf.tobytes() == law(rho).tobytes()
 
 
-@pytest.mark.parametrize("eps", [0.02, 0.5, 3.0])
+@pytest.mark.parametrize("eps", [0.02, 1.7 / 50, 1.7 / 38, 0.5, 3.0])
 def test_exponential_saturation_matches_three_branch_law(eps):
     """f = 1 below 0, 1 - e^{(rho - R)/eps} on [0, R] and 0 above R, bit for
-    bit, on random densities in [-1, 3R] and at NaN, +-inf, +-0, R and
-    its neighbouring floats, through the allocating call and through out=."""
+    bit, on random densities in [-1, 3R] and at NaN, +-inf, +-0, -1e300,
+    -1, R and its neighbouring floats, through the allocating call and
+    through out=.  From R / eps = 38 on (85, 50 and 38 here) the law takes
+    no rho < 0 mask, as 1 - e^{(rho - R)/eps} is then exactly 1 below 0;
+    at eps = 0.5 and 3 the mask is needed and taken."""
     r = 1.7
     sat = Saturation("exponential", rho_max=r, eps=eps)
     rho = _densities(r)
     inside = 1.0 - np.exp((np.minimum(rho, r) - r) / eps)
     expected = np.where(rho < 0.0, 1.0, np.where(rho > r, 0.0, inside))
     assert sat(rho).tobytes() == expected.tobytes()
+    below = rho < 0.0
+    assert (inside[below] == 1.0).all() == (r / eps >= 38.0)
     _assert_out_matches_allocating_call(sat, rho)
 
 

@@ -137,13 +137,14 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 def test_manifest_reports_block_bytes(tmp_path):
     """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
     (B + 1, J + 2) speed fields, the (B, J) scratch and a ring of
-    min(h, N_T) + 1 reaches; the LF run, which asserts entropy, adds the
-    entropy block kernel's three (B, J + 2) and four (B, J) rows.  The
-    budget counts them with the history."""
+    min(h, N_T) + 1 reaches, and the march's two blocks of h speed fields
+    (h is below BLOCK_BYTES // 8 (J + 2)); the LF run, which asserts
+    entropy, adds the entropy block kernel's three (B, J + 2) and four
+    (B, J) rows.  The budget counts them with the history."""
     for scheme, h, n_steps, entropy in (("hw", 2, 10, False), ("lf", 4, 20, True)):
         run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
         manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
-        expected = ((2 * 327 + 1) * 50 + 328 * 52 + h + 1) * 8
+        expected = ((2 * 327 + 1) * 50 + (328 + 2 * h) * 52 + h + 1) * 8
         if entropy:
             expected += (3 * 327 * 52 + 4 * 327 * 50) * 8
         assert f"n_steps = {n_steps}" in manifest

@@ -3,6 +3,7 @@ the delay history and lagged convolution speeds, and the workspace march
 against the concatenate-based kernel it replaced."""
 
 import warnings
+import weakref
 from collections import deque
 
 import numpy as np
@@ -78,7 +79,7 @@ def _oracle_hw_step(rho, v_lag, lam, sat, boundary):
 def _speeds(level, weights, vel, boundary):
     """The J-cell speed field of one level, through the workspace kernel."""
     with Workspace(len(level), weights.n, boundary) as work:
-        return lagged_speeds(level, weights, vel, work)[1:-1]
+        return lagged_speeds([level], weights, vel, work)[0, 1:-1]
 
 
 def _lf(rho, v, lam, alpha, sat, boundary):
@@ -270,14 +271,15 @@ def _delayed_case(h, n_steps):
     ids=["h0", "NT_below_h", "NT_equal_h", "NT_below_2h", "NT_above_2h"],
 )
 def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
-    """lagged_speeds runs max(N_T - h, 0) + 1 times, push_level max(N_T -
-    h, 0) times and the step N_T times, each looked up as a schemes global
-    (perfbench's traced layers wrap them there); the collector checks
-    each speed field once (its block checks count fields each), and
-    between steps the history holds at most min(h, max(N_T - h, 0)) levels
-    behind its head."""
+    """lagged_speeds convolves max(N_T - h, 0) + 1 levels in all, at most
+    speed_rows(J, h) per call, push_level runs max(N_T - h, 0) times and
+    the step N_T times, each looked up as a schemes global (perfbench's
+    traced layers wrap them there); the collector checks each speed field
+    once (its block checks count fields each), and between steps the
+    history holds at most min(h, max(N_T - h, 0)) levels behind its
+    head."""
     grid, weights, rho0, t_final = _delayed_case(h, n_steps)
-    states, calls, queued, checks, pushes, steps = [], [], [], [], [], []
+    states, blocks, queued, checks, pushes, steps = [], [], [], [], [], []
     init, lagged = schemes.init_history, schemes.lagged_speeds
     push, step = schemes.push_level, schemes.hw_step
     check_speeds = DiagnosticsCollector._check_speeds
@@ -286,9 +288,9 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
         states.append(init(*args))
         return states[-1]
 
-    def counted_lagged(*args):
-        calls.append(args)
-        return lagged(*args)
+    def counted_lagged(levels, *args):
+        blocks.append(len(levels))
+        return lagged(levels, *args)
 
     def counted_push(*args):
         pushes.append(args)
@@ -321,10 +323,11 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
 
     run(grid, weights, vel, _SAT_NONE, "hw", rho0, t_final, observer=observer)
     assert len(queued) == n_steps + 1
-    assert len(calls) == max(n_steps - h, 0) + 1
+    assert sum(blocks) == max(n_steps - h, 0) + 1
+    assert max(blocks) <= schemes.speed_rows(grid.n_cells, h)
     assert len(pushes) == max(n_steps - h, 0)
     assert len(steps) == n_steps
-    assert sum(checks) == len(calls)
+    assert sum(checks) == sum(blocks)
     assert max(queued) == min(h, max(n_steps - h, 0))
 
 
@@ -464,6 +467,101 @@ def test_periodic_window_wraps_more_than_once():
         assert v.tobytes() == v_ref.tobytes()
 
 
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+@pytest.mark.parametrize(
+    "byte_rows, h, n_steps, boundary, wide",
+    [
+        (4, 6, 15, FREE_FLOW, False),
+        (4, 6, 15, PERIODIC, False),
+        (10, 3, 13, FREE_FLOW, False),
+        (1, 3, 9, FREE_FLOW, False),
+        (2, 3, 8, PERIODIC, True),
+        (5, 3, 11, PERIODIC, True),
+    ],
+    ids=["b4_h6", "b4_h6_periodic", "h_below_rows", "b1", "b2_wraps", "h_below_rows_wraps"],
+)
+def test_run_with_small_speed_blocks_matches_ring_march(
+    monkeypatch, scheme, byte_rows, h, n_steps, boundary, wide
+):
+    """With BLOCK_BYTES cut to byte_rows rows of J + 2 cells, lagged_speeds
+    convolves min(byte_rows, h) levels per call at most (the last block of
+    a run is shorter, as N_T - h is no multiple of it), and every observer
+    (n, level, speeds), kept uncopied, and the final level equal the ring
+    march bit for bit; the wide cases wrap the periodic window several
+    times (K - 1 > J).  Consecutive calls share one read-only speeds
+    object exactly while they share the lagged level."""
+    if wide:
+        grid = build_grid(0.0, 1.0, 0.1, 0.01, h * 0.01, 4.3, alpha=2.0)
+        weights = discretize_kernel(Kernel("linear_decreasing", length=4.3), grid)
+        assert weights.n - 1 > grid.n_cells
+        rho0 = np.random.default_rng(9).uniform(0.0, 1.0, grid.n_cells)
+        t_final = n_steps * grid.dt
+    else:
+        grid, weights, rho0, t_final = _delayed_case(h, n_steps)
+    assert grid.delay_steps == h
+    monkeypatch.setattr(schemes, "BLOCK_BYTES", byte_rows * 8 * (grid.n_cells + 2))
+    rows = min(byte_rows, h)
+    assert schemes.speed_rows(grid.n_cells, h) == rows
+    assert (n_steps - h) % rows != 0 or rows == 1
+    lagged, blocks = schemes.lagged_speeds, []
+
+    def counted_lagged(levels, *args):
+        blocks.append(len(levels))
+        return lagged(levels, *args)
+
+    monkeypatch.setattr(schemes, "lagged_speeds", counted_lagged)
+    vel = Velocity("normalized_greenshields")
+    sat = Saturation("linear", rho_max=1.0)
+    seen = []
+    final = run(
+        grid, weights, vel, sat, scheme, rho0, t_final, boundary=boundary,
+        observer=lambda n, level, speeds: seen.append((n, level, speeds)),
+    )
+    expected = _ring_march(grid, weights, vel, sat, scheme, rho0, n_steps, boundary)
+    assert blocks[0] == 1 and max(blocks) == rows
+    assert sum(blocks) == n_steps - h + 1
+    assert [n for n, *_ in seen] == [n for n, *_ in expected]
+    for (n, level, v), (_, level_ref, v_ref) in zip(seen, expected):
+        assert level.tobytes() == level_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        assert not v.flags.writeable
+        if n > 0:
+            assert (v is seen[n - 1][2]) == (n <= h)
+    assert final.tobytes() == expected[-1][1].tobytes()
+
+
+def test_run_holds_at_most_two_speed_blocks(monkeypatch):
+    """block_bytes counts two blocks of speed fields: with an observer that
+    keeps only the last call's speeds, as the collector does, at most two
+    blocks that lagged_speeds built are alive at any time, one while it
+    builds the next."""
+    grid, weights, rho0, t_final = _delayed_case(6, 40)
+    monkeypatch.setattr(schemes, "BLOCK_BYTES", 4 * 8 * (grid.n_cells + 2))
+    lagged, refs, live = schemes.lagged_speeds, [], []
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def tracked(levels, *args):
+        live.append(alive())
+        block = lagged(levels, *args)
+        refs.append(weakref.ref(block))
+        live.append(alive())
+        return block
+
+    kept = []
+
+    def observer(n, level, speeds):
+        kept[:] = [speeds]
+        live.append(alive())
+
+    monkeypatch.setattr(schemes, "lagged_speeds", tracked)
+    run(grid, weights, Velocity("normalized_greenshields"), _SAT_NONE, "hw", rho0, t_final,
+        observer=observer)
+    assert len(refs) == 1 + -(-(40 - 6) // 4)
+    assert max(live) == 2
+
+
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 @pytest.mark.parametrize("sat", _SATURATIONS, ids=["none", "linear", "exponential"])
 def test_one_shot_kernel_matches_concatenate_kernel(sat, boundary):
@@ -480,15 +578,22 @@ def test_one_shot_kernel_matches_concatenate_kernel(sat, boundary):
         assert weights.n == k
         lam, alpha = rng.uniform(0.1, 0.5), rng.uniform(1.0, 3.0)
         with Workspace(n, k, boundary) as work:
+            levels, expected = [], []
             for _ in range(3):
                 rho = rng.uniform(-0.5, 1.5, n)
-                speeds = lagged_speeds(rho, weights, vel, work)
+                speeds = lagged_speeds([rho], weights, vel, work)[0]
                 v = _oracle_speeds(rho, weights, vel, boundary)
                 assert speeds.tobytes() == _oracle_extend3(v, boundary).tobytes()
                 lf = lf_step(rho, speeds, lam, alpha, sat, work)
                 hw = hw_step(rho, speeds, lam, sat, work)
                 assert lf.tobytes() == _oracle_lf_step(rho, v, lam, alpha, sat, boundary).tobytes()
                 assert hw.tobytes() == _oracle_hw_step(rho, v, lam, sat, boundary).tobytes()
+                levels.append(rho)
+                expected.append(speeds)
+            # a block of the three levels: each row is that level's field
+            block = lagged_speeds(levels, weights, vel, work)
+            assert block.shape == (3, n + 2) and not block.flags.writeable
+            assert [row.tobytes() for row in block] == [v.tobytes() for v in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +683,7 @@ def test_lagged_speeds_use_oldest_level():
     history = init_history(np.full(4, 0.5), h=1)
     push_level(history, np.full(4, 0.9))
     with Workspace(4, w.n, FREE_FLOW) as work:
-        v = lagged_speeds(history[0], w, vel, work)
+        v = lagged_speeds([history[0]], w, vel, work)[0]
     assert np.allclose(v, 0.5)
 
 
@@ -587,7 +692,7 @@ def test_lagged_speeds_are_read_only():
     vel = Velocity("normalized_greenshields")
     w = _weights()
     with Workspace(4, w.n, FREE_FLOW) as work:
-        v = lagged_speeds(np.full(4, 0.5), w, vel, work)
+        v = lagged_speeds([np.full(4, 0.5)], w, vel, work)[0]
     with pytest.raises(ValueError):
         v[0] = 0.0
     with pytest.raises(ValueError):
