@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -327,11 +326,8 @@ def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.nd
     extrema, sorted and deduplicated.
 
     No check reads them; the function stays because the benchmark wraps
-    it by name.  The entropy check needs no sample: by the monotone-scheme
-    lemma (entropy_residual) the residual of every kappa is at most
-    max_j (|c_j| + 2 (hi_j - lo_j) m_j), which is the supremum over kappa
-    wherever m_j = 0, and 0 for a march that did what the scheme says; on
-    a watched run without saturation it may be an upper bound only.
+    it by name.  The entropy check needs no sample: the lemma in
+    entropy_residual bounds the residual of every kappa at once.
     """
     base = np.linspace(0.0, rho_ceiling, KAPPA_COUNT)
     if level is not None:
@@ -340,23 +336,38 @@ def default_kappas(rho_ceiling: float, level: np.ndarray | None = None) -> np.nd
 
 
 class EntropyBlock:
-    """Buffers of the entropy kernel for up to B steps of J cells.
+    """Buffers and run constants of the entropy kernel for up to B steps
+    of J cells.
 
     Per step it forms, per cell, the defect c_j = rho'_j - H_j(rho), H from
-    schemes.update (which lf_step and hw_step call), lo_j, hi_j and the
-    monotonicity defect m_j, and returns max_j (|c_j| + 2 (hi_j - lo_j) m_j):
-    by the monotone-scheme lemma (entropy_residual) a bound on the residual
-    of every kappa.  It is the supremum over kappa where every m_j = 0 (on
-    every step inside the CFL rules with speeds in [0, v_max] and, on HW,
-    levels in [0, R]), and 0 for a march that did what the scheme says; on
-    a watched run without saturation it may be an upper bound only.  A
-    block forms lo, hi and m only when a few reductions over it cannot
-    prove every m_j to be 0 (see _certified).  (B, J + 2) rows:
-    the ghost-extended level r, f on it (then the fluxes) and the speed
-    fields; (B, J) rows: lo, hi, the defect and a work row.
+    schemes.update (which lf_step and hw_step call), and returns the bound
+    max_j (|c_j| + 2 (hi_j - lo_j) m_j) of the lemma in entropy_residual.
+    A block forms lo, hi and the monotonicity defect m only when a few
+    reductions over it cannot prove every m_j to be 0 (see _certified).
+    (B, J + 2) rows: the ghost-extended level r, f on it (then the fluxes)
+    and the speed fields; (B, J) rows: lo, hi, the defect and a work row.
     """
 
-    def __init__(self, rows: int, cells: int) -> None:
+    def __init__(
+        self,
+        rows: int,
+        cells: int,
+        lam: float,
+        sat: Saturation,
+        boundary: str,
+        scheme: str,
+        alpha: float | None,
+    ) -> None:
+        if scheme == LAX_FRIEDRICHS:
+            if alpha is None:
+                raise ValueError("the Lax-Friedrichs entropy bound needs alpha")
+        elif scheme != HILLIGES_WEIDLICH:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        self.lam = lam
+        self.sat = sat
+        self.boundary = boundary
+        self.scheme = scheme
+        self.alpha = alpha
         self.r, self.f, self.v = np.empty((3, rows, cells + 2))
         self.lo, self.hi, self.c, self.t = np.empty((4, rows, cells))
 
@@ -366,33 +377,27 @@ class EntropyBlock:
         return (3 * rows * (cells + 2) + 4 * rows * cells) * 8
 
     def residuals(
-        self,
-        rho: np.ndarray,
-        rho_next: np.ndarray,
-        speeds: np.ndarray,
-        fields: np.ndarray,
-        lam: float,
-        sat: Saturation,
-        boundary: str,
-        scheme: str,
-        alpha: float | None,
+        self, rho: np.ndarray, rho_next: np.ndarray, speeds: np.ndarray, fields: np.ndarray
     ) -> np.ndarray:
-        """The entropy bound max_j (|c_j| + 2 (hi_j - lo_j) m_j) of each of
-        m steps (see entropy_residual).
+        """The entropy bound of each of m steps (see entropy_residual).
 
         Step i goes from rho[i] to rho_next[i] (m x J) and reads the speed
         field speeds[fields[i]] (J + 2 cells).  A step's value is nan when
         it is not finite, and a zero is +0.
         """
         m = len(rho)
-        v, lo, hi, c, t = self.v[:m], self.lo[:m], self.hi[:m], self.c[:m], self.t[:m]
+        v, c, t = self.v[:m], self.c[:m], self.t[:m]
         np.take(speeds, fields, axis=0, out=v, mode="clip")
         # c = rho' - H(rho), with H(rho) from the function the march runs
-        update(scheme, rho.T, v.T, lam, alpha, sat, boundary, self.r[:m].T, self.f[:m].T, c.T, t.T)
+        update(
+            self.scheme, rho.T, v.T, self.lam, self.alpha, self.sat, self.boundary,
+            self.r[:m].T, self.f[:m].T, c.T, t.T,
+        )
         np.subtract(rho_next, t, out=c)
         np.abs(c, out=c)
-        if self._monotonicity_defect(m, rho_next, lam, sat, scheme, alpha):
-            hi -= lo
+        if self._monotonicity_defect(m, rho_next):
+            hi = self.hi[:m]
+            hi -= self.lo[:m]
             hi *= t
             hi *= 2.0
             c += hi
@@ -400,7 +405,7 @@ class EntropyBlock:
         out[~np.isfinite(out)] = np.nan
         return out
 
-    def _certified(self, m, rho_next, lam, sat, scheme, alpha) -> bool:
+    def _certified(self, m: int, rho_next: np.ndarray) -> bool:
         """Whether every m_j of the first m steps is 0, proved from a few
         reductions over the block, so that lo, hi and m need not be formed.
 
@@ -423,9 +428,9 @@ class EntropyBlock:
         A nan anywhere fails a comparison, so the block is not certified.
         """
         r, v = self.r[:m], self.v[:m]
-        d = sat.d1_sup
-        if scheme == LAX_FRIEDRICHS:
-            phi = 1.0 + sat.rho_max * d
+        lam, alpha, d = self.lam, self.alpha, self.sat.d1_sup
+        if self.scheme == LAX_FRIEDRICHS:
+            phi = 1.0 + self.sat.rho_max * d
             return lam * alpha <= 1.0 and phi * max(v.max(), -v.min()) <= alpha
         read = v[:, 1:]
         top = read.max()
@@ -436,17 +441,17 @@ class EntropyBlock:
             and (level_top * top * d + top) * lam <= 1.0
         )
 
-    def _monotonicity_defect(self, m, rho_next, lam, sat, scheme, alpha) -> bool:
+    def _monotonicity_defect(self, m: int, rho_next: np.ndarray) -> bool:
         """Whether some m_j of the first m steps is not 0; if so, m_j is in
         the work rows t and lo_j, hi_j in lo and hi.  f serves as scratch,
         and r once lo and hi are formed."""
-        if self._certified(m, rho_next, lam, sat, scheme, alpha):
+        if self._certified(m, rho_next):
             return False
         r, v, lo, hi, t = self.r[:m], self.v[:m], self.lo[:m], self.hi[:m], self.t[:m]
-        d = sat.d1_sup
-        if scheme == LAX_FRIEDRICHS:
+        lam, alpha, d = self.lam, self.alpha, self.sat.d1_sup
+        if self.scheme == LAX_FRIEDRICHS:
             # max(0, lam alpha - 1) + (lam / 2) sum max(0, Phi |V_{j+-1}| - alpha)
-            phi = 1.0 + sat.rho_max * d
+            phi = 1.0 + self.sat.rho_max * d
             g = np.abs(v, out=self.f[:m])
             g *= phi
             g -= alpha
@@ -460,7 +465,7 @@ class EntropyBlock:
         np.maximum(r[:, :-2], r[:, 1:-1], out=hi)
         np.maximum(hi, r[:, 2:], out=hi)
         np.maximum(hi, rho_next, out=hi)
-        if scheme == LAX_FRIEDRICHS:
+        if self.scheme == LAX_FRIEDRICHS:
             return True
         v_j, v_next = v[:, 1:-1], v[:, 2:]
         a, b = r[:, 1:-1], self.f[:m, 1:-1]
@@ -484,7 +489,7 @@ class EntropyBlock:
         t += a
         # f drops by 1 - f(0) at 0 (the exponential law): lam (1 - f(0))
         # (|V_j| + |V_{j+1}|) on the cells whose [lo, hi] holds 0 and less
-        drop = 1.0 - float(sat(0.0))
+        drop = 1.0 - float(self.sat(0.0))
         if drop > 0.0:
             np.abs(v_j, out=a)
             a += np.abs(v_next, out=b)
@@ -549,55 +554,18 @@ def entropy_residual(
     schemes.update, the function both lf_step and hw_step call, so a
     march that did what the scheme says gives exactly 0.  A run without a
     saturation term leaves [0, R] and its speeds [0, v_max], so a value
-    watched there may be an upper bound, not the supremum.  The value is
-    nan when it is not finite.  The step runs on an EntropyBlock of one
-    row built for the call, the kernel a collector runs on whole blocks.
+    reported there may be an upper bound, not the supremum.  The value is
+    nan when it is not finite.  The step runs on a one-row EntropyBlock,
+    the kernel the collector runs on whole blocks.
     """
-    if scheme == LAX_FRIEDRICHS:
-        if alpha is None:
-            raise ValueError("the Lax-Friedrichs entropy bound needs alpha")
-    elif scheme != HILLIGES_WEIDLICH:
-        raise ValueError(f"unknown scheme {scheme!r}")
     rho = np.asarray(rho, dtype=float)
+    block = EntropyBlock(1, rho.size, lam, sat, boundary, scheme, alpha)
     return float(
-        EntropyBlock(1, rho.size).residuals(
+        block.residuals(
             rho[None], np.asarray(rho_next, dtype=float)[None],
             np.asarray(v_lag, dtype=float)[None], np.zeros(1, np.intp),
-            lam, sat, boundary, scheme, alpha,
         )[0]
     )
-
-
-# ---------------------------------------------------------------------------
-# time-Lipschitz check
-
-
-def lipschitz_in_time_check(
-    snapshots: Sequence[tuple[float, np.ndarray]], l1_time_rate: float, dx: float
-) -> float:
-    """Assert ||rho(t_b) - rho(t_a)||_1 <= K (t_b - t_a) for all pairs.
-
-    Returns the worst margin distance - K dt (negative when comfortably
-    inside the bound, -inf if every pair is at zero distance and K is
-    infinite); raises InvariantViolation when any pair exceeds K dt with
-    the slack of the other bounds, K dt (1 + BOUND_TOL) + BOUND_TOL.
-    """
-    worst = -math.inf
-    for i in range(len(snapshots)):
-        t_a, lev_a = snapshots[i]
-        for t_b, lev_b in snapshots[i + 1 :]:
-            dist = l1_distance(lev_b, lev_a, dx)
-            gap = abs(t_b - t_a)
-            ceiling = 0.0 if gap == 0.0 else l1_time_rate * gap
-            if dist > ceiling * (1.0 + BOUND_TOL) + BOUND_TOL:
-                raise InvariantViolation(
-                    f"L1 time-Lipschitz bound broken between t={t_a} and t={t_b}: "
-                    f"distance {dist} exceeds {ceiling}"
-                )
-            margin = dist - ceiling
-            if margin > worst:
-                worst = margin
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -608,32 +576,16 @@ def block_rows(n_cells: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_cells))
 
 
-def asserts_entropy(vel: Velocity, sat: Saturation, scheme: str) -> bool:
-    """Whether a run asserts the entropy inequality on every step: a
-    Lax-Friedrichs run with a saturation term and a C^2 velocity, the
-    hypotheses under which the inequality is proved."""
-    return sat.kind != SAT_NONE and vel.smooth and scheme == LAX_FRIEDRICHS
-
-
-def block_bytes(n_cells: int, h: int, n_steps: int, entropy: bool) -> int:
+def block_bytes(n_cells: int, h: int, n_steps: int) -> int:
     """Bytes of one collector's buffers and of the march's live speed
     blocks: the (B + 1, J) level block, the (B + 1, J + 2) speed block,
-    the (B, J) scratch block and the ring of min(h, N_T) + 1 reaches, plus
-    the two (b, J + 2) blocks of speed fields schemes.run holds at once,
-    b = schemes.speed_rows(J, h), all float64; with the entropy assertion
-    also the EntropyBlock of B rows, three (B, J + 2) and four (B, J)
-    float64 rows.  They hold no kappa: by the monotone-scheme lemma
-    (entropy_residual) max_j (|c_j| + 2 (hi_j - lo_j) m_j) bounds the
-    residual of every kappa, is its supremum where m_j = 0 and is 0 for
-    a march that did what the scheme says; a watched run without
-    saturation, which builds no EntropyBlock here, may see an upper bound
-    only."""
+    the (B, J) scratch block, the ring of min(h, N_T) + 1 reaches and the
+    EntropyBlock of B rows, plus the two (b, J + 2) blocks of speed fields
+    schemes.run holds at once, b = schemes.speed_rows(J, h), all float64.
+    They hold no kappa (see entropy_residual)."""
     rows = block_rows(n_cells)
     blocks = (2 * rows + 1) * n_cells + (rows + 1 + 2 * speed_rows(n_cells, h)) * (n_cells + 2)
-    total = (blocks + min(h, n_steps) + 1) * 8
-    if entropy:
-        total += EntropyBlock.bytes_for(rows, n_cells)
-    return total
+    return (blocks + min(h, n_steps) + 1) * 8 + EntropyBlock.bytes_for(rows, n_cells)
 
 
 @dataclass(frozen=True)
@@ -641,8 +593,7 @@ class DiagnosticsRecord:
     """One diagnostics CSV row: level statistics at time t.
 
     entropy_residual_max is the entropy bound of the step that produced
-    this level, over every kappa (nan at t = 0 or when it was not
-    computed).
+    this level (see entropy_residual; nan at t = 0).
     tv_ceiling is the theoretical ceiling for tv (inf when it overflows,
     nan when the constants are unavailable).
     """
@@ -667,10 +618,8 @@ class DiagnosticsCollector:
     smooth-velocity constants.  The per-step entropy assertion
     (entropy_assert) applies to the Lax-Friedrichs scheme under the
     hypotheses of its proof, a saturation term and a C^2 velocity; every
-    other run with a C^2 velocity (Hilliges-Weidlich, or Lax-Friedrichs
-    without saturation) computes the residual at record rows without
-    asserting it (entropy_watch).  Periodic runs assert mass conservation
-    (conserve_mass).
+    other run reports the entropy bound at its record rows without
+    asserting it.  Periodic runs assert mass conservation (conserve_mass).
 
     Every step is checked: positivity, the maximum principle, mass
     conservation, the TV ceiling and the asserted entropy residual at each
@@ -682,21 +631,13 @@ class DiagnosticsCollector:
     new field whole, into preallocated buffers of block_rows(J) rows, and
     flush() reduces the whole block with one NumPy call per statistic,
     computes every entropy value the walk will read, then walks its rows
-    in step order.  A run that asserts entropy computes the whole block's
-    values with one call of its EntropyBlock, built once per run: for
-    each step the bound max_j (|c_j| + 2 (hi_j - lo_j) m_j) on the
-    residual of every kappa, c_j = rho' - H_j(rho) the step's defect and
-    m_j its monotonicity defect (see entropy_residual).  On a step within
-    the CFL rules, with speeds in [0, v_max], every m_j is 0 and the value
-    is max_j |c_j|, the exact supremum over kappa, which is 0 for a march
-    that did what the scheme says.  A watching run calls entropy_residual
-    at its record rows after step 0, which builds its buffers per call,
-    and leaves nan on the other rows; without a saturation term its
-    levels leave [0, R], so a watched value may be an upper bound, not
-    the supremum.  The walk calls no entropy function: it reads each
-    step's value and refuses an asserted one unless it is at most
-    ENTROPY_TOL.  Every check refuses a value unless it is within its
-    bound, so a nan fails each one.
+    in step order.  The entropy values come from one call of the run's
+    EntropyBlock (see entropy_residual) per flush, on every step when the
+    run asserts entropy and otherwise on the record steps after step 0,
+    with no call when there are none; the other rows read nan.  The walk
+    calls no entropy function: it reads each step's value and refuses an
+    asserted one unless it is at most ENTROPY_TOL.  Every check refuses a
+    value unless it is within its bound, so a nan fails each one.
     The bound of a field first seen at step n needs sup|rho| of level
     max(n - h, 0): the walk writes each step's max(|min|, |max|) into a
     ring of min(h, n_final) + 1 entries before the row's speed check.  A
@@ -741,8 +682,7 @@ class DiagnosticsCollector:
         self.rho_ceiling = vel.rho_max if saturated else None
         self.conserve_mass = boundary == PERIODIC
         self.tv_ceiling = saturated and vel.smooth and constants is not None
-        self.entropy_assert = asserts_entropy(vel, sat, scheme)
-        self.entropy_watch = vel.smooth and not self.entropy_assert
+        self.entropy_assert = saturated and vel.smooth and scheme == LAX_FRIEDRICHS
         self.records: list[DiagnosticsRecord] = []
         self.sup_tv = 0.0
         self.sup_bv = 0.0
@@ -770,9 +710,7 @@ class DiagnosticsCollector:
         self._prev_speeds: np.ndarray | None = None
         # TV of the carry row's step
         self._prev_tv = 0.0
-        # the block kernel's buffers for the per-step assertion; watch rows
-        # build theirs per call
-        self._entropy_work = EntropyBlock(rows, cells) if self.entropy_assert else None
+        self._entropy_work = EntropyBlock(rows, cells, grid.lam, sat, boundary, scheme, grid.alpha)
 
     def __call__(self, n: int, level: np.ndarray, speeds: np.ndarray) -> None:
         i = self._count
@@ -803,28 +741,28 @@ class DiagnosticsCollector:
 
         Step r goes from level row r to row r + 1 and reads the speed
         field of the call before it.  An asserting run evaluates every
-        step with its EntropyBlock; a watching run evaluates, with
-        entropy_residual, the steps after step 0 that records marks.
+        step, any other run the steps after step 0 that records marks, in
+        one EntropyBlock call, and none when there are no such steps.
         """
-        levels, grid = self._levels, self.grid
+        levels = self._levels
+        if self.entropy_assert:
+            steps = range(m)
+            rho, rho_next = levels[:m], levels[1 : m + 1]
+        else:
+            # picked in Python: a NumPy mask on every flush costs more than
+            # the few rows it selects
+            first = self._last_n - m + 1
+            steps = [r for r in range(max(1 - first, 0), m) if records[r]]
+            if not steps:
+                return [math.nan] * m
+            rho, rho_next = levels[steps], levels[[r + 1 for r in steps]]
         # step r reads speed row k, k the number of fields first seen
         # before row r (row 0 is the carry's field)
-        if self.entropy_assert:
-            fields = np.searchsorted(field_rows, np.arange(m))
-            return self._entropy_work.residuals(
-                levels[:m], levels[1 : m + 1], self._speeds, fields, grid.lam, self.sat,
-                self.boundary, self.scheme, grid.alpha,
-            ).tolist()
+        fields = np.searchsorted(field_rows, steps)
+        values = self._entropy_work.residuals(rho, rho_next, self._speeds, fields)
         residuals = [math.nan] * m
-        if self.entropy_watch:
-            first = self._last_n - m + 1
-            for r in range(max(1 - first, 0), m):
-                if records[r]:
-                    speeds = self._speeds[np.searchsorted(field_rows, r)]
-                    residuals[r] = entropy_residual(
-                        levels[r], levels[r + 1], speeds, grid.lam, self.sat,
-                        self.boundary, scheme=self.scheme, alpha=grid.alpha,
-                    )
+        for r, value in zip(steps, values.tolist()):
+            residuals[r] = value
         return residuals
 
     def flush(self) -> None:

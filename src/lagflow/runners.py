@@ -31,7 +31,6 @@ from .diagnostics import (
     DiagnosticsCollector,
     InvariantViolation,
     StabilityConstants,
-    asserts_entropy,
     block_bytes,
     bound_constants,
     exp_or_inf,
@@ -132,8 +131,7 @@ def resolve_scenario(scenario: Scenario) -> ResolvedRun:
 
     A run whose delay history and check block would exceed
     HISTORY_BUDGET_BYTES is refused with a ScenarioError before anything
-    is allocated.  The check block includes the entropy kernel's buffers
-    when the run asserts the entropy inequality (asserts_entropy).
+    is allocated.
     """
     vel = scenario.velocity
     sat = scenario.saturation
@@ -152,8 +150,7 @@ def resolve_scenario(scenario: Scenario) -> ResolvedRun:
     )
     n_steps = step_count(scenario.t_final, grid.dt)
     sizes = (grid.n_cells, grid.delay_steps, n_steps)
-    entropy = asserts_entropy(vel, sat, scenario.scheme)
-    need = history_bytes(*sizes) + block_bytes(*sizes, entropy)
+    need = history_bytes(*sizes) + block_bytes(*sizes)
     if need > HISTORY_BUDGET_BYTES:
         raise ScenarioError(
             f"the delay history with the check block needs {need} bytes, "
@@ -268,10 +265,7 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
         ("alpha", grid.alpha),
         ("n_steps", resolved.n_steps),
         ("history_bytes", history_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
-        (
-            "block_bytes",
-            block_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps, col.entropy_assert),
-        ),
+        ("block_bytes", block_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
         ("final_time", sim.final_time),
         ("stride", resolved.stride),
         ("datum", s.datum_kind),

@@ -1,5 +1,6 @@
 """Acceptance suite: every contracted numerical property at its stated
-tolerance, one test (and one pass/fail line) per criterion.
+tolerance, one test (and one pass/fail line) per criterion, plus the unit
+cases of criterion 10's pairwise checker.
 
 Run with ``pytest tests/test_acceptance.py -v``.  Full preset simulations
 are cached per (preset, scheme, boundary, delay) so each
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from entropy_oracle import brute_force_entropy
 
-from lagflow.diagnostics import entropy_residual, lipschitz_in_time_check
+from lagflow.diagnostics import BOUND_TOL, entropy_residual, l1_distance
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity
 from lagflow.presets import PRESET_NAMES, preset_scenario
@@ -279,9 +280,51 @@ def test_criterion_10_l1_lipschitz_continuity_in_time():
         assert rate > 0  # may be inf when the Gronwall factor overflows
         snapshots = [(t_act, level) for _t, t_act, level in sim.snapshots]
         assert len(snapshots) >= 3
-        worst = lipschitz_in_time_check(snapshots, rate, resolved.grid.dx)
+        worst = _lipschitz_in_time_margin(snapshots, rate, resolved.grid.dx)
         assert worst <= 0.0
     print(f"criterion 10 PASS: both schemes within K|t_b - t_a| on {REFINE_PRESET}")
+
+
+def _lipschitz_in_time_margin(snapshots, rate, dx):
+    """Check ||rho(t_b) - rho(t_a)||_1 <= K |t_b - t_a| for all pairs of
+    (t, level) snapshots, with the slack of the other bounds,
+    K dt (1 + BOUND_TOL) + BOUND_TOL; a nan distance fails.  Returns the
+    worst margin distance - K dt (-inf if every pair is at zero distance
+    and K is infinite)."""
+    worst = -math.inf
+    for i, (t_a, lev_a) in enumerate(snapshots):
+        for t_b, lev_b in snapshots[i + 1 :]:
+            dist = l1_distance(lev_b, lev_a, dx)
+            gap = abs(t_b - t_a)
+            ceiling = 0.0 if gap == 0.0 else rate * gap
+            assert dist <= ceiling * (1.0 + BOUND_TOL) + BOUND_TOL, (t_a, t_b, dist, ceiling)
+            worst = max(worst, dist - ceiling)
+    return worst
+
+
+def test_criterion_10_checker_accepts_rate_respecting_snapshots():
+    a = np.zeros(4)
+    b = np.full(4, 0.05)
+    assert _lipschitz_in_time_margin([(0.0, a), (1.0, b)], rate=1.0, dx=0.25) <= 0.0
+
+
+def test_criterion_10_checker_allows_only_the_bound_slack():
+    """The slack is K dt (1 + BOUND_TOL) + BOUND_TOL, as for the other
+    bounds: a distance 5e-11 above K dt is refused, and so is a nan."""
+    a = np.zeros(4)
+    ceiling = 0.1
+    at = np.full(4, ceiling)
+    assert _lipschitz_in_time_margin([(0.0, a), (1.0, at)], rate=ceiling, dx=0.25) == 0.0
+    for bad in (ceiling + 5e-11, math.nan):
+        with pytest.raises(AssertionError):
+            _lipschitz_in_time_margin([(0.0, a), (1.0, np.full(4, bad))], rate=ceiling, dx=0.25)
+
+
+def test_criterion_10_checker_rejects_fast_drift():
+    a = np.zeros(4)
+    b = np.full(4, 10.0)
+    with pytest.raises(AssertionError):
+        _lipschitz_in_time_margin([(0.0, a), (0.001, b)], rate=1.0, dx=0.25)
 
 
 def test_criterion_11_saturation_necessity():

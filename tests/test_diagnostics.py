@@ -20,7 +20,6 @@ from lagflow.diagnostics import (
     entropy_residual,
     l1_distance,
     l1_norm,
-    lipschitz_in_time_check,
     log_tv_amplification,
     speed_increment_bound,
     stability_bound,
@@ -287,32 +286,6 @@ def test_entropy_residual_matches_max_min_composition(kind):
     assert worst <= 1e-15
 
 
-def test_lipschitz_check_accepts_rate_respecting_snapshots():
-    a = np.zeros(4)
-    b = np.full(4, 0.05)
-    worst = lipschitz_in_time_check([(0.0, a), (1.0, b)], l1_time_rate=1.0, dx=0.25)
-    assert worst <= 0.0
-
-
-def test_lipschitz_check_allows_only_the_bound_slack():
-    """The slack is K dt (1 + BOUND_TOL) + BOUND_TOL, as for the other
-    bounds: a distance 5e-11 above K dt is refused."""
-    a = np.zeros(4)
-    ceiling = 0.1
-    at = np.full(4, ceiling)
-    assert lipschitz_in_time_check([(0.0, a), (1.0, at)], l1_time_rate=ceiling, dx=0.25) == 0.0
-    over = np.full(4, ceiling + 5e-11)
-    with pytest.raises(InvariantViolation, match="time-Lipschitz"):
-        lipschitz_in_time_check([(0.0, a), (1.0, over)], l1_time_rate=ceiling, dx=0.25)
-
-
-def test_lipschitz_check_rejects_fast_drift():
-    a = np.zeros(4)
-    b = np.full(4, 10.0)
-    with pytest.raises(InvariantViolation):
-        lipschitz_in_time_check([(0.0, a), (0.001, b)], l1_time_rate=1.0, dx=0.25)
-
-
 def _collector(n_final=4, tau=0.02, dx=0.05, boundary=FREE_FLOW):
     vel, sat, kernel = _model()
     grid = build_grid(0.0, 1.0, dx, 0.01, tau, 0.1)
@@ -471,7 +444,7 @@ class _PerStepCollector(DiagnosticsCollector):
         if n > 0:
             self.space_time_tv_time += l1_distance(level, self._prev_level, self.grid.dx)
             self.space_time_tv_space += self.grid.dt * self._prev_tv
-            if self.entropy_assert or (self.entropy_watch and is_row):
+            if self.entropy_assert or is_row:
                 residual = entropy_residual(
                     self._prev_level,
                     level,
@@ -512,12 +485,13 @@ _ORACLE_STATE = (
 )
 
 
-def _oracle_march(scheme, boundary, h, n_final, seed, sat=None, high=0.7):
+def _oracle_march(scheme, boundary, h, n_final, seed, sat=None, high=0.7, vel=None):
     """Grid, weights, model, constants and the observer calls of a random
     run: a datum in [0.2, high] on 50 cells, a kernel of length 0.5 (so
     the TV ceiling stays below an oscillating level's TV) and tau = h dt,
-    under linear saturation unless sat is given."""
-    vel = Velocity("normalized_greenshields")
+    under linear saturation and the normalized velocity unless sat or vel
+    is given."""
+    vel = vel or Velocity("normalized_greenshields")
     sat = sat or Saturation("linear", rho_max=1.0)
     kernel = Kernel("constant", length=0.5)
     dx = 0.02
@@ -575,8 +549,9 @@ def test_block_collector_matches_per_step_collector(small_blocks, scheme, bounda
     """Records, running maxima and space-time accumulators equal the
     per-step reference's bit for bit, with n_final below the block size
     and not a multiple of it, on runs that assert entropy (LF with
-    saturation) and on runs that watch it (HW, and both schemes without
-    saturation); with h = 12 the second block brings no new speed field."""
+    saturation) and on runs that report it at record rows (HW, and both
+    schemes without saturation); with h = 12 the second block brings no
+    new speed field."""
     for seed in range(3):
         for sat in (None, Saturation("none")):
             case, calls = _oracle_march(scheme, boundary, h, n_final, seed, sat=sat)
@@ -585,7 +560,6 @@ def test_block_collector_matches_per_step_collector(small_blocks, scheme, bounda
             err_ref, ref = _drive(_PerStepCollector, *args)
             assert err is None and err_ref is None
             assert col.entropy_assert == (scheme == "lf" and sat is None)
-            assert col.entropy_watch != col.entropy_assert
             assert len(col.records) == len(range(0, n_final, 3)) + 1
             assert _state(col) == _state(ref)
 
@@ -601,6 +575,62 @@ def test_block_collector_matches_per_step_collector_at_full_blocks(scheme, bound
     err_ref, ref = _drive(_PerStepCollector, case, calls, scheme, boundary, 700, stride=7)
     assert err is None and err_ref is None
     assert _state(col) == _state(ref)
+
+
+@pytest.mark.parametrize("stride", [7, 11])
+@pytest.mark.parametrize(
+    "scheme, sat", [("hw", None), ("lf", Saturation("none"))], ids=["hw", "lf_unsaturated"]
+)
+def test_reporting_blocks_without_a_record_step_skip_the_kernel(
+    monkeypatch, small_blocks, scheme, sat, stride
+):
+    """On a run that does not assert entropy, with a stride above B = 5,
+    some blocks hold no record step after step 0: the collector calls
+    EntropyBlock.residuals once on each block that holds one, on its
+    record steps only, and never on the others, and its records equal the
+    per-step reference's bit for bit."""
+    n_final = 23
+    case, calls = _oracle_march(scheme, FREE_FLOW, 2, n_final, 5, sat=sat)
+    residuals = diagnostics.EntropyBlock.residuals
+    rows = []
+
+    def spy(self, rho, *args):
+        rows.append(len(rho))
+        return residuals(self, rho, *args)
+
+    monkeypatch.setattr(diagnostics.EntropyBlock, "residuals", spy)
+    err, col = _drive(DiagnosticsCollector, case, calls, scheme, FREE_FLOW, n_final, stride)
+    assert err is None and not col.entropy_assert
+    record_steps = [n for n in range(1, n_final + 1) if n % stride == 0 or n == n_final]
+    blocks = {n // _ORACLE_ROWS for n in record_steps}
+    assert len(rows) == len(blocks) < n_final // _ORACLE_ROWS + 1
+    assert sum(rows) == len(record_steps)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, scheme, FREE_FLOW, n_final, stride)
+    assert err_ref is None
+    assert _state(col) == _state(ref)
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_cropped_velocity_reports_entropy_at_record_rows(scheme, boundary):
+    """A saturated run with the cropped velocity, which is not C^2,
+    asserts no entropy but reports the bound at its record rows: each row
+    after t = 0 holds the one-row entropy_residual of its step, bit for
+    bit, and at least the brute-force supremum over kappa less 1e-14;
+    only the row at t = 0 is nan."""
+    case, calls = _oracle_march(scheme, boundary, 2, 13, 6, vel=Velocity("cropped"))
+    grid, _, _, sat, constants = case
+    assert constants is None
+    err, col = _drive(DiagnosticsCollector, case, calls, scheme, boundary, 13)
+    assert err is None and not col.entropy_assert
+    values = {round(r.t / grid.dt): r.entropy_residual_max for r in col.records}
+    assert list(values) == [0, 3, 6, 9, 12, 13]
+    assert math.isnan(values.pop(0))
+    for n, value in values.items():
+        (_, rho, speeds), (_, rho_next, _) = calls[n - 1], calls[n]
+        args = (grid.lam, sat, boundary, scheme, grid.alpha)
+        assert value.hex() == entropy_residual(rho, rho_next, speeds, *args).hex()
+        assert value >= brute_force_entropy(rho, rho_next, speeds[1:-1], *args) - 1e-14
 
 
 def _spike_speeds(call):
@@ -772,8 +802,8 @@ def test_block_sizes_follow_block_bytes():
     block, the (B + 1, J + 2) speed block, the (B, J) scratch block and a
     ring of min(h, N_T) + 1 reaches, and the march holds two (b, J + 2)
     blocks of speed fields, b = max(1, min(h, BLOCK_BYTES // 8 (J + 2)));
-    an entropy-asserting run adds the block kernel's three (B, J + 2) and
-    four (B, J) float rows."""
+    every run adds the block entropy kernel's three (B, J + 2) and four
+    (B, J) float rows."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
     assert diagnostics.block_rows(10**6) == 1
@@ -781,10 +811,10 @@ def test_block_sizes_follow_block_bytes():
     assert schemes.speed_rows(4000, 6192) == 4
     assert schemes.speed_rows(1000, 3) == 3
     assert schemes.speed_rows(1000, 0) == schemes.speed_rows(10**6, 9) == 1
-    watched = ((2 * 47 + 1) * 344 + (48 + 2 * 47) * 346 + 2194) * 8
-    assert diagnostics.block_bytes(344, 2193, 10965, False) == watched
+    blocks = ((2 * 47 + 1) * 344 + (48 + 2 * 47) * 346 + 2194) * 8
     kernel = (3 * 47 * 346 + 4 * 47 * 344) * 8
-    assert diagnostics.block_bytes(344, 2193, 10965, True) == watched + kernel
+    assert kernel == diagnostics.EntropyBlock.bytes_for(47, 344) == 907664
+    assert diagnostics.block_bytes(344, 2193, 10965) == blocks + kernel
 
 
 def _array_bytes(obj):
@@ -799,8 +829,8 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     """block_bytes, which the manifest reports and the history budget
     counts, is every array a fresh collector holds (its blocks and reach
     ring), the march's two live blocks of speed_rows(J, h) speed fields
-    and, on an LF run that asserts entropy, every array of its entropy
-    block kernel; an HW run builds no kernel."""
+    and every array of its entropy block kernel, on runs that assert
+    entropy (LF) and on runs that do not (HW)."""
     vel, sat, _ = _model()
     dx = 1.0 / cells
     for scheme, alpha in (("lf", 2.0), ("hw", None)):
@@ -810,11 +840,8 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
         col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, 1, n_final)
         assert col.entropy_assert == (scheme == "lf")
         held = _array_bytes(col) + 2 * schemes.speed_rows(cells, h) * (cells + 2) * 8
-        if col.entropy_assert:
-            held += _array_bytes(col._entropy_work)
-        else:
-            assert col._entropy_work is None
-        assert held == diagnostics.block_bytes(cells, h, n_final, col.entropy_assert)
+        held += _array_bytes(col._entropy_work)
+        assert held == diagnostics.block_bytes(cells, h, n_final)
 
 
 # ---------------------------------------------------------------------------
@@ -909,12 +936,12 @@ def test_block_kernel_bounds_the_sampled_kernel_on_preset_runs(monkeypatch, name
     residuals = diagnostics.EntropyBlock.residuals
     steps = []
 
-    def spy(self, rho, rho_next, speeds, fields, lam, sat, boundary, scheme, alpha):
-        out = residuals(self, rho, rho_next, speeds, fields, lam, sat, boundary, scheme, alpha)
+    def spy(self, rho, rho_next, speeds, fields):
+        out = residuals(self, rho, rho_next, speeds, fields)
         for i, field in enumerate(fields):
             sampled = broadcast_entropy_matrix(
-                rho[i], rho_next[i], speeds[field, 1:-1], lam, sat, boundary,
-                default_kappas(rho_max, rho[i]), scheme, alpha,
+                rho[i], rho_next[i], speeds[field, 1:-1], self.lam, self.sat, self.boundary,
+                default_kappas(rho_max, rho[i]), self.scheme, self.alpha,
             )
             assert out[i] >= np.max(sampled) - 1e-15, (len(steps), out[i], np.max(sampled))
             steps.append(out[i])
@@ -992,13 +1019,13 @@ def test_block_entropy_equals_per_step_bits(boundary, law):
             ]
             assert any(float.fromhex(x) > 0.0 for x in expected)
             for rows in (1, 2, 3, 4, 5, diagnostics.block_rows(n)):
-                block = diagnostics.EntropyBlock(rows, n)
+                block = diagnostics.EntropyBlock(rows, n, lam, sat, boundary, scheme, alpha)
                 got = []
                 for first in range(0, steps, rows):
                     rho = levels[first : min(first + rows, steps)]
                     got += block.residuals(
                         rho, levels[first + 1 : first + 1 + len(rho)], table,
-                        fields[first : first + len(rho)], lam, sat, boundary, scheme, alpha,
+                        fields[first : first + len(rho)],
                     ).tolist()
                 assert [x.hex() for x in got] == expected, (scheme, n, rows)
 
@@ -1046,16 +1073,17 @@ def test_certified_blocks_give_the_full_path_bits(monkeypatch, scheme, boundary,
                     rho_next[i] = hw_step(rho[i], table[fields[i]], lam, sat, work)
         if trial % 5 == 4:
             rho_next[:, rng.integers(n)] += rng.choice([1e-3, -1e-3])
-        args = (rho, rho_next, table, fields, lam, sat, boundary, scheme, alpha)
+        args = (rho, rho_next, table, fields)
+        constants = (lam, sat, boundary, scheme, alpha)
         with monkeypatch.context() as patch:
             seen = []
             patch.setattr(
                 diagnostics.EntropyBlock, "_certified",
                 lambda self, *a: seen.append(certified(self, *a)) or seen[-1],
             )
-            fast = diagnostics.EntropyBlock(4, n).residuals(*args)
+            fast = diagnostics.EntropyBlock(4, n, *constants).residuals(*args)
             patch.setattr(diagnostics.EntropyBlock, "_certified", lambda self, *a: False)
-            full = diagnostics.EntropyBlock(4, n).residuals(*args)
+            full = diagnostics.EntropyBlock(4, n, *constants).residuals(*args)
         assert fast.tobytes() == full.tobytes(), (case, trial)
         outcomes[case].add(seen[0])
     assert outcomes["inside"] == {True}

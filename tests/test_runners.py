@@ -79,16 +79,20 @@ def test_collector_checks_gate_on_hypotheses():
         )
         return simulate(resolve_scenario(scenario)).collector
 
+    def reported(c):
+        """Whether every record row after t = 0 carries an entropy value."""
+        return all(math.isfinite(r.entropy_residual_max) for r in c.records[1:])
+
     c = checks(vel, sat_none, "hw", "free_flow")
     assert not c.positivity and c.rho_ceiling is None and not c.tv_ceiling
-    assert not c.entropy_assert and c.entropy_watch
+    assert not c.entropy_assert and reported(c)
     c = checks(vel, sat, "lf", "free_flow")
-    assert c.entropy_assert and not c.entropy_watch
+    assert c.entropy_assert and reported(c)
     c = checks(vel, sat_none, "lf", "free_flow")
-    assert not c.entropy_assert and c.entropy_watch
+    assert not c.entropy_assert and reported(c)
     c = checks(cropped, sat, "lf", "periodic")
     assert c.conserve_mass and not c.tv_ceiling and not c.entropy_assert
-    assert not c.entropy_watch
+    assert reported(c) and math.isnan(c.records[0].entropy_residual_max)
 
 
 def test_simulate_captures_snapshots_at_requested_times():
@@ -137,19 +141,18 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 def test_manifest_reports_block_bytes(tmp_path):
     """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
     (B + 1, J + 2) speed fields, the (B, J) scratch and a ring of
-    min(h, N_T) + 1 reaches, and the march's two blocks of h speed fields
-    (h is below BLOCK_BYTES // 8 (J + 2)); the LF run, which asserts
-    entropy, adds the entropy block kernel's three (B, J + 2) and four
-    (B, J) rows.  The budget counts them with the history."""
-    for scheme, h, n_steps, entropy in (("hw", 2, 10, False), ("lf", 4, 20, True)):
+    min(h, N_T) + 1 reaches, the entropy block kernel's three (B, J + 2)
+    and four (B, J) rows, and the march's two blocks of h speed fields (h
+    is below BLOCK_BYTES // 8 (J + 2)), whether or not the run asserts
+    entropy.  The budget counts them with the history."""
+    for scheme, h, n_steps in (("hw", 2, 10), ("lf", 4, 20)):
         run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
         manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
         expected = ((2 * 327 + 1) * 50 + (328 + 2 * h) * 52 + h + 1) * 8
-        if entropy:
-            expected += (3 * 327 * 52 + 4 * 327 * 50) * 8
+        expected += (3 * 327 * 52 + 4 * 327 * 50) * 8
         assert f"n_steps = {n_steps}" in manifest
         assert f"block_bytes = {expected}" in manifest
-        assert diagnostics.block_bytes(50, h, n_steps, entropy) == expected
+        assert diagnostics.block_bytes(50, h, n_steps) == expected
 
 
 def test_step_error_reports_earlier_violation_of_its_block(monkeypatch):
