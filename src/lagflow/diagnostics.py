@@ -344,8 +344,8 @@ class EntropyBlock:
     max_j (|c_j| + 2 (hi_j - lo_j) m_j) of the lemma in entropy_residual.
     A block forms lo, hi and the monotonicity defect m only when a few
     reductions over it cannot prove every m_j to be 0 (see _certified).
-    (B, J + 2) rows: the ghost-extended level r, f on it (then the fluxes)
-    and the speed fields; (B, J) rows: lo, hi, the defect and a work row.
+    (B, J + 2) rows: the ghost-extended level r and f on it (then the
+    fluxes); (B, J) rows: lo, hi, the defect and a work row.
     """
 
     def __init__(
@@ -368,26 +368,23 @@ class EntropyBlock:
         self.boundary = boundary
         self.scheme = scheme
         self.alpha = alpha
-        self.r, self.f, self.v = np.empty((3, rows, cells + 2))
+        self.r, self.f = np.empty((2, rows, cells + 2))
         self.lo, self.hi, self.c, self.t = np.empty((4, rows, cells))
 
     @staticmethod
     def bytes_for(rows: int, cells: int) -> int:
         """Bytes of the buffers of a kernel for B rows of J cells."""
-        return (3 * rows * (cells + 2) + 4 * rows * cells) * 8
+        return (2 * rows * (cells + 2) + 4 * rows * cells) * 8
 
-    def residuals(
-        self, rho: np.ndarray, rho_next: np.ndarray, speeds: np.ndarray, fields: np.ndarray
-    ) -> np.ndarray:
+    def residuals(self, rho: np.ndarray, rho_next: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The entropy bound of each of m steps (see entropy_residual).
 
         Step i goes from rho[i] to rho_next[i] (m x J) and reads the speed
-        field speeds[fields[i]] (J + 2 cells).  A step's value is nan when
-        it is not finite, and a zero is +0.
+        field v[i] (J + 2 cells), all read in place and never written.  A
+        step's value is nan when it is not finite, and a zero is +0.
         """
         m = len(rho)
-        v, c, t = self.v[:m], self.c[:m], self.t[:m]
-        np.take(speeds, fields, axis=0, out=v, mode="clip")
+        c, t = self.c[:m], self.t[:m]
         # c = rho' - H(rho), with H(rho) from the function the march runs
         update(
             self.scheme, rho.T, v.T, self.lam, self.alpha, self.sat, self.boundary,
@@ -395,7 +392,7 @@ class EntropyBlock:
         )
         np.subtract(rho_next, t, out=c)
         np.abs(c, out=c)
-        if self._monotonicity_defect(m, rho_next):
+        if self._monotonicity_defect(rho_next, v):
             hi = self.hi[:m]
             hi -= self.lo[:m]
             hi *= t
@@ -405,9 +402,9 @@ class EntropyBlock:
         out[~np.isfinite(out)] = np.nan
         return out
 
-    def _certified(self, m: int, rho_next: np.ndarray) -> bool:
-        """Whether every m_j of the first m steps is 0, proved from a few
-        reductions over the block, so that lo, hi and m need not be formed.
+    def _certified(self, rho_next: np.ndarray, v: np.ndarray) -> bool:
+        """Whether every m_j of the block's steps is 0, proved from a few
+        reductions over it, so that lo, hi and m need not be formed.
 
         LF: lam alpha <= 1 and Phi max|V| <= alpha make both terms of m_j
         0.  HW: V >= 0 on the cells the step reads (V_j, V_{j+1}), the
@@ -427,7 +424,7 @@ class EntropyBlock:
 
         A nan anywhere fails a comparison, so the block is not certified.
         """
-        r, v = self.r[:m], self.v[:m]
+        r = self.r[: len(v)]
         lam, alpha, d = self.lam, self.alpha, self.sat.d1_sup
         if self.scheme == LAX_FRIEDRICHS:
             phi = 1.0 + self.sat.rho_max * d
@@ -441,13 +438,14 @@ class EntropyBlock:
             and (level_top * top * d + top) * lam <= 1.0
         )
 
-    def _monotonicity_defect(self, m: int, rho_next: np.ndarray) -> bool:
-        """Whether some m_j of the first m steps is not 0; if so, m_j is in
+    def _monotonicity_defect(self, rho_next: np.ndarray, v: np.ndarray) -> bool:
+        """Whether some m_j of the block's steps is not 0; if so, m_j is in
         the work rows t and lo_j, hi_j in lo and hi.  f serves as scratch,
         and r once lo and hi are formed."""
-        if self._certified(m, rho_next):
+        if self._certified(rho_next, v):
             return False
-        r, v, lo, hi, t = self.r[:m], self.v[:m], self.lo[:m], self.hi[:m], self.t[:m]
+        m = len(v)
+        r, lo, hi, t = self.r[:m], self.lo[:m], self.hi[:m], self.t[:m]
         lam, alpha, d = self.lam, self.alpha, self.sat.d1_sup
         if self.scheme == LAX_FRIEDRICHS:
             # max(0, lam alpha - 1) + (lam / 2) sum max(0, Phi |V_{j+-1}| - alpha)
@@ -559,13 +557,10 @@ def entropy_residual(
     the kernel the collector runs on whole blocks.
     """
     rho = np.asarray(rho, dtype=float)
+    rho_next = np.asarray(rho_next, dtype=float)
+    v_lag = np.asarray(v_lag, dtype=float)
     block = EntropyBlock(1, rho.size, lam, sat, boundary, scheme, alpha)
-    return float(
-        block.residuals(
-            rho[None], np.asarray(rho_next, dtype=float)[None],
-            np.asarray(v_lag, dtype=float)[None], np.zeros(1, np.intp),
-        )[0]
-    )
+    return float(block.residuals(rho[None], rho_next[None], v_lag[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +573,11 @@ def block_rows(n_cells: int) -> int:
 
 def block_bytes(n_cells: int, h: int, n_steps: int) -> int:
     """Bytes of one collector's buffers and of the march's live speed
-    blocks: the (B + 1, J) level block, the (B + 1, J + 2) speed block,
-    the (B, J) scratch block, the ring of min(h, N_T) + 1 reaches and the
-    EntropyBlock of B rows, plus the two (b, J + 2) blocks of speed fields
-    schemes.run holds at once, b = schemes.speed_rows(J, h), all float64.
-    They hold no kappa (see entropy_residual)."""
+    blocks: the (B + 1, J) level and (B + 1, J + 2) speed blocks, row for
+    row, the (B, J) scratch block, the ring of min(h, N_T) + 1 reaches and
+    the EntropyBlock of B rows, plus the two (b, J + 2) blocks of speed
+    fields schemes.run holds at once, b = schemes.speed_rows(J, h), all
+    float64.  They hold no kappa (see entropy_residual)."""
     rows = block_rows(n_cells)
     blocks = (2 * rows + 1) * n_cells + (rows + 1 + 2 * speed_rows(n_cells, h)) * (n_cells + 2)
     return (blocks + min(h, n_steps) + 1) * 8 + EntropyBlock.bytes_for(rows, n_cells)
@@ -623,28 +618,31 @@ class DiagnosticsCollector:
 
     Every step is checked: positivity, the maximum principle, mass
     conservation, the TV ceiling and the asserted entropy residual at each
-    one, and the speed adjacent-difference bound once per speed field
-    (schemes.run hands the same read-only speed field, with its ghost
-    cells, to consecutive steps that read the same lagged level, so a call
-    whose speeds are the previous call's object brings no new field).  The
-    checks run a block of steps at a time: a call copies its level, and a
-    new field whole, into preallocated buffers of block_rows(J) rows, and
-    flush() reduces the whole block with one NumPy call per statistic,
-    computes every entropy value the walk will read, then walks its rows
-    in step order.  The entropy values come from one call of the run's
-    EntropyBlock (see entropy_residual) per flush, on every step when the
-    run asserts entropy and otherwise on the record steps after step 0,
-    with no call when there are none; the other rows read nan.  The walk
-    calls no entropy function: it reads each step's value and refuses an
-    asserted one unless it is at most ENTROPY_TOL.  Every check refuses a
-    value unless it is within its bound, so a nan fails each one.
-    The bound of a field first seen at step n needs sup|rho| of level
-    max(n - h, 0): the walk writes each step's max(|min|, |max|) into a
-    ring of min(h, n_final) + 1 entries before the row's speed check.  A
-    violation therefore surfaces up to a block later than its step, but
-    reports its own step with the message a per-step check would give,
-    and an earlier step's violation wins.  flush() runs when the block is
-    full and at step n_final; a caller that stops before n_final
+    one, and the speed adjacent-difference bound at least once per speed
+    field (schemes.run hands the same read-only speed field, with its
+    ghost cells, to consecutive steps that read the same lagged level, so
+    a call whose speeds are the previous call's object brings no new
+    field).  The checks run a block of steps at a time: call i of a block
+    copies its level and its speed field into row i + 1 of two buffers of
+    block_rows(J) + 1 rows, and flush() reduces the whole block with one
+    NumPy call per statistic, computes every entropy value the walk will
+    read, then walks its rows in step order.  The speed check covers every
+    call from the block's first new field on; of these, under schemes.run,
+    only calls 1..h of the first block repeat a field (the datum's),
+    checked again against its bound.  The entropy values come from one
+    call of the run's EntropyBlock (see entropy_residual) per flush, on
+    every step when the run asserts entropy and otherwise on the record
+    steps after step 0, with no call when there are none; the other rows
+    read nan.  The walk calls no entropy function: it reads each step's
+    value and refuses an asserted one unless it is at most ENTROPY_TOL.
+    Every check refuses a value unless it is within its bound, so a nan
+    fails each one.  The bound of the field of call n needs sup|rho| of
+    level max(n - h, 0): the walk writes each step's max(|min|, |max|)
+    into a ring of min(h, n_final) + 1 entries before the row's speed
+    check.  A violation therefore surfaces up to a block later than its
+    step, but reports its own step with the message a per-step check would
+    give, and an earlier step's violation wins.  flush() runs when the
+    block is full and at step n_final; a caller that stops before n_final
     (runners.simulate on a StepError) calls it itself.  Calls come with
     n = 0, 1, 2, ... in order, as schemes.run makes them.
 
@@ -693,10 +691,10 @@ class DiagnosticsCollector:
         self.space_time_tv_space = 0.0
         self.space_time_tv_time = 0.0
         self._mass0: float | None = None
-        # levels of the block in rows 1..count and its new speed fields,
-        # with their ghost cells, in rows 1..; row 0 carries the last level
-        # and the last field of the previous block (zero before step 0, so
-        # the entropy kernel's unread step-0 row reads defined values)
+        # row i + 1 holds call i's level and its speed field, with its
+        # ghost cells, so step r reads level rows r, r + 1 and speed row r;
+        # row 0 carries the previous block's last call (zero before step
+        # 0, so the entropy kernel's unread step-0 row reads defined values)
         rows, cells = block_rows(grid.n_cells), grid.n_cells
         self._levels = np.zeros((rows + 1, cells))
         self._speeds = np.zeros((rows + 1, cells + 2))
@@ -705,9 +703,10 @@ class DiagnosticsCollector:
         self._reach = np.empty(min(grid.delay_steps, n_final) + 1)
         self._count = 0
         self._last_n = -1
-        # block row at which each buffered speed field first appears
-        self._field_rows: list[int] = []
+        # the last call's speeds object, kept across blocks, and the
+        # block's first call that brings another (B while none has)
         self._prev_speeds: np.ndarray | None = None
+        self._new_from = rows
         # TV of the carry row's step
         self._prev_tv = 0.0
         self._entropy_work = EntropyBlock(rows, cells, grid.lam, sat, boundary, scheme, grid.alpha)
@@ -715,39 +714,39 @@ class DiagnosticsCollector:
     def __call__(self, n: int, level: np.ndarray, speeds: np.ndarray) -> None:
         i = self._count
         self._levels[i + 1] = level
+        self._speeds[i + 1] = speeds
         if speeds is not self._prev_speeds:
-            self._speeds[len(self._field_rows) + 1] = speeds
-            self._field_rows.append(i)
             self._prev_speeds = speeds
+            self._new_from = min(self._new_from, i)
         self._count = i + 1
         self._last_n = n
         if i + 1 == len(self._scratch) or n == self.n_final:
             self.flush()
 
-    def _check_speeds(self, count: int) -> list[float]:
-        """Increment gap max|V_{j+1} - V_j| of each of the block's first
-        count speed fields; none for a field of fewer than two cells."""
+    def _check_speeds(self, start: int, stop: int) -> list[float]:
+        """Increment gap max|V_{j+1} - V_j| of the speed field of each of
+        the block's calls start..stop - 1; none for fewer than two cells."""
         cells = self._scratch.shape[1]
         if cells < 2:
             return []
-        diff = self._scratch[:count, : cells - 1]
-        speeds = self._speeds[1 : count + 1, 1:-1]
+        diff = self._scratch[: stop - start, : cells - 1]
+        speeds = self._speeds[start + 1 : stop + 1, 1:-1]
         np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
         return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
-    def _residuals(self, m, field_rows, records) -> list[float]:
+    def _residuals(self, m, records) -> list[float]:
         """The entropy value of each of the block's m steps that the walk
         reads, nan where the run computes none.
 
-        Step r goes from level row r to row r + 1 and reads the speed
-        field of the call before it.  An asserting run evaluates every
-        step, any other run the steps after step 0 that records marks, in
-        one EntropyBlock call, and none when there are no such steps.
+        Step r goes from level row r to row r + 1 and reads speed row r.
+        An asserting run evaluates every step, on views of the buffers,
+        any other run the steps after step 0 that records marks, in one
+        EntropyBlock call, and none when there are no such steps.
         """
-        levels = self._levels
+        levels, speeds = self._levels, self._speeds
         if self.entropy_assert:
             steps = range(m)
-            rho, rho_next = levels[:m], levels[1 : m + 1]
+            rho, rho_next, v = levels[:m], levels[1 : m + 1], speeds[:m]
         else:
             # picked in Python: a NumPy mask on every flush costs more than
             # the few rows it selects
@@ -755,11 +754,8 @@ class DiagnosticsCollector:
             steps = [r for r in range(max(1 - first, 0), m) if records[r]]
             if not steps:
                 return [math.nan] * m
-            rho, rho_next = levels[steps], levels[[r + 1 for r in steps]]
-        # step r reads speed row k, k the number of fields first seen
-        # before row r (row 0 is the carry's field)
-        fields = np.searchsorted(field_rows, steps)
-        values = self._entropy_work.residuals(rho, rho_next, self._speeds, fields)
+            rho, rho_next, v = levels[steps], levels[[r + 1 for r in steps]], speeds[steps]
+        values = self._entropy_work.residuals(rho, rho_next, v)
         residuals = [math.nan] * m
         for r, value in zip(steps, values.tolist()):
             residuals[r] = value
@@ -771,7 +767,7 @@ class DiagnosticsCollector:
         if m == 0:
             return
         self._count = 0
-        field_rows, self._field_rows = self._field_rows, []
+        new_from, self._new_from = min(self._new_from, m), len(self._scratch)
         levels = self._levels
         rows = levels[1 : m + 1]
         scratch = self._scratch[:m]
@@ -793,11 +789,9 @@ class DiagnosticsCollector:
         l1s = (np.add.reduce(np.abs(rows, out=scratch), axis=1) * grid.dx).tolist()
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
-        gaps = self._check_speeds(len(field_rows))
-        residuals = self._residuals(m, field_rows, records)
+        gaps = self._check_speeds(new_from, m)
+        residuals = self._residuals(m, records)
 
-        field = 0
-        field_row = field_rows[0] if field_rows else -1
         reach, ring, h = self._reach, len(self._reach), grid.delay_steps
         # each check refuses a value that does not compare true with its
         # bound, so a nan fails it
@@ -807,13 +801,13 @@ class DiagnosticsCollector:
             lo, hi = lows[r], highs[r]
             linf = max(abs(lo), abs(hi))
             reach[n % ring] = linf
-            new_field = r == field_row
-            if new_field and gaps:
+            if r >= new_from and gaps:
+                gap = gaps[r - new_from]
                 lagged_sup = max(self.vel.rho_max, float(reach[max(n - h, 0) % ring]))
                 speed_bound = speed_increment_bound(self.vel, self.weights, lagged_sup)
-                if not gaps[field] <= speed_bound + SPEED_TOL:
+                if not gap <= speed_bound + SPEED_TOL:
                     raise InvariantViolation(
-                        f"step {n}: speed increment {gaps[field]} exceeds bound {speed_bound}"
+                        f"step {n}: speed increment {gap} exceeds bound {speed_bound}"
                     )
 
             self.sup_density = max(self.sup_density, hi)
@@ -874,11 +868,7 @@ class DiagnosticsCollector:
                     )
                 )
 
-            if new_field:
-                field += 1
-                field_row = field_rows[field] if field < len(field_rows) else -1
             self._prev_tv = tv
 
-        if field_rows:
-            self._speeds[0] = self._speeds[len(field_rows)]
+        self._speeds[0] = self._speeds[m]
         levels[0] = levels[m]

@@ -398,6 +398,7 @@ class _PerStepCollector(DiagnosticsCollector):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._prev_level = None
+        self._prev_speeds = None
         self._levels_seen = []
 
     def flush(self):
@@ -544,17 +545,21 @@ def small_blocks(monkeypatch):
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 @pytest.mark.parametrize("n_final", [3, 13])
-@pytest.mark.parametrize("h", [2, 6, 12])
+@pytest.mark.parametrize("h", [2, 3, 4, 5, 6, 12])
 def test_block_collector_matches_per_step_collector(small_blocks, scheme, boundary, n_final, h):
     """Records, running maxima and space-time accumulators equal the
     per-step reference's bit for bit, with n_final below the block size
     and not a multiple of it, on runs that assert entropy (LF with
     saturation) and on runs that report it at record rows (HW, and both
-    schemes without saturation); with h = 12 the second block brings no
-    new speed field."""
+    schemes without saturation).  The first new speed field after the
+    datum's (call h + 1) falls on the first block's last row (h = 3), on
+    the second block's first row (h = 4), mid-block (h = 5, 6) and in the
+    third block, after a block that brings none (h = 12)."""
     for seed in range(3):
         for sat in (None, Saturation("none")):
             case, calls = _oracle_march(scheme, boundary, h, n_final, seed, sat=sat)
+            new = [n for n in range(1, len(calls)) if calls[n][2] is not calls[n - 1][2]]
+            assert new[:1] == ([h + 1] if h < n_final else [])
             args = (case, calls, scheme, boundary, n_final)
             err, col = _drive(DiagnosticsCollector, *args)
             err_ref, ref = _drive(_PerStepCollector, *args)
@@ -608,6 +613,71 @@ def test_reporting_blocks_without_a_record_step_skip_the_kernel(
     err_ref, ref = _drive(_PerStepCollector, case, calls, scheme, FREE_FLOW, n_final, stride)
     assert err_ref is None
     assert _state(col) == _state(ref)
+
+
+def test_asserting_kernel_reads_the_collector_rows_in_place(monkeypatch, small_blocks):
+    """On an asserting LF run each EntropyBlock.residuals call reads views
+    of the collector's level and speed blocks, with no copy: row r of v is
+    the speed field of the call before step r (the previous block's last
+    call at r = 0).  With h = 6 and B = 5 the datum's field fills the first
+    block, and the first new field (call 7) falls mid-block in the second."""
+    case, calls = _oracle_march("lf", FREE_FLOW, 6, 13, 7)
+    grid, weights, vel, sat, constants = case
+    col = DiagnosticsCollector(grid, weights, vel, sat, "lf", FREE_FLOW, constants, 3, 13)
+    assert col.entropy_assert
+    residuals = diagnostics.EntropyBlock.residuals
+    firsts = []
+
+    def spy(self, rho, rho_next, v):
+        assert np.shares_memory(rho, col._levels) and np.shares_memory(rho_next, col._levels)
+        assert np.shares_memory(v, col._speeds)
+        first = col._last_n - len(v) + 1
+        for r in range(max(1 - first, 0), len(v)):
+            assert np.array_equal(v[r], calls[first + r - 1][2])
+        firsts.append(first)
+        return residuals(self, rho, rho_next, v)
+
+    monkeypatch.setattr(diagnostics.EntropyBlock, "residuals", spy)
+    for call in calls:
+        col(*call)
+    assert firsts == [0, 5, 10]
+    assert col.entropy_max == 0.0
+
+
+@pytest.mark.parametrize("scheme, high", [("lf", 4.0), ("hw", 1.8)], ids=["lf", "hw"])
+def test_block_kernel_writes_nothing_into_its_speed_rows(monkeypatch, small_blocks, scheme, high):
+    """Every EntropyBlock.residuals call of a collector gives the same bits
+    when its v is a read-only view as on a writable copy, so the kernel
+    never writes into the collector's speed rows: on certified blocks (a
+    saturated run) and on blocks the certificate refuses (an unsaturated
+    run whose speeds go negative, below -alpha on LF), every step a
+    record."""
+    residuals = diagnostics.EntropyBlock.residuals
+    certified = diagnostics.EntropyBlock._certified
+    outcomes = {}
+
+    def spy(self, rho, rho_next, v):
+        read_only = v.view()
+        read_only.flags.writeable = False
+        out = residuals(self, rho, rho_next, read_only)
+        assert out.tobytes() == residuals(self, rho, rho_next, v.copy()).tobytes()
+        return out
+
+    def seen(self, *args):
+        result = certified(self, *args)
+        outcomes.setdefault(kind, set()).add(result)
+        return result
+
+    monkeypatch.setattr(diagnostics.EntropyBlock, "residuals", spy)
+    monkeypatch.setattr(diagnostics.EntropyBlock, "_certified", seen)
+    for kind, sat, top in (("saturated", None, 0.7), ("unsaturated", Saturation("none"), high)):
+        case, calls = _oracle_march(scheme, FREE_FLOW, 2, 13, 2, sat=sat, high=top)
+        err, col = _drive(DiagnosticsCollector, case, calls, scheme, FREE_FLOW, 13, stride=1)
+        assert err is None
+        assert col.entropy_assert == (scheme == "lf" and sat is None)
+        if sat is not None:
+            assert min(float(np.min(v)) for _, _, v in calls) < -(case[0].alpha or 0.0)
+    assert outcomes == {"saturated": {True}, "unsaturated": {False}}
 
 
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
@@ -686,7 +756,8 @@ _VIOLATIONS = {
 def test_block_collector_raises_per_step_violation(small_blocks, kind, step, h):
     """A violation injected at the first, a middle or the last row of the
     second block raises the reference's exception, message and step; with
-    h = 6 the block's rows and speed fields are not aligned."""
+    h = 6 that block's calls 5 and 6 repeat the datum's speed field and
+    the first new one (call 7) falls mid-block."""
     scheme, boundary, inject, fragment = _VIOLATIONS[kind]
     case, calls = _oracle_march(scheme, boundary, h, 13, 1)
     calls[step] = inject(calls[step])
@@ -802,7 +873,7 @@ def test_block_sizes_follow_block_bytes():
     block, the (B + 1, J + 2) speed block, the (B, J) scratch block and a
     ring of min(h, N_T) + 1 reaches, and the march holds two (b, J + 2)
     blocks of speed fields, b = max(1, min(h, BLOCK_BYTES // 8 (J + 2)));
-    every run adds the block entropy kernel's three (B, J + 2) and four
+    every run adds the block entropy kernel's two (B, J + 2) and four
     (B, J) float rows."""
     assert diagnostics.block_rows(344) == 47
     assert diagnostics.block_rows(4000) == 4
@@ -812,8 +883,8 @@ def test_block_sizes_follow_block_bytes():
     assert schemes.speed_rows(1000, 3) == 3
     assert schemes.speed_rows(1000, 0) == schemes.speed_rows(10**6, 9) == 1
     blocks = ((2 * 47 + 1) * 344 + (48 + 2 * 47) * 346 + 2194) * 8
-    kernel = (3 * 47 * 346 + 4 * 47 * 344) * 8
-    assert kernel == diagnostics.EntropyBlock.bytes_for(47, 344) == 907664
+    kernel = (2 * 47 * 346 + 4 * 47 * 344) * 8
+    assert kernel == diagnostics.EntropyBlock.bytes_for(47, 344) == 777568
     assert diagnostics.block_bytes(344, 2193, 10965) == blocks + kernel
 
 
@@ -936,11 +1007,11 @@ def test_block_kernel_bounds_the_sampled_kernel_on_preset_runs(monkeypatch, name
     residuals = diagnostics.EntropyBlock.residuals
     steps = []
 
-    def spy(self, rho, rho_next, speeds, fields):
-        out = residuals(self, rho, rho_next, speeds, fields)
-        for i, field in enumerate(fields):
+    def spy(self, rho, rho_next, v):
+        out = residuals(self, rho, rho_next, v)
+        for i in range(len(v)):
             sampled = broadcast_entropy_matrix(
-                rho[i], rho_next[i], speeds[field, 1:-1], self.lam, self.sat, self.boundary,
+                rho[i], rho_next[i], v[i, 1:-1], self.lam, self.sat, self.boundary,
                 default_kappas(rho_max, rho[i]), self.scheme, self.alpha,
             )
             assert out[i] >= np.max(sampled) - 1e-15, (len(steps), out[i], np.max(sampled))
@@ -1024,8 +1095,8 @@ def test_block_entropy_equals_per_step_bits(boundary, law):
                 for first in range(0, steps, rows):
                     rho = levels[first : min(first + rows, steps)]
                     got += block.residuals(
-                        rho, levels[first + 1 : first + 1 + len(rho)], table,
-                        fields[first : first + len(rho)],
+                        rho, levels[first + 1 : first + 1 + len(rho)],
+                        table[fields[first : first + len(rho)]],
                     ).tolist()
                 assert [x.hex() for x in got] == expected, (scheme, n, rows)
 
@@ -1073,7 +1144,7 @@ def test_certified_blocks_give_the_full_path_bits(monkeypatch, scheme, boundary,
                     rho_next[i] = hw_step(rho[i], table[fields[i]], lam, sat, work)
         if trial % 5 == 4:
             rho_next[:, rng.integers(n)] += rng.choice([1e-3, -1e-3])
-        args = (rho, rho_next, table, fields)
+        args = (rho, rho_next, table[fields])
         constants = (lam, sat, boundary, scheme, alpha)
         with monkeypatch.context() as patch:
             seen = []

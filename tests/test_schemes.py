@@ -9,7 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lagflow import schemes
+from lagflow import diagnostics, schemes
 
 from lagflow.diagnostics import DiagnosticsCollector, speed_increment_bound
 from lagflow.discretization import build_grid, discretize_kernel
@@ -266,19 +266,27 @@ def _delayed_case(h, n_steps):
 
 
 @pytest.mark.parametrize(
-    "h, n_steps",
-    [(0, 7), (6, 4), (6, 6), (6, 9), (6, 15)],
-    ids=["h0", "NT_below_h", "NT_equal_h", "NT_below_2h", "NT_above_2h"],
+    "h, n_steps, check_rows",
+    [(0, 7, None), (6, 4, None), (6, 6, None), (6, 9, None), (6, 15, None), (6, 15, 4)],
+    ids=["h0", "NT_below_h", "NT_equal_h", "NT_below_2h", "NT_above_2h", "NT_above_2h_B4"],
 )
-def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
+def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps, check_rows):
     """lagged_speeds convolves max(N_T - h, 0) + 1 levels in all, at most
     speed_rows(J, h) per call, push_level runs max(N_T - h, 0) times and
     the step N_T times, each looked up as a schemes global (perfbench's
-    traced layers wrap them there); the collector checks each speed field
-    once (its block checks count fields each), and between steps the
-    history holds at most min(h, max(N_T - h, 0)) levels behind its
-    head."""
+    traced layers wrap them there); the collector's block checks cover
+    each block's calls from its first new speed field on, so they count
+    every call of the first block and every later call with n > h, each
+    distinct field at least once; and between steps the history holds at
+    most min(h, max(N_T - h, 0)) levels behind its head.  B is the
+    module's (above N_T) or check_rows, which splits the run into blocks
+    of 4 calls: calls 0..3 (all checked), 4..7 (only call 7 brings a new
+    field), then 8..11 and 12..15."""
+    if check_rows is not None:
+        monkeypatch.setattr(diagnostics, "BLOCK_BYTES", check_rows * 8 * 50)
     grid, weights, rho0, t_final = _delayed_case(h, n_steps)
+    rows = diagnostics.block_rows(grid.n_cells)
+    assert rows == check_rows or rows > n_steps
     states, blocks, queued, checks, pushes, steps = [], [], [], [], [], []
     init, lagged = schemes.init_history, schemes.lagged_speeds
     push, step = schemes.push_level, schemes.hw_step
@@ -300,9 +308,9 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
         steps.append(args)
         return step(*args)
 
-    def counted_check(self, count):
-        checks.append(count)
-        return check_speeds(self, count)
+    def counted_check(self, start, stop):
+        checks.append(stop - start)
+        return check_speeds(self, start, stop)
 
     vel = Velocity("normalized_greenshields")
     collector = DiagnosticsCollector(
@@ -327,7 +335,9 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps):
     assert max(blocks) <= schemes.speed_rows(grid.n_cells, h)
     assert len(pushes) == max(n_steps - h, 0)
     assert len(steps) == n_steps
-    assert sum(checks) == sum(blocks)
+    first = min(rows, n_steps + 1)
+    assert sum(checks) == first + len(range(max(rows, h + 1), n_steps + 1))
+    assert sum(checks) >= sum(blocks)
     assert max(queued) == min(h, max(n_steps - h, 0))
 
 
