@@ -44,6 +44,7 @@ contain inf, and nan marks a quantity that was not computed at that row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,9 +173,8 @@ class BoundConstants:
     tv_rate_current / tv_rate_lagged are the TV growth rates G and H fed by
     the current and the lagged level; tv_rate is their maximum M.  The
     amplification C and the L1-in-time rate K live in log space (see the
-    module docstring).  log_tv_window = log(2 e^{M tau} - 1), the factor of
-    one whole delay window, and log_tv0 = log TV(rho0) are held for
-    tv_bound_at, which the collector calls on every step.
+    module docstring).  tv_bound_at gives the TV ceiling at time t; the
+    collector calls it once per block and at its record rows.
     """
 
     tv_rate_current: float
@@ -184,8 +184,6 @@ class BoundConstants:
     log_l1_time_rate: float
     tau: float
     tv0: float
-    log_tv_window: float
-    log_tv0: float
 
     @property
     def tv_amplification(self) -> float:
@@ -196,19 +194,8 @@ class BoundConstants:
         return exp_or_inf(self.log_l1_time_rate)
 
     def tv_bound_at(self, t: float) -> float:
-        """tv_bound(t, tau, tv_rate, tv0), bit for bit: the same expressions
-        added in the same order, with the run's constant terms held."""
-        if self.tv0 == 0.0:
-            return 0.0
-        if t < 0:
-            raise ValueError("times must be non-negative")
-        tau, rate = self.tau, self.tv_rate
-        if tau == 0.0:
-            log_c = 2.0 * rate * t
-        else:
-            q = math.floor(t / tau)
-            log_c = _log_two_exp_minus_one(rate * (t - q * tau)) + q * self.log_tv_window
-        return exp_or_inf(log_c + self.log_tv0)
+        """tv_bound(t, tau, tv_rate, tv0): the run's TV ceiling at time t."""
+        return tv_bound(t, self.tau, self.tv_rate, self.tv0)
 
 
 def bound_constants(
@@ -251,8 +238,6 @@ def bound_constants(
         log_l1_time_rate=float(log_k),
         tau=tau,
         tv0=tv0,
-        log_tv_window=_log_two_exp_minus_one(m * tau),
-        log_tv0=log_term(tv0),
     )
 
 
@@ -619,32 +604,39 @@ class DiagnosticsCollector:
     Every step is checked: positivity, the maximum principle, mass
     conservation, the TV ceiling and the asserted entropy residual at each
     one, and the speed adjacent-difference bound at least once per speed
-    field (schemes.run hands the same read-only speed field, with its
-    ghost cells, to consecutive steps that read the same lagged level, so
-    a call whose speeds are the previous call's object brings no new
-    field).  The checks run a block of steps at a time: call i of a block
-    copies its level and its speed field into row i + 1 of two buffers of
-    block_rows(J) + 1 rows, and flush() reduces the whole block with one
-    NumPy call per statistic, computes every entropy value the walk will
-    read, then walks its rows in step order.  The speed check covers every
-    call from the block's first new field on; of these, under schemes.run,
-    only calls 1..h of the first block repeat a field (the datum's),
-    checked again against its bound.  The entropy values come from one
-    call of the run's EntropyBlock (see entropy_residual) per flush, on
-    every step when the run asserts entropy and otherwise on the record
-    steps after step 0, with no call when there are none; the other rows
-    read nan.  The walk calls no entropy function: it reads each step's
-    value and refuses an asserted one unless it is at most ENTROPY_TOL.
-    Every check refuses a value unless it is within its bound, so a nan
-    fails each one.  The bound of the field of call n needs sup|rho| of
-    level max(n - h, 0): the walk writes each step's max(|min|, |max|)
-    into a ring of min(h, n_final) + 1 entries before the row's speed
-    check.  A violation therefore surfaces up to a block later than its
-    step, but reports its own step with the message a per-step check would
-    give, and an earlier step's violation wins.  flush() runs when the
-    block is full and at step n_final; a caller that stops before n_final
-    (runners.simulate on a StepError) calls it itself.  Calls come with
-    n = 0, 1, 2, ... in order, as schemes.run makes them.
+    field (schemes.run hands consecutive steps that read the same lagged
+    level the same read-only field, with its ghost cells; a call whose
+    speeds are the previous call's object brings no new one).  Call i of a
+    block copies its level and its speed field into row i + 1 of two
+    buffers of block_rows(J) + 1 rows.  flush() reduces the block with one
+    NumPy call per statistic, takes the increment gap of every call from
+    the block's first new field on (under schemes.run only calls 1..h of
+    the first block repeat one, the datum's) and runs the EntropyBlock
+    (see entropy_residual) once: on every step of a run that asserts
+    entropy, else on the record steps after step 0; other rows read nan.
+
+    flush() then screens the block against one bound per check, with
+    comparisons that refuse a nan, so a nan level, TV value, gap or
+    asserted entropy value fails it.  No screen bound exceeds a step's
+    own: the TV ceiling of the block's first step bounds every row, with
+    BOUND_TOL on that step only, and tv_bound_at does not decrease in t
+    (log(2 e^x - 1) increases; the windowed product is continuous at the
+    seams q tau, up to jitter far below BOUND_TOL); the speed bound is
+    taken at sup|rho| = R, and a field's own bound takes max(R, sup|rho|
+    of its lagged level) and grows with it.  A block that fails the
+    screen is walked in step order against each row's own bound; the
+    field of call n is bounded through sup|rho| of level max(n - h, 0), so
+    the walk writes each step's max(|min|, |max|) into a ring of
+    min(h, n_final) + 1 entries before the row's speed check, and it
+    raises the first violation.  A block that passes either way is
+    committed in bulk: running maxima, accumulators (added in step order),
+    the reach ring's last writes and records, as a per-step check leaves
+    them.  A violation surfaces up to a block late, but reports its own
+    step with the message a per-step check would give, and an earlier
+    step's violation wins.
+    flush() runs when the block is full and at step n_final; a caller that
+    stops before n_final (runners.simulate on a StepError) calls it itself.
+    Calls come with n = 0, 1, 2, ... in order, as schemes.run makes them.
 
     Records are kept at step 0, every ``stride`` steps, and the final step.
     Running maxima (sup TV, sup BV norm, worst entropy residual, mass
@@ -734,13 +726,13 @@ class DiagnosticsCollector:
         np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
         return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
-    def _residuals(self, m, records) -> list[float]:
-        """The entropy value of each of the block's m steps that the walk
-        reads, nan where the run computes none.
+    def _residuals(self, m, marks) -> list[float]:
+        """The entropy value of each of the block's m steps, nan where the
+        run computes none.
 
         Step r goes from level row r to row r + 1 and reads speed row r.
         An asserting run evaluates every step, on views of the buffers,
-        any other run the steps after step 0 that records marks, in one
+        any other run its record rows marks after step 0, in one
         EntropyBlock call, and none when there are no such steps.
         """
         levels, speeds = self._levels, self._speeds
@@ -748,10 +740,8 @@ class DiagnosticsCollector:
             steps = range(m)
             rho, rho_next, v = levels[:m], levels[1 : m + 1], speeds[:m]
         else:
-            # picked in Python: a NumPy mask on every flush costs more than
-            # the few rows it selects
             first = self._last_n - m + 1
-            steps = [r for r in range(max(1 - first, 0), m) if records[r]]
+            steps = [r for r in marks if first + r > 0]
             if not steps:
                 return [math.nan] * m
             rho, rho_next, v = levels[steps], levels[[r + 1 for r in steps]], speeds[steps]
@@ -762,7 +752,7 @@ class DiagnosticsCollector:
         return residuals
 
     def flush(self) -> None:
-        """Check the buffered steps in step order; raise the first violation."""
+        """Check the buffered steps; raise the first violation."""
         m = self._count
         if m == 0:
             return
@@ -773,34 +763,101 @@ class DiagnosticsCollector:
         scratch = self._scratch[:m]
         grid = self.grid
         first = self._last_n - m + 1
-        # a record at step 0, every stride steps and step n_final
-        records = [n % self.stride == 0 or n == self.n_final for n in range(first, first + m)]
+        # the record rows: step 0, every stride steps and step n_final
+        marks = list(range(-first % self.stride, m, self.stride))
+        if self._last_n == self.n_final and self.n_final % self.stride:
+            marks.append(m - 1)
         # one reduction per statistic; each row's sum equals the 1-D sum of
         # its level bit for bit (the same pairwise order along the row)
         lows = np.minimum.reduce(rows, axis=1).tolist()
         highs = np.maximum.reduce(rows, axis=1).tolist()
-        masses = (np.add.reduce(rows, axis=1) * grid.dx).tolist()
+        sums = np.add.reduce(rows, axis=1)
+        masses = (sums * grid.dx).tolist()
         diff = scratch[:, : rows.shape[1] - 1]
         np.subtract(rows[:, 1:], rows[:, :-1], out=diff)
         tvs = np.add.reduce(np.abs(diff, out=diff), axis=1)
         if self.boundary != FREE_FLOW:
             tvs += np.abs(rows[:, 0] - rows[:, -1])
         tvs = tvs.tolist()
-        l1s = (np.add.reduce(np.abs(rows, out=scratch), axis=1) * grid.dx).tolist()
+        if all(lo >= 0.0 for lo in lows):
+            # on rows without a negative cell the l1 sum is the row sum;
+            # + 0.0 gives an all-zero row the +0 of the sum of |rho|
+            l1s = ((sums + 0.0) * grid.dx).tolist()
+        else:
+            l1s = (np.add.reduce(np.abs(rows, out=scratch), axis=1) * grid.dx).tolist()
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
         gaps = self._check_speeds(new_from, m)
-        residuals = self._residuals(m, records)
+        residuals = self._residuals(m, marks)
+        # step 0 has no drift, entropy value (its row reads the zeroed carry
+        # row) or space-time term
+        skip, mass0 = (1, masses[0]) if first == 0 else (0, self._mass0)
+        drifts = []
+        if self.conserve_mass:
+            scale = max(abs(mass0), 1.0)
+            drifts = [abs(mass - mass0) / scale for mass in masses[skip:]]
+        if not self._screen(first, lows, highs, tvs, drifts, gaps, residuals[skip:]):
+            self._walk(first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals)
+        # every row passed: the block's state in bulk; a list's max or min from the
+        # running value keeps the first extremum and skips a nan after it,
+        # as a per-step check's pairwise max and min do
+        self._mass0 = mass0
+        self.sup_density = max([self.sup_density, *highs])
+        self.min_density = min([self.min_density, *lows])
+        self.sup_tv = max([self.sup_tv, *tvs])
+        self.sup_bv = max([self.sup_bv, *map(operator.add, tvs, l1s)])
+        self.mass_drift_max = max([self.mass_drift_max, *drifts])
+        self.entropy_max = max([self.entropy_max, *residuals[skip:]])
+        space, span, dt = self.space_time_tv_space, self.space_time_tv_time, grid.dt
+        for prev_tv, dist in zip([self._prev_tv, *tvs][skip:m], dists[skip:]):
+            span += dist
+            space += dt * prev_tv
+        self.space_time_tv_space, self.space_time_tv_time = space, span
+        self._prev_tv = tvs[-1]
+        # the ring slots the block writes last, each as a per-step check
+        # leaves it
+        reach, ring = self._reach, len(self._reach)
+        for r in range(max(m - ring, 0), m):
+            reach[(first + r) % ring] = max(abs(lows[r]), abs(highs[r]))
+        for r in marks:
+            n = first + r
+            t = n * grid.dt
+            ceiling = math.nan if self.constants is None else self.constants.tv_bound_at(t)
+            residual = residuals[r] if n > 0 else math.nan
+            linf = max(abs(lows[r]), abs(highs[r]))
+            self.records.append(
+                DiagnosticsRecord(t, l1s[r], linf, lows[r], highs[r], tvs[r], ceiling, residual)
+            )
+        self._speeds[0] = self._speeds[m]
+        levels[0] = levels[m]
 
+    def _screen(self, first, lows, highs, tvs, drifts, gaps, entropies) -> bool:
+        """Whether every row passes every check, judged against one bound per
+        check that is at most each row's own (see the class docstring)."""
+        floor = -LEVEL_TOL if self.positivity else -math.inf
+        top = math.inf if self.rho_ceiling is None else self.rho_ceiling + LEVEL_TOL
+        tv_top = self.constants.tv_bound_at(first * self.grid.dt) if self.tv_ceiling else math.inf
+        speed_top = speed_increment_bound(self.vel, self.weights, self.vel.rho_max) + SPEED_TOL
+        return (
+            all(lo >= floor for lo in lows)
+            and all(hi <= top for hi in highs)
+            and tvs[0] <= tv_top * (1.0 + BOUND_TOL) + BOUND_TOL
+            and all(tv <= tv_top for tv in tvs[1:])
+            and all(drift <= MASS_TOL for drift in drifts)
+            and all(gap <= speed_top for gap in gaps)
+            and (not self.entropy_assert or all(e <= ENTROPY_TOL for e in entropies))
+        )
+
+    def _walk(self, first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals):
+        """Check the block's rows one at a time, in step order, each against
+        its own bound; raise the first violation with its own step."""
+        grid = self.grid
         reach, ring, h = self._reach, len(self._reach), grid.delay_steps
         # each check refuses a value that does not compare true with its
         # bound, so a nan fails it
-        for r in range(m):
+        for r, (lo, hi, tv) in enumerate(zip(lows, highs, tvs)):
             n = first + r
-            t = n * grid.dt
-            lo, hi = lows[r], highs[r]
-            linf = max(abs(lo), abs(hi))
-            reach[n % ring] = linf
+            reach[n % ring] = max(abs(lo), abs(hi))
             if r >= new_from and gaps:
                 gap = gaps[r - new_from]
                 lagged_sup = max(self.vel.rho_max, float(reach[max(n - h, 0) % ring]))
@@ -809,9 +866,6 @@ class DiagnosticsCollector:
                     raise InvariantViolation(
                         f"step {n}: speed increment {gap} exceeds bound {speed_bound}"
                     )
-
-            self.sup_density = max(self.sup_density, hi)
-            self.min_density = min(self.min_density, lo)
             if self.positivity and not lo >= -LEVEL_TOL:
                 raise InvariantViolation(f"step {n}: negative density {lo}")
             ceiling = self.rho_ceiling
@@ -819,56 +873,15 @@ class DiagnosticsCollector:
                 raise InvariantViolation(
                     f"step {n}: density {hi} exceeds the ceiling {ceiling}"
                 )
-
-            mass = masses[r]
-            if self._mass0 is None:
-                self._mass0 = mass
-            elif self.conserve_mass:
-                scale = max(abs(self._mass0), 1.0)
-                drift = abs(mass - self._mass0) / scale
-                self.mass_drift_max = max(self.mass_drift_max, drift)
-                if not drift <= MASS_TOL:
-                    raise InvariantViolation(f"step {n}: relative mass drift {drift}")
-
-            tv, l1 = tvs[r], l1s[r]
-            self.sup_tv = max(self.sup_tv, tv)
-            self.sup_bv = max(self.sup_bv, tv + l1)
-            is_row = records[r]
-            bound = math.nan
-            if self.constants is not None and (self.tv_ceiling or is_row):
-                bound = self.constants.tv_bound_at(t)
-            if self.tv_ceiling and not tv <= bound * (1.0 + BOUND_TOL) + BOUND_TOL:
-                raise InvariantViolation(
-                    f"step {n}: total variation {tv} exceeds the ceiling {bound}"
-                )
-
-            residual = math.nan
-            if n > 0:
-                self.space_time_tv_time += dists[r]
-                self.space_time_tv_space += grid.dt * self._prev_tv
-                # max keeps its first argument against a nan: a row without one
-                residual = residuals[r]
-                self.entropy_max = max(self.entropy_max, residual)
-                if self.entropy_assert and not residual <= ENTROPY_TOL:
+            if self.conserve_mass and r >= skip and not drifts[r - skip] <= MASS_TOL:
+                raise InvariantViolation(f"step {n}: relative mass drift {drifts[r - skip]}")
+            if self.tv_ceiling:
+                bound = self.constants.tv_bound_at(n * grid.dt)
+                if not tv <= bound * (1.0 + BOUND_TOL) + BOUND_TOL:
                     raise InvariantViolation(
-                        f"step {n}: entropy residual {residual} above {ENTROPY_TOL}"
+                        f"step {n}: total variation {tv} exceeds the ceiling {bound}"
                     )
-
-            if is_row:
-                self.records.append(
-                    DiagnosticsRecord(
-                        t=t,
-                        l1=l1,
-                        linf=linf,
-                        minimum=lo,
-                        maximum=hi,
-                        tv=tv,
-                        tv_ceiling=bound,
-                        entropy_residual_max=residual,
-                    )
+            if self.entropy_assert and r >= skip and not residuals[r] <= ENTROPY_TOL:
+                raise InvariantViolation(
+                    f"step {n}: entropy residual {residuals[r]} above {ENTROPY_TOL}"
                 )
-
-            self._prev_tv = tv
-
-        self._speeds[0] = self._speeds[m]
-        levels[0] = levels[m]

@@ -30,6 +30,7 @@ from lagflow.diagnostics import (
 )
 from lagflow.discretization import build_grid, cfl_dt_hw, cfl_dt_lf, discretize_kernel
 from lagflow.model_functions import Kernel, Saturation, Velocity
+from lagflow.presets import PRESET_NAMES
 from lagflow.schemes import (
     FREE_FLOW, PERIODIC, Workspace, extend3, hw_step, lf_step, run, update,
 )
@@ -866,6 +867,152 @@ def test_collector_refuses_a_nan_level_or_speed_field(small_blocks, where):
     assert str(err_ref).startswith(f"step 7: {fragment}")
     assert type(err) is type(err_ref)
     assert str(err) == str(err_ref)
+
+
+# ---------------------------------------------------------------------------
+# the screened flush: one verdict per block, the walk only on failure
+
+
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_screen_bounds_are_at_most_each_steps_bound(scheme):
+    """The screen's premise on every preset's BoundConstants: the TV
+    ceiling at a block's first step s, taken without BOUND_TOL, is at most
+    the walk's bound at every step t of the block, s <= t < s + B dt, so
+    tv_bound_at(t) (1 + BOUND_TOL) + BOUND_TOL >= tv_bound_at(s):
+    at the step times, one ulp either side of each seam q tau, with tau =
+    0 and with TV0 = 0.  And the speed bound does not decrease in sup|rho|,
+    so the screen's bound at R is at most a field's bound at max(R, sup
+    of its lagged level)."""
+    tol = diagnostics.BOUND_TOL
+    rng = np.random.default_rng(21)
+    for name in PRESET_NAMES:
+        resolved = resolve_scenario(dataclasses.replace(preset_scenario(name), scheme=scheme))
+        grid, c = resolved.grid, resolved.constants
+        if c is None:
+            continue
+        rows = diagnostics.block_rows(grid.n_cells)
+        for consts in (c, dataclasses.replace(c, tau=0.0), dataclasses.replace(c, tv0=0.0)):
+            bounds = np.array([consts.tv_bound_at(n * grid.dt) for n in range(resolved.n_steps + 1)])
+            allowed = bounds * (1.0 + tol) + tol
+            padded = np.append(allowed, np.full(rows - 1, np.inf))
+            lowest = np.lib.stride_tricks.sliding_window_view(padded, rows).min(axis=1)
+            assert np.all(lowest >= bounds), (name, consts.tau, consts.tv0)
+            windows = int(resolved.n_steps * grid.dt / consts.tau) if consts.tau else 0
+            for seam in np.arange(1, windows + 1) * consts.tau:
+                times = [math.nextafter(seam, -math.inf), seam, math.nextafter(seam, math.inf)]
+                for s in times:
+                    for t in (t for t in times if t >= s):
+                        assert consts.tv_bound_at(t) * (1.0 + tol) + tol >= consts.tv_bound_at(s)
+        r = resolved.velocity.rho_max
+        reach = np.sort(np.concatenate([[r, math.nextafter(r, math.inf)], rng.uniform(r, 50 * r, 200)]))
+        speeds = [speed_increment_bound(resolved.velocity, resolved.weights, x) for x in reach]
+        assert all(a <= b for a, b in zip(speeds, speeds[1:])), name
+
+
+def _spy_walks(monkeypatch):
+    """Count DiagnosticsCollector._walk calls, and note the calls that end
+    in an InvariantViolation; a walk that returns has changed nothing but
+    the reach ring (the commit that follows it writes the state)."""
+    walk = diagnostics.DiagnosticsCollector._walk
+    seen = {"walks": 0, "raised": []}
+
+    def spy(self, *args):
+        seen["walks"] += 1
+        before = _state(self) + [repr((self._prev_tv, self._mass0))]
+        try:
+            walk(self, *args)
+        except InvariantViolation as exc:
+            seen["raised"].append(str(exc))
+            raise
+        assert _state(self) + [repr((self._prev_tv, self._mass0))] == before
+
+    monkeypatch.setattr(diagnostics.DiagnosticsCollector, "_walk", spy)
+    return seen
+
+
+def _saturated_and_unsaturated_marches(small, scheme, boundary):
+    """(saturated, case, calls, n_final, stride) of the oracle marches:
+    n_final = 13 at h = 2, 6 on blocks of five rows, 700 steps at h = 40
+    on the module's blocks, each with and without saturation (a datum up
+    to 1.8 > R on the short runs, which an unsaturated HW march does not
+    survive for 700 steps)."""
+    sizes = [(2, 13, 3, 1.8), (6, 13, 3, 1.8)] if small else [(40, 700, 7, 0.7)]
+    for h, n_final, stride, top in sizes:
+        for sat in (None, Saturation("none")):
+            high = 0.7 if sat is None else top
+            case, calls = _oracle_march(scheme, boundary, h, n_final, 9, sat=sat, high=high)
+            yield sat is None, case, calls, n_final, stride
+
+
+@pytest.mark.parametrize("small", [True, False], ids=["small_blocks", "full_blocks"])
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_passing_blocks_are_committed_and_match_the_walk(
+    request, monkeypatch, small, scheme, boundary
+):
+    """Every block of a saturated oracle march passes the screen, so none
+    enters the walk; and a collector whose screen always fails walks every
+    block, raises nothing, and then commits the same records, running
+    maxima, accumulators, reach ring and carried TV bit for bit, with and
+    without saturation."""
+    if small:
+        request.getfixturevalue("small_blocks")
+    seen = _spy_walks(monkeypatch)
+    marches = list(_saturated_and_unsaturated_marches(small, scheme, boundary))
+    screened = []
+    for saturated, case, calls, n_final, stride in marches:
+        before = seen["walks"]
+        err, col = _drive(DiagnosticsCollector, case, calls, scheme, boundary, n_final, stride)
+        assert err is None
+        if saturated:
+            assert seen["walks"] == before
+        screened.append(col)
+    monkeypatch.setattr(DiagnosticsCollector, "_screen", lambda self, *args: False)
+    for (_, case, calls, n_final, stride), col in zip(marches, screened):
+        before = seen["walks"]
+        err, walked = _drive(DiagnosticsCollector, case, calls, scheme, boundary, n_final, stride)
+        assert err is None
+        assert seen["walks"] - before == -(-(n_final + 1) // len(col._scratch))
+        assert _state(walked) == _state(col)
+        assert walked._reach.tobytes() == col._reach.tobytes()
+        assert repr((walked._prev_tv, walked._mass0)) == repr((col._prev_tv, col._mass0))
+    assert not seen["raised"]
+
+
+@pytest.mark.parametrize("where", ["level", "speeds"])
+def test_a_nan_block_is_walked_not_committed(monkeypatch, small_blocks, where):
+    """A nan fails the screen, also on a run that asserts nothing it
+    touches: the refusal of test_collector_refuses_a_nan_level_or_speed_field
+    comes from inside the walk, and an unsaturated free-flow run (no
+    positivity, ceiling, mass, TV or entropy assertion) with a nan cell in
+    level 7 walks that block, raises nothing and leaves the per-step
+    reference's state, nan accumulators included."""
+    seen = _spy_walks(monkeypatch)
+    case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 4)
+    n, level, speeds = calls[7]
+    if where == "level":
+        level = level.copy()
+        level[20] = np.nan
+    else:
+        speeds = speeds.copy()
+        speeds[20] = np.nan
+    calls[7] = (n, level, speeds)
+    err, _ = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13)
+    fragment = "negative density nan" if where == "level" else "speed increment nan"
+    assert str(err).startswith(f"step 7: {fragment}")
+    assert seen == {"walks": 1, "raised": [str(err)]}
+
+    case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 4, sat=Saturation("none"))
+    n, level, speeds = calls[7]
+    level = level.copy()
+    level[20] = np.nan
+    calls[7] = (n, level, speeds)
+    err, col = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, "hw", FREE_FLOW, 13)
+    assert err is None and err_ref is None
+    assert seen["walks"] == 2
+    assert _state(col) == _state(ref)
+    assert math.isnan(col.space_time_tv_time)
 
 
 def test_block_sizes_follow_block_bytes():
