@@ -150,10 +150,12 @@ def log_tv_amplification(t: float, tau: float, rate: float) -> float:
 
 
 def tv_bound(t: float, tau: float, rate: float, tv0: float) -> float:
-    """Total-variation ceiling at time t; inf when the factor overflows."""
+    """Total-variation ceiling at time t: tv0 itself where the
+    amplification is exactly 1 (t = 0), inf when the factor overflows."""
     if tv0 == 0.0:
         return 0.0
-    return exp_or_inf(log_tv_amplification(t, tau, rate) + math.log(tv0))
+    log_c = log_tv_amplification(t, tau, rate)
+    return tv0 if log_c == 0.0 else exp_or_inf(log_c + math.log(tv0))
 
 
 def speed_increment_bound(vel: Velocity, weights: KernelWeights, rho_sup: float) -> float:
@@ -174,7 +176,8 @@ class BoundConstants:
     the current and the lagged level; tv_rate is their maximum M.  The
     amplification C and the L1-in-time rate K live in log space (see the
     module docstring).  tv_bound_at gives the TV ceiling at time t; the
-    collector calls it once per block and at its record rows.
+    collector calls it once per block, at its record rows and on each row
+    whose TV exceeds the block's bound.
     """
 
     tv_rate_current: float
@@ -559,13 +562,13 @@ def block_rows(n_cells: int) -> int:
 def block_bytes(n_cells: int, h: int, n_steps: int) -> int:
     """Bytes of one collector's buffers and of the march's live speed
     blocks: the (B + 1, J) level and (B + 1, J + 2) speed blocks, row for
-    row, the (B, J) scratch block, the ring of min(h, N_T) + 1 reaches and
-    the EntropyBlock of B rows, plus the two (b, J + 2) blocks of speed
+    row, the (B, J) scratch block, the N_T + 1 per-step reaches and the
+    EntropyBlock of B rows, plus the two (b, J + 2) blocks of speed
     fields schemes.run holds at once, b = schemes.speed_rows(J, h), all
     float64.  They hold no kappa (see entropy_residual)."""
     rows = block_rows(n_cells)
     blocks = (2 * rows + 1) * n_cells + (rows + 1 + 2 * speed_rows(n_cells, h)) * (n_cells + 2)
-    return (blocks + min(h, n_steps) + 1) * 8 + EntropyBlock.bytes_for(rows, n_cells)
+    return (blocks + n_steps + 1) * 8 + EntropyBlock.bytes_for(rows, n_cells)
 
 
 @dataclass(frozen=True)
@@ -615,25 +618,24 @@ class DiagnosticsCollector:
     (see entropy_residual) once: on every step of a run that asserts
     entropy, else on the record steps after step 0; other rows read nan.
 
-    flush() then screens the block against one bound per check, with
-    comparisons that refuse a nan, so a nan level, TV value, gap or
-    asserted entropy value fails it.  No screen bound exceeds a step's
-    own: the TV ceiling of the block's first step bounds every row, with
-    BOUND_TOL on that step only, and tv_bound_at does not decrease in t
-    (log(2 e^x - 1) increases; the windowed product is continuous at the
-    seams q tau, up to jitter far below BOUND_TOL); the speed bound is
-    taken at sup|rho| = R, and a field's own bound takes max(R, sup|rho|
-    of its lagged level) and grows with it.  A block that fails the
-    screen is walked in step order against each row's own bound; the
-    field of call n is bounded through sup|rho| of level max(n - h, 0), so
-    the walk writes each step's max(|min|, |max|) into a ring of
-    min(h, n_final) + 1 entries before the row's speed check, and it
-    raises the first violation.  A block that passes either way is
-    committed in bulk: running maxima, accumulators (added in step order),
-    the reach ring's last writes and records, as a per-step check leaves
-    them.  A violation surfaces up to a block late, but reports its own
-    step with the message a per-step check would give, and an earlier
-    step's violation wins.
+    flush() writes each step's max(|min|, |max|) into its entry of an
+    array of n_final + 1 reaches, and then gives one verdict.  Each
+    asserted check scans its rows against one bound for the block, which
+    is at most each row's own: the TV ceiling of the block's first step
+    (tv_bound_at does not decrease in t: log(2 e^x - 1) increases, and the
+    windowed product is continuous at the seams q tau, up to jitter far
+    below BOUND_TOL), and the speed bound at sup|rho| = R (the field of
+    call n has its own at max(R, reach of step max(n - h, 0)), and the
+    bound grows with sup|rho|).  Only a row that fails the scan is judged
+    against its own bound.  Every comparison refuses a nan, so a nan
+    level, TV value, gap or asserted entropy value fails its check.  Of
+    the checks' first violations the verdict raises the earliest step's,
+    and at one step the first in a per-step check's order (speed,
+    positivity, ceiling, mass, TV, entropy), with a per-step check's
+    message: a violation surfaces up to a block late, but reports its own
+    step.  A block that passes is committed in bulk: running maxima,
+    accumulators (added in step order) and records, as a per-step check
+    leaves them.
     flush() runs when the block is full and at step n_final; a caller that
     stops before n_final (runners.simulate on a StepError) calls it itself.
     Calls come with n = 0, 1, 2, ... in order, as schemes.run makes them.
@@ -691,8 +693,8 @@ class DiagnosticsCollector:
         self._levels = np.zeros((rows + 1, cells))
         self._speeds = np.zeros((rows + 1, cells + 2))
         self._scratch = np.empty((rows, cells))
-        # sup|rho^n| of step n at n mod len; see the class docstring
-        self._reach = np.empty(min(grid.delay_steps, n_final) + 1)
+        # sup|rho^n| of step n; see the class docstring
+        self._reach = np.empty(n_final + 1)
         self._count = 0
         self._last_n = -1
         # the last call's speeds object, kept across blocks, and the
@@ -769,8 +771,9 @@ class DiagnosticsCollector:
             marks.append(m - 1)
         # one reduction per statistic; each row's sum equals the 1-D sum of
         # its level bit for bit (the same pairwise order along the row)
-        lows = np.minimum.reduce(rows, axis=1).tolist()
-        highs = np.maximum.reduce(rows, axis=1).tolist()
+        lows, highs = np.minimum.reduce(rows, axis=1), np.maximum.reduce(rows, axis=1)
+        np.maximum(np.abs(lows), np.abs(highs), out=self._reach[first : first + m])
+        lows, highs = lows.tolist(), highs.tolist()
         sums = np.add.reduce(rows, axis=1)
         masses = (sums * grid.dx).tolist()
         diff = scratch[:, : rows.shape[1] - 1]
@@ -796,8 +799,7 @@ class DiagnosticsCollector:
         if self.conserve_mass:
             scale = max(abs(mass0), 1.0)
             drifts = [abs(mass - mass0) / scale for mass in masses[skip:]]
-        if not self._screen(first, lows, highs, tvs, drifts, gaps, residuals[skip:]):
-            self._walk(first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals)
+        self._verdict(first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals)
         # every row passed: the block's state in bulk; a list's max or min from the
         # running value keeps the first extremum and skips a nan after it,
         # as a per-step check's pairwise max and min do
@@ -814,74 +816,65 @@ class DiagnosticsCollector:
             space += dt * prev_tv
         self.space_time_tv_space, self.space_time_tv_time = space, span
         self._prev_tv = tvs[-1]
-        # the ring slots the block writes last, each as a per-step check
-        # leaves it
-        reach, ring = self._reach, len(self._reach)
-        for r in range(max(m - ring, 0), m):
-            reach[(first + r) % ring] = max(abs(lows[r]), abs(highs[r]))
         for r in marks:
             n = first + r
             t = n * grid.dt
             ceiling = math.nan if self.constants is None else self.constants.tv_bound_at(t)
             residual = residuals[r] if n > 0 else math.nan
-            linf = max(abs(lows[r]), abs(highs[r]))
+            linf = float(self._reach[n])
             self.records.append(
                 DiagnosticsRecord(t, l1s[r], linf, lows[r], highs[r], tvs[r], ceiling, residual)
             )
         self._speeds[0] = self._speeds[m]
         levels[0] = levels[m]
 
-    def _screen(self, first, lows, highs, tvs, drifts, gaps, entropies) -> bool:
-        """Whether every row passes every check, judged against one bound per
-        check that is at most each row's own (see the class docstring)."""
-        floor = -LEVEL_TOL if self.positivity else -math.inf
-        top = math.inf if self.rho_ceiling is None else self.rho_ceiling + LEVEL_TOL
-        tv_top = self.constants.tv_bound_at(first * self.grid.dt) if self.tv_ceiling else math.inf
-        speed_top = speed_increment_bound(self.vel, self.weights, self.vel.rho_max) + SPEED_TOL
-        return (
-            all(lo >= floor for lo in lows)
-            and all(hi <= top for hi in highs)
-            and tvs[0] <= tv_top * (1.0 + BOUND_TOL) + BOUND_TOL
-            and all(tv <= tv_top for tv in tvs[1:])
-            and all(drift <= MASS_TOL for drift in drifts)
-            and all(gap <= speed_top for gap in gaps)
-            and (not self.entropy_assert or all(e <= ENTROPY_TOL for e in entropies))
-        )
+    def _verdict(self, first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals):
+        """Raise the block's first violation, as a per-step check in step
+        order would (see the class docstring)."""
+        vel, weights, reach, h = self.vel, self.weights, self._reach, self.grid.delay_steps
+        dt, ceiling, constants = self.grid.dt, self.rho_ceiling, self.constants
 
-    def _walk(self, first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals):
-        """Check the block's rows one at a time, in step order, each against
-        its own bound; raise the first violation with its own step."""
-        grid = self.grid
-        reach, ring, h = self._reach, len(self._reach), grid.delay_steps
-        # each check refuses a value that does not compare true with its
-        # bound, so a nan fails it
-        for r, (lo, hi, tv) in enumerate(zip(lows, highs, tvs)):
-            n = first + r
-            reach[n % ring] = max(abs(lo), abs(hi))
-            if r >= new_from and gaps:
-                gap = gaps[r - new_from]
-                lagged_sup = max(self.vel.rho_max, float(reach[max(n - h, 0) % ring]))
-                speed_bound = speed_increment_bound(self.vel, self.weights, lagged_sup)
-                if not gap <= speed_bound + SPEED_TOL:
-                    raise InvariantViolation(
-                        f"step {n}: speed increment {gap} exceeds bound {speed_bound}"
-                    )
-            if self.positivity and not lo >= -LEVEL_TOL:
-                raise InvariantViolation(f"step {n}: negative density {lo}")
-            ceiling = self.rho_ceiling
-            if ceiling is not None and not hi <= ceiling + LEVEL_TOL:
-                raise InvariantViolation(
-                    f"step {n}: density {hi} exceeds the ceiling {ceiling}"
-                )
-            if self.conserve_mass and r >= skip and not drifts[r - skip] <= MASS_TOL:
-                raise InvariantViolation(f"step {n}: relative mass drift {drifts[r - skip]}")
-            if self.tv_ceiling:
-                bound = self.constants.tv_bound_at(n * grid.dt)
-                if not tv <= bound * (1.0 + BOUND_TOL) + BOUND_TOL:
-                    raise InvariantViolation(
-                        f"step {n}: total variation {tv} exceeds the ceiling {bound}"
-                    )
-            if self.entropy_assert and r >= skip and not residuals[r] <= ENTROPY_TOL:
-                raise InvariantViolation(
-                    f"step {n}: entropy residual {residuals[r]} above {ENTROPY_TOL}"
-                )
+        def speed_row(n, gap):
+            lagged_sup = max(vel.rho_max, float(reach[max(n - h, 0)]))
+            bound = speed_increment_bound(vel, weights, lagged_sup)
+            if not gap <= bound + SPEED_TOL:
+                return f"speed increment {gap} exceeds bound {bound}"
+
+        def tv_row(n, tv):
+            bound = constants.tv_bound_at(n * dt)
+            if not tv <= bound * (1.0 + BOUND_TOL) + BOUND_TOL:
+                return f"total variation {tv} exceeds the ceiling {bound}"
+
+        # each asserted check in the per-step order: its first row, its
+        # values, a bound at most each row's own, and the judge of a row
+        # above it, which gives the message if the row's own bound refuses it
+        top = speed_increment_bound(vel, weights, vel.rho_max) + SPEED_TOL
+        checks = [(new_from, gaps, top, speed_row)]
+        if self.positivity:
+            negated = [-lo for lo in lows]
+            checks.append((0, negated, LEVEL_TOL, lambda n, lo: f"negative density {-lo}"))
+        if ceiling is not None:
+            checks.append((
+                0, highs, ceiling + LEVEL_TOL,
+                lambda n, hi: f"density {hi} exceeds the ceiling {ceiling}",
+            ))
+        if self.conserve_mass:
+            checks.append((skip, drifts, MASS_TOL, lambda n, d: f"relative mass drift {d}"))
+        if self.tv_ceiling:
+            checks.append((0, tvs, constants.tv_bound_at(first * dt), tv_row))
+        if self.entropy_assert:
+            checks.append((
+                skip, residuals[skip:], ENTROPY_TOL,
+                lambda n, e: f"entropy residual {e} above {ENTROPY_TOL}",
+            ))
+        found = []
+        for order, (start, values, top, judge) in enumerate(checks):
+            # a value that does not compare true with a bound fails it, so
+            # a nan fails every check
+            for n, value in enumerate(values, first + start):
+                if not value <= top and (refusal := judge(n, value)):
+                    found.append((n, order, refusal))
+                    break
+        if found:
+            n, _, message = min(found)
+            raise InvariantViolation(f"step {n}: {message}")

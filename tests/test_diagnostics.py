@@ -105,10 +105,39 @@ def test_tv_bound_overflow_is_honest_infinity():
 
 @pytest.mark.parametrize("tau", [0.0, 0.1, 0.3, 0.017])
 @pytest.mark.parametrize("tv0", [0.0, 0.9, 3.0])
+def test_tv_bound_at_seams_overflow_and_edges(tv0, tau):
+    """tv_bound at rate M = 40 against the closed form (2 e^{M (t - q tau)}
+    - 1)(2 e^{M tau} - 1)^q TV0, q = floor(t / tau), or e^{2 M t} TV0 at
+    tau = 0, to 1e-12: at each seam q tau and one ulp either side of it,
+    where the two sides agree to 1e-12, and between seams.  At t = 0 it is
+    TV0 to the bit (exp(log 3.0) is not 3.0); past overflow it is inf, and
+    0 at every time when TV0 = 0."""
+    rate = 40.0
+    seams = [q * tau for q in range(1, 12)] if tau else []
+    sides = [[math.nextafter(seam, d) for d in (-math.inf, math.inf)] for seam in seams]
+    for below, above in sides:
+        assert tv_bound(above, tau, rate, tv0) == pytest.approx(
+            tv_bound(below, tau, rate, tv0), rel=1e-12, abs=0.0
+        )
+    for t in [0.05, 0.123, 0.5, *seams, *(t for pair in sides for t in pair)]:
+        if tau:
+            q = math.floor(t / tau)
+            factor = (2.0 * math.exp(rate * (t - q * tau)) - 1.0) * (
+                2.0 * math.exp(rate * tau) - 1.0
+            ) ** q
+        else:
+            factor = math.exp(2.0 * rate * t)
+        assert tv_bound(t, tau, rate, tv0) == pytest.approx(factor * tv0, rel=1e-12, abs=0.0), t
+    assert tv_bound(0.0, tau, rate, tv0).hex() == tv0.hex()
+    assert tv_bound(40.0, tau, rate, tv0) == (0.0 if tv0 == 0.0 else math.inf)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1, 0.3, 0.017])
+@pytest.mark.parametrize("tv0", [0.0, 0.9, 3.0])
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_tv_bound_at_equals_tv_bound_bits(scheme, tv0, tau):
-    """BoundConstants.tv_bound_at, which holds log TV0 and the factor of a
-    whole window, equals tv_bound bit for bit: at the window seams q tau,
+    """BoundConstants.tv_bound_at equals tv_bound at the run's tau, TV rate
+    and TV0 bit for bit, under either scheme: at the window seams q tau,
     one ulp either side of them, between them, past overflow, at tau = 0
     and at TV0 = 0."""
     vel, sat, kernel = _model()
@@ -122,6 +151,23 @@ def test_tv_bound_at_equals_tv_bound_bits(scheme, tv0, tau):
         expected = tv_bound(t, tau, c.tv_rate, tv0)
         assert c.tv_bound_at(t).hex() == expected.hex(), t
     assert c.tv_bound_at(40.0) == (0.0 if tv0 == 0.0 else math.inf)
+
+
+def test_tv_ceiling_at_t0_is_the_datum_tv():
+    """BoundConstants.tv_bound_at(0) is TV(rho0) to the bit, so step 0
+    meets its ceiling without BOUND_TOL: on the periodic oracle datum of
+    seed 9, whose exp(log TV0) is one ulp below TV0, and on every preset
+    under both schemes."""
+    (_, _, _, _, constants), calls = _oracle_march("lf", PERIODIC, 2, 3, 9)
+    tv0 = total_variation(calls[0][1], PERIODIC)
+    assert math.exp(math.log(tv0)) != tv0
+    assert constants.tv_bound_at(0.0).hex() == tv0.hex()
+    for name in PRESET_NAMES:
+        for scheme in ("lf", "hw"):
+            resolved = resolve_scenario(dataclasses.replace(preset_scenario(name), scheme=scheme))
+            if resolved.constants is not None:
+                tv0 = total_variation(resolved.rho0, resolved.boundary)
+                assert resolved.constants.tv_bound_at(0.0).hex() == tv0.hex(), (name, scheme)
 
 
 def test_bound_constants_frozen_rates():
@@ -392,7 +438,7 @@ def test_collector_speed_ceiling_is_speed_increment_bound():
 
 class _PerStepCollector(DiagnosticsCollector):
     """Reference: every check runs inside the call, in the order and with
-    the messages of the block collector's row walk, from 1-D reductions of
+    the messages of the block collector's verdict, from 1-D reductions of
     the level itself, and refuses a value unless it is within its bound.  A new speed field's lagged level is the level of
     call max(n - h, 0), kept from the calls."""
 
@@ -770,6 +816,48 @@ def test_block_collector_raises_per_step_violation(small_blocks, kind, step, h):
     assert str(err) == str(err_ref)
 
 
+def _nan_speed_cell(call):
+    n, level, v = call
+    bad = v.copy()
+    bad[20] = np.nan
+    return n, level, bad
+
+
+#: case: ({step: injections}, the start of the reference's message)
+_ORDERINGS = {
+    "tv_step7_before_negative_step9": (
+        {7: [_with_level(_oscillate)], 9: [_with_level(_set(3, -1e-6))]},
+        "step 7: total variation",
+    ),
+    "speed_before_ceiling": (
+        {7: [_spike_speeds, _with_level(_set(7, 1.5))]}, "step 7: speed increment"
+    ),
+    "nan_speed_before_negative": (
+        {7: [_nan_speed_cell, _with_level(_set(3, -1e-6))]}, "step 7: speed increment nan"
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(_ORDERINGS))
+def test_block_collector_orders_several_violations_of_one_block(small_blocks, case_id):
+    """Several violations in the second block (steps 5..9) of a saturated
+    HW run: the earliest step's wins, even when its check comes later in a
+    step's order (TV at step 7 against a negative cell at step 9), and at
+    one step the check a per-step check makes first (a speed spike, or a
+    nan speed field, against a ceiling breach or a negative cell), with
+    the per-step reference's message."""
+    injections, start = _ORDERINGS[case_id]
+    case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 1)
+    for step, changes in injections.items():
+        for change in changes:
+            calls[step] = change(calls[step])
+    err, _ = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13)
+    err_ref, _ = _drive(_PerStepCollector, case, calls, "hw", FREE_FLOW, 13)
+    assert str(err_ref).startswith(start)
+    assert type(err) is type(err_ref)
+    assert str(err) == str(err_ref)
+
+
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 @pytest.mark.parametrize("h", [0, 2, 6, 20], ids=["h0", "h2", "h6", "h_above_N"])
 def test_block_collector_reads_lagged_reach_above_capacity(small_blocks, scheme, h):
@@ -789,6 +877,38 @@ def test_block_collector_reads_lagged_reach_above_capacity(small_blocks, scheme,
     err_ref, _ = _drive(_PerStepCollector, case, calls, scheme, FREE_FLOW, 13)
     assert str(err_ref).startswith("step 9: speed increment")
     assert str(err) == str(err_ref)
+
+
+@pytest.mark.parametrize("check", ["speed", "tv"])
+def test_rows_above_the_block_bound_are_judged_by_their_own(small_blocks, check):
+    """A row above its block's bound but within its own passes, as in the
+    per-step reference: at step 9, a speed gap above the bound at R but
+    within the bound at the sup of its lagged level 7 (an unsaturated run
+    above R), or a TV above the ceiling at the block's first step 5 but
+    within the ceiling at step 9 (a saturated run, the level alternating
+    between 0.2 and 0.2 + d on its 50 cells)."""
+    h = 2
+    if check == "speed":
+        case, calls = _oracle_march("hw", FREE_FLOW, h, 13, 2, sat=Saturation("none"), high=1.8)
+        grid, weights, vel, _, _ = case
+        low = speed_increment_bound(vel, weights, vel.rho_max) + SPEED_TOL
+        own = speed_increment_bound(vel, weights, sup_norm(calls[9 - h][1])) + SPEED_TOL
+        speeds = np.zeros(grid.n_cells + 2)
+        speeds[26:] = value = 0.5 * (low + own)
+        calls[9] = (9, calls[9][1], speeds)
+    else:
+        case, calls = _oracle_march("hw", FREE_FLOW, h, 13, 1)
+        grid, constants = case[0], case[4]
+        low, own = (constants.tv_bound_at(n * grid.dt) for n in (5, 9))
+        level = np.full(grid.n_cells, 0.2)
+        level[1::2] += 0.5 * (low + own) / (grid.n_cells - 1)
+        value = total_variation(level)
+        calls[9] = (9, level, calls[9][2])
+    assert low < value < own
+    err, col = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, "hw", FREE_FLOW, 13)
+    assert err is None and err_ref is None
+    assert _state(col) == _state(ref)
 
 
 def _box_delay_march(steps):
@@ -870,18 +990,18 @@ def test_collector_refuses_a_nan_level_or_speed_field(small_blocks, where):
 
 
 # ---------------------------------------------------------------------------
-# the screened flush: one verdict per block, the walk only on failure
+# the verdict: each check's rows scanned against one bound per block
 
 
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_screen_bounds_are_at_most_each_steps_bound(scheme):
-    """The screen's premise on every preset's BoundConstants: the TV
+    """The verdict's premise on every preset's BoundConstants: the TV
     ceiling at a block's first step s, taken without BOUND_TOL, is at most
-    the walk's bound at every step t of the block, s <= t < s + B dt, so
+    the row's own bound at every step t of the block, s <= t < s + B dt, so
     tv_bound_at(t) (1 + BOUND_TOL) + BOUND_TOL >= tv_bound_at(s):
     at the step times, one ulp either side of each seam q tau, with tau =
     0 and with TV0 = 0.  And the speed bound does not decrease in sup|rho|,
-    so the screen's bound at R is at most a field's bound at max(R, sup
+    so the block's bound at R is at most a field's bound at max(R, sup
     of its lagged level)."""
     tol = diagnostics.BOUND_TOL
     rng = np.random.default_rng(21)
@@ -909,85 +1029,13 @@ def test_screen_bounds_are_at_most_each_steps_bound(scheme):
         assert all(a <= b for a, b in zip(speeds, speeds[1:])), name
 
 
-def _spy_walks(monkeypatch):
-    """Count DiagnosticsCollector._walk calls, and note the calls that end
-    in an InvariantViolation; a walk that returns has changed nothing but
-    the reach ring (the commit that follows it writes the state)."""
-    walk = diagnostics.DiagnosticsCollector._walk
-    seen = {"walks": 0, "raised": []}
-
-    def spy(self, *args):
-        seen["walks"] += 1
-        before = _state(self) + [repr((self._prev_tv, self._mass0))]
-        try:
-            walk(self, *args)
-        except InvariantViolation as exc:
-            seen["raised"].append(str(exc))
-            raise
-        assert _state(self) + [repr((self._prev_tv, self._mass0))] == before
-
-    monkeypatch.setattr(diagnostics.DiagnosticsCollector, "_walk", spy)
-    return seen
-
-
-def _saturated_and_unsaturated_marches(small, scheme, boundary):
-    """(saturated, case, calls, n_final, stride) of the oracle marches:
-    n_final = 13 at h = 2, 6 on blocks of five rows, 700 steps at h = 40
-    on the module's blocks, each with and without saturation (a datum up
-    to 1.8 > R on the short runs, which an unsaturated HW march does not
-    survive for 700 steps)."""
-    sizes = [(2, 13, 3, 1.8), (6, 13, 3, 1.8)] if small else [(40, 700, 7, 0.7)]
-    for h, n_final, stride, top in sizes:
-        for sat in (None, Saturation("none")):
-            high = 0.7 if sat is None else top
-            case, calls = _oracle_march(scheme, boundary, h, n_final, 9, sat=sat, high=high)
-            yield sat is None, case, calls, n_final, stride
-
-
-@pytest.mark.parametrize("small", [True, False], ids=["small_blocks", "full_blocks"])
-@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
-@pytest.mark.parametrize("scheme", ["lf", "hw"])
-def test_passing_blocks_are_committed_and_match_the_walk(
-    request, monkeypatch, small, scheme, boundary
-):
-    """Every block of a saturated oracle march passes the screen, so none
-    enters the walk; and a collector whose screen always fails walks every
-    block, raises nothing, and then commits the same records, running
-    maxima, accumulators, reach ring and carried TV bit for bit, with and
-    without saturation."""
-    if small:
-        request.getfixturevalue("small_blocks")
-    seen = _spy_walks(monkeypatch)
-    marches = list(_saturated_and_unsaturated_marches(small, scheme, boundary))
-    screened = []
-    for saturated, case, calls, n_final, stride in marches:
-        before = seen["walks"]
-        err, col = _drive(DiagnosticsCollector, case, calls, scheme, boundary, n_final, stride)
-        assert err is None
-        if saturated:
-            assert seen["walks"] == before
-        screened.append(col)
-    monkeypatch.setattr(DiagnosticsCollector, "_screen", lambda self, *args: False)
-    for (_, case, calls, n_final, stride), col in zip(marches, screened):
-        before = seen["walks"]
-        err, walked = _drive(DiagnosticsCollector, case, calls, scheme, boundary, n_final, stride)
-        assert err is None
-        assert seen["walks"] - before == -(-(n_final + 1) // len(col._scratch))
-        assert _state(walked) == _state(col)
-        assert walked._reach.tobytes() == col._reach.tobytes()
-        assert repr((walked._prev_tv, walked._mass0)) == repr((col._prev_tv, col._mass0))
-    assert not seen["raised"]
-
-
 @pytest.mark.parametrize("where", ["level", "speeds"])
-def test_a_nan_block_is_walked_not_committed(monkeypatch, small_blocks, where):
-    """A nan fails the screen, also on a run that asserts nothing it
-    touches: the refusal of test_collector_refuses_a_nan_level_or_speed_field
-    comes from inside the walk, and an unsaturated free-flow run (no
+def test_a_nan_block_is_walked_not_committed(small_blocks, where):
+    """A nan fails each check it reaches: a saturated HW run raises the
+    per-step refusal at step 7, and an unsaturated free-flow run (no
     positivity, ceiling, mass, TV or entropy assertion) with a nan cell in
-    level 7 walks that block, raises nothing and leaves the per-step
-    reference's state, nan accumulators included."""
-    seen = _spy_walks(monkeypatch)
+    level 7 raises nothing and leaves the per-step reference's state, nan
+    accumulators included."""
     case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 4)
     n, level, speeds = calls[7]
     if where == "level":
@@ -1000,7 +1048,6 @@ def test_a_nan_block_is_walked_not_committed(monkeypatch, small_blocks, where):
     err, _ = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13)
     fragment = "negative density nan" if where == "level" else "speed increment nan"
     assert str(err).startswith(f"step 7: {fragment}")
-    assert seen == {"walks": 1, "raised": [str(err)]}
 
     case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 4, sat=Saturation("none"))
     n, level, speeds = calls[7]
@@ -1010,15 +1057,14 @@ def test_a_nan_block_is_walked_not_committed(monkeypatch, small_blocks, where):
     err, col = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13)
     err_ref, ref = _drive(_PerStepCollector, case, calls, "hw", FREE_FLOW, 13)
     assert err is None and err_ref is None
-    assert seen["walks"] == 2
     assert _state(col) == _state(ref)
     assert math.isnan(col.space_time_tv_time)
 
 
 def test_block_sizes_follow_block_bytes():
     """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
-    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and a
-    ring of min(h, N_T) + 1 reaches, and the march holds two (b, J + 2)
+    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and N_T
+    + 1 per-step reaches, and the march holds two (b, J + 2)
     blocks of speed fields, b = max(1, min(h, BLOCK_BYTES // 8 (J + 2)));
     every run adds the block entropy kernel's two (B, J + 2) and four
     (B, J) float rows."""
@@ -1029,7 +1075,7 @@ def test_block_sizes_follow_block_bytes():
     assert schemes.speed_rows(4000, 6192) == 4
     assert schemes.speed_rows(1000, 3) == 3
     assert schemes.speed_rows(1000, 0) == schemes.speed_rows(10**6, 9) == 1
-    blocks = ((2 * 47 + 1) * 344 + (48 + 2 * 47) * 346 + 2194) * 8
+    blocks = ((2 * 47 + 1) * 344 + (48 + 2 * 47) * 346 + 10966) * 8
     kernel = (2 * 47 * 346 + 4 * 47 * 344) * 8
     assert kernel == diagnostics.EntropyBlock.bytes_for(47, 344) == 777568
     assert diagnostics.block_bytes(344, 2193, 10965) == blocks + kernel

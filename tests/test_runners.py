@@ -140,15 +140,15 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 
 def test_manifest_reports_block_bytes(tmp_path):
     """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
-    (B + 1, J + 2) speed fields, the (B, J) scratch and a ring of
-    min(h, N_T) + 1 reaches, the entropy block kernel's two (B, J + 2)
+    (B + 1, J + 2) speed fields, the (B, J) scratch and N_T + 1
+    per-step reaches, the entropy block kernel's two (B, J + 2)
     and four (B, J) rows, and the march's two blocks of h speed fields (h
     is below BLOCK_BYTES // 8 (J + 2)), whether or not the run asserts
     entropy.  The budget counts them with the history."""
     for scheme, h, n_steps in (("hw", 2, 10), ("lf", 4, 20)):
         run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
         manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
-        expected = ((2 * 327 + 1) * 50 + (328 + 2 * h) * 52 + h + 1) * 8
+        expected = ((2 * 327 + 1) * 50 + (328 + 2 * h) * 52 + n_steps + 1) * 8
         expected += (2 * 327 * 52 + 4 * 327 * 50) * 8
         assert f"n_steps = {n_steps}" in manifest
         assert f"block_bytes = {expected}" in manifest
