@@ -602,21 +602,22 @@ class DiagnosticsCollector:
     (entropy_assert) applies to the Lax-Friedrichs scheme under the
     hypotheses of its proof, a saturation term and a C^2 velocity; every
     other run reports the entropy bound at its record rows without
-    asserting it.  Periodic runs assert mass conservation (conserve_mass).
+    asserting it.  The lemma covers a saturated, smooth Hilliges-Weidlich
+    run as well, but asserting replays schemes.update on every step, not
+    only at the record rows: on two cores an in-process A/B of simulate
+    read +18.5 % on perfbench's hw_stopgo workload and +56.8 % on
+    hw_refine_j4000, so such runs report it.  Periodic runs assert mass
+    conservation (conserve_mass).
 
     Every step is checked: positivity, the maximum principle, mass
-    conservation, the TV ceiling and the asserted entropy residual at each
-    one, and the speed adjacent-difference bound at least once per speed
-    field (schemes.run hands consecutive steps that read the same lagged
-    level the same read-only field, with its ghost cells; a call whose
-    speeds are the previous call's object brings no new one).  Call i of a
-    block copies its level and its speed field into row i + 1 of two
-    buffers of block_rows(J) + 1 rows.  flush() reduces the block with one
-    NumPy call per statistic, takes the increment gap of every call from
-    the block's first new field on (under schemes.run only calls 1..h of
-    the first block repeat one, the datum's) and runs the EntropyBlock
-    (see entropy_residual) once: on every step of a run that asserts
-    entropy, else on the record steps after step 0; other rows read nan.
+    conservation, the TV ceiling, the speed adjacent-difference bound on
+    the call's speed field and the asserted entropy residual.  Call i of
+    a block copies its level and its speed field, with its ghost cells,
+    into row i + 1 of two buffers of block_rows(J) + 1 rows.  flush()
+    reduces the block with one NumPy call per statistic, takes the
+    increment gap of every call's field and runs the EntropyBlock (see
+    entropy_residual) once: on every step of a run that asserts entropy,
+    else on the record steps after step 0; other rows read nan.
 
     flush() writes each step's max(|min|, |max|) into its entry of an
     array of n_final + 1 reaches, and then gives one verdict.  Each
@@ -697,10 +698,6 @@ class DiagnosticsCollector:
         self._reach = np.empty(n_final + 1)
         self._count = 0
         self._last_n = -1
-        # the last call's speeds object, kept across blocks, and the
-        # block's first call that brings another (B while none has)
-        self._prev_speeds: np.ndarray | None = None
-        self._new_from = rows
         # TV of the carry row's step
         self._prev_tv = 0.0
         self._entropy_work = EntropyBlock(rows, cells, grid.lam, sat, boundary, scheme, grid.alpha)
@@ -709,22 +706,19 @@ class DiagnosticsCollector:
         i = self._count
         self._levels[i + 1] = level
         self._speeds[i + 1] = speeds
-        if speeds is not self._prev_speeds:
-            self._prev_speeds = speeds
-            self._new_from = min(self._new_from, i)
         self._count = i + 1
         self._last_n = n
         if i + 1 == len(self._scratch) or n == self.n_final:
             self.flush()
 
-    def _check_speeds(self, start: int, stop: int) -> list[float]:
-        """Increment gap max|V_{j+1} - V_j| of the speed field of each of
-        the block's calls start..stop - 1; none for fewer than two cells."""
+    def _check_speeds(self, m: int) -> list[float]:
+        """Increment gap max|V_{j+1} - V_j| of each of the block's m calls'
+        speed fields (rows 1..m); none for fewer than two cells."""
         cells = self._scratch.shape[1]
         if cells < 2:
             return []
-        diff = self._scratch[: stop - start, : cells - 1]
-        speeds = self._speeds[start + 1 : stop + 1, 1:-1]
+        diff = self._scratch[:m, : cells - 1]
+        speeds = self._speeds[1 : m + 1, 1:-1]
         np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
         return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
@@ -759,7 +753,6 @@ class DiagnosticsCollector:
         if m == 0:
             return
         self._count = 0
-        new_from, self._new_from = min(self._new_from, m), len(self._scratch)
         levels = self._levels
         rows = levels[1 : m + 1]
         scratch = self._scratch[:m]
@@ -790,7 +783,7 @@ class DiagnosticsCollector:
             l1s = (np.add.reduce(np.abs(rows, out=scratch), axis=1) * grid.dx).tolist()
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
-        gaps = self._check_speeds(new_from, m)
+        gaps = self._check_speeds(m)
         residuals = self._residuals(m, marks)
         # step 0 has no drift, entropy value (its row reads the zeroed carry
         # row) or space-time term
@@ -799,7 +792,7 @@ class DiagnosticsCollector:
         if self.conserve_mass:
             scale = max(abs(mass0), 1.0)
             drifts = [abs(mass - mass0) / scale for mass in masses[skip:]]
-        self._verdict(first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals)
+        self._verdict(first, skip, lows, highs, tvs, drifts, gaps, residuals)
         # every row passed: the block's state in bulk; a list's max or min from the
         # running value keeps the first extremum and skips a nan after it,
         # as a per-step check's pairwise max and min do
@@ -828,7 +821,7 @@ class DiagnosticsCollector:
         self._speeds[0] = self._speeds[m]
         levels[0] = levels[m]
 
-    def _verdict(self, first, skip, new_from, lows, highs, tvs, drifts, gaps, residuals):
+    def _verdict(self, first, skip, lows, highs, tvs, drifts, gaps, residuals):
         """Raise the block's first violation, as a per-step check in step
         order would (see the class docstring)."""
         vel, weights, reach, h = self.vel, self.weights, self._reach, self.grid.delay_steps
@@ -849,7 +842,7 @@ class DiagnosticsCollector:
         # values, a bound at most each row's own, and the judge of a row
         # above it, which gives the message if the row's own bound refuses it
         top = speed_increment_bound(vel, weights, vel.rho_max) + SPEED_TOL
-        checks = [(new_from, gaps, top, speed_row)]
+        checks = [(0, gaps, top, speed_row)]
         if self.positivity:
             negated = [-lo for lo in lows]
             checks.append((0, negated, LEVEL_TOL, lambda n, lo: f"negative density {-lo}"))

@@ -297,8 +297,7 @@ def run(
     is taken only when the head moves: consecutive calls share one
     read-only speeds array (a J + 2 cell row view that lagged_speeds
     built, ghost cells included, which the steps read) exactly while they
-    share the lagged level, so an observer may treat the same speeds
-    object as the same field.  The fields come a block at a time: the
+    share the lagged level.  The fields come a block at a time: the
     levels behind the head are already in the history, so whenever the
     queue of fields runs out, lagged_speeds convolves the first
     min(speed_rows(J, h), len(history)) of them in one call and the queue

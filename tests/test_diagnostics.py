@@ -432,6 +432,35 @@ def test_collector_speed_ceiling_is_speed_increment_bound():
         col.flush()
 
 
+def test_collector_checks_a_repeated_speed_field_against_its_own_bound():
+    """A field passed again at a later call is judged at that call's lagged
+    level: on an unsaturated run whose step 0 reaches 1.5 R, a gap between
+    the bounds at R and at 1.5 R passes at steps 0..2 (lagged level 0) and
+    fails at step 3, whose lagged level 1 stays within R, although the
+    field object is call 0's and the previous call's."""
+    vel, _, kernel = _model()
+    grid = build_grid(0.0, 1.0, 0.01, 0.01, 0.02, 0.1)
+    assert grid.delay_steps == 2
+    weights = discretize_kernel(kernel, grid)
+    col = DiagnosticsCollector(
+        grid, weights, vel, Saturation("none"), "hw", FREE_FLOW,
+        constants=None, stride=1, n_final=3,
+    )
+    assert col.rho_ceiling is None
+    at_r = speed_increment_bound(vel, weights, vel.rho_max) + SPEED_TOL
+    wide = speed_increment_bound(vel, weights, 1.5 * vel.rho_max) + SPEED_TOL
+    v = np.zeros(100)
+    v[50:] = 0.5 * (at_r + wide)
+    field = extend3(v, FREE_FLOW)
+    col(0, np.full(100, 1.5 * vel.rho_max), field)
+    col.flush()
+    level = np.full(100, 0.5)
+    col(1, level, field)
+    col(2, level, field)
+    with pytest.raises(InvariantViolation, match="^step 3: speed increment"):
+        col(3, level, field)
+
+
 # ---------------------------------------------------------------------------
 # block checking against the per-step reference
 
@@ -439,8 +468,9 @@ def test_collector_speed_ceiling_is_speed_increment_bound():
 class _PerStepCollector(DiagnosticsCollector):
     """Reference: every check runs inside the call, in the order and with
     the messages of the block collector's verdict, from 1-D reductions of
-    the level itself, and refuses a value unless it is within its bound.  A new speed field's lagged level is the level of
-    call max(n - h, 0), kept from the calls."""
+    the level itself, and refuses a value unless it is within its bound.
+    Every call's speed field is judged at the sup of its lagged level, the
+    level of call max(n - h, 0), kept from the calls."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -455,7 +485,7 @@ class _PerStepCollector(DiagnosticsCollector):
         t = n * self.grid.dt
         self._levels_seen.append(level)
         interior = speeds[1:-1]
-        if speeds is not self._prev_speeds and interior.size >= 2:
+        if interior.size >= 2:
             lagged = self._levels_seen[max(n - self.grid.delay_steps, 0)]
             reach = max(self.vel.rho_max, sup_norm(lagged))
             ceiling = speed_increment_bound(self.vel, self.weights, reach)

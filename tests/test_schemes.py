@@ -275,13 +275,11 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps, check_row
     speed_rows(J, h) per call, push_level runs max(N_T - h, 0) times and
     the step N_T times, each looked up as a schemes global (perfbench's
     traced layers wrap them there); the collector's block checks cover
-    each block's calls from its first new speed field on, so they count
-    every call of the first block and every later call with n > h, each
-    distinct field at least once; and between steps the history holds at
-    most min(h, max(N_T - h, 0)) levels behind its head.  B is the
-    module's (above N_T) or check_rows, which splits the run into blocks
-    of 4 calls: calls 0..3 (all checked), 4..7 (only call 7 brings a new
-    field), then 8..11 and 12..15."""
+    every call's speed field, so they count N_T + 1 calls in all; and
+    between steps the history holds at most min(h, max(N_T - h, 0))
+    levels behind its head.  B is the module's (above N_T) or check_rows,
+    which splits the run into blocks of 4 calls: 0..3, 4..7, 8..11 and
+    12..15."""
     if check_rows is not None:
         monkeypatch.setattr(diagnostics, "BLOCK_BYTES", check_rows * 8 * 50)
     grid, weights, rho0, t_final = _delayed_case(h, n_steps)
@@ -308,9 +306,9 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps, check_row
         steps.append(args)
         return step(*args)
 
-    def counted_check(self, start, stop):
-        checks.append(stop - start)
-        return check_speeds(self, start, stop)
+    def counted_check(self, m):
+        checks.append(m)
+        return check_speeds(self, m)
 
     vel = Velocity("normalized_greenshields")
     collector = DiagnosticsCollector(
@@ -335,8 +333,7 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps, check_row
     assert max(blocks) <= schemes.speed_rows(grid.n_cells, h)
     assert len(pushes) == max(n_steps - h, 0)
     assert len(steps) == n_steps
-    first = min(rows, n_steps + 1)
-    assert sum(checks) == first + len(range(max(rows, h + 1), n_steps + 1))
+    assert sum(checks) == n_steps + 1
     assert sum(checks) >= sum(blocks)
     assert max(queued) == min(h, max(n_steps - h, 0))
 
