@@ -562,12 +562,12 @@ def block_rows(n_cells: int) -> int:
 def block_bytes(n_cells: int, h: int, n_steps: int) -> int:
     """Bytes of one collector's buffers and of the march's live speed
     blocks: the (B + 1, J) level and (B + 1, J + 2) speed blocks, row for
-    row, the (B, J) scratch block, the N_T + 1 per-step reaches and the
+    row, the (B, J + 2) scratch block, the N_T + 1 per-step reaches and the
     EntropyBlock of B rows, plus the two (b, J + 2) blocks of speed
     fields schemes.run holds at once, b = schemes.speed_rows(J, h), all
     float64.  They hold no kappa (see entropy_residual)."""
     rows = block_rows(n_cells)
-    blocks = (2 * rows + 1) * n_cells + (rows + 1 + 2 * speed_rows(n_cells, h)) * (n_cells + 2)
+    blocks = (rows + 1) * n_cells + (2 * rows + 1 + 2 * speed_rows(n_cells, h)) * (n_cells + 2)
     return (blocks + n_steps + 1) * 8 + EntropyBlock.bytes_for(rows, n_cells)
 
 
@@ -615,7 +615,10 @@ class DiagnosticsCollector:
     a block copies its level and its speed field, with its ghost cells,
     into row i + 1 of two buffers of block_rows(J) + 1 rows.  flush()
     reduces the block with one NumPy call per statistic, takes the
-    increment gap of every call's field and runs the EntropyBlock (see
+    increment gap of every call's field (the level and the speed rows'
+    differences each come from one subtraction over the rows as a flat
+    array, whose entries across rows and ghost cells go unread) and runs
+    the EntropyBlock (see
     entropy_residual) once: on every step of a run that asserts entropy,
     else on the record steps after step 0; other rows read nan.
 
@@ -693,7 +696,7 @@ class DiagnosticsCollector:
         rows, cells = block_rows(grid.n_cells), grid.n_cells
         self._levels = np.zeros((rows + 1, cells))
         self._speeds = np.zeros((rows + 1, cells + 2))
-        self._scratch = np.empty((rows, cells))
+        self._scratch = np.empty((rows, cells + 2))
         # sup|rho^n| of step n; see the class docstring
         self._reach = np.empty(n_final + 1)
         self._count = 0
@@ -713,13 +716,13 @@ class DiagnosticsCollector:
 
     def _check_speeds(self, m: int) -> list[float]:
         """Increment gap max|V_{j+1} - V_j| of each of the block's m calls'
-        speed fields (rows 1..m); none for fewer than two cells."""
-        cells = self._scratch.shape[1]
+        speed fields (rows 1..m, one flat difference); none below two cells."""
+        cells = self._scratch.shape[1] - 2
         if cells < 2:
             return []
-        diff = self._scratch[:m, : cells - 1]
-        speeds = self._speeds[1 : m + 1, 1:-1]
-        np.subtract(speeds[:, 1:], speeds[:, :-1], out=diff)
+        speeds, scratch = self._speeds[1 : m + 1].reshape(-1), self._scratch[:m]
+        np.subtract(speeds[1:], speeds[:-1], out=scratch.reshape(-1)[:-1])
+        diff = scratch[:, 1:cells]
         return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
 
     def _residuals(self, m, marks) -> list[float]:
@@ -755,7 +758,7 @@ class DiagnosticsCollector:
         self._count = 0
         levels = self._levels
         rows = levels[1 : m + 1]
-        scratch = self._scratch[:m]
+        scratch = self._scratch.reshape(-1)[: rows.size].reshape(rows.shape)
         grid = self.grid
         first = self._last_n - m + 1
         # the record rows: step 0, every stride steps and step n_final
@@ -769,8 +772,11 @@ class DiagnosticsCollector:
         lows, highs = lows.tolist(), highs.tolist()
         sums = np.add.reduce(rows, axis=1)
         masses = (sums * grid.dx).tolist()
-        diff = scratch[:, : rows.shape[1] - 1]
-        np.subtract(rows[:, 1:], rows[:, :-1], out=diff)
+        # flat differences (see the class docstring): an unread entry may overflow
+        with np.errstate(invalid="ignore", over="ignore"):
+            gaps = self._check_speeds(m)
+            np.subtract(rows.ravel()[1:], rows.ravel()[:-1], out=scratch.reshape(-1)[:-1])
+        diff = scratch[:, :-1]
         tvs = np.add.reduce(np.abs(diff, out=diff), axis=1)
         if self.boundary != FREE_FLOW:
             tvs += np.abs(rows[:, 0] - rows[:, -1])
@@ -783,7 +789,6 @@ class DiagnosticsCollector:
             l1s = (np.add.reduce(np.abs(rows, out=scratch), axis=1) * grid.dx).tolist()
         np.subtract(rows, levels[:m], out=scratch)
         dists = (np.add.reduce(np.abs(scratch, out=scratch), axis=1) * grid.dx).tolist()
-        gaps = self._check_speeds(m)
         residuals = self._residuals(m, marks)
         # step 0 has no drift, entropy value (its row reads the zeroed carry
         # row) or space-time term

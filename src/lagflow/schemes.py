@@ -24,8 +24,10 @@ tau = h dt (the datum is extended as constant in time on [-tau, 0]):
 
 Since a step reads the level h steps back, the next b <= h lagged levels
 are already in the history when the head moves, and lagged_speeds builds
-their fields as the rows of one block: one np.correlate per level, then
-one dx scale, one velocity call and one ghost fill for all b.
+their fields as the rows of one block: one np.correlate per level, over
+the loads whose window meets a nonzero cell (empty road loads +0.0 and
+costs none), then one dx scale, one velocity call and one ghost fill for
+all b.
 
 Ghost cells, one on each side of a step and N - 1 past the right edge of
 the convolution window, follow the boundary rule: free-flow replicates
@@ -76,7 +78,7 @@ class Workspace:
 
     Sized from J cells and K kernel weights: the ghost-extended level r,
     f(r), then the fluxes (J + 2 cells each), a difference buffer (J) and
-    the convolution window (J + K - 1).  Entered as a context manager, it
+    the convolution window and its nonzero mask (J + K - 1 each).  Entered as a context manager, it
     ignores invalid and overflowing floating-point operations; the
     non-finite guard (_finite) reports their results instead.
     """
@@ -88,6 +90,7 @@ class Workspace:
         self.r, self.f = np.empty((2, n_cells + 2))
         self.diff = np.empty(n_cells)
         self.window = np.empty(n_cells + n_weights - 1)
+        self.nonzero = np.empty(n_cells + n_weights - 1, dtype=bool)
         # periodic: window cell J + k holds level cell k mod J
         self.wrap = np.arange(n_weights - 1)
         self._errstate = np.errstate(invalid="ignore", over="ignore")
@@ -142,23 +145,39 @@ def lagged_speeds(
     """Speeds v(dx * sum_k w[k] rho[j+k]) of b levels with their ghost
     cells: the read-only rows of a fresh (b, J + 2) block.
 
-    Each level is convolved on its own, with one np.correlate on its
-    window; the dx scale, the velocity law and the ghost cells then run
-    once on the whole block, elementwise, so every row has the bits a
+    Each level is convolved on its own, with one np.correlate over the
+    loads whose window meets a nonzero cell: the whole window when both
+    end cells of the level are nonzero, else window[lo : hi + K - 1], lo =
+    max(0, s0 - K + 1) and hi = min(J, s1 + 1) for the first and last
+    nonzero window cells s0, s1; the other loads are +0.0, and an all-zero
+    level calls none.  Each "valid" output of np.correlate is its own dot
+    product of window[j : j + K] with w, and NumPy's double dot starts its
+    sum at +0.0, so the loads keep their bits, +0.0 on all +-0 windows
+    too.  The dx scale, the velocity law and the ghost cells then run once
+    on the whole block, elementwise, so every row has the bits a
     one-level call gives.  run reuses one speed field for up to h + 1
     steps, so a caller that wrote into it would corrupt the steps after it.
     """
     n = len(levels[0])
     block = np.empty((len(levels), n + 2))
-    window, w = work.window, weights.w
-    for level, row in zip(levels, block):
+    loads = block[:, 1:-1]
+    window, w, k, nonzero = work.window, weights.w, weights.n, work.nonzero
+    free = work.boundary == FREE_FLOW
+    for level, load in zip(levels, loads):
         window[:n] = level
-        if work.boundary == FREE_FLOW:
-            window[n:] = window[n - 1]
+        last = window[n - 1]
+        if free:
+            window[n:] = last
         else:
             np.take(level, work.wrap, mode="wrap", out=window[n:])
-        row[1:-1] = np.correlate(window, w, mode="valid")
-    loads = block[:, 1:-1]
+        if last and window[0]:
+            load[:] = np.correlate(window, w, mode="valid")
+            continue
+        load[:] = 0.0
+        s0 = np.not_equal(window, 0.0, out=nonzero).argmax()
+        if nonzero[s0]:
+            lo, hi = max(0, s0 - k + 1), min(n, len(window) - nonzero[::-1].argmax())
+            load[lo:hi] = np.correlate(window[lo : hi + k - 1], w, mode="valid")
     np.multiply(weights.dx, loads, out=loads)
     vel(loads, out=loads)
     _fill_ghosts(block.T, work.boundary)

@@ -1091,9 +1091,49 @@ def test_a_nan_block_is_walked_not_committed(small_blocks, where):
     assert math.isnan(col.space_time_tv_time)
 
 
+def _zeros_and_nans(values, seed):
+    """values with a stretch of -0.0 and one of +0.0; an odd seed adds nan
+    end cells, which a flat difference across rows meets, and a seed of 3
+    mod 4 an inner nan."""
+    values = values.copy()
+    start = int(np.random.default_rng(seed).integers(1, len(values) - 21))
+    values[start : start + 10] = -0.0
+    values[start + 10 : start + 20] = 0.0
+    if seed % 2:
+        values[[0, -1]] = np.nan
+    if seed % 4 == 3:
+        values[start + 20] = np.nan
+    return values
+
+
+def test_flat_differences_equal_the_row_differences(small_blocks):
+    """The collector takes each block's adjacent differences, of levels
+    and of speed fields, from one subtraction over the rows as a flat
+    array; on rows with nan and +-0 cells the TV and gap of every row are
+    the bits of a subtraction of the rows' shifted 2-D views, and an
+    unsaturated free-flow run, which asserts no level check, keeps the
+    per-step reference's state."""
+    case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 4, sat=Saturation("none"))
+    calls = [(n, _zeros_and_nans(level, n) if n % 3 else level, speeds) for n, level, speeds in calls]
+    err, col = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13, stride=1)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, "hw", FREE_FLOW, 13, stride=1)
+    assert err is None and err_ref is None
+    assert _state(col) == _state(ref)
+    rows = np.array([level for _, level, _ in calls])
+    tvs = np.add.reduce(np.abs(rows[:, 1:] - rows[:, :-1]), axis=1)
+    assert np.array([r.tv for r in col.records]).view(np.int64).tolist() == tvs.view(np.int64).tolist()
+
+    fields = np.array([_zeros_and_nans(speeds, n) for n, _, speeds in calls[:_ORACLE_ROWS]])
+    col._speeds[1 : _ORACLE_ROWS + 1] = fields
+    inner = fields[:, 1:-1]
+    gaps = np.maximum.reduce(np.abs(inner[:, 1:] - inner[:, :-1]), axis=1)
+    assert np.array(col._check_speeds(_ORACLE_ROWS)).view(np.int64).tolist() == gaps.view(np.int64).tolist()
+    assert np.isnan(gaps).tolist() == [False, False, False, True, False]
+
+
 def test_block_sizes_follow_block_bytes():
     """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
-    block, the (B + 1, J + 2) speed block, the (B, J) scratch block and N_T
+    block, the (B + 1, J + 2) speed block, the (B, J + 2) scratch block and N_T
     + 1 per-step reaches, and the march holds two (b, J + 2)
     blocks of speed fields, b = max(1, min(h, BLOCK_BYTES // 8 (J + 2)));
     every run adds the block entropy kernel's two (B, J + 2) and four
@@ -1105,7 +1145,7 @@ def test_block_sizes_follow_block_bytes():
     assert schemes.speed_rows(4000, 6192) == 4
     assert schemes.speed_rows(1000, 3) == 3
     assert schemes.speed_rows(1000, 0) == schemes.speed_rows(10**6, 9) == 1
-    blocks = ((2 * 47 + 1) * 344 + (48 + 2 * 47) * 346 + 10966) * 8
+    blocks = (48 * 344 + (47 + 48 + 2 * 47) * 346 + 10966) * 8
     kernel = (2 * 47 * 346 + 4 * 47 * 344) * 8
     assert kernel == diagnostics.EntropyBlock.bytes_for(47, 344) == 777568
     assert diagnostics.block_bytes(344, 2193, 10965) == blocks + kernel

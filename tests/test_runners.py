@@ -140,7 +140,7 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 
 def test_manifest_reports_block_bytes(tmp_path):
     """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
-    (B + 1, J + 2) speed fields, the (B, J) scratch and N_T + 1
+    (B + 1, J + 2) speed fields, the (B, J + 2) scratch and N_T + 1
     per-step reaches, the entropy block kernel's two (B, J + 2)
     and four (B, J) rows, and the march's two blocks of h speed fields (h
     is below BLOCK_BYTES // 8 (J + 2)), whether or not the run asserts
@@ -148,7 +148,7 @@ def test_manifest_reports_block_bytes(tmp_path):
     for scheme, h, n_steps in (("hw", 2, 10), ("lf", 4, 20)):
         run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
         manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
-        expected = ((2 * 327 + 1) * 50 + (328 + 2 * h) * 52 + n_steps + 1) * 8
+        expected = (328 * 50 + (327 + 328 + 2 * h) * 52 + n_steps + 1) * 8
         expected += (2 * 327 * 52 + 4 * 327 * 50) * 8
         assert f"n_steps = {n_steps}" in manifest
         assert f"block_bytes = {expected}" in manifest
@@ -182,6 +182,33 @@ def test_step_error_reports_earlier_violation_of_its_block(monkeypatch):
         simulate(resolved)
     monkeypatch.setattr(schemes, "hw_step", faulty_step(False))
     with pytest.raises(StepError, match=r"^step 4: non-finite density in cell 7$"):
+        simulate(resolved)
+
+
+def test_flush_after_a_step_error_raises_no_floating_point_warning(monkeypatch):
+    """simulate checks the block a StepError leaves outside the march's
+    floating-point error state, and pytest turns a RuntimeWarning into an
+    error.  Level 1 ends on -0.9e308 and level 2 starts on 0.9e308, so the
+    collector's flat difference of level rows overflows between the two
+    rows, an entry no check reads: the StepError still comes out.  Every
+    step up to h = 3 reads the datum's speeds."""
+    resolved = resolve_scenario(_tiny(saturation=Saturation("none"), tau=0.06))
+    assert resolved.grid.delay_steps == 3
+    real_step = schemes.hw_step
+    steps = iter(range(1, resolved.n_steps + 1))
+
+    def step(*args):
+        n, out = next(steps), real_step(*args).copy()
+        if n == 1:
+            out[-1] = -0.9e308
+        if n == 2:
+            out[[0, -1]] = 0.9e308, -0.5e308
+        if n == 3:
+            out[7] = math.nan
+        return schemes._finite(out)
+
+    monkeypatch.setattr(schemes, "hw_step", step)
+    with pytest.raises(StepError, match=r"^step 3: non-finite density in cell 7$"):
         simulate(resolved)
 
 

@@ -706,6 +706,99 @@ def test_lagged_speeds_are_read_only():
         v[1:-1][0] = 0.0
 
 
+def _loads_law(x, out=None):
+    """A velocity law that keeps the scaled loads, so a zero load's sign shows."""
+    return x if out is None else out
+
+
+def _sparse_levels(n):
+    """Levels of n cells with zeros in every place lagged_speeds treats apart."""
+    bump = np.random.default_rng(5).uniform(0.1, 1.0, n)
+    levels = {"all_zero": np.zeros(n), "dense": bump.copy()}
+    for name, cell in (("first", 0), ("interior", n // 2 - 1), ("last", n - 1)):
+        levels[name] = np.zeros(n)
+        levels[name][cell] = bump[cell]
+    levels["leading_zeros"] = np.where(np.arange(n) >= n // 3, bump, 0.0)
+    levels["trailing_zeros"] = np.where(np.arange(n) < n // 3, bump, 0.0)
+    # periodic: the empty stretch runs through the seam, cells J - 1 and 0
+    levels["zeros_across_seam"] = np.where((np.arange(n) > 2) & (np.arange(n) < n - 4), bump, 0.0)
+    levels["negative_zeros"] = np.where(np.arange(n) % 5 == 2, bump, -0.0)
+    levels["negative_zeros"][: n // 2] = -0.0
+    levels["all_negative_zero"] = np.full(n, -0.0)
+    levels["zero_ends"] = bump.copy()
+    levels["zero_ends"][[0, -1]] = 0.0
+    return levels
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize(
+    "dx, length", [(1 / 40, 7 / 40), (0.1, 4.3)], ids=["J40_K7", "J10_K43_wraps"]
+)
+@pytest.mark.parametrize("vel", [Velocity("greenshields", v_max=0.9, rho_max=1.7), _loads_law],
+                         ids=["greenshields", "loads"])
+def test_lagged_speeds_skip_empty_windows_bit_for_bit(boundary, dx, length, vel):
+    """Skipping the windows of exact zeros keeps every bit of the oracle's
+    full convolution, the sign of a zero load included: one level per
+    call and all levels in one block, with K - 1 > J on both boundaries."""
+    weights = _weights(dx=dx, length=length, kind="linear_decreasing")
+    n = round(1 / dx)
+    levels = _sparse_levels(n)
+    with Workspace(n, weights.n, boundary) as work:
+        block = lagged_speeds(list(levels.values()), weights, vel, work)
+        for row, (name, level) in zip(block, levels.items()):
+            expected = _oracle_speeds(level, weights, vel, boundary)
+            one = lagged_speeds([level], weights, vel, work)[0]
+            assert row.view(np.int64).tolist() == one.view(np.int64).tolist(), name
+            assert row[1:-1].view(np.int64).tolist() == expected.view(np.int64).tolist(), name
+    if vel is _loads_law:
+        assert block[list(levels).index("all_negative_zero")].view(np.int64).tolist() == [0] * (n + 2)
+
+
+def _span(a):
+    """Address and length of a 1-D array's cells."""
+    return a.__array_interface__["data"][0], a.size
+
+
+def test_lagged_speeds_correlate_only_the_windows_that_meet_the_support(monkeypatch):
+    """An all-zero level calls no np.correlate; a box level correlates
+    exactly window[lo : hi + K - 1], lo = max(0, s0 - K + 1) and hi = s1 + 1
+    for its first and last nonzero cells s0, s1; a level with two nonzero
+    end cells correlates its whole window without scanning it."""
+    weights = _weights(dx=1 / 40, length=7 / 40, kind="linear_decreasing")
+    n, k = 40, weights.n
+    box = np.zeros(n)
+    box[12:20] = 0.5
+    dense = np.full(n, 0.5)
+    inputs = []
+    real = np.correlate
+
+    def spy(a, v, mode):
+        inputs.append(a)
+        return real(a, v, mode)
+
+    scans = []
+    real_not_equal = np.not_equal
+
+    def scan(*args, **kwargs):
+        scans.append(args[0])
+        return real_not_equal(*args, **kwargs)
+
+    monkeypatch.setattr(np, "correlate", spy)
+    monkeypatch.setattr(np, "not_equal", scan)
+    vel = Velocity("normalized_greenshields")
+    with Workspace(n, k, FREE_FLOW) as work:
+        lagged_speeds([np.zeros(n), np.full(n, -0.0)], weights, vel, work)
+        assert inputs == []
+        lagged_speeds([box], weights, vel, work)
+        lo, hi = 12 - k + 1, 20
+        assert [_span(a) for a in inputs] == [_span(work.window[lo : hi + k - 1])]
+        inputs.clear()
+        scans.clear()
+        lagged_speeds([dense], weights, vel, work)
+        assert [_span(a) for a in inputs] == [_span(work.window)]
+        assert scans == []
+
+
 def test_speed_increment_bound_formula():
     """ceiling = 2 |v'| max(w) sup(rho) dx."""
     vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
