@@ -161,9 +161,9 @@ def tv_bound(t: float, tau: float, rate: float, tv0: float) -> float:
 def speed_increment_bound(vel: Velocity, weights: KernelWeights, rho_sup: float) -> float:
     """Uniform bound 2 sup|v'| sup(omega) rho_sup dx on |V_{j+1} - V_j|.
 
-    Shifting the convolution window by one cell changes the weighted load
-    by at most dx * (w[0] rho_sup + sum_k |w[k+1] - w[k]| rho_sup), and the
-    non-increasing weights telescope to w[0] <= sup(omega) twice over.
+    A one-cell shift of the window drops w[0] rho_j, adds w[N-1] rho_{j+N}
+    and reweights the rest, moving the load by at most dx rho_sup (w[0] +
+    sum_k |w[k+1] - w[k]| + w[N-1]), 2 w[0] dx rho_sup for non-increasing w.
     """
     return 2.0 * vel.d1_sup * weights.sup * rho_sup * weights.dx
 
@@ -484,6 +484,7 @@ class EntropyBlock:
         return bool(t.any())
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def entropy_residual(
     rho: np.ndarray,
     rho_next: np.ndarray,
@@ -541,8 +542,8 @@ def entropy_residual(
     march that did what the scheme says gives exactly 0.  A run without a
     saturation term leaves [0, R] and its speeds [0, v_max], so a value
     reported there may be an upper bound, not the supremum.  The value is
-    nan when it is not finite.  The step runs on a one-row EntropyBlock,
-    the kernel the collector runs on whole blocks.
+    nan when it is not finite, under any caller's floating-point error
+    state.  The step runs on a one-row EntropyBlock, the collector's kernel.
     """
     rho = np.asarray(rho, dtype=float)
     rho_next = np.asarray(rho_next, dtype=float)
@@ -614,13 +615,13 @@ class DiagnosticsCollector:
     the call's speed field and the asserted entropy residual.  Call i of
     a block copies its level and its speed field, with its ghost cells,
     into row i + 1 of two buffers of block_rows(J) + 1 rows.  flush()
-    reduces the block with one NumPy call per statistic, takes the
-    increment gap of every call's field (the level and the speed rows'
-    differences each come from one subtraction over the rows as a flat
-    array, whose entries across rows and ghost cells go unread) and runs
-    the EntropyBlock (see
-    entropy_residual) once: on every step of a run that asserts entropy,
-    else on the record steps after step 0; other rows read nan.
+    reduces the block with one NumPy call per statistic, takes the gap of
+    every call's field (the level and speed differences each come from one
+    flat subtraction over the rows; entries across rows and ghost cells go
+    unread) and runs the EntropyBlock (see entropy_residual) once: on every
+    step of a run that asserts entropy, else on the record steps after step
+    0; other rows read nan.  It ignores invalid and overflowing operations
+    in its own floating-point error state, whatever its caller's.
 
     flush() writes each step's max(|min|, |max|) into its entry of an
     array of n_final + 1 reaches, and then gives one verdict.  Each
@@ -631,8 +632,8 @@ class DiagnosticsCollector:
     below BOUND_TOL), and the speed bound at sup|rho| = R (the field of
     call n has its own at max(R, reach of step max(n - h, 0)), and the
     bound grows with sup|rho|).  Only a row that fails the scan is judged
-    against its own bound.  Every comparison refuses a nan, so a nan
-    level, TV value, gap or asserted entropy value fails its check.  Of
+    against its own bound.  Every comparison refuses a nan and a +inf, so
+    a non-finite level, TV value, gap or asserted entropy value fails.  Of
     the checks' first violations the verdict raises the earliest step's,
     and at one step the first in a per-step check's order (speed,
     positivity, ceiling, mass, TV, entropy), with a per-step check's
@@ -750,6 +751,7 @@ class DiagnosticsCollector:
             residuals[r] = value
         return residuals
 
+    @np.errstate(invalid="ignore", over="ignore")
     def flush(self) -> None:
         """Check the buffered steps; raise the first violation."""
         m = self._count
@@ -772,10 +774,8 @@ class DiagnosticsCollector:
         lows, highs = lows.tolist(), highs.tolist()
         sums = np.add.reduce(rows, axis=1)
         masses = (sums * grid.dx).tolist()
-        # flat differences (see the class docstring): an unread entry may overflow
-        with np.errstate(invalid="ignore", over="ignore"):
-            gaps = self._check_speeds(m)
-            np.subtract(rows.ravel()[1:], rows.ravel()[:-1], out=scratch.reshape(-1)[:-1])
+        gaps = self._check_speeds(m)
+        np.subtract(rows.ravel()[1:], rows.ravel()[:-1], out=scratch.reshape(-1)[:-1])
         diff = scratch[:, :-1]
         tvs = np.add.reduce(np.abs(diff, out=diff), axis=1)
         if self.boundary != FREE_FLOW:

@@ -64,8 +64,8 @@ PERIODIC = "periodic"
 
 BOUNDARY_KINDS = (FREE_FLOW, PERIODIC)
 
-#: Bytes of one block of speed fields (speed_rows) and of each of the
-#: collector's block buffers (diagnostics.block_rows).
+#: Sizes the blocks: B = diagnostics.block_rows(J) rows of J float64 cells
+#: and b = speed_rows(J, h) rows of J + 2 (see diagnostics.block_bytes).
 BLOCK_BYTES = 1 << 17
 
 

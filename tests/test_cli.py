@@ -1,7 +1,11 @@
 """Command line interface: exit codes, artifact files, determinism."""
 
+import math
+
+import numpy as np
 import pytest
 
+from lagflow import schemes
 from lagflow.cli import main
 from lagflow.scenario import render_config
 
@@ -56,6 +60,26 @@ def test_two_runs_are_byte_identical(tiny_cfg, tmp_path):
     assert main(["run", str(tiny_cfg), "--out", str(b)]) == 0
     for name in ("diagnostics.csv", "manifest.txt", "snapshot_t0.1.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_violation_before_a_step_error_exits_two(tiny_cfg, tmp_path, monkeypatch, capsys):
+    """Level 1 alternates +-1e308 and level 2 carries a nan: the flush
+    after the StepError overflows its row sums and still reports the
+    negative density of step 1."""
+    steps = iter(range(1, 100))
+
+    def step(rho, *args):
+        out = np.zeros_like(rho)
+        if next(steps) == 1:
+            out[:] = 1e308
+            out[1::2] = -1e308
+        else:
+            out[7] = math.nan
+        return schemes._finite(out)
+
+    monkeypatch.setattr(schemes, "hw_step", step)
+    assert main(["run", str(tiny_cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == "invariant violation: step 1: negative density -1e+308\n"
 
 
 def test_missing_config_is_a_configuration_error(tmp_path, capsys):

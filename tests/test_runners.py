@@ -212,6 +212,39 @@ def test_flush_after_a_step_error_raises_no_floating_point_warning(monkeypatch):
         simulate(resolved)
 
 
+@pytest.mark.parametrize(
+    "scheme, saturation, error, message",
+    [
+        ("hw", "linear", InvariantViolation, r"^step 1: negative density -1e\+308$"),
+        ("lf", "linear", InvariantViolation, r"^step 1: negative density -1e\+308$"),
+        ("hw", "none", StepError, r"^step 2: non-finite density in cell 7$"),
+    ],
+)
+def test_flush_after_a_step_error_survives_overflowing_row_sums(
+    monkeypatch, scheme, saturation, error, message
+):
+    """Level 1 alternates +-1e308, so the flush's row sums, differences
+    and entropy replay overflow whatever floating-point error state
+    simulate's caller holds; level 2 carries a nan.  A saturated run
+    raises the positivity violation of step 1, an unsaturated one, which
+    asserts nothing that level 1 breaks, the StepError of step 2."""
+    resolved = resolve_scenario(_tiny(scheme=scheme, saturation=Saturation(saturation)))
+    steps = iter(range(1, resolved.n_steps + 1))
+
+    def step(rho, *args):
+        out = np.zeros_like(rho)
+        if next(steps) == 1:
+            out[:] = 1e308
+            out[1::2] = -1e308
+        else:
+            out[7] = math.nan
+        return schemes._finite(out)
+
+    monkeypatch.setattr(schemes, f"{scheme}_step", step)
+    with pytest.raises(error, match=message):
+        simulate(resolved)
+
+
 def test_run_scenario_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_scenario(_tiny(), a)

@@ -11,7 +11,7 @@ import pytest
 
 from lagflow import diagnostics, schemes
 
-from lagflow.diagnostics import DiagnosticsCollector, speed_increment_bound
+from lagflow.diagnostics import SPEED_TOL, DiagnosticsCollector, speed_increment_bound
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.initial_data import Constant
 from lagflow.model_functions import Kernel, Saturation, Velocity
@@ -800,12 +800,20 @@ def test_lagged_speeds_correlate_only_the_windows_that_meet_the_support(monkeypa
 
 
 def test_speed_increment_bound_formula():
-    """ceiling = 2 |v'| max(w) sup(rho) dx."""
+    """ceiling = 2 |v'| max(w) sup(rho) dx.  A signed level reaches it:
+    with a constant kernel of N = 10 cells, a cell of -0.6 leaves the
+    window as one of +0.6 enters, and the load moves by 2 w[0] dx 0.6."""
     vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
     w = _weights(kind="linear_decreasing")
     bound = speed_increment_bound(vel, w, rho_sup=1.7)
     expected = 2.0 * (0.9 / 1.7) * float(np.max(w.w)) * 1.7 * w.dx
     assert bound == pytest.approx(expected)
+    w = _weights(dx=0.01, length=0.1)
+    level = np.zeros(100)
+    level[[30, 40]] = -0.6, 0.6
+    gap = float(np.max(np.abs(np.diff(_speeds(level, w, vel, FREE_FLOW)))))
+    bound = speed_increment_bound(vel, w, rho_sup=0.6)
+    assert (1.0 - 1e-12) * bound <= gap <= bound + SPEED_TOL
 
 
 def test_adjacent_speed_increments_respect_bound():
