@@ -36,10 +36,10 @@ the first/last cell, periodic wraps.
 run marches on a Workspace built once per run: the ghost-extended level,
 f on it (then the fluxes), a difference buffer and the convolution window
 are rewritten in place with out= ufuncs, in the order the fresh-array
-expressions above evaluate, so the levels keep their bits.  Two kinds of
-array stay fresh: each new level, which the delay history may hold, and
-each block of speed fields, whose rows up to h + 1 steps and the observer
-share.
+expressions above evaluate, so the levels keep their bits; a step computes
+only the cells around the nonzero ones (see run).  Two kinds of array stay
+fresh: each new level, which the delay history may hold, and each block
+of speed fields, whose rows up to h + 1 steps and the observer share.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ class Workspace:
     """Buffers one march reuses every step, and its floating-point error state.
 
     Sized from J cells and K kernel weights: the ghost-extended level r,
-    f(r), then the fluxes (J + 2 cells each), a difference buffer (J) and
-    the convolution window and its nonzero mask (J + K - 1 each).  Entered as a context manager, it
+    f(r), then the fluxes (J + 2 cells each), a difference buffer (J; a
+    step on a slice uses the leading cells of these three) and the
+    convolution window and its nonzero mask (J + K - 1 each).  Entered as a context manager, it
     ignores invalid and overflowing floating-point operations; the
     non-finite guard (_finite) reports their results instead.
     """
@@ -200,8 +201,8 @@ def history_bytes(n_cells: int, h: int, n_steps: int) -> int:
     return (min(h, max(n_steps - h, 0)) + 1) * n_cells * 8
 
 
-def _finite(out: np.ndarray) -> np.ndarray:
-    """out, or StepError naming its first non-finite cell.
+def _finite(out: np.ndarray, first: int = 0) -> np.ndarray:
+    """out, or StepError naming its first non-finite cell, out[0] being cell first.
 
     NaN and inf carry through a sum, so the cells are scanned only when
     the sum of out is not finite; a finite level whose sum overflows is
@@ -210,7 +211,7 @@ def _finite(out: np.ndarray) -> np.ndarray:
     if not math.isfinite(np.add.reduce(out)):
         finite = np.isfinite(out)
         if not finite.all():
-            raise StepError(f"non-finite density in cell {int(np.argmin(finite))}")
+            raise StepError(f"non-finite density in cell {first + int(np.argmin(finite))}")
     return out
 
 
@@ -247,6 +248,25 @@ def update(
     return np.subtract(rho, d, out=out)
 
 
+def _step(
+    scheme: str, rho: np.ndarray, v_lag: np.ndarray, lam: float, alpha: float | None,
+    sat: Saturation, work: Workspace, a: int, b: int | None,
+) -> np.ndarray:
+    """update of the whole level as a fresh array, computed on the cells
+    [a, b) only (b None: J) and +0.0 on the others (see run).  The whole
+    level goes unsliced: six slices add about 1 of 11 us per step at J =
+    344 (numpy 2.4, 2-core x86), 7 % of a march on whole levels."""
+    n = len(rho)
+    b = n if b is None else b
+    if b - a == n:
+        return _finite(update(scheme, rho, v_lag, lam, alpha, sat, work.boundary,
+                              work.r, work.f, work.diff, np.empty(n)))
+    m, out = b - a + 2, np.zeros(n)
+    _finite(update(scheme, rho[a:b], v_lag[a : b + 2], lam, alpha, sat, work.boundary,
+                   work.r[:m], work.f[:m], work.diff[: m - 2], out[a:b]), a)
+    return out
+
+
 def lf_step(
     rho: np.ndarray,
     v_lag: np.ndarray,
@@ -254,13 +274,14 @@ def lf_step(
     alpha: float,
     sat: Saturation,
     work: Workspace,
+    a: int = 0,
+    b: int | None = None,
 ) -> np.ndarray:
-    """One Lax-Friedrichs update of the whole level, a fresh array.
+    """One Lax-Friedrichs update of the whole level, a fresh array (_step).
 
     v_lag is the speed field with its ghost cells (lagged_speeds).
     """
-    return _finite(update(LAX_FRIEDRICHS, rho, v_lag, lam, alpha, sat, work.boundary,
-                          work.r, work.f, work.diff, np.empty(len(rho))))
+    return _step(LAX_FRIEDRICHS, rho, v_lag, lam, alpha, sat, work, a, b)
 
 
 def hw_step(
@@ -269,15 +290,16 @@ def hw_step(
     lam: float,
     sat: Saturation,
     work: Workspace,
+    a: int = 0,
+    b: int | None = None,
 ) -> np.ndarray:
-    """One Hilliges-Weidlich update of the whole level, a fresh array.
+    """One Hilliges-Weidlich update of the whole level, a fresh array (_step).
 
     v_lag is the speed field with its ghost cells (lagged_speeds).  The
     interface flux rho_j f(rho_{j+1}) V_{j+1} is non-negative whenever
     the level is, so no numerical viscosity is needed.
     """
-    return _finite(update(HILLIGES_WEIDLICH, rho, v_lag, lam, None, sat, work.boundary,
-                          work.r, work.f, work.diff, np.empty(len(rho))))
+    return _step(HILLIGES_WEIDLICH, rho, v_lag, lam, None, sat, work, a, b)
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -323,6 +345,20 @@ def run(
     hands out one row per lagged level.  At most two blocks are live, the
     one being handed out and the one holding the previous field.  The
     observer runs inside the workspace's floating-point error state.
+
+    The steps compute only the slice [a, b) of the level, whose end cells
+    and every cell outside it have bit pattern 0 (+0.0; -0.0 counts as
+    nonzero) unless it is the whole level [0, J).  lf_step and hw_step
+    write +0.0 outside it, the bits of a whole-level step: update is
+    elementwise; the slice's ghost cells, copies of its +0 end cells,
+    equal their true neighbours under both boundaries; and outside it,
+    where LF's rho_{j-1}, rho_j, rho_{j+1} and HW's rho_{j-1}, rho_j are
+    +0, every flux is +-0 while f(0) and V are finite, and +0 plus or
+    minus +-0 is +0.  One scan of the datum's bits (none when an end
+    cell is nonzero) gives the first slice; after a step it grows past
+    each end cell that became nonzero (+0 never steps to -0).  A slice
+    past an edge, or one after a block of speed fields whose sum is not
+    finite, becomes the whole level for the rest of the run.
     """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -338,25 +374,42 @@ def run(
     rows = speed_rows(rho.size, h)
     # speed fields of the levels behind the head, one row view each
     fields: deque = deque()
+    a, b = -1, rho.size + 1
+    if not (rho[0] or rho[-1]):
+        bits = rho.view(np.int64) != 0
+        a, b = int(bits.argmax()) - 1, rho.size + 1 - int(bits[::-1].argmax())
     with Workspace(rho.size, weights.n, boundary) as work:
-        speeds = lagged_speeds([history[0]], weights, vel, work)[0]
+
+        def convolve(levels: list) -> np.ndarray:
+            """lagged_speeds of the levels; a sum that is not finite ends the slice."""
+            nonlocal a
+            block = lagged_speeds(levels, weights, vel, work)
+            if b - a < rho.size and not math.isfinite(np.add.reduce(block, axis=None)):
+                a = -1
+            return block
+
+        speeds = convolve([history[0]])[0]
         if observer is not None:
             observer(0, rho, speeds)
         for n in range(1, n_steps + 1):
+            if a < 0 or b > rho.size:
+                a, b = 0, rho.size
             try:
                 if scheme == LAX_FRIEDRICHS:
-                    rho = lf_step(rho, speeds, lam, grid.alpha, sat, work)
+                    rho = lf_step(rho, speeds, lam, grid.alpha, sat, work, a, b)
                 else:
-                    rho = hw_step(rho, speeds, lam, sat, work)
+                    rho = hw_step(rho, speeds, lam, sat, work, a, b)
             except StepError as exc:
                 raise StepError(f"step {n}: {exc}") from exc
+            if b - a < rho.size:
+                a, b = a - bool(rho[a]), b + bool(rho[b - 1])
             if n <= n_steps - h:
                 push_level(history, rho)
             if n > h:
                 history.popleft()
                 if not fields:
                     levels = list(islice(history, min(rows, len(history))))
-                    fields.extend(lagged_speeds(levels, weights, vel, work))
+                    fields.extend(convolve(levels))
                 speeds = fields.popleft()
             if observer is not None:
                 observer(n, rho, speeds)

@@ -569,6 +569,129 @@ def test_run_holds_at_most_two_speed_blocks(monkeypatch):
     assert max(live) == 2
 
 
+# ---------------------------------------------------------------------------
+# the sliced march: steps on the cells around the nonzero ones
+
+
+def _box_datum(kind):
+    """J = 50 cells (the _delayed_case grid): a box on cells 20..30 with
+    extra cells per kind; its slice reaches an edge within 30 steps."""
+    rho0 = np.zeros(50)
+    rho0[20:31] = np.random.default_rng(3).uniform(0.2, 0.9, 11)
+    if kind == "negative_zero":
+        rho0[[12, 37]] = -0.0
+    elif kind == "subnormal":
+        rho0[[14, 36]] = 5e-324, 2.5e-310
+    elif kind == "all_zero":
+        rho0[:] = 0.0
+    elif kind == "ends_nonzero":
+        rho0[[0, -1]] = 0.3, 0.6
+    return rho0
+
+
+@pytest.mark.parametrize("kind", ["box", "negative_zero", "subnormal", "all_zero", "ends_nonzero"])
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_sliced_run_matches_whole_level_march_byte_for_byte(monkeypatch, scheme, boundary, kind):
+    """Every observer level and speed field of run, whose steps compute only
+    the slice around the nonzero cells, has the bytes of the march that
+    steps whole levels, so a -0.0 written as +0.0 fails too.  The box runs
+    on slices until the slice reaches an edge and on whole levels after;
+    a datum with a nonzero end cell, or none at all, runs on whole levels.
+    The first slice reaches one cell past every cell whose bits are not 0:
+    the -0.0 and subnormal cells too."""
+    grid, weights, _, t_final = _delayed_case(3, 30)
+    rho0 = _box_datum(kind)
+    vel = Velocity("normalized_greenshields")
+    sat = Saturation("linear", rho_max=1.0)
+    slices = []  # each step's cells [a, b)
+
+    def spy(step):
+        def spied(*args):
+            slices.append(args[-2:])
+            return step(*args)
+
+        return spied
+
+    monkeypatch.setattr(schemes, "lf_step", spy(schemes.lf_step))
+    monkeypatch.setattr(schemes, "hw_step", spy(schemes.hw_step))
+    seen = []
+    run(
+        grid, weights, vel, sat, scheme, rho0, t_final, boundary=boundary,
+        observer=lambda n, level, speeds: seen.append((level, speeds)),
+    )
+    expected = _ring_march(grid, weights, vel, sat, scheme, rho0, 30, boundary)
+    assert len(seen) == len(expected) == 31
+    for (level, v), (_, level_ref, v_ref) in zip(seen, expected):
+        assert level.tobytes() == level_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+    sliced = sum(b - a < 50 for a, b in slices)
+    if kind in ("all_zero", "ends_nonzero"):
+        assert sliced == 0
+    else:
+        assert 0 < sliced < 30
+        assert set(slices[sliced:]) == {(0, 50)}
+        assert slices[0] == {"box": (19, 32), "negative_zero": (11, 39), "subnormal": (13, 38)}[kind]
+
+
+def test_sliced_step_reports_the_level_cell():
+    """A step on a slice names the non-finite cell by its index in the
+    level, not in the slice: the same message as the step on the whole
+    level."""
+    grid, weights, _, _ = _delayed_case(0, 1)
+    rho = np.zeros(50)
+    rho[20:25] = 1e300
+    v = np.ones(52)
+    messages = []
+    with Workspace(50, weights.n, FREE_FLOW) as work:
+        for cells in ((), (19, 26)):
+            with pytest.raises(StepError) as exc:
+                hw_step(rho, v * -1e300, grid.lam, _SAT_NONE, work, *cells)
+            messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert int(messages[0].rsplit(" ", 1)[1]) >= 19
+    with pytest.raises(StepError, match="cell 8$"):
+        schemes._finite(np.array([0.0, np.inf]), 7)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("field", [0, 1], ids=["datum_field", "later_field"])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_nonfinite_speed_outside_the_slice_fails_as_on_whole_levels(monkeypatch, scheme, field, bad):
+    """A speed field with an inf or nan on a cell outside the slice makes
+    run step the whole level, which raises the StepError of a march on
+    whole levels: at the same step and the same cell."""
+    grid, weights, _, t_final = _delayed_case(3, 12)
+    rho0 = _box_datum("box")
+    lagged, blocks = schemes.lagged_speeds, []
+
+    def poisoned(levels, *args):
+        block = lagged(levels, *args)
+        blocks.append(block)
+        if len(blocks) == field + 1:
+            block = block.copy()
+            block[:, 6] = bad
+            block.flags.writeable = False
+        return block
+
+    def whole(step):
+        return lambda *args: step(*args[:-2])
+
+    monkeypatch.setattr(schemes, "lagged_speeds", poisoned)
+    messages = []
+    for patch in (False, True):
+        blocks.clear()
+        if patch:
+            monkeypatch.setattr(schemes, "lf_step", whole(schemes.lf_step))
+            monkeypatch.setattr(schemes, "hw_step", whole(schemes.hw_step))
+        with pytest.raises(StepError) as exc:
+            run(grid, weights, Velocity("normalized_greenshields"),
+                Saturation("linear", rho_max=1.0), scheme, rho0, t_final)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("step 1:" if field == 0 else "step 5:")
+
+
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 @pytest.mark.parametrize("sat", _SATURATIONS, ids=["none", "linear", "exponential"])
 def test_one_shot_kernel_matches_concatenate_kernel(sat, boundary):
