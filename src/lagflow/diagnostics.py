@@ -484,7 +484,7 @@ class EntropyBlock:
         return bool(t.any())
 
 
-@np.errstate(invalid="ignore", over="ignore")
+@np.errstate(all="ignore")
 def entropy_residual(
     rho: np.ndarray,
     rho_next: np.ndarray,
@@ -542,8 +542,9 @@ def entropy_residual(
     march that did what the scheme says gives exactly 0.  A run without a
     saturation term leaves [0, R] and its speeds [0, v_max], so a value
     reported there may be an upper bound, not the supremum.  The value is
-    nan when it is not finite, under any caller's floating-point error
-    state.  The step runs on a one-row EntropyBlock, the collector's kernel.
+    nan when it is not finite; every kind of floating-point exception is
+    ignored, whatever the caller's error state.  The step runs on a
+    one-row EntropyBlock, the collector's kernel.
     """
     rho = np.asarray(rho, dtype=float)
     rho_next = np.asarray(rho_next, dtype=float)
@@ -605,10 +606,10 @@ class DiagnosticsCollector:
     other run reports the entropy bound at its record rows without
     asserting it.  The lemma covers a saturated, smooth Hilliges-Weidlich
     run as well, but asserting replays schemes.update on every step, not
-    only at the record rows: on two cores an in-process A/B of simulate
-    read +18.5 % on perfbench's hw_stopgo workload and +56.8 % on
-    hw_refine_j4000, so such runs report it.  Periodic runs assert mass
-    conservation (conserve_mass).
+    only at the record rows, which would add a large share to simulate
+    on perfbench's HW workloads (ROADMAP.md has the measured A/B), so such
+    runs report it.  Periodic runs assert mass conservation
+    (conserve_mass).
 
     Every step is checked: positivity, the maximum principle, mass
     conservation, the TV ceiling, the speed adjacent-difference bound on
@@ -620,8 +621,8 @@ class DiagnosticsCollector:
     flat subtraction over the rows; entries across rows and ghost cells go
     unread) and runs the EntropyBlock (see entropy_residual) once: on every
     step of a run that asserts entropy, else on the record steps after step
-    0; other rows read nan.  It ignores invalid and overflowing operations
-    in its own floating-point error state, whatever its caller's.
+    0; other rows read nan.  It ignores every kind of floating-point
+    exception in its own error state, whatever its caller's.
 
     flush() writes each step's max(|min|, |max|) into its entry of an
     array of n_final + 1 reaches, and then gives one verdict.  Each
@@ -751,7 +752,7 @@ class DiagnosticsCollector:
             residuals[r] = value
         return residuals
 
-    @np.errstate(invalid="ignore", over="ignore")
+    @np.errstate(all="ignore")
     def flush(self) -> None:
         """Check the buffered steps; raise the first violation."""
         m = self._count

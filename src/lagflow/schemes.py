@@ -74,14 +74,12 @@ class StepError(RuntimeError):
 
 
 class Workspace:
-    """Buffers one march reuses every step, and its floating-point error state.
+    """Buffers one march reuses every step.
 
     Sized from J cells and K kernel weights: the ghost-extended level r,
     f(r), then the fluxes (J + 2 cells each), a difference buffer (J; a
     step on a slice uses the leading cells of these three) and the
-    convolution window and its nonzero mask (J + K - 1 each).  Entered as a context manager, it
-    ignores invalid and overflowing floating-point operations; the
-    non-finite guard (_finite) reports their results instead.
+    convolution window and its nonzero mask (J + K - 1 each).
     """
 
     def __init__(self, n_cells: int, n_weights: int, boundary: str) -> None:
@@ -94,14 +92,6 @@ class Workspace:
         self.nonzero = np.empty(n_cells + n_weights - 1, dtype=bool)
         # periodic: window cell J + k holds level cell k mod J
         self.wrap = np.arange(n_weights - 1)
-        self._errstate = np.errstate(invalid="ignore", over="ignore")
-
-    def __enter__(self) -> "Workspace":
-        self._errstate.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._errstate.__exit__(*exc)
 
 
 def _fill_ghosts(ext: np.ndarray, boundary: str) -> np.ndarray:
@@ -309,6 +299,7 @@ def step_count(t_final: float, dt: float) -> int:
     return int(np.floor(t_final / dt + 1e-9))
 
 
+@np.errstate(all="ignore")
 def run(
     grid: Grid,
     weights: KernelWeights,
@@ -323,11 +314,11 @@ def run(
     """Advance the projected datum to N_T dt with N_T dt <= t_final.
 
     The observer, if given, is called as observer(n, level, speeds) once
-    before the loop (n = 0) and after each step n = 1..N_T, where level is
-    the density at step n and speeds the speed field V^{n-h} of the level
-    of call max(n - h, 0), which the NEXT step will consume.  A stateful
-    observer that remembers the previous call therefore holds exactly the
-    (level, speeds) pair that produced the current level.
+    before the first step (n = 0) and after each step n = 1..N_T, where
+    level is the density at step n and speeds the speed field V^{n-h} of
+    the level of call max(n - h, 0), which the NEXT step will consume.  A
+    stateful observer that remembers the previous call therefore holds
+    exactly the (level, speeds) pair that produced the current level.
 
     This loop owns the delay schedule.  Every step up to h reads the
     datum's speeds; the history deque holds the lagged level at its head
@@ -343,8 +334,11 @@ def run(
     queue of fields runs out, lagged_speeds convolves the first
     min(speed_rows(J, h), len(history)) of them in one call and the queue
     hands out one row per lagged level.  At most two blocks are live, the
-    one being handed out and the one holding the previous field.  The
-    observer runs inside the workspace's floating-point error state.
+    one being handed out and the one holding the previous field.
+
+    The whole march, observer included, ignores every kind of
+    floating-point exception, whatever the caller's error state: a level
+    that is not finite raises StepError (_finite) instead.
 
     The steps compute only the slice [a, b) of the level, whose end cells
     and every cell outside it have bit pattern 0 (+0.0; -0.0 counts as
@@ -354,11 +348,11 @@ def run(
     equal their true neighbours under both boundaries; and outside it,
     where LF's rho_{j-1}, rho_j, rho_{j+1} and HW's rho_{j-1}, rho_j are
     +0, every flux is +-0 while f(0) and V are finite, and +0 plus or
-    minus +-0 is +0.  One scan of the datum's bits (none when an end
-    cell is nonzero) gives the first slice; after a step it grows past
-    each end cell that became nonzero (+0 never steps to -0).  A slice
-    past an edge, or one after a block of speed fields whose sum is not
-    finite, becomes the whole level for the rest of the run.
+    minus +-0 is +0.  One scan of the datum's bits gives the first
+    slice; after a step it grows past each end cell that became nonzero
+    (+0 never steps to -0).  A slice past an edge, or one after a block
+    of speed fields whose sum is not finite, becomes the whole level for
+    the rest of the run.
     """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -372,28 +366,15 @@ def run(
     n_steps = step_count(t_final, grid.dt)
     lam = grid.lam
     rows = speed_rows(rho.size, h)
+    work = Workspace(rho.size, weights.n, boundary)
     # speed fields of the levels behind the head, one row view each
     fields: deque = deque()
-    a, b = -1, rho.size + 1
-    if not (rho[0] or rho[-1]):
-        bits = rho.view(np.int64) != 0
-        a, b = int(bits.argmax()) - 1, rho.size + 1 - int(bits[::-1].argmax())
-    with Workspace(rho.size, weights.n, boundary) as work:
-
-        def convolve(levels: list) -> np.ndarray:
-            """lagged_speeds of the levels; a sum that is not finite ends the slice."""
-            nonlocal a
-            block = lagged_speeds(levels, weights, vel, work)
-            if b - a < rho.size and not math.isfinite(np.add.reduce(block, axis=None)):
-                a = -1
-            return block
-
-        speeds = convolve([history[0]])[0]
-        if observer is not None:
-            observer(0, rho, speeds)
-        for n in range(1, n_steps + 1):
-            if a < 0 or b > rho.size:
-                a, b = 0, rho.size
+    bits = rho.view(np.int64) != 0
+    a, b = int(bits.argmax()) - 1, rho.size + 1 - int(bits[::-1].argmax())
+    if a < 0 or b > rho.size:
+        a, b = 0, rho.size
+    for n in range(n_steps + 1):
+        if n:
             try:
                 if scheme == LAX_FRIEDRICHS:
                     rho = lf_step(rho, speeds, lam, grid.alpha, sat, work, a, b)
@@ -403,14 +384,19 @@ def run(
                 raise StepError(f"step {n}: {exc}") from exc
             if b - a < rho.size:
                 a, b = a - bool(rho[a]), b + bool(rho[b - 1])
+                if a < 0 or b > rho.size:
+                    a, b = 0, rho.size
             if n <= n_steps - h:
                 push_level(history, rho)
             if n > h:
                 history.popleft()
-                if not fields:
-                    levels = list(islice(history, min(rows, len(history))))
-                    fields.extend(convolve(levels))
-                speeds = fields.popleft()
-            if observer is not None:
-                observer(n, rho, speeds)
+        if n > h or not n:
+            if not fields:
+                block = lagged_speeds(list(islice(history, rows)), weights, vel, work)
+                if b - a < rho.size and not math.isfinite(np.add.reduce(block, axis=None)):
+                    a, b = 0, rho.size
+                fields.extend(block)
+            speeds = fields.popleft()
+        if observer is not None:
+            observer(n, rho, speeds)
     return rho

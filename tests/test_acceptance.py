@@ -174,8 +174,8 @@ def test_criterion_04_discrete_entropy_inequality():
         v_lag = rng.uniform(0.0, 1.0, n)
         boundary = FREE_FLOW if rng.integers(2) else PERIODIC
         speeds = extend3(v_lag, boundary)
-        with Workspace(n, 1, boundary) as work:
-            rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
+        work = Workspace(n, 1, boundary)
+        rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
         res = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, "lf", alpha)
         worst = max(worst, res)
         assert res <= 1e-10
@@ -349,13 +349,13 @@ def _independent_zero_delay_loop(resolved):
     grid, weights = resolved.grid, resolved.weights
     vel, sat = resolved.velocity, resolved.saturation
     rho = resolved.rho0.copy()
-    with Workspace(grid.n_cells, weights.n, resolved.boundary) as work:
-        for _ in range(resolved.n_steps):
-            speeds = lagged_speeds([rho], weights, vel, work)[0]
-            if resolved.scheme == "lf":
-                rho = lf_step(rho, speeds, grid.lam, grid.alpha, sat, work)
-            else:
-                rho = hw_step(rho, speeds, grid.lam, sat, work)
+    work = Workspace(grid.n_cells, weights.n, resolved.boundary)
+    for _ in range(resolved.n_steps):
+        speeds = lagged_speeds([rho], weights, vel, work)[0]
+        if resolved.scheme == "lf":
+            rho = lf_step(rho, speeds, grid.lam, grid.alpha, sat, work)
+        else:
+            rho = hw_step(rho, speeds, grid.lam, sat, work)
     return rho
 
 

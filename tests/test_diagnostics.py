@@ -249,8 +249,8 @@ def test_entropy_residual_nonpositive_for_lf_randomized():
         v_lag = rng.uniform(0.0, v_cap, n)
         boundary = FREE_FLOW if rng.integers(2) else PERIODIC
         speeds = extend3(v_lag, boundary)
-        with Workspace(n, 1, boundary) as work:
-            rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
+        work = Workspace(n, 1, boundary)
+        rho_next = lf_step(rho, speeds, lam, alpha, sat, work)
         res = entropy_residual(rho, rho_next, speeds, lam, sat, boundary, "lf", alpha)
         worst = max(worst, res)
     assert worst <= 1e-10
@@ -316,13 +316,13 @@ def test_entropy_residual_matches_max_min_composition(kind):
         n = int(rng.integers(3, 40))
         rho = rng.uniform(0.0, 1.0, n)
         v_lag = rng.uniform(0.0, 1.0, n)
-        with Workspace(n, 1, boundary) as work:
-            if scheme == "lf":
-                lam = rng.uniform(0.1, 1.0) / alpha
-                rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
-            else:
-                lam = rng.uniform(0.1, 1.0) / (1.0 + sat.d1_sup)
-                rho_next = hw_step(rho, extend3(v_lag, boundary), lam, sat, work)
+        work = Workspace(n, 1, boundary)
+        if scheme == "lf":
+            lam = rng.uniform(0.1, 1.0) / alpha
+            rho_next = lf_step(rho, extend3(v_lag, boundary), lam, alpha, sat, work)
+        else:
+            lam = rng.uniform(0.1, 1.0) / (1.0 + sat.d1_sup)
+            rho_next = hw_step(rho, extend3(v_lag, boundary), lam, sat, work)
         kappas = np.concatenate([rho, rho_next, [-1.0, 2.0]])
         args = (rho, rho_next, v_lag, lam, sat, boundary)
         speeds = extend3(v_lag, boundary)
@@ -1209,14 +1209,14 @@ def _random_steps(rng, scheme, boundary, sat, count):
         rho = rng.uniform(low, high, n)
         speeds = extend3(rng.uniform(low, high, n), boundary)
         share = rng.uniform(0.05, 1.0 if inside else 3.0)
-        with Workspace(n, 1, boundary) as work:
-            if scheme == "lf":
-                alpha = speed * (rng.uniform(1.0, 1.5) if inside else rng.uniform(0.05, 1.2))
-                lam = share / alpha
-                update = lf_step(rho, speeds, lam, alpha, sat, work)
-            else:
-                alpha, lam = None, share / speed
-                update = hw_step(rho, speeds, lam, sat, work)
+        work = Workspace(n, 1, boundary)
+        if scheme == "lf":
+            alpha = speed * (rng.uniform(1.0, 1.5) if inside else rng.uniform(0.05, 1.2))
+            lam = share / alpha
+            update = lf_step(rho, speeds, lam, alpha, sat, work)
+        else:
+            alpha, lam = None, share / speed
+            update = hw_step(rho, speeds, lam, sat, work)
         rho_next = update + (rng.choice([0.0, 1e-3, -1e-3], n) if trial % 3 != 1 else 0.0)
         monotone = inside and (scheme == "lf" or 0.0 <= rho_next.min() <= rho_next.max() <= 1.0)
         yield rho, rho_next, speeds, lam, alpha, update, monotone
@@ -1253,8 +1253,8 @@ def test_entropy_residual_covers_the_jump_of_the_exponential_law():
     rho = np.array([0.861, -1.5e-6, 0.212])
     speeds = extend3(np.array([0.103, 0.961, 0.889]), FREE_FLOW)
     lam = 0.33
-    with Workspace(3, 1, FREE_FLOW) as work:
-        rho_next = hw_step(rho, speeds, lam, sat, work)
+    work = Workspace(3, 1, FREE_FLOW)
+    rho_next = hw_step(rho, speeds, lam, sat, work)
     oracle = brute_force_entropy(rho, rho_next, speeds[1:-1], lam, sat, FREE_FLOW, "hw")
     assert oracle > 0.01
     assert entropy_residual(rho, rho_next, speeds, lam, sat, FREE_FLOW, "hw") >= oracle - 1e-14
@@ -1327,16 +1327,16 @@ def test_block_entropy_equals_per_step_bits(boundary, law):
             fields = np.sort(rng.integers(0, 4, steps))
             levels = [rng.uniform(0.0, 1.0, n)]
             levels[0][: n // 3] = 0.0
-            with Workspace(n, 1, boundary) as work:
-                for i, field in enumerate(fields):
-                    if scheme == "lf":
-                        levels.append(lf_step(levels[-1], table[field], lam, alpha, sat, work))
-                    else:
-                        levels.append(hw_step(levels[-1], table[field], lam, sat, work))
-                    row = update_row(scheme, levels[-2], table[field], lam, alpha)
-                    assert levels[-1].tobytes() == row.tobytes(), (scheme, n, i)
-                    if i % 4 == 3:
-                        levels[-1][rng.integers(n)] += 1e-3
+            work = Workspace(n, 1, boundary)
+            for i, field in enumerate(fields):
+                if scheme == "lf":
+                    levels.append(lf_step(levels[-1], table[field], lam, alpha, sat, work))
+                else:
+                    levels.append(hw_step(levels[-1], table[field], lam, sat, work))
+                row = update_row(scheme, levels[-2], table[field], lam, alpha)
+                assert levels[-1].tobytes() == row.tobytes(), (scheme, n, i)
+                if i % 4 == 3:
+                    levels[-1][rng.integers(n)] += 1e-3
             levels = np.array(levels)
             for rows in (1, 2, 3, 4, 5):
                 for first in range(0, steps - rows + 1, rows):
@@ -1399,12 +1399,12 @@ def test_certified_blocks_give_the_full_path_bits(monkeypatch, scheme, boundary,
         elif case == "outside":
             lam *= rng.uniform(1.0, 3.0)
         rho_next = np.empty_like(rho)
-        with Workspace(n, 1, boundary) as work:
-            for i in range(rows):
-                if scheme == "lf":
-                    rho_next[i] = lf_step(rho[i], table[fields[i]], lam, alpha, sat, work)
-                else:
-                    rho_next[i] = hw_step(rho[i], table[fields[i]], lam, sat, work)
+        work = Workspace(n, 1, boundary)
+        for i in range(rows):
+            if scheme == "lf":
+                rho_next[i] = lf_step(rho[i], table[fields[i]], lam, alpha, sat, work)
+            else:
+                rho_next[i] = hw_step(rho[i], table[fields[i]], lam, sat, work)
         if trial % 5 == 4:
             rho_next[:, rng.integers(n)] += rng.choice([1e-3, -1e-3])
         args = (rho, rho_next, table[fields])
@@ -1434,8 +1434,8 @@ def test_entropy_residual_is_nan_on_any_non_finite_input():
     rng = np.random.default_rng(15)
     rho = rng.uniform(0.0, 1.0, 40)
     speeds = extend3(rng.uniform(0.0, 1.0, 40), FREE_FLOW)
-    with Workspace(40, 1, FREE_FLOW) as work:
-        rho_next = lf_step(rho, speeds, 0.25, 2.0, sat, work)
+    work = Workspace(40, 1, FREE_FLOW)
+    rho_next = lf_step(rho, speeds, 0.25, 2.0, sat, work)
     args = [rho, rho_next, speeds]
     assert math.isfinite(entropy_residual(rho, rho_next, speeds, 0.25, sat, FREE_FLOW, "lf", 2.0))
     for which, cell in ((0, 7), (1, 7), (2, 0), (2, 20), (2, 41)):

@@ -2,6 +2,7 @@
 the delay history and lagged convolution speeds, and the workspace march
 against the concatenate-based kernel it replaced."""
 
+import dataclasses
 import warnings
 import weakref
 from collections import deque
@@ -11,10 +12,20 @@ import pytest
 
 from lagflow import diagnostics, schemes
 
-from lagflow.diagnostics import SPEED_TOL, DiagnosticsCollector, speed_increment_bound
+from lagflow.diagnostics import (
+    SPEED_TOL,
+    DiagnosticsCollector,
+    bound_constants,
+    entropy_residual,
+    l1_norm,
+    speed_increment_bound,
+    total_variation,
+)
 from lagflow.discretization import build_grid, discretize_kernel
 from lagflow.initial_data import Constant
 from lagflow.model_functions import Kernel, Saturation, Velocity
+from lagflow.runners import resolve_scenario, simulate
+from lagflow.scenario import Scenario
 from lagflow.schemes import (
     FREE_FLOW,
     PERIODIC,
@@ -78,20 +89,20 @@ def _oracle_hw_step(rho, v_lag, lam, sat, boundary):
 
 def _speeds(level, weights, vel, boundary):
     """The J-cell speed field of one level, through the workspace kernel."""
-    with Workspace(len(level), weights.n, boundary) as work:
-        return lagged_speeds([level], weights, vel, work)[0, 1:-1]
+    work = Workspace(len(level), weights.n, boundary)
+    return lagged_speeds([level], weights, vel, work)[0, 1:-1]
 
 
 def _lf(rho, v, lam, alpha, sat, boundary):
     """One workspace LF step from a J-cell speed field."""
-    with Workspace(len(rho), 1, boundary) as work:
-        return lf_step(rho, extend3(v, boundary), lam, alpha, sat, work)
+    work = Workspace(len(rho), 1, boundary)
+    return lf_step(rho, extend3(v, boundary), lam, alpha, sat, work)
 
 
 def _hw(rho, v, lam, sat, boundary):
     """One workspace HW step from a J-cell speed field."""
-    with Workspace(len(rho), 1, boundary) as work:
-        return hw_step(rho, extend3(v, boundary), lam, sat, work)
+    work = Workspace(len(rho), 1, boundary)
+    return hw_step(rho, extend3(v, boundary), lam, sat, work)
 
 
 def test_extend3_free_flow_replicates_ends():
@@ -149,24 +160,31 @@ def test_hw_step_interface_fluxes_are_nonnegative_for_nonnegative_data():
 
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_step_detects_nonfinite(scheme):
+    """A step called outside run gets run's error state from its caller."""
     rho = np.array([0.0, np.inf, 0.0])
     v = np.ones(3)
-    with pytest.raises(StepError, match="non-finite density in cell"):
+    with np.errstate(all="ignore"), pytest.raises(StepError, match="non-finite density in cell"):
         if scheme == "lf":
             _lf(rho, v, lam=0.25, alpha=2.0, sat=_SAT_NONE, boundary=FREE_FLOW)
         else:
             _hw(rho, v, lam=0.25, sat=_SAT_NONE, boundary=FREE_FLOW)
 
 
-def test_step_passes_finite_level_whose_sum_overflows():
+def test_step_passes_finite_level_whose_sum_overflows(monkeypatch):
     """The non-finite guard sums the level first; a sum that overflows on
     finite cells sends it to the cell scan, which passes, without a
-    warning."""
-    rho = np.full(4, 1e308)
+    warning in the error state run sets.  Zero speeds keep the level of
+    1e308 cells still."""
+    grid, weights, _, _ = _delayed_case(0, 2)
+    monkeypatch.setattr(
+        schemes, "lagged_speeds", lambda levels, *args: np.zeros((len(levels), grid.n_cells + 2))
+    )
+    rho0 = np.full(grid.n_cells, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _hw(rho, np.zeros(4), lam=0.25, sat=_SAT_NONE, boundary=FREE_FLOW)
-    assert np.array_equal(out, rho)
+        final = run(grid, weights, Velocity("normalized_greenshields"), _SAT_NONE, "hw", rho0,
+                    2 * grid.dt)
+    assert np.array_equal(final, rho0)
 
 
 def test_step_count_lands_on_horizon():
@@ -643,11 +661,11 @@ def test_sliced_step_reports_the_level_cell():
     rho[20:25] = 1e300
     v = np.ones(52)
     messages = []
-    with Workspace(50, weights.n, FREE_FLOW) as work:
-        for cells in ((), (19, 26)):
-            with pytest.raises(StepError) as exc:
-                hw_step(rho, v * -1e300, grid.lam, _SAT_NONE, work, *cells)
-            messages.append(str(exc.value))
+    work = Workspace(50, weights.n, FREE_FLOW)
+    for cells in ((), (19, 26)):
+        with np.errstate(all="ignore"), pytest.raises(StepError) as exc:
+            hw_step(rho, v * -1e300, grid.lam, _SAT_NONE, work, *cells)
+        messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert int(messages[0].rsplit(" ", 1)[1]) >= 19
     with pytest.raises(StepError, match="cell 8$"):
@@ -658,19 +676,21 @@ def test_sliced_step_reports_the_level_cell():
 @pytest.mark.parametrize("field", [0, 1], ids=["datum_field", "later_field"])
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_nonfinite_speed_outside_the_slice_fails_as_on_whole_levels(monkeypatch, scheme, field, bad):
-    """A speed field with an inf or nan on a cell outside the slice makes
-    run step the whole level, which raises the StepError of a march on
-    whole levels: at the same step and the same cell."""
+    """A speed field with an inf or nan on a cell outside the slice, left
+    or right of it, makes run step the whole level, which raises the
+    StepError of a march on whole levels: at the same step and the same
+    cell."""
     grid, weights, _, t_final = _delayed_case(3, 12)
     rho0 = _box_datum("box")
     lagged, blocks = schemes.lagged_speeds, []
+    steps = {name: getattr(schemes, name) for name in ("lf_step", "hw_step")}
 
     def poisoned(levels, *args):
         block = lagged(levels, *args)
         blocks.append(block)
         if len(blocks) == field + 1:
             block = block.copy()
-            block[:, 6] = bad
+            block[:, column] = bad
             block.flags.writeable = False
         return block
 
@@ -678,18 +698,64 @@ def test_nonfinite_speed_outside_the_slice_fails_as_on_whole_levels(monkeypatch,
         return lambda *args: step(*args[:-2])
 
     monkeypatch.setattr(schemes, "lagged_speeds", poisoned)
-    messages = []
-    for patch in (False, True):
-        blocks.clear()
-        if patch:
-            monkeypatch.setattr(schemes, "lf_step", whole(schemes.lf_step))
-            monkeypatch.setattr(schemes, "hw_step", whole(schemes.hw_step))
-        with pytest.raises(StepError) as exc:
-            run(grid, weights, Velocity("normalized_greenshields"),
-                Saturation("linear", rho_max=1.0), scheme, rho0, t_final)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith("step 1:" if field == 0 else "step 5:")
+    for column in (6, 45):
+        messages = []
+        for patch in (False, True):
+            blocks.clear()
+            for name, step in steps.items():
+                monkeypatch.setattr(schemes, name, whole(step) if patch else step)
+            with pytest.raises(StepError) as exc:
+                run(grid, weights, Velocity("normalized_greenshields"),
+                    Saturation("linear", rho_max=1.0), scheme, rho0, t_final)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("step 1:" if field == 0 else "step 5:")
+
+
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_run_simulate_and_entropy_residual_set_their_own_error_state(scheme):
+    """run (observer included), simulate and entropy_residual each ignore
+    every floating-point exception kind in an error state of their own.
+    On the datum with subnormal cells, whose steps underflow, they give
+    under np.errstate(all="raise") the bytes they give under NumPy's
+    default state, and leave the caller's state as it was: every observer
+    (level, speeds) pair and the final level of run, simulate's final
+    level and records, and entropy_residual of the march's first step."""
+    scenario = Scenario(
+        x_min=0.0, x_max=1.0, dx=0.02, t_final=0.3, boundary=FREE_FLOW,
+        velocity=Velocity("normalized_greenshields"), saturation=Saturation("linear", rho_max=1.0),
+        kernel=Kernel("linear_decreasing", length=0.1), tau=0.03, scheme=scheme, safety=1.0,
+        datum_kind="box", datum_params={"height": 0.75, "a": 0.4, "b": 0.6},
+    )
+    base, rho0 = resolve_scenario(scenario), _box_datum("subnormal")
+    grid, sat = base.grid, base.saturation
+    tv0, mass0 = total_variation(rho0, FREE_FLOW), l1_norm(rho0, grid.dx)
+    constants = bound_constants(
+        base.velocity, sat, scenario.kernel, grid.alpha, scenario.t_final, grid.tau, tv0, mass0,
+        scheme,
+    )
+    resolved = dataclasses.replace(base, rho0=rho0, tv0=tv0, rho0_l1=mass0, constants=constants)
+
+    def outputs():
+        seen = []
+        final = run(
+            grid, resolved.weights, resolved.velocity, sat, scheme, resolved.rho0,
+            scenario.t_final, observer=lambda n, level, speeds: seen.append((level, speeds)),
+        )
+        (rho, speeds), (rho_next, _) = seen[:2]
+        value = entropy_residual(rho, rho_next, speeds, grid.lam, sat, FREE_FLOW, scheme, grid.alpha)
+        col = simulate(resolved).collector
+        return (
+            [level.tobytes() + speeds.tobytes() for level, speeds in seen], final.tobytes(),
+            repr(value), repr((col.records, col.sup_tv, col.entropy_max)),
+        )
+
+    expected = outputs()
+    assert len(expected[0]) == resolved.n_steps + 1 > 30
+    with np.errstate(all="raise"):
+        state = np.geterr()
+        assert outputs() == expected
+        assert np.geterr() == state
 
 
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
@@ -707,23 +773,23 @@ def test_one_shot_kernel_matches_concatenate_kernel(sat, boundary):
         )
         assert weights.n == k
         lam, alpha = rng.uniform(0.1, 0.5), rng.uniform(1.0, 3.0)
-        with Workspace(n, k, boundary) as work:
-            levels, expected = [], []
-            for _ in range(3):
-                rho = rng.uniform(-0.5, 1.5, n)
-                speeds = lagged_speeds([rho], weights, vel, work)[0]
-                v = _oracle_speeds(rho, weights, vel, boundary)
-                assert speeds.tobytes() == _oracle_extend3(v, boundary).tobytes()
-                lf = lf_step(rho, speeds, lam, alpha, sat, work)
-                hw = hw_step(rho, speeds, lam, sat, work)
-                assert lf.tobytes() == _oracle_lf_step(rho, v, lam, alpha, sat, boundary).tobytes()
-                assert hw.tobytes() == _oracle_hw_step(rho, v, lam, sat, boundary).tobytes()
-                levels.append(rho)
-                expected.append(speeds)
-            # a block of the three levels: each row is that level's field
-            block = lagged_speeds(levels, weights, vel, work)
-            assert block.shape == (3, n + 2) and not block.flags.writeable
-            assert [row.tobytes() for row in block] == [v.tobytes() for v in expected]
+        work = Workspace(n, k, boundary)
+        levels, expected = [], []
+        for _ in range(3):
+            rho = rng.uniform(-0.5, 1.5, n)
+            speeds = lagged_speeds([rho], weights, vel, work)[0]
+            v = _oracle_speeds(rho, weights, vel, boundary)
+            assert speeds.tobytes() == _oracle_extend3(v, boundary).tobytes()
+            lf = lf_step(rho, speeds, lam, alpha, sat, work)
+            hw = hw_step(rho, speeds, lam, sat, work)
+            assert lf.tobytes() == _oracle_lf_step(rho, v, lam, alpha, sat, boundary).tobytes()
+            assert hw.tobytes() == _oracle_hw_step(rho, v, lam, sat, boundary).tobytes()
+            levels.append(rho)
+            expected.append(speeds)
+        # a block of the three levels: each row is that level's field
+        block = lagged_speeds(levels, weights, vel, work)
+        assert block.shape == (3, n + 2) and not block.flags.writeable
+        assert [row.tobytes() for row in block] == [v.tobytes() for v in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +878,8 @@ def test_lagged_speeds_use_oldest_level():
     w = _weights()
     history = init_history(np.full(4, 0.5), h=1)
     push_level(history, np.full(4, 0.9))
-    with Workspace(4, w.n, FREE_FLOW) as work:
-        v = lagged_speeds([history[0]], w, vel, work)[0]
+    work = Workspace(4, w.n, FREE_FLOW)
+    v = lagged_speeds([history[0]], w, vel, work)[0]
     assert np.allclose(v, 0.5)
 
 
@@ -821,8 +887,8 @@ def test_lagged_speeds_are_read_only():
     """run hands one speed field to several steps and observers."""
     vel = Velocity("normalized_greenshields")
     w = _weights()
-    with Workspace(4, w.n, FREE_FLOW) as work:
-        v = lagged_speeds([np.full(4, 0.5)], w, vel, work)[0]
+    work = Workspace(4, w.n, FREE_FLOW)
+    v = lagged_speeds([np.full(4, 0.5)], w, vel, work)[0]
     with pytest.raises(ValueError):
         v[0] = 0.0
     with pytest.raises(ValueError):
@@ -866,13 +932,13 @@ def test_lagged_speeds_skip_empty_windows_bit_for_bit(boundary, dx, length, vel)
     weights = _weights(dx=dx, length=length, kind="linear_decreasing")
     n = round(1 / dx)
     levels = _sparse_levels(n)
-    with Workspace(n, weights.n, boundary) as work:
-        block = lagged_speeds(list(levels.values()), weights, vel, work)
-        for row, (name, level) in zip(block, levels.items()):
-            expected = _oracle_speeds(level, weights, vel, boundary)
-            one = lagged_speeds([level], weights, vel, work)[0]
-            assert row.view(np.int64).tolist() == one.view(np.int64).tolist(), name
-            assert row[1:-1].view(np.int64).tolist() == expected.view(np.int64).tolist(), name
+    work = Workspace(n, weights.n, boundary)
+    block = lagged_speeds(list(levels.values()), weights, vel, work)
+    for row, (name, level) in zip(block, levels.items()):
+        expected = _oracle_speeds(level, weights, vel, boundary)
+        one = lagged_speeds([level], weights, vel, work)[0]
+        assert row.view(np.int64).tolist() == one.view(np.int64).tolist(), name
+        assert row[1:-1].view(np.int64).tolist() == expected.view(np.int64).tolist(), name
     if vel is _loads_law:
         assert block[list(levels).index("all_negative_zero")].view(np.int64).tolist() == [0] * (n + 2)
 
@@ -909,17 +975,17 @@ def test_lagged_speeds_correlate_only_the_windows_that_meet_the_support(monkeypa
     monkeypatch.setattr(np, "correlate", spy)
     monkeypatch.setattr(np, "not_equal", scan)
     vel = Velocity("normalized_greenshields")
-    with Workspace(n, k, FREE_FLOW) as work:
-        lagged_speeds([np.zeros(n), np.full(n, -0.0)], weights, vel, work)
-        assert inputs == []
-        lagged_speeds([box], weights, vel, work)
-        lo, hi = 12 - k + 1, 20
-        assert [_span(a) for a in inputs] == [_span(work.window[lo : hi + k - 1])]
-        inputs.clear()
-        scans.clear()
-        lagged_speeds([dense], weights, vel, work)
-        assert [_span(a) for a in inputs] == [_span(work.window)]
-        assert scans == []
+    work = Workspace(n, k, FREE_FLOW)
+    lagged_speeds([np.zeros(n), np.full(n, -0.0)], weights, vel, work)
+    assert inputs == []
+    lagged_speeds([box], weights, vel, work)
+    lo, hi = 12 - k + 1, 20
+    assert [_span(a) for a in inputs] == [_span(work.window[lo : hi + k - 1])]
+    inputs.clear()
+    scans.clear()
+    lagged_speeds([dense], weights, vel, work)
+    assert [_span(a) for a in inputs] == [_span(work.window)]
+    assert scans == []
 
 
 def test_speed_increment_bound_formula():
