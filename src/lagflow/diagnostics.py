@@ -201,6 +201,7 @@ class BoundConstants:
         return tv_bound(t, self.tau, self.tv_rate, self.tv0)
 
 
+@np.errstate(all="ignore")
 def bound_constants(
     vel: Velocity,
     sat: Saturation,
@@ -212,7 +213,8 @@ def bound_constants(
     rho0_l1: float,
     scheme: str,
 ) -> BoundConstants | None:
-    """The growth rates and log-space factors of one run; None if v is not C^2."""
+    """The growth rates and log-space factors of one run, under an error
+    state of its own that ignores every kind; None if v is not C^2."""
     if not vel.smooth:
         return None
     r = vel.rho_max

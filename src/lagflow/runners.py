@@ -235,6 +235,7 @@ def simulate(resolved: ResolvedRun, snapshot_times=()) -> SimulationResult:
     )
 
 
+@np.errstate(all="ignore")
 def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
     s = resolved.scenario
     grid = resolved.grid

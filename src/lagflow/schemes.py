@@ -38,7 +38,8 @@ f on it (then the fluxes), a difference buffer and the convolution window
 are rewritten in place with out= ufuncs, in the order the fresh-array
 expressions above evaluate, so the levels keep their bits; a step computes
 only the cells around the nonzero ones (see run).  Two kinds of array stay
-fresh: each new level, which the delay history may hold, and each block
+fresh: each new level, which the delay history may hold (only its cells
+around the nonzero ones, as an (offset, values) entry), and each block
 of speed fields, whose rows up to h + 1 steps and the observer share.
 """
 
@@ -112,23 +113,34 @@ def extend3(values: np.ndarray, boundary: str, out: np.ndarray | None = None) ->
     return _fill_ghosts(out, boundary)
 
 
-def init_history(rho0: np.ndarray, h: int) -> deque:
-    """Delay history: a deque whose head, the lagged level, is a copy of rho0."""
+class _History(deque):
+    """A deque of (offset, values) entries of levels of n_cells cells."""
+
+
+def init_history(rho0: np.ndarray, h: int, a: int = 0, b: int | None = None) -> deque:
+    """Delay history: a deque whose head, the lagged level, is the entry
+    (a, a copy of rho0's cells [a, b)) (b None: J); every cell of rho0
+    outside [a, b) must be +0.0."""
     if h < 0:
         raise ValueError("delay step count must be non-negative")
-    return deque([np.array(rho0, dtype=float)])
+    rho0 = np.asarray(rho0, dtype=float)
+    history = _History([(a, rho0[a:b].copy())])
+    history.n_cells = len(rho0)
+    return history
 
 
-def push_level(history: deque, rho_next: np.ndarray) -> None:
-    """Append a level that a later step will read as its lagged level."""
+def push_level(history: deque, rho_next: np.ndarray, a: int = 0, b: int | None = None) -> None:
+    """Append a level that a later step will read as its lagged level: the
+    entry (a, a copy of its cells [a, b)), whose other cells must be +0.0,
+    or (0, rho_next) itself, uncopied, when b is None."""
     rho_next = np.asarray(rho_next, dtype=float)
-    if rho_next.shape != history[0].shape:
+    if rho_next.shape != (history.n_cells,):
         raise ValueError("pushed level has wrong length")
-    history.append(rho_next)
+    history.append((0, rho_next) if b is None else (a, rho_next[a:b].copy()))
 
 
 def lagged_speeds(
-    levels: Sequence[np.ndarray],
+    entries: Sequence[tuple[int, np.ndarray]],
     weights: KernelWeights,
     vel: Velocity,
     work: Workspace,
@@ -136,12 +148,15 @@ def lagged_speeds(
     """Speeds v(dx * sum_k w[k] rho[j+k]) of b levels with their ghost
     cells: the read-only rows of a fresh (b, J + 2) block.
 
-    Each level is convolved on its own, with one np.correlate over the
-    loads whose window meets a nonzero cell: the whole window when both
-    end cells of the level are nonzero, else window[lo : hi + K - 1], lo =
-    max(0, s0 - K + 1) and hi = min(J, s1 + 1) for the first and last
-    nonzero window cells s0, s1; the other loads are +0.0, and an all-zero
-    level calls none.  Each "valid" output of np.correlate is its own dot
+    Each level comes as a history entry (offset, values), the level whose
+    cells from offset on are values and whose others are +0.0: the window
+    takes the whole level's bits, its periodic tail included.  Each level
+    is convolved on its own, with one np.correlate over the loads whose
+    window meets a nonzero cell: the whole window when both end cells of
+    the level are nonzero, else window[lo : hi + K - 1], lo = max(0, s0 -
+    K + 1) and hi = min(J, s1 + 1) for the first and last nonzero window
+    cells s0, s1; the other loads are +0.0, and an all-zero level calls
+    none.  Each "valid" output of np.correlate is its own dot
     product of window[j : j + K] with w, and NumPy's double dot starts its
     sum at +0.0, so the loads keep their bits, +0.0 on all +-0 windows
     too.  The dx scale, the velocity law and the ghost cells then run once
@@ -149,18 +164,22 @@ def lagged_speeds(
     one-level call gives.  run reuses one speed field for up to h + 1
     steps, so a caller that wrote into it would corrupt the steps after it.
     """
-    n = len(levels[0])
-    block = np.empty((len(levels), n + 2))
+    n = len(work.diff)
+    block = np.empty((len(entries), n + 2))
     loads = block[:, 1:-1]
     window, w, k, nonzero = work.window, weights.w, weights.n, work.nonzero
-    free = work.boundary == FREE_FLOW
-    for level, load in zip(levels, loads):
-        window[:n] = level
+    free, head = work.boundary == FREE_FLOW, window[:n]
+    for (a, level), load in zip(entries, loads):
+        if len(level) < n:
+            head.fill(0.0)
+            head[a : a + len(level)] = level
+        else:
+            head[:] = level
         last = window[n - 1]
         if free:
             window[n:] = last
         else:
-            np.take(level, work.wrap, mode="wrap", out=window[n:])
+            np.take(head, work.wrap, mode="wrap", out=window[n:])
         if last and window[0]:
             load[:] = np.correlate(window, w, mode="valid")
             continue
@@ -183,10 +202,9 @@ def speed_rows(n_cells: int, h: int) -> int:
 
 
 def history_bytes(n_cells: int, h: int, n_steps: int) -> int:
-    """Bytes of the levels a delay history holds between steps of a run.
-
-    The lagged level plus at most min(h, max(N_T - h, 0)) later levels,
-    J float64 values each.
+    """Most bytes a delay history can hold between steps of a run: the
+    lagged level plus at most min(h, max(N_T - h, 0)) later levels, J
+    float64 values each, as if every entry were a whole level.
     """
     return (min(h, max(n_steps - h, 0)) + 1) * n_cells * 8
 
@@ -325,7 +343,9 @@ def run(
     and, behind it, the levels a later step will read.  Level n is pushed
     only when n <= N_T - h, since no step reads a later one, and the head
     is popped only when n > h, so between steps the history holds at most
-    min(h, max(N_T - h, 0)) + 1 levels (history_bytes).  A new speed field
+    min(h, max(N_T - h, 0)) + 1 levels (history_bytes).  Each entry is
+    (a, a copy of the level's cells [a, b)) for the slice below, or (0,
+    level) itself once the slice is the whole level.  A new speed field
     is taken only when the head moves: consecutive calls share one
     read-only speeds array (a J + 2 cell row view that lagged_speeds
     built, ghost cells included, which the steps read) exactly while they
@@ -362,17 +382,17 @@ def run(
     if rho.size != grid.n_cells:
         raise ValueError("initial level length does not match the grid")
     h = grid.delay_steps
-    history = init_history(rho, h)
+    bits = rho.view(np.int64) != 0
+    a, b = int(bits.argmax()) - 1, rho.size + 1 - int(bits[::-1].argmax())
+    if a < 0 or b > rho.size:
+        a, b = 0, rho.size
+    history = init_history(rho, h, a, b)
     n_steps = step_count(t_final, grid.dt)
     lam = grid.lam
     rows = speed_rows(rho.size, h)
     work = Workspace(rho.size, weights.n, boundary)
     # speed fields of the levels behind the head, one row view each
     fields: deque = deque()
-    bits = rho.view(np.int64) != 0
-    a, b = int(bits.argmax()) - 1, rho.size + 1 - int(bits[::-1].argmax())
-    if a < 0 or b > rho.size:
-        a, b = 0, rho.size
     for n in range(n_steps + 1):
         if n:
             try:
@@ -387,7 +407,7 @@ def run(
                 if a < 0 or b > rho.size:
                     a, b = 0, rho.size
             if n <= n_steps - h:
-                push_level(history, rho)
+                push_level(history, rho, a, b if b - a < rho.size else None)
             if n > h:
                 history.popleft()
         if n > h or not n:

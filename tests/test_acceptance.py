@@ -351,7 +351,7 @@ def _independent_zero_delay_loop(resolved):
     rho = resolved.rho0.copy()
     work = Workspace(grid.n_cells, weights.n, resolved.boundary)
     for _ in range(resolved.n_steps):
-        speeds = lagged_speeds([rho], weights, vel, work)[0]
+        speeds = lagged_speeds([(0, rho)], weights, vel, work)[0]
         if resolved.scheme == "lf":
             rho = lf_step(rho, speeds, grid.lam, grid.alpha, sat, work)
         else:

@@ -383,6 +383,34 @@ def test_resolved_constants_match_golden_table(no_march):
     assert resolve_scenario(cropped).constants is None
 
 
+def test_resolve_and_run_scenario_set_their_own_error_state(tmp_path):
+    """Under a caller's np.errstate(all="raise"), every preset x scheme
+    resolves to the constants it resolves to under NumPy's default state
+    (box_refine and the stopgo presets underflow in bound_constants'
+    logaddexp), and run_scenario on box_refine (whose manifest bound
+    underflows too) writes the same bytes in every file; the caller's
+    state is left as it was."""
+    def constants():
+        return [
+            repr(resolve_scenario(dataclasses.replace(preset_scenario(name), scheme=scheme)).constants)
+            for name in PRESET_NAMES
+            for scheme in ("lf", "hw")
+        ]
+
+    expected = constants()
+    run_scenario(preset_scenario("box_refine"), tmp_path / "default")
+    with np.errstate(all="raise"):
+        state = np.geterr()
+        assert constants() == expected
+        run_scenario(preset_scenario("box_refine"), tmp_path / "raise")
+        assert np.geterr() == state
+    files = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert "manifest.txt" in files
+    assert sorted(p.name for p in (tmp_path / "raise").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "raise" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
 def test_history_over_budget_refused_before_marching(no_march):
     """A delay history above 4 GiB is refused when the run is resolved, and
     grid_refine resolves every level before the first one marches: here the

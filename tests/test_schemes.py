@@ -90,7 +90,7 @@ def _oracle_hw_step(rho, v_lag, lam, sat, boundary):
 def _speeds(level, weights, vel, boundary):
     """The J-cell speed field of one level, through the workspace kernel."""
     work = Workspace(len(level), weights.n, boundary)
-    return lagged_speeds([level], weights, vel, work)[0, 1:-1]
+    return lagged_speeds([(0, level)], weights, vel, work)[0, 1:-1]
 
 
 def _lf(rho, v, lam, alpha, sat, boundary):
@@ -652,6 +652,48 @@ def test_sliced_run_matches_whole_level_march_byte_for_byte(monkeypatch, scheme,
         assert slices[0] == {"box": (19, 32), "negative_zero": (11, 39), "subnormal": (13, 38)}[kind]
 
 
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_compact_history_matches_whole_level_march_bit_for_bit(monkeypatch, scheme, boundary):
+    """The history keeps each level on its slice, as (a, a copy of cells
+    [a, b)), and every observer (level, speeds) pair and the final level
+    have the bytes of the ring march, which keeps whole levels.  The box
+    on cells 2..12, with a -0.0 at cell 15, gives the datum's entry (1,
+    cells 1..16): it holds a -0.0 and starts within K - 1 cells of cell
+    0, so a periodic window's wrap tail reads a compact entry.  (The
+    sliced-run test above marches boxes whose entries lie inside.)"""
+    grid, weights, _, t_final = _delayed_case(6, 30)
+    rho0 = np.roll(_box_datum("box"), -18)
+    rho0[15] = -0.0
+    vel = Velocity("normalized_greenshields")
+    sat = Saturation("linear", rho_max=1.0)
+    lagged, entries = schemes.lagged_speeds, []
+
+    def spied(levels, *args):
+        entries.extend(levels)
+        return lagged(levels, *args)
+
+    monkeypatch.setattr(schemes, "lagged_speeds", spied)
+    seen = []
+    final = run(
+        grid, weights, vel, sat, scheme, rho0, t_final, boundary=boundary,
+        observer=lambda n, level, speeds: seen.append((level, speeds)),
+    )
+    expected = _ring_march(grid, weights, vel, sat, scheme, rho0, 30, boundary)
+    assert len(seen) == len(expected) == 31
+    for (level, v), (_, level_ref, v_ref) in zip(seen, expected):
+        assert level.tobytes() == level_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+    assert final.tobytes() == expected[-1][1].tobytes()
+    assert len(entries) == 30 - 6 + 1
+    a, values = entries[0]
+    assert (a, len(values)) == (1, 16) and a < weights.n - 1
+    assert values.base is None and values[14] == 0.0 and np.signbit(values[14])
+    compact = [values for _, values in entries if len(values) < 50]
+    assert len(compact) == (25 if scheme == "hw" else 2)  # LF: whole from step 2
+    assert all(values.base is None for values in compact)
+
+
 def test_sliced_step_reports_the_level_cell():
     """A step on a slice names the non-finite cell by its index in the
     level, not in the slice: the same message as the step on the whole
@@ -777,7 +819,7 @@ def test_one_shot_kernel_matches_concatenate_kernel(sat, boundary):
         levels, expected = [], []
         for _ in range(3):
             rho = rng.uniform(-0.5, 1.5, n)
-            speeds = lagged_speeds([rho], weights, vel, work)[0]
+            speeds = lagged_speeds([(0, rho)], weights, vel, work)[0]
             v = _oracle_speeds(rho, weights, vel, boundary)
             assert speeds.tobytes() == _oracle_extend3(v, boundary).tobytes()
             lf = lf_step(rho, speeds, lam, alpha, sat, work)
@@ -787,7 +829,7 @@ def test_one_shot_kernel_matches_concatenate_kernel(sat, boundary):
             levels.append(rho)
             expected.append(speeds)
         # a block of the three levels: each row is that level's field
-        block = lagged_speeds(levels, weights, vel, work)
+        block = lagged_speeds([(0, level) for level in levels], weights, vel, work)
         assert block.shape == (3, n + 2) and not block.flags.writeable
         assert [row.tobytes() for row in block] == [v.tobytes() for v in expected]
 
@@ -805,13 +847,14 @@ def test_history_starts_constant_in_time():
     """Until the head is popped, every step reads the datum."""
     rho0 = np.array([0.1, 0.2, 0.3])
     history = init_history(rho0, h=2)
-    assert np.array_equal(history[0], rho0)
-    assert history[0] is not rho0
+    assert history[0][0] == 0
+    assert np.array_equal(history[0][1], rho0)
+    assert history[0][1] is not rho0
     assert len(history) - 1 == 0
     for k in range(1, 3):
         push_level(history, np.full(3, float(k)))
-    assert np.array_equal(history[0], rho0)
-    assert [level[0] for level in list(history)[1:]] == [1.0, 2.0]
+    assert np.array_equal(history[0][1], rho0)
+    assert [level[0] for _, level in list(history)[1:]] == [1.0, 2.0]
 
 
 def test_ring_rotates_after_h_plus_one_pushes():
@@ -823,11 +866,11 @@ def test_ring_rotates_after_h_plus_one_pushes():
         push_level(history, level)
         if n > h:
             history.popleft()
-            assert history[0][0] == float(n - h)
+            assert history[0][1][0] == float(n - h)
         else:
-            assert history[0][0] == 0.0
+            assert history[0][1][0] == 0.0
         assert len(history) - 1 == min(n, h)
-    assert [level[0] for level in list(history)[1:]] == [4.0, 5.0]
+    assert [level[0] for _, level in list(history)[1:]] == [4.0, 5.0]
 
 
 def test_zero_delay_window_has_single_level():
@@ -835,8 +878,46 @@ def test_zero_delay_window_has_single_level():
     level = np.array([5.0])
     push_level(history, level)
     history.popleft()
-    assert history[0] is level
+    assert history[0][0] == 0 and history[0][1] is level
     assert len(history) - 1 == 0
+
+
+def test_history_holds_only_the_slices_of_a_free_flow_box(monkeypatch):
+    """On a free-flow HW box run with a long delay (J = 400, h = 80, N_T =
+    160), the history holds, after every push, 8 bytes per cell of the
+    slices [a, b) of its levels (the datum's from init_history, the
+    others from push_level's arguments), each a copy that owns its cells,
+    and never more than a quarter of history_bytes (16 % here).  A
+    whole-level push stores the level object itself."""
+    grid = build_grid(0.0, 1.0, 0.0025, 0.00125, 0.1, 0.05)
+    assert (grid.n_cells, grid.delay_steps) == (400, 80)
+    weights = discretize_kernel(Kernel("linear_decreasing", length=0.05), grid)
+    rho0 = np.zeros(400)
+    rho0[20:41] = 0.6
+    init, push = schemes.init_history, schemes.push_level
+    widths, held, states = [], [], []
+
+    def recorded_init(rho, h, a, b):
+        widths.append(b - a)
+        states.append(init(rho, h, a, b))
+        return states[0]
+
+    def measured_push(history, level, a, b):
+        push(history, level, a, b)
+        widths.append((b if b is not None else len(level)) - a)
+        assert all(values.base is None for _, values in history)
+        held.append((sum(values.nbytes for _, values in history), 8 * sum(widths[-len(history):])))
+
+    monkeypatch.setattr(schemes, "init_history", recorded_init)
+    monkeypatch.setattr(schemes, "push_level", measured_push)
+    run(grid, weights, Velocity("normalized_greenshields"), _SAT_NONE, "hw", rho0, 160 * grid.dt)
+    assert len(held) == 80 and widths[0] == 23
+    assert all(got == want for got, want in held)
+    assert max(widths) < 400
+    assert max(got for got, _ in held) <= 0.25 * schemes.history_bytes(400, 80, 160)
+    history, level = states[0], np.full(400, 0.5)
+    push(history, level)
+    assert history[-1][0] == 0 and history[-1][1] is level
 
 
 def test_push_rejects_wrong_shape():
@@ -888,7 +969,7 @@ def test_lagged_speeds_are_read_only():
     vel = Velocity("normalized_greenshields")
     w = _weights()
     work = Workspace(4, w.n, FREE_FLOW)
-    v = lagged_speeds([np.full(4, 0.5)], w, vel, work)[0]
+    v = lagged_speeds([(0, np.full(4, 0.5))], w, vel, work)[0]
     with pytest.raises(ValueError):
         v[0] = 0.0
     with pytest.raises(ValueError):
@@ -933,14 +1014,48 @@ def test_lagged_speeds_skip_empty_windows_bit_for_bit(boundary, dx, length, vel)
     n = round(1 / dx)
     levels = _sparse_levels(n)
     work = Workspace(n, weights.n, boundary)
-    block = lagged_speeds(list(levels.values()), weights, vel, work)
+    block = lagged_speeds([(0, level) for level in levels.values()], weights, vel, work)
     for row, (name, level) in zip(block, levels.items()):
         expected = _oracle_speeds(level, weights, vel, boundary)
-        one = lagged_speeds([level], weights, vel, work)[0]
+        one = lagged_speeds([(0, level)], weights, vel, work)[0]
         assert row.view(np.int64).tolist() == one.view(np.int64).tolist(), name
         assert row[1:-1].view(np.int64).tolist() == expected.view(np.int64).tolist(), name
     if vel is _loads_law:
         assert block[list(levels).index("all_negative_zero")].view(np.int64).tolist() == [0] * (n + 2)
+
+
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+@pytest.mark.parametrize(
+    "dx, length", [(1 / 40, 7 / 40), (0.1, 4.3)], ids=["J40_K7", "J10_K43_wraps"]
+)
+def test_lagged_speeds_of_an_entry_equal_those_of_its_whole_level(boundary, dx, length):
+    """A history entry (a, level[a:b]) of a level whose other cells are
+    +0.0 gives the bits of (0, level), alone and in one block with whole
+    levels, its periodic tail included when K - 1 > J; the slice is
+    cut to the cells whose bits are not 0 (-0.0 included) and widened
+    by one +0 cell on each side where the level has one, so some entries
+    start at cell 0 and some end at cell J - 1, and the all-zero level's
+    entry is empty."""
+    weights = _weights(dx=dx, length=length, kind="linear_decreasing")
+    n = round(1 / dx)
+    work = Workspace(n, weights.n, boundary)
+    vel = Velocity("greenshields", v_max=0.9, rho_max=1.7)
+    whole, compact = [], []
+    for name, level in _sparse_levels(n).items():
+        bits = np.flatnonzero(level.view(np.int64))
+        for pad in (0, 1):
+            a, b = (0, 0) if not bits.size else (bits[0] - pad, bits[-1] + 1 + pad)
+            a, b = max(a, 0), min(b, n)
+            if b - a < n:
+                whole.append((name, (0, level)))
+                compact.append((name, (int(a), level[a:b].copy())))
+    assert len(compact) > 10 and any(len(v) == 0 for _, (_, v) in compact)
+    for (name, entry), (_, full) in zip(compact, whole):
+        one = lagged_speeds([entry], weights, vel, work)
+        assert one.tobytes() == lagged_speeds([full], weights, vel, work).tobytes(), name
+    mixed = [entry for pair in zip(compact, whole) for _, entry in pair]
+    block = lagged_speeds(mixed, weights, vel, work)
+    assert block[0::2].tobytes() == block[1::2].tobytes()
 
 
 def _span(a):
@@ -976,14 +1091,14 @@ def test_lagged_speeds_correlate_only_the_windows_that_meet_the_support(monkeypa
     monkeypatch.setattr(np, "not_equal", scan)
     vel = Velocity("normalized_greenshields")
     work = Workspace(n, k, FREE_FLOW)
-    lagged_speeds([np.zeros(n), np.full(n, -0.0)], weights, vel, work)
+    lagged_speeds([(0, np.zeros(n)), (0, np.full(n, -0.0))], weights, vel, work)
     assert inputs == []
-    lagged_speeds([box], weights, vel, work)
+    lagged_speeds([(0, box)], weights, vel, work)
     lo, hi = 12 - k + 1, 20
     assert [_span(a) for a in inputs] == [_span(work.window[lo : hi + k - 1])]
     inputs.clear()
     scans.clear()
-    lagged_speeds([dense], weights, vel, work)
+    lagged_speeds([(0, dense)], weights, vel, work)
     assert [_span(a) for a in inputs] == [_span(work.window)]
     assert scans == []
 
