@@ -558,21 +558,45 @@ def entropy_residual(
 # ---------------------------------------------------------------------------
 # per-run collector
 
-def block_rows(n_cells: int) -> int:
-    """Steps the collector checks per block: J-cell float64 rows in BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * n_cells))
+def asserts_entropy(vel: Velocity, sat: Saturation, scheme: str) -> bool:
+    """Whether a run asserts the entropy inequality on every step: a
+    Lax-Friedrichs run under the hypotheses of its proof, a saturation
+    term and a C^2 velocity (see DiagnosticsCollector)."""
+    return sat.kind != SAT_NONE and vel.smooth and scheme == LAX_FRIEDRICHS
 
 
-def block_bytes(n_cells: int, h: int, n_steps: int) -> int:
+def block_rows(n_cells: int, asserting: bool) -> int:
+    """Steps the collector checks per block.
+
+    B0 = BLOCK_BYTES // 8 J J-cell float64 rows, at least one, on a run
+    that asserts entropy: its flush touches nine rows per step, the level,
+    speed and scratch rows and six of the EntropyBlock.  A run that only
+    reports entropy touches three, its kernel rows being the few record
+    steps (entropy_rows), and takes B = 2 B0.
+    """
+    rows = max(1, BLOCK_BYTES // (8 * n_cells))
+    return rows if asserting else 2 * rows
+
+
+def entropy_rows(rows: int, stride: int, asserting: bool) -> int:
+    """Rows of the collector's EntropyBlock for blocks of B rows: B on a
+    run that asserts entropy, else at most a block's record steps, the
+    ceil(B / stride) multiples of stride and step n_final."""
+    return rows if asserting else min(rows, -(-rows // stride) + 1)
+
+
+def block_bytes(n_cells: int, h: int, n_steps: int, stride: int, asserting: bool) -> int:
     """Bytes of one collector's buffers and of the march's live speed
-    blocks: the (B + 1, J) level and (B + 1, J + 2) speed blocks, row for
-    row, the (B, J + 2) scratch block, the N_T + 1 per-step reaches and the
-    EntropyBlock of B rows, plus the two (b, J + 2) blocks of speed
+    blocks: the (B + 1, J) level and (B + 1, J + 2) speed blocks, the
+    (B, J + 2) scratch block, the N_T + 1 per-step reaches and the
+    EntropyBlock of entropy_rows(B, stride, asserting) rows, B =
+    block_rows(J, asserting), plus the two (b, J + 2) blocks of speed
     fields schemes.run holds at once, b = schemes.speed_rows(J, h), all
     float64.  They hold no kappa (see entropy_residual)."""
-    rows = block_rows(n_cells)
+    rows = block_rows(n_cells, asserting)
     blocks = (rows + 1) * n_cells + (2 * rows + 1 + 2 * speed_rows(n_cells, h)) * (n_cells + 2)
-    return (blocks + n_steps + 1) * 8 + EntropyBlock.bytes_for(rows, n_cells)
+    kernel = EntropyBlock.bytes_for(entropy_rows(rows, stride, asserting), n_cells)
+    return (blocks + n_steps + 1) * 8 + kernel
 
 
 @dataclass(frozen=True)
@@ -616,15 +640,20 @@ class DiagnosticsCollector:
     Every step is checked: positivity, the maximum principle, mass
     conservation, the TV ceiling, the speed adjacent-difference bound on
     the call's speed field and the asserted entropy residual.  Call i of
-    a block copies its level and its speed field, with its ghost cells,
-    into row i + 1 of two buffers of block_rows(J) + 1 rows.  flush()
-    reduces the block with one NumPy call per statistic, takes the gap of
-    every call's field (the level and speed differences each come from one
-    flat subtraction over the rows; entries across rows and ghost cells go
-    unread) and runs the EntropyBlock (see entropy_residual) once: on every
-    step of a run that asserts entropy, else on the record steps after step
-    0; other rows read nan.  It ignores every kind of floating-point
-    exception in its own error state, whatever its caller's.
+    a block copies its level into row i + 1 of a buffer of B + 1 rows, B =
+    block_rows(J, entropy_assert), and its speed field, with its ghost
+    cells, into the next row of a second such buffer unless it is the
+    previous call's read-only object (schemes.run hands one read-only
+    field to up to h + 1 calls): a writable array is copied on every call,
+    and a read-only one is taken to keep its values.  flush() reduces the
+    block with one NumPy call per statistic, takes every call's gap from
+    its field's row (the level and speed differences each come from one
+    flat subtraction over the rows, the speed one over the block's new
+    fields only; entries across rows and ghost cells go unread) and runs
+    the EntropyBlock (see entropy_residual) once: on every step of a run
+    that asserts entropy, else on the record steps after step 0; other
+    rows read nan.  It ignores every kind of floating-point exception in
+    its own error state, whatever its caller's.
 
     flush() writes each step's max(|min|, |max|) into its entry of an
     array of n_final + 1 reaches, and then gives one verdict.  Each
@@ -682,7 +711,7 @@ class DiagnosticsCollector:
         self.rho_ceiling = vel.rho_max if saturated else None
         self.conserve_mass = boundary == PERIODIC
         self.tv_ceiling = saturated and vel.smooth and constants is not None
-        self.entropy_assert = saturated and vel.smooth and scheme == LAX_FRIEDRICHS
+        self.entropy_assert = asserts_entropy(vel, sat, scheme)
         self.records: list[DiagnosticsRecord] = []
         self.sup_tv = 0.0
         self.sup_bv = 0.0
@@ -693,61 +722,84 @@ class DiagnosticsCollector:
         self.space_time_tv_space = 0.0
         self.space_time_tv_time = 0.0
         self._mass0: float | None = None
-        # row i + 1 holds call i's level and its speed field, with its
-        # ghost cells, so step r reads level rows r, r + 1 and speed row r;
-        # row 0 carries the previous block's last call (zero before step
-        # 0, so the entropy kernel's unread step-0 row reads defined values)
-        rows, cells = block_rows(grid.n_cells), grid.n_cells
+        # call i of a block: its level in level row i + 1, its speed field
+        # in speed row _field[i + 1], the block's new fields filling speed
+        # rows 1.._fields - 1, so step r reads level rows r, r + 1 and
+        # speed row _field[r]; row 0 of both carries the previous block's
+        # last call (zero before step 0, so the entropy kernel's unread
+        # step-0 row reads defined values)
+        rows, cells = block_rows(grid.n_cells, self.entropy_assert), grid.n_cells
         self._levels = np.zeros((rows + 1, cells))
         self._speeds = np.zeros((rows + 1, cells + 2))
         self._scratch = np.empty((rows, cells + 2))
+        self._field = [0] * (rows + 1)
+        self._fields = 1
+        # the last call's speed field if it is read-only, else None
+        self._shared = None
         # sup|rho^n| of step n; see the class docstring
         self._reach = np.empty(n_final + 1)
         self._count = 0
         self._last_n = -1
-        # TV of the carry row's step
+        # TV and speed gap of the carry row's call
         self._prev_tv = 0.0
-        self._entropy_work = EntropyBlock(rows, cells, grid.lam, sat, boundary, scheme, grid.alpha)
+        self._prev_gap = math.nan
+        self._entropy_work = EntropyBlock(
+            entropy_rows(rows, stride, self.entropy_assert), cells,
+            grid.lam, sat, boundary, scheme, grid.alpha,
+        )
 
     def __call__(self, n: int, level: np.ndarray, speeds: np.ndarray) -> None:
-        i = self._count
-        self._levels[i + 1] = level
-        self._speeds[i + 1] = speeds
-        self._count = i + 1
+        i = self._count + 1
+        self._levels[i] = level
+        if speeds is not self._shared:
+            self._speeds[self._fields] = speeds
+            self._fields += 1
+            self._shared = None if speeds.flags.writeable else speeds
+        self._field[i] = self._fields - 1
+        self._count = i
         self._last_n = n
-        if i + 1 == len(self._scratch) or n == self.n_final:
+        if i == len(self._scratch) or n == self.n_final:
             self.flush()
 
     def _check_speeds(self, m: int) -> list[float]:
         """Increment gap max|V_{j+1} - V_j| of each of the block's m calls'
-        speed fields (rows 1..m, one flat difference); none below two cells."""
+        speed fields, none below two cells.  Only the block's new speed rows
+        are diffed, in one flat difference; a call that shares the carry
+        row's field takes the gap its previous block found."""
         cells = self._scratch.shape[1] - 2
         if cells < 2:
             return []
-        speeds, scratch = self._speeds[1 : m + 1].reshape(-1), self._scratch[:m]
-        np.subtract(speeds[1:], speeds[:-1], out=scratch.reshape(-1)[:-1])
-        diff = scratch[:, 1:cells]
-        return np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
+        gaps, new = [self._prev_gap], self._fields - 1
+        if new:
+            speeds, scratch = self._speeds[1 : new + 1].reshape(-1), self._scratch[:new]
+            np.subtract(speeds[1:], speeds[:-1], out=scratch.reshape(-1)[:-1])
+            diff = scratch[:, 1:cells]
+            gaps += np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
+        return [gaps[k] for k in self._field[1 : m + 1]]
 
     def _residuals(self, m, marks) -> list[float]:
         """The entropy value of each of the block's m steps, nan where the
         run computes none.
 
-        Step r goes from level row r to row r + 1 and reads speed row r.
-        An asserting run evaluates every step, on views of the buffers,
-        any other run its record rows marks after step 0, in one
-        EntropyBlock call, and none when there are no such steps.
+        Step r goes from level row r to row r + 1 and reads speed row
+        _field[r].  An asserting run evaluates every step, on views of the
+        buffers when each of its calls brought a new field (speed row r is
+        then step r's), any other run its record rows marks after step 0,
+        in one EntropyBlock call, and none when there are no such steps.
         """
-        levels, speeds = self._levels, self._speeds
+        levels, speeds, field = self._levels, self._speeds, self._field
         if self.entropy_assert:
             steps = range(m)
-            rho, rho_next, v = levels[:m], levels[1 : m + 1], speeds[:m]
+            rho, rho_next = levels[:m], levels[1 : m + 1]
+            # _field rises by at most one per row from _field[0] = 0
+            v = speeds[:m] if field[m - 1] == m - 1 else speeds[field[:m]]
         else:
             first = self._last_n - m + 1
             steps = [r for r in marks if first + r > 0]
             if not steps:
                 return [math.nan] * m
-            rho, rho_next, v = levels[steps], levels[[r + 1 for r in steps]], speeds[steps]
+            rho, rho_next = levels[steps], levels[[r + 1 for r in steps]]
+            v = speeds[[field[r] for r in steps]]
         values = self._entropy_work.residuals(rho, rho_next, v)
         residuals = [math.nan] * m
         for r, value in zip(steps, values.tolist()):
@@ -817,6 +869,7 @@ class DiagnosticsCollector:
             space += dt * prev_tv
         self.space_time_tv_space, self.space_time_tv_time = space, span
         self._prev_tv = tvs[-1]
+        self._prev_gap = gaps[-1] if gaps else math.nan
         for r in marks:
             n = first + r
             t = n * grid.dt
@@ -826,8 +879,13 @@ class DiagnosticsCollector:
             self.records.append(
                 DiagnosticsRecord(t, l1s[r], linf, lows[r], highs[r], tvs[r], ceiling, residual)
             )
-        self._speeds[0] = self._speeds[m]
+        if self._field[m]:
+            self._speeds[0] = self._speeds[self._field[m]]
+        self._fields = 1
         levels[0] = levels[m]
+        if self._last_n == self.n_final:
+            # no call follows: keep no caller's array past the run
+            self._shared = None
 
     def _verdict(self, first, skip, lows, highs, tvs, drifts, gaps, residuals):
         """Raise the block's first violation, as a per-step check in step

@@ -107,13 +107,15 @@ def whole_cells(length: float, dx: float, what: str) -> int:
     """Number of cells n >= 1 with n dx = length, rejecting other ratios.
 
     This is the one whole-cells rule: the domain, the kernel support and a
-    coarse cell split into reference cells all use it.
+    coarse cell split into reference cells all use it.  A dx that is not
+    finite and positive gives no such n.
     """
-    ratio = length / dx
-    n = round(ratio)
-    if n < 1 or abs(n - ratio) > _REL_TOL_CELLS * max(1.0, ratio):
-        raise ValueError(f"{what} {length} is not a whole positive number of cells {dx} wide")
-    return int(n)
+    if math.isfinite(dx) and dx > 0.0:
+        ratio = length / dx
+        n = round(ratio)
+        if n >= 1 and abs(n - ratio) <= _REL_TOL_CELLS * max(1.0, ratio):
+            return int(n)
+    raise ValueError(f"{what} {length} is not a whole positive number of cells {dx} wide")
 
 
 def discretize_kernel(kernel: Kernel, grid: Grid) -> KernelWeights:

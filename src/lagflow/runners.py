@@ -31,6 +31,7 @@ from .diagnostics import (
     DiagnosticsCollector,
     InvariantViolation,
     StabilityConstants,
+    asserts_entropy,
     block_bytes,
     bound_constants,
     exp_or_inf,
@@ -149,8 +150,10 @@ def resolve_scenario(scenario: Scenario) -> ResolvedRun:
         alpha,
     )
     n_steps = step_count(scenario.t_final, grid.dt)
+    stride = scenario.stride if scenario.stride is not None else max(1, n_steps // 100)
     sizes = (grid.n_cells, grid.delay_steps, n_steps)
-    need = history_bytes(*sizes) + block_bytes(*sizes)
+    asserting = asserts_entropy(vel, sat, scenario.scheme)
+    need = history_bytes(*sizes) + block_bytes(*sizes, stride, asserting)
     if need > HISTORY_BUDGET_BYTES:
         raise ScenarioError(
             f"the delay history with the check block needs {need} bytes, "
@@ -163,7 +166,6 @@ def resolve_scenario(scenario: Scenario) -> ResolvedRun:
     constants = bound_constants(
         vel, sat, scenario.kernel, alpha, scenario.t_final, grid.tau, tv0, rho0_l1, scenario.scheme
     )
-    stride = scenario.stride if scenario.stride is not None else max(1, n_steps // 100)
     return ResolvedRun(
         scenario=scenario,
         grid=grid,
@@ -240,6 +242,7 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
     s = resolved.scenario
     grid = resolved.grid
     col = sim.collector
+    sizes = (grid.n_cells, grid.delay_steps, resolved.n_steps)
     items = [
         ("generator", "lagflow"),
         ("x_min", s.x_min),
@@ -265,8 +268,8 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
         ("lam", grid.lam),
         ("alpha", grid.alpha),
         ("n_steps", resolved.n_steps),
-        ("history_bytes", history_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
-        ("block_bytes", block_bytes(grid.n_cells, grid.delay_steps, resolved.n_steps)),
+        ("history_bytes", history_bytes(*sizes)),
+        ("block_bytes", block_bytes(*sizes, resolved.stride, col.entropy_assert)),
         ("final_time", sim.final_time),
         ("stride", resolved.stride),
         ("datum", s.datum_kind),
@@ -315,7 +318,12 @@ def _manifest_items(resolved: ResolvedRun, sim: SimulationResult):
 
 
 def _write_snapshot(path: Path, grid: Grid, level: np.ndarray) -> None:
-    _write_csv(path, "x,rho", zip(grid.centers(), level))
+    """The x,rho rows, streamed: repr of tolist()'s Python floats, which
+    is _fmt's text without its type checks on every value, and no copy
+    of the whole text."""
+    with path.open("w", encoding="utf-8") as out:
+        out.write("x,rho\n")
+        out.writelines(map("{!r},{!r}\n".format, grid.centers().tolist(), level.tolist()))
 
 
 def _write_diagnostics(path: Path, records) -> None:

@@ -65,8 +65,9 @@ PERIODIC = "periodic"
 
 BOUNDARY_KINDS = (FREE_FLOW, PERIODIC)
 
-#: Sizes the blocks: B = diagnostics.block_rows(J) rows of J float64 cells
-#: and b = speed_rows(J, h) rows of J + 2 (see diagnostics.block_bytes).
+#: Sizes the blocks: b = speed_rows(J, h) rows of J + 2 float64 cells, and
+#: diagnostics.block_rows's B0 = BLOCK_BYTES // 8 J rows of J cells, which a
+#: run that only reports entropy doubles (see diagnostics.block_bytes).
 BLOCK_BYTES = 1 << 17
 
 

@@ -120,6 +120,12 @@ def test_compare_schemes_bad_reference_exits_one(tiny_cfg, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ref_dx", ["0", "-0.0", "nan", "inf"])
+def test_compare_schemes_reference_width_not_finite_and_positive_exits_one(tiny_cfg, capsys, ref_dx):
+    assert main(["compare-schemes", str(tiny_cfg), "--ref-dx", ref_dx]) == 1
+    assert capsys.readouterr().err.startswith("error: ref_dx: dx 0.02 is not a whole positive number")
+
+
 def test_tau_sweep_subcommand(tiny_cfg, tmp_path):
     out = tmp_path / "sweep"
     assert main(["tau-sweep", str(tiny_cfg), "--taus", "0.04,0.02", "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Norms, a priori bound constants, entropy residual, invariant collector."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -614,9 +615,12 @@ def _state(col):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of _ORACLE_ROWS rows on the 50-cell oracle grid."""
-    monkeypatch.setattr(diagnostics, "BLOCK_BYTES", _ORACLE_ROWS * 8 * 50)
-    assert diagnostics.block_rows(50) == _ORACLE_ROWS
+    """Blocks of _ORACLE_ROWS rows on the 50-cell oracle grid, whether or
+    not the run asserts entropy: block_rows, which the collector looks up
+    at construction, is replaced (test_block_sizes_follow_block_bytes
+    checks the module's rule, and the tests that patch BLOCK_BYTES run
+    it)."""
+    monkeypatch.setattr(diagnostics, "block_rows", lambda n_cells, asserting: _ORACLE_ROWS)
 
 
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
@@ -649,12 +653,15 @@ def test_block_collector_matches_per_step_collector(small_blocks, scheme, bounda
 @pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
 @pytest.mark.parametrize("scheme", ["lf", "hw"])
 def test_block_collector_matches_per_step_collector_at_full_blocks(scheme, boundary):
-    """The same over 700 steps at the module's own block size (327 rows
-    of 50 cells): two full blocks and part of a third."""
-    assert diagnostics.block_rows(50) == 327
-    case, calls = _oracle_march(scheme, boundary, 40, 700, 11)
-    err, col = _drive(DiagnosticsCollector, case, calls, scheme, boundary, 700, stride=7)
-    err_ref, ref = _drive(_PerStepCollector, case, calls, scheme, boundary, 700, stride=7)
+    """The same over 1400 steps at the module's own block sizes on 50
+    cells: 327 rows on LF, which asserts entropy (four full blocks and part
+    of a fifth), and 654 on HW, which reports it (two full blocks and part
+    of a third)."""
+    assert diagnostics.block_rows(50, True) == 327
+    assert diagnostics.block_rows(50, False) == 654
+    case, calls = _oracle_march(scheme, boundary, 40, 1400, 11)
+    err, col = _drive(DiagnosticsCollector, case, calls, scheme, boundary, 1400, stride=7)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, scheme, boundary, 1400, stride=7)
     assert err is None and err_ref is None
     assert _state(col) == _state(ref)
 
@@ -694,20 +701,23 @@ def test_reporting_blocks_without_a_record_step_skip_the_kernel(
 
 def test_asserting_kernel_reads_the_collector_rows_in_place(monkeypatch, small_blocks):
     """On an asserting LF run each EntropyBlock.residuals call reads views
-    of the collector's level and speed blocks, with no copy: row r of v is
-    the speed field of the call before step r (the previous block's last
-    call at r = 0).  With h = 6 and B = 5 the datum's field fills the first
-    block, and the first new field (call 7) falls mid-block in the second."""
+    of the collector's level block, and of its speed block when every call
+    of the block whose field a step reads brought a new field; row r of v
+    is the speed field of the call before step r (the previous block's
+    last call at r = 0).  With h = 6 and B = 5 the datum's field fills the
+    first block and the first new field (call 7) falls mid-block in the
+    second, so those two blocks gather their steps' fields from fewer
+    rows; the third block's calls all bring new fields."""
     case, calls = _oracle_march("lf", FREE_FLOW, 6, 13, 7)
     grid, weights, vel, sat, constants = case
     col = DiagnosticsCollector(grid, weights, vel, sat, "lf", FREE_FLOW, constants, 3, 13)
     assert col.entropy_assert
     residuals = diagnostics.EntropyBlock.residuals
-    firsts = []
+    firsts, views = [], []
 
     def spy(self, rho, rho_next, v):
         assert np.shares_memory(rho, col._levels) and np.shares_memory(rho_next, col._levels)
-        assert np.shares_memory(v, col._speeds)
+        views.append(np.shares_memory(v, col._speeds))
         first = col._last_n - len(v) + 1
         for r in range(max(1 - first, 0), len(v)):
             assert np.array_equal(v[r], calls[first + r - 1][2])
@@ -718,26 +728,127 @@ def test_asserting_kernel_reads_the_collector_rows_in_place(monkeypatch, small_b
     for call in calls:
         col(*call)
     assert firsts == [0, 5, 10]
+    assert views == [False, False, True]
     assert col.entropy_max == 0.0
+
+
+def _spy_new_rows(monkeypatch):
+    """Replace DiagnosticsCollector._check_speeds with a spy; the lists of
+    the new speed rows each call of it diffs and of the m it is given."""
+    check_speeds, rows, counts = DiagnosticsCollector._check_speeds, [], []
+
+    def spy(self, m):
+        rows.extend(self._speeds[1 : self._fields].copy())
+        counts.append(m)
+        gaps = check_speeds(self, m)
+        assert len(gaps) == m
+        return gaps
+
+    monkeypatch.setattr(DiagnosticsCollector, "_check_speeds", spy)
+    return rows, counts
+
+
+@pytest.mark.parametrize("stride", [3, 13], ids=["stride_below_B", "stride_above_B"])
+@pytest.mark.parametrize("boundary", [FREE_FLOW, PERIODIC])
+def test_reporting_collector_matches_per_step_collector_on_repeated_fields(
+    monkeypatch, boundary, stride
+):
+    """On a reporting HW run (BLOCK_BYTES of five 50-cell rows, so B = 2
+    B0 = 10) the block collector keeps the per-step reference's state,
+    records by repr included, when read-only fields of the march repeat in
+    runs of 1 to 14 calls: inside a block, across the block boundaries
+    after calls 9, 19, 29 and 39, through a block (calls 10..19) that
+    brings no new field, and when an earlier field comes back after
+    another, which is a new object to the collector and is copied again.
+    Stride 3 is below B and 13 above it."""
+    monkeypatch.setattr(diagnostics, "BLOCK_BYTES", _ORACLE_ROWS * 8 * 50)
+    assert diagnostics.block_rows(50, False) == 2 * _ORACLE_ROWS
+    case, calls = _oracle_march("hw", boundary, 2, 41, 8)
+    runs = [1, 3, 4, 14, 2, 1, 1, 6, 6, 4]
+    sources = [0, 5, 9, 14, 20, 9, 25, 30, 35, 40]
+    fields = [calls[src][2] for src, run in zip(sources, runs) for _ in range(run)]
+    assert len(fields) == len(calls) and not fields[0].flags.writeable
+    calls = [(n, level, field) for (n, level, _), field in zip(calls, fields)]
+    new_rows, counts = _spy_new_rows(monkeypatch)
+    err, col = _drive(DiagnosticsCollector, case, calls, "hw", boundary, 41, stride)
+    assert err is None and not col.entropy_assert
+    assert counts == [10, 10, 10, 10, 2]
+    assert len(new_rows) == len(runs)
+    err_ref, ref = _drive(_PerStepCollector, case, calls, "hw", boundary, 41, stride)
+    assert err_ref is None
+    assert _state(col) == _state(ref)
+
+
+@pytest.mark.parametrize("h", [0, 3, 12])
+def test_each_read_only_field_is_copied_once(monkeypatch, h):
+    """Over a march (HW, 50 cells, B = 10), the collector copies each
+    read-only field schemes.run hands over into one speed row, once,
+    however many calls share it: the rows the blocks diff are the
+    distinct fields in order, max(N_T - h, 0) + 1 of them, while
+    _check_speeds still returns one gap for each of the N_T + 1 calls."""
+    monkeypatch.setattr(diagnostics, "BLOCK_BYTES", _ORACLE_ROWS * 8 * 50)
+    case, calls = _oracle_march("hw", FREE_FLOW, h, 33, 3)
+    distinct = [v for n, (_, _, v) in enumerate(calls) if not n or v is not calls[n - 1][2]]
+    assert len(distinct) == max(33 - h, 0) + 1
+    new_rows, counts = _spy_new_rows(monkeypatch)
+    err, _ = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 33)
+    assert err is None
+    assert sum(counts) == 34
+    assert len(new_rows) == len(distinct)
+    assert all(row.tobytes() == v.tobytes() for row, v in zip(new_rows, distinct))
+
+
+@pytest.mark.parametrize("scheme", ["lf", "hw"])
+def test_a_writable_field_is_read_on_every_call(small_blocks, scheme):
+    """One writable array handed to every call and rewritten in place
+    between calls is copied on every call: the block collector keeps the
+    state of the per-step reference, which gets a fresh array per call,
+    and a spike written into it at call 7 raises the reference's refusal
+    at step 7."""
+    case, calls = _oracle_march(scheme, FREE_FLOW, 2, 13, 6)
+    for spiked in (False, True):
+        if spiked:
+            calls[7] = _spike_speeds(calls[7])
+        col = DiagnosticsCollector(*case[:4], scheme, FREE_FLOW, case[4], 3, 13)
+        shared = np.empty_like(calls[0][2])
+        err = None
+        try:
+            for n, level, speeds in calls:
+                shared[:] = speeds
+                col(n, level, shared)
+        except InvariantViolation as exc:
+            err = exc
+        fresh = [(n, level, speeds.copy()) for n, level, speeds in calls]
+        err_ref, ref = _drive(_PerStepCollector, case, fresh, scheme, FREE_FLOW, 13)
+        assert str(err) == str(err_ref)
+        if spiked:
+            assert str(err).startswith("step 7: speed increment")
+        else:
+            assert err is None
+            assert _state(col) == _state(ref)
 
 
 @pytest.mark.parametrize("scheme, high", [("lf", 4.0), ("hw", 1.8)], ids=["lf", "hw"])
 def test_block_kernel_writes_nothing_into_its_speed_rows(monkeypatch, small_blocks, scheme, high):
     """Every EntropyBlock.residuals call of a collector gives the same bits
-    when its v is a read-only view as on a writable copy, so the kernel
-    never writes into the collector's speed rows: on certified blocks (a
-    saturated run) and on blocks the certificate refuses (an unsaturated
-    run whose speeds go negative, below -alpha on LF), every step a
-    record."""
+    when its v is a read-only view as on a writable copy, and leaves the
+    collector's speed rows as they were, whether v is a view of them or
+    gathered from them, so the kernel never writes into them: on certified
+    blocks (a saturated run) and on blocks the certificate refuses (an
+    unsaturated run whose speeds go negative, below -alpha on LF), every
+    step a record."""
     residuals = diagnostics.EntropyBlock.residuals
     certified = diagnostics.EntropyBlock._certified
     outcomes = {}
+    cols = []
 
     def spy(self, rho, rho_next, v):
+        before = cols[-1]._speeds.tobytes()
         read_only = v.view()
         read_only.flags.writeable = False
         out = residuals(self, rho, rho_next, read_only)
         assert out.tobytes() == residuals(self, rho, rho_next, v.copy()).tobytes()
+        assert cols[-1]._speeds.tobytes() == before
         return out
 
     def seen(self, *args):
@@ -749,8 +860,10 @@ def test_block_kernel_writes_nothing_into_its_speed_rows(monkeypatch, small_bloc
     monkeypatch.setattr(diagnostics.EntropyBlock, "_certified", seen)
     for kind, sat, top in (("saturated", None, 0.7), ("unsaturated", Saturation("none"), high)):
         case, calls = _oracle_march(scheme, FREE_FLOW, 2, 13, 2, sat=sat, high=top)
-        err, col = _drive(DiagnosticsCollector, case, calls, scheme, FREE_FLOW, 13, stride=1)
-        assert err is None
+        col = DiagnosticsCollector(*case[:4], scheme, FREE_FLOW, case[4], 1, 13)
+        cols.append(col)
+        for call in calls:
+            col(*call)
         assert col.entropy_assert == (scheme == "lf" and sat is None)
         if sat is not None:
             assert min(float(np.min(v)) for _, _, v in calls) < -(case[0].alpha or 0.0)
@@ -1040,7 +1153,8 @@ def test_screen_bounds_are_at_most_each_steps_bound(scheme):
         grid, c = resolved.grid, resolved.constants
         if c is None:
             continue
-        rows = diagnostics.block_rows(grid.n_cells)
+        asserting = diagnostics.asserts_entropy(resolved.velocity, resolved.saturation, scheme)
+        rows = diagnostics.block_rows(grid.n_cells, asserting)
         for consts in (c, dataclasses.replace(c, tau=0.0), dataclasses.replace(c, tv0=0.0)):
             bounds = np.array([consts.tv_bound_at(n * grid.dt) for n in range(resolved.n_steps + 1)])
             allowed = bounds * (1.0 + tol) + tol
@@ -1106,13 +1220,16 @@ def _zeros_and_nans(values, seed):
     return values
 
 
-def test_flat_differences_equal_the_row_differences(small_blocks):
+def test_flat_differences_equal_the_row_differences(monkeypatch, small_blocks):
     """The collector takes each block's adjacent differences, of levels
-    and of speed fields, from one subtraction over the rows as a flat
-    array; on rows with nan and +-0 cells the TV and gap of every row are
-    the bits of a subtraction of the rows' shifted 2-D views, and an
+    and of its new speed fields, from one subtraction over the rows as a
+    flat array; on rows with nan and +-0 cells the TV and gap of every row
+    are the bits of a subtraction of the rows' shifted 2-D views, and an
     unsaturated free-flow run, which asserts no level check, keeps the
-    per-step reference's state."""
+    per-step reference's state.  The fields are five writable arrays, each
+    a new row, handed to a collector whose block ends at call 4: the
+    speed check refuses them (the +-0 stretch puts call 0's gap above its
+    bound) after _check_speeds has returned every call's gap."""
     case, calls = _oracle_march("hw", FREE_FLOW, 2, 13, 4, sat=Saturation("none"))
     calls = [(n, _zeros_and_nans(level, n) if n % 3 else level, speeds) for n, level, speeds in calls]
     err, col = _drive(DiagnosticsCollector, case, calls, "hw", FREE_FLOW, 13, stride=1)
@@ -1124,23 +1241,45 @@ def test_flat_differences_equal_the_row_differences(small_blocks):
     assert np.array([r.tv for r in col.records]).view(np.int64).tolist() == tvs.view(np.int64).tolist()
 
     fields = np.array([_zeros_and_nans(speeds, n) for n, _, speeds in calls[:_ORACLE_ROWS]])
-    col._speeds[1 : _ORACLE_ROWS + 1] = fields
     inner = fields[:, 1:-1]
     gaps = np.maximum.reduce(np.abs(inner[:, 1:] - inner[:, :-1]), axis=1)
-    assert np.array(col._check_speeds(_ORACLE_ROWS)).view(np.int64).tolist() == gaps.view(np.int64).tolist()
     assert np.isnan(gaps).tolist() == [False, False, False, True, False]
+    check_speeds, seen = DiagnosticsCollector._check_speeds, []
+
+    def spy(self, m):
+        seen.append(check_speeds(self, m))
+        return seen[-1]
+
+    monkeypatch.setattr(DiagnosticsCollector, "_check_speeds", spy)
+    col = DiagnosticsCollector(*case[:4], "hw", FREE_FLOW, case[4], 1, _ORACLE_ROWS - 1)
+    with pytest.raises(InvariantViolation, match="^step 0: speed increment"):
+        for (n, level, _), field in zip(calls, fields):
+            col(n, level, field.copy())
+    assert len(seen) == 1
+    assert np.array(seen[0]).view(np.int64).tolist() == gaps.view(np.int64).tolist()
 
 
 def test_block_sizes_follow_block_bytes():
-    """B = max(1, BLOCK_BYTES // 8 J); the buffers are the (B + 1, J) level
-    block, the (B + 1, J + 2) speed block, the (B, J + 2) scratch block and N_T
-    + 1 per-step reaches, and the march holds two (b, J + 2)
-    blocks of speed fields, b = max(1, min(h, BLOCK_BYTES // 8 (J + 2)));
-    every run adds the block entropy kernel's two (B, J + 2) and four
-    (B, J) float rows."""
-    assert diagnostics.block_rows(344) == 47
-    assert diagnostics.block_rows(4000) == 4
-    assert diagnostics.block_rows(10**6) == 1
+    """B0 = max(1, BLOCK_BYTES // 8 J) on a run that asserts entropy and B
+    = 2 B0 on one that reports it; the buffers are the (B + 1, J) level
+    block, the (B + 1, J + 2) speed block, the (B, J + 2) scratch block and
+    N_T + 1 per-step reaches, and the march holds two (b, J + 2) blocks of
+    speed fields, b = max(1, min(h, BLOCK_BYTES // 8 (J + 2))); every run
+    adds the block entropy kernel's two (E, J + 2) and four (E, J) float
+    rows, E = B when it asserts entropy, else min(B, ceil(B / stride) +
+    1)."""
+    assert diagnostics.block_rows(344, True) == 47
+    assert diagnostics.block_rows(344, False) == 94
+    assert diagnostics.block_rows(4000, True) == 4
+    assert diagnostics.block_rows(4000, False) == 8
+    assert diagnostics.block_rows(10**6, True) == 1
+    assert diagnostics.block_rows(10**6, False) == 2
+    assert diagnostics.entropy_rows(47, 1, True) == diagnostics.entropy_rows(47, 309, True) == 47
+    assert diagnostics.entropy_rows(94, 109, False) == 2
+    assert diagnostics.entropy_rows(94, 7, False) == 15
+    assert diagnostics.entropy_rows(8, 309, False) == 2
+    assert diagnostics.entropy_rows(8, 7, False) == 3
+    assert diagnostics.entropy_rows(8, 1, False) == 8
     assert schemes.speed_rows(344, 2193) == 47
     assert schemes.speed_rows(4000, 6192) == 4
     assert schemes.speed_rows(1000, 3) == 3
@@ -1148,7 +1287,10 @@ def test_block_sizes_follow_block_bytes():
     blocks = (48 * 344 + (47 + 48 + 2 * 47) * 346 + 10966) * 8
     kernel = (2 * 47 * 346 + 4 * 47 * 344) * 8
     assert kernel == diagnostics.EntropyBlock.bytes_for(47, 344) == 777568
-    assert diagnostics.block_bytes(344, 2193, 10965) == blocks + kernel
+    assert diagnostics.block_bytes(344, 2193, 10965, 109, True) == blocks + kernel
+    blocks = (95 * 344 + (94 + 95 + 2 * 47) * 346 + 10966) * 8
+    kernel = (2 * 2 * 346 + 4 * 2 * 344) * 8
+    assert diagnostics.block_bytes(344, 2193, 10965, 109, False) == blocks + kernel
 
 
 def _array_bytes(obj):
@@ -1164,18 +1306,19 @@ def test_block_bytes_equal_the_collector_buffers(cells, h, n_final):
     counts, is every array a fresh collector holds (its blocks and reach
     ring), the march's two live blocks of speed_rows(J, h) speed fields
     and every array of its entropy block kernel, on runs that assert
-    entropy (LF) and on runs that do not (HW)."""
+    entropy (LF) and on runs that do not (HW), whose kernel holds only the
+    rows of a block's record steps, at strides 1, 7 and 309."""
     vel, sat, _ = _model()
     dx = 1.0 / cells
-    for scheme, alpha in (("lf", 2.0), ("hw", None)):
+    for (scheme, alpha), stride in itertools.product((("lf", 2.0), ("hw", None)), (1, 7, 309)):
         grid = build_grid(0.0, 1.0, dx, 0.01, h * 0.01, dx, alpha)
         assert (grid.n_cells, grid.delay_steps) == (cells, h)
         weights = discretize_kernel(Kernel("constant", length=dx), grid)
-        col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, 1, n_final)
+        col = DiagnosticsCollector(grid, weights, vel, sat, scheme, FREE_FLOW, None, stride, n_final)
         assert col.entropy_assert == (scheme == "lf")
         held = _array_bytes(col) + 2 * schemes.speed_rows(cells, h) * (cells + 2) * 8
         held += _array_bytes(col._entropy_work)
-        assert held == diagnostics.block_bytes(cells, h, n_final)
+        assert held == diagnostics.block_bytes(cells, h, n_final, stride, col.entropy_assert)
 
 
 # ---------------------------------------------------------------------------
@@ -1352,7 +1495,7 @@ def test_block_entropy_equals_per_step_bits(boundary, law):
                 for i in range(steps)
             ]
             assert any(float.fromhex(x) > 0.0 for x in expected)
-            for rows in (1, 2, 3, 4, 5, diagnostics.block_rows(n)):
+            for rows in (1, 2, 3, 4, 5, diagnostics.block_rows(n, True)):
                 block = diagnostics.EntropyBlock(rows, n, lam, sat, boundary, scheme, alpha)
                 got = []
                 for first in range(0, steps, rows):

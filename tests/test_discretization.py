@@ -41,6 +41,12 @@ def test_kernel_cell_count_rejects_fractional_multiples():
         whole_cells(0.015, 0.004, "kernel support")
 
 
+@pytest.mark.parametrize("dx", [0.0, -0.0, math.nan, math.inf, -math.inf, -0.005])
+def test_cell_count_refuses_a_width_not_finite_and_positive(dx):
+    with pytest.raises(ValueError, match=f"^dx 0.015 is not a whole positive number of cells {dx} wide$"):
+        whole_cells(0.015, dx, "dx")
+
+
 def test_constant_kernel_weights_are_uniform():
     grid = build_grid(0.0, 1.0, 0.05, 0.01, 0.0, 0.1)
     w = discretize_kernel(Kernel("constant", length=0.1), grid)

@@ -139,20 +139,25 @@ def test_manifest_reports_history_bytes(tmp_path, tau, levels):
 
 
 def test_manifest_reports_block_bytes(tmp_path):
-    """B = BLOCK_BYTES // 8 J = 327 at J = 50: the (B + 1, J) levels, the
-    (B + 1, J + 2) speed fields, the (B, J + 2) scratch and N_T + 1
-    per-step reaches, the entropy block kernel's two (B, J + 2)
-    and four (B, J) rows, and the march's two blocks of h speed fields (h
-    is below BLOCK_BYTES // 8 (J + 2)), whether or not the run asserts
-    entropy.  The budget counts them with the history."""
-    for scheme, h, n_steps in (("hw", 2, 10), ("lf", 4, 20)):
-        run_scenario(_tiny(scheme=scheme), tmp_path / scheme)
-        manifest = (tmp_path / scheme / "manifest.txt").read_text().splitlines()
-        expected = (328 * 50 + (327 + 328 + 2 * h) * 52 + n_steps + 1) * 8
-        expected += (2 * 327 * 52 + 4 * 327 * 50) * 8
+    """B = BLOCK_BYTES // 8 J = 327 at J = 50 on an LF run, which asserts
+    entropy, and 2 * 327 on an HW run, which reports it: the (B + 1, J)
+    levels, the (B + 1, J + 2) speed fields, the (B, J + 2) scratch and
+    N_T + 1 per-step reaches, the entropy block kernel's two (E, J + 2)
+    and four (E, J) rows, E = B on the LF run and at stride 1 (the
+    default here), else ceil(B / stride) + 1, and the march's two blocks
+    of h speed fields (h is below BLOCK_BYTES // 8 (J + 2)).  The budget
+    counts them with the history."""
+    runs = [("lf", None, 4, 20, 327, 327), ("hw", None, 2, 10, 654, 654), ("hw", 7, 2, 10, 654, 95)]
+    for scheme, stride, h, n_steps, rows, kernel_rows in runs:
+        out = tmp_path / f"{scheme}{stride}"
+        run_scenario(_tiny(scheme=scheme, stride=stride), out)
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        expected = ((rows + 1) * 50 + (2 * rows + 1 + 2 * h) * 52 + n_steps + 1) * 8
+        expected += (2 * kernel_rows * 52 + 4 * kernel_rows * 50) * 8
         assert f"n_steps = {n_steps}" in manifest
+        assert f"stride = {stride or 1}" in manifest
         assert f"block_bytes = {expected}" in manifest
-        assert diagnostics.block_bytes(50, h, n_steps) == expected
+        assert diagnostics.block_bytes(50, h, n_steps, stride or 1, scheme == "lf") == expected
 
 
 def test_step_error_reports_earlier_violation_of_its_block(monkeypatch):
@@ -161,7 +166,7 @@ def test_step_error_reports_earlier_violation_of_its_block(monkeypatch):
     leaves it and raises the violation of step 2.  Without the negative
     cell the StepError itself comes out."""
     resolved = resolve_scenario(_tiny())
-    assert diagnostics.block_rows(resolved.grid.n_cells) > 4
+    assert diagnostics.block_rows(resolved.grid.n_cells, False) > 4
     real_step = schemes.hw_step
 
     def faulty_step(negative):
@@ -287,6 +292,19 @@ def test_compare_schemes_reference_asserts_entropy(monkeypatch):
 def test_compare_schemes_rejects_non_divisor_reference():
     with pytest.raises(ScenarioError):
         compare_schemes(_tiny(), ref_dx=0.015)
+
+
+@pytest.mark.parametrize("ref_dx", [0.0, -0.0, math.nan, math.inf])
+def test_compare_schemes_refuses_a_reference_width_not_finite_and_positive(monkeypatch, ref_dx):
+    """A reference cell width of +-0, nan or inf is refused with the
+    whole-cells message, as a ScenarioError, before any march."""
+
+    def march(*args):
+        raise AssertionError("compare_schemes marched")
+
+    monkeypatch.setattr(runners, "simulate", march)
+    with pytest.raises(ScenarioError, match=r"^ref_dx: dx 0\.02 is not a whole positive number"):
+        compare_schemes(_tiny(), ref_dx=ref_dx)
 
 
 def test_tau_sweep_inserts_zero_delay_reference(tmp_path):

@@ -295,13 +295,14 @@ def test_run_convolves_each_lagged_level_once(monkeypatch, h, n_steps, check_row
     traced layers wrap them there); the collector's block checks cover
     every call's speed field, so they count N_T + 1 calls in all; and
     between steps the history holds at most min(h, max(N_T - h, 0))
-    levels behind its head.  B is the module's (above N_T) or check_rows,
-    which splits the run into blocks of 4 calls: 0..3, 4..7, 8..11 and
+    levels behind its head.  B is the module's (above N_T) or check_rows:
+    the run reports entropy, so BLOCK_BYTES cut to check_rows / 2 rows
+    gives B = check_rows, blocks of 4 calls: 0..3, 4..7, 8..11 and
     12..15."""
     if check_rows is not None:
-        monkeypatch.setattr(diagnostics, "BLOCK_BYTES", check_rows * 8 * 50)
+        monkeypatch.setattr(diagnostics, "BLOCK_BYTES", check_rows // 2 * 8 * 50)
     grid, weights, rho0, t_final = _delayed_case(h, n_steps)
-    rows = diagnostics.block_rows(grid.n_cells)
+    rows = diagnostics.block_rows(grid.n_cells, False)
     assert rows == check_rows or rows > n_steps
     states, blocks, queued, checks, pushes, steps = [], [], [], [], [], []
     init, lagged = schemes.init_history, schemes.lagged_speeds
