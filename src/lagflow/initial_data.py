@@ -158,4 +158,7 @@ def make_datum(kind: str, **params):
     for key in params:
         if key not in required and key not in defaults:
             raise TypeError(f"{kind} datum got an unexpected keyword argument {key!r}")
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise TypeError(f"{kind} datum is missing required keys {', '.join(missing)}")
     return profile(**{**defaults, **params})

@@ -25,9 +25,9 @@ tau = h dt (the datum is extended as constant in time on [-tau, 0]):
 Since a step reads the level h steps back, the next b <= h lagged levels
 are already in the history when the head moves, and lagged_speeds builds
 their fields as the rows of one block: one np.correlate per level, over
-the loads whose window meets a nonzero cell (empty road loads +0.0 and
-costs none), then one dx scale, one velocity call and one ghost fill for
-all b.
+the loads whose window meets its history entry's cells (the others load
++0.0 and cost none), then one dx scale, one velocity call and one ghost
+fill for all b.
 
 Ghost cells, one on each side of a step and N - 1 past the right edge of
 the convolution window, follow the boundary rule: free-flow replicates
@@ -81,7 +81,7 @@ class Workspace:
     Sized from J cells and K kernel weights: the ghost-extended level r,
     f(r), then the fluxes (J + 2 cells each), a difference buffer (J; a
     step on a slice uses the leading cells of these three) and the
-    convolution window and its nonzero mask (J + K - 1 each).
+    convolution window (J + K - 1).
     """
 
     def __init__(self, n_cells: int, n_weights: int, boundary: str) -> None:
@@ -91,7 +91,6 @@ class Workspace:
         self.r, self.f = np.empty((2, n_cells + 2))
         self.diff = np.empty(n_cells)
         self.window = np.empty(n_cells + n_weights - 1)
-        self.nonzero = np.empty(n_cells + n_weights - 1, dtype=bool)
         # periodic: window cell J + k holds level cell k mod J
         self.wrap = np.arange(n_weights - 1)
 
@@ -118,12 +117,10 @@ class _History(deque):
     """A deque of (offset, values) entries of levels of n_cells cells."""
 
 
-def init_history(rho0: np.ndarray, h: int, a: int = 0, b: int | None = None) -> deque:
+def init_history(rho0: np.ndarray, a: int = 0, b: int | None = None) -> deque:
     """Delay history: a deque whose head, the lagged level, is the entry
     (a, a copy of rho0's cells [a, b)) (b None: J); every cell of rho0
     outside [a, b) must be +0.0."""
-    if h < 0:
-        raise ValueError("delay step count must be non-negative")
     rho0 = np.asarray(rho0, dtype=float)
     history = _History([(a, rho0[a:b].copy())])
     history.n_cells = len(rho0)
@@ -149,46 +146,44 @@ def lagged_speeds(
     """Speeds v(dx * sum_k w[k] rho[j+k]) of b levels with their ghost
     cells: the read-only rows of a fresh (b, J + 2) block.
 
-    Each level comes as a history entry (offset, values), the level whose
-    cells from offset on are values and whose others are +0.0: the window
-    takes the whole level's bits, its periodic tail included.  Each level
-    is convolved on its own, with one np.correlate over the loads whose
-    window meets a nonzero cell: the whole window when both end cells of
-    the level are nonzero, else window[lo : hi + K - 1], lo = max(0, s0 -
-    K + 1) and hi = min(J, s1 + 1) for the first and last nonzero window
-    cells s0, s1; the other loads are +0.0, and an all-zero level calls
-    none.  Each "valid" output of np.correlate is its own dot
+    Each level comes as a history entry (a, values): the level whose cells
+    from a on are values and whose others are +0.0.  The entry bounds the
+    level's nonzero cells, so one np.correlate per entry, over
+    window[lo : hi + K - 1], gives the loads lo = max(0, a - K + 1) to
+    hi = a + len(values) with no scan; hi = J for a periodic entry with
+    a < K - 1, whose wrapped tail meets it, and a whole entry (0, level)
+    takes the whole window.  The other loads are +0.0, and an empty entry
+    calls none.  Each "valid" output of np.correlate is its own dot
     product of window[j : j + K] with w, and NumPy's double dot starts its
     sum at +0.0, so the loads keep their bits, +0.0 on all +-0 windows
     too.  The dx scale, the velocity law and the ghost cells then run once
-    on the whole block, elementwise, so every row has the bits a
-    one-level call gives.  run reuses one speed field for up to h + 1
-    steps, so a caller that wrote into it would corrupt the steps after it.
+    on the whole block, elementwise, so every row has the bits a one-level
+    call gives.  run reuses one speed field for up to h + 1 steps, so a
+    caller that wrote into it would corrupt the steps after it.
     """
     n = len(work.diff)
     block = np.empty((len(entries), n + 2))
     loads = block[:, 1:-1]
-    window, w, k, nonzero = work.window, weights.w, weights.n, work.nonzero
+    window, w, k = work.window, weights.w, weights.n
     free, head = work.boundary == FREE_FLOW, window[:n]
     for (a, level), load in zip(entries, loads):
+        if not len(level):
+            load.fill(0.0)
+            continue
         if len(level) < n:
             head.fill(0.0)
             head[a : a + len(level)] = level
         else:
             head[:] = level
-        last = window[n - 1]
         if free:
-            window[n:] = last
+            window[n:] = window[n - 1]
         else:
             np.take(head, work.wrap, mode="wrap", out=window[n:])
-        if last and window[0]:
-            load[:] = np.correlate(window, w, mode="valid")
-            continue
-        load[:] = 0.0
-        s0 = np.not_equal(window, 0.0, out=nonzero).argmax()
-        if nonzero[s0]:
-            lo, hi = max(0, s0 - k + 1), min(n, len(window) - nonzero[::-1].argmax())
-            load[lo:hi] = np.correlate(window[lo : hi + k - 1], w, mode="valid")
+        lo, hi = max(0, a - k + 1), a + len(level)
+        if not free and a < k - 1:
+            hi = n
+        load[:lo] = load[hi:] = 0.0
+        load[lo:hi] = np.correlate(window[lo : hi + k - 1], w, mode="valid")
     np.multiply(weights.dx, loads, out=loads)
     vel(loads, out=loads)
     _fill_ghosts(block.T, work.boundary)
@@ -387,7 +382,7 @@ def run(
     a, b = int(bits.argmax()) - 1, rho.size + 1 - int(bits[::-1].argmax())
     if a < 0 or b > rho.size:
         a, b = 0, rho.size
-    history = init_history(rho, h, a, b)
+    history = init_history(rho, a, b)
     n_steps = step_count(t_final, grid.dt)
     lam = grid.lam
     rows = speed_rows(rho.size, h)

@@ -163,6 +163,15 @@ def test_stability_malformed_perturbation_exits_one(tiny_cfg, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_stability_perturbation_missing_required_keys_exits_one(tmp_path, capsys):
+    """A box perturbation without a and b fails before any march, naming both."""
+    out = tmp_path / "stab"
+    argv = ["stability", "box_delay", "--tau2", "0.02", "--perturb", "box,height=0.5"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [datum] box datum is missing required keys a, b\n"
+    assert not out.exists()
+
+
 def test_saturation_study_subcommand(tiny_cfg, tmp_path):
     out = tmp_path / "sat"
     assert main(["saturation-study", str(tiny_cfg), "--out", str(out)]) == 0

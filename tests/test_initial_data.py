@@ -125,5 +125,7 @@ def test_make_datum_rejects_unknown_kind_and_params():
 
 
 def test_make_datum_box_requires_all_params():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"box datum is missing required keys a, b$"):
         make_datum("box", height=1.0)
+    with pytest.raises(TypeError, match=r"missing required keys value$"):
+        make_datum("constant")

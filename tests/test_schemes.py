@@ -847,7 +847,7 @@ def _weights(dx=0.25, length=0.5, kind="constant"):
 def test_history_starts_constant_in_time():
     """Until the head is popped, every step reads the datum."""
     rho0 = np.array([0.1, 0.2, 0.3])
-    history = init_history(rho0, h=2)
+    history = init_history(rho0)
     assert history[0][0] == 0
     assert np.array_equal(history[0][1], rho0)
     assert history[0][1] is not rho0
@@ -861,7 +861,7 @@ def test_history_starts_constant_in_time():
 def test_ring_rotates_after_h_plus_one_pushes():
     """Once n > h the lagged level is the one pushed h steps earlier."""
     h = 2
-    history = init_history(np.zeros(2), h=h)
+    history = init_history(np.zeros(2))
     for n in range(1, 6):
         level = np.full(2, float(n))
         push_level(history, level)
@@ -875,7 +875,7 @@ def test_ring_rotates_after_h_plus_one_pushes():
 
 
 def test_zero_delay_window_has_single_level():
-    history = init_history(np.array([1.0]), h=0)
+    history = init_history(np.array([1.0]))
     level = np.array([5.0])
     push_level(history, level)
     history.popleft()
@@ -898,9 +898,9 @@ def test_history_holds_only_the_slices_of_a_free_flow_box(monkeypatch):
     init, push = schemes.init_history, schemes.push_level
     widths, held, states = [], [], []
 
-    def recorded_init(rho, h, a, b):
+    def recorded_init(rho, a, b):
         widths.append(b - a)
-        states.append(init(rho, h, a, b))
+        states.append(init(rho, a, b))
         return states[0]
 
     def measured_push(history, level, a, b):
@@ -922,7 +922,7 @@ def test_history_holds_only_the_slices_of_a_free_flow_box(monkeypatch):
 
 
 def test_push_rejects_wrong_shape():
-    history = init_history(np.zeros(3), h=1)
+    history = init_history(np.zeros(3))
     with pytest.raises(ValueError):
         push_level(history, np.zeros(4))
 
@@ -958,7 +958,7 @@ def test_convolved_speeds_periodic_wraps():
 def test_lagged_speeds_use_oldest_level():
     vel = Velocity("normalized_greenshields")
     w = _weights()
-    history = init_history(np.full(4, 0.5), h=1)
+    history = init_history(np.full(4, 0.5))
     push_level(history, np.full(4, 0.9))
     work = Workspace(4, w.n, FREE_FLOW)
     v = lagged_speeds([history[0]], w, vel, work)[0]
@@ -983,7 +983,8 @@ def _loads_law(x, out=None):
 
 
 def _sparse_levels(n):
-    """Levels of n cells with zeros in every place lagged_speeds treats apart."""
+    """Levels of n cells with zeros (+0.0 and -0.0) at either end, inside,
+    across the periodic seam and everywhere."""
     bump = np.random.default_rng(5).uniform(0.1, 1.0, n)
     levels = {"all_zero": np.zeros(n), "dense": bump.copy()}
     for name, cell in (("first", 0), ("interior", n // 2 - 1), ("last", n - 1)):
@@ -1008,9 +1009,10 @@ def _sparse_levels(n):
 @pytest.mark.parametrize("vel", [Velocity("greenshields", v_max=0.9, rho_max=1.7), _loads_law],
                          ids=["greenshields", "loads"])
 def test_lagged_speeds_skip_empty_windows_bit_for_bit(boundary, dx, length, vel):
-    """Skipping the windows of exact zeros keeps every bit of the oracle's
-    full convolution, the sign of a zero load included: one level per
-    call and all levels in one block, with K - 1 > J on both boundaries."""
+    """A whole level keeps every bit of the oracle's full convolution
+    whatever its zeros, the sign of a zero load included (a level of
+    -0.0 loads +0.0): one level per call and all levels in one block,
+    with K - 1 > J on both boundaries."""
     weights = _weights(dx=dx, length=length, kind="linear_decreasing")
     n = round(1 / dx)
     levels = _sparse_levels(n)
@@ -1036,7 +1038,8 @@ def test_lagged_speeds_of_an_entry_equal_those_of_its_whole_level(boundary, dx, 
     cut to the cells whose bits are not 0 (-0.0 included) and widened
     by one +0 cell on each side where the level has one, so some entries
     start at cell 0 and some end at cell J - 1, and the all-zero level's
-    entry is empty."""
+    entry is empty.  Entries with nonzero end cells start at K - 2, K - 1
+    and K, where the periodic tail stops meeting them, and end at J."""
     weights = _weights(dx=dx, length=length, kind="linear_decreasing")
     n = round(1 / dx)
     work = Workspace(n, weights.n, boundary)
@@ -1050,6 +1053,15 @@ def test_lagged_speeds_of_an_entry_equal_those_of_its_whole_level(boundary, dx, 
             if b - a < n:
                 whole.append((name, (0, level)))
                 compact.append((name, (int(a), level[a:b].copy())))
+    # nonzero end cells: three cells from K - 2, K - 1 and K, and entries
+    # that end at J (its free-flow tail) from there and from cells 1, J - 3
+    k, bump = weights.n, np.random.default_rng(7).uniform(0.1, 1.0, n)
+    for a, b in sorted({(a, b) for a in (k - 2, k - 1, k, 1, n - 3) for b in (a + 3, n)}):
+        if 0 < a < b <= n:
+            level = np.zeros(n)
+            level[a:b] = bump[a:b]
+            whole.append((f"cells {a}..{b - 1}", (0, level)))
+            compact.append((f"cells {a}..{b - 1}", (a, level[a:b].copy())))
     assert len(compact) > 10 and any(len(v) == 0 for _, (_, v) in compact)
     for (name, entry), (_, full) in zip(compact, whole):
         one = lagged_speeds([entry], weights, vel, work)
@@ -1065,42 +1077,47 @@ def _span(a):
 
 
 def test_lagged_speeds_correlate_only_the_windows_that_meet_the_support(monkeypatch):
-    """An all-zero level calls no np.correlate; a box level correlates
-    exactly window[lo : hi + K - 1], lo = max(0, s0 - K + 1) and hi = s1 + 1
-    for its first and last nonzero cells s0, s1; a level with two nonzero
-    end cells correlates its whole window without scanning it."""
+    """Each entry (a, values) calls one np.correlate, over window[lo : hi +
+    K - 1], lo = max(0, a - K + 1) and hi = a + len(values): the loads
+    whose window meets its cells, with no scan of the window (np.not_equal
+    is never called).  A whole entry, the all-zero level included, and a
+    periodic entry with a < K - 1, whose wrapped tail meets its cells,
+    take the whole window; an empty entry calls none."""
     weights = _weights(dx=1 / 40, length=7 / 40, kind="linear_decreasing")
     n, k = 40, weights.n
-    box = np.zeros(n)
-    box[12:20] = 0.5
-    dense = np.full(n, 0.5)
-    inputs = []
-    real = np.correlate
+    assert k == 7
+    inputs, scans = [], []
+    real_correlate, real_not_equal = np.correlate, np.not_equal
 
     def spy(a, v, mode):
         inputs.append(a)
-        return real(a, v, mode)
-
-    scans = []
-    real_not_equal = np.not_equal
+        return real_correlate(a, v, mode)
 
     def scan(*args, **kwargs):
-        scans.append(args[0])
+        scans.append(args)
         return real_not_equal(*args, **kwargs)
 
     monkeypatch.setattr(np, "correlate", spy)
     monkeypatch.setattr(np, "not_equal", scan)
     vel = Velocity("normalized_greenshields")
-    work = Workspace(n, k, FREE_FLOW)
-    lagged_speeds([(0, np.zeros(n)), (0, np.full(n, -0.0))], weights, vel, work)
-    assert inputs == []
-    lagged_speeds([(0, box)], weights, vel, work)
-    lo, hi = 12 - k + 1, 20
-    assert [_span(a) for a in inputs] == [_span(work.window[lo : hi + k - 1])]
-    inputs.clear()
-    scans.clear()
-    lagged_speeds([(0, dense)], weights, vel, work)
-    assert [_span(a) for a in inputs] == [_span(work.window)]
+    entries = [
+        (0, np.full(n, 0.5)), (0, np.zeros(n)), (12, np.full(8, 0.5)), (3, np.full(4, 0.5)),
+        (k - 2, np.full(3, 0.5)), (k - 1, np.full(3, 0.5)), (k, np.full(3, 0.5)),
+        (30, np.full(10, 0.5)), (7, np.empty(0)),
+    ]
+    # (start, stop) of each correlated cut of the window; the empty entry has none
+    spans = {
+        FREE_FLOW: [(0, 46), (0, 46), (6, 26), (0, 13), (0, 14), (0, 15), (1, 16), (24, 46)],
+        PERIODIC: [(0, 46), (0, 46), (6, 26), (0, 46), (0, 46), (0, 15), (1, 16), (24, 46)],
+    }
+    for boundary, want in spans.items():
+        work = Workspace(n, k, boundary)
+        inputs.clear()
+        lagged_speeds(entries, weights, vel, work)
+        assert [_span(a) for a in inputs] == [_span(work.window[lo:hi]) for lo, hi in want]
+        inputs.clear()
+        lagged_speeds([(0, np.zeros(0)), (n, np.zeros(0))], weights, vel, work)
+        assert inputs == []
     assert scans == []
 
 
